@@ -20,7 +20,14 @@ from .blocking import Blocking
 from .clustering import Clustering, ClusteringError, neighbour_mask, regularized_kmeans
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
-from .ssc import OracleBudgetError, SscReport, pair_losses, ssc_select
+from .ssc import (
+    OracleBudgetError,
+    SscReport,
+    best_candidate,
+    exhaustive_losses,
+    pair_losses,
+    ssc_select,
+)
 
 __all__ = ["LshEstimate", "estimate_probs_lsh"]
 
@@ -28,6 +35,27 @@ __all__ = ["LshEstimate", "estimate_probs_lsh"]
 def _block_seed(seed: int, block_id: int) -> np.random.SeedSequence:
     """Deterministic per-block randomness derived from the global seed."""
     return np.random.SeedSequence(entropy=(seed, block_id))
+
+
+def _memo_oracle(
+    oracle: Callable[[int, int], bool], block: np.ndarray
+) -> tuple[Callable[[int, int], bool], dict[int, bool]]:
+    """Block-local oracle that passes each unordered pair to ``oracle`` once.
+
+    Answers are kept under the integer key ``i * b + j`` (i < j, b the block
+    size) and returned with the oracle, so a caller can count the positives.
+    """
+    b = block.size
+    answers: dict[int, bool] = {}
+
+    def ask(i: int, j: int) -> bool:
+        key = i * b + j if i < j else j * b + i
+        same = answers.get(key)
+        if same is None:
+            same = answers[key] = bool(oracle(int(block[i]), int(block[j])))
+        return same
+
+    return ask, answers
 
 
 @dataclass(frozen=True)
@@ -59,7 +87,11 @@ def estimate_probs_lsh(
     proportionally to block size with ``proportional_budget``).  ``k_range``
     bounds the duplicate-group count tried per block; the range is clamped
     to what the block can support after its garbage points are removed.
-    ``oracle`` answers same-cluster queries on global record indices.
+    ``oracle`` answers same-cluster queries on global record indices and
+    must answer consistently: each unordered pair is passed to it at most
+    once and the answer reused.  A block whose C(b, 2) pairs all fit in its
+    per-side budget is scored exhaustively on exact losses; larger blocks
+    are scored by sampled selection (``ssc_select``).
     """
     if data.features is None:
         raise DatasetError("clustering requires vector records")
@@ -79,9 +111,6 @@ def estimate_probs_lsh(
             block_budget = max(1, int(round(budget * block.size / data.n)))
         else:
             block_budget = max(1, budget // q)
-        # a block holds only C(b, 2) distinct pairs; asking for more per side
-        # just inflates the exhaustion cap on tiny blocks
-        block_budget = min(block_budget, block.size * (block.size - 1) // 2 or 1)
         points = data.features[block]
         rng_seed = _block_seed(seed, block_id)
         child_seeds = rng_seed.generate_state(2)
@@ -116,37 +145,15 @@ def estimate_probs_lsh(
         if len(candidates) == 1:
             winner = candidates[0]
         else:
-            local_oracle = lambda i, j: oracle(int(block[i]), int(block[j]))
-            try:
-                report = ssc_select(
-                    candidates,
-                    n_points=block.size,
-                    oracle=local_oracle,
-                    m_pairs=block_budget,
-                    seed=int(child_seeds[1]),
-                    mu_weight=mu_weight,
+            local_oracle, answers = _memo_oracle(oracle, block)
+            if block.size * (block.size - 1) // 2 <= block_budget:
+                report = _exhaustive_report(
+                    candidates, block.size, local_oracle, answers, mu_weight
                 )
-            except OracleBudgetError as exc:
-                # A block whose pairs lie (almost) all on one side exhausts
-                # the cap; rank candidates on the pairs it did collect.  A
-                # side with no pairs has nothing to lose, so positives alone
-                # still separate "merge everything" from finer candidates.
-                losses = [
-                    pair_losses(c, exc.pos_pairs, exc.neg_pairs, mu_weight)[2]
-                    for c in candidates
-                ]
-                order = sorted(
-                    range(len(candidates)),
-                    key=lambda t: (losses[t], candidates[t].k),
-                )
-                report = SscReport(
-                    winner=order[0],
-                    losses=tuple(losses),
-                    queries=exc.queries,
-                    query_cap=exc.query_cap,
-                    gamma_hat=exc.gamma_hat,
-                    n_pos=len(exc.pos_pairs),
-                    n_neg=len(exc.neg_pairs),
+            else:
+                report = _sampled_report(
+                    candidates, block.size, local_oracle, block_budget,
+                    int(child_seeds[1]), mu_weight,
                 )
             winner = candidates[report.winner]
             reports.append((block_id, report))
@@ -158,7 +165,73 @@ def estimate_probs_lsh(
             next_group += 1
     sizes = np.bincount(group_ids, minlength=next_group)
     phat = sizes[group_ids] / data.n
-    pmap = ProbabilityMap(dense=phat, source="lsh", group_ids=group_ids.copy())
+    pmap = ProbabilityMap(dense=phat, source="lsh")
     return LshEstimate(
         pmap=pmap, group_ids=group_ids, group_sizes=sizes, reports=tuple(reports)
     )
+
+
+def _exhaustive_report(
+    candidates: Sequence[Clustering],
+    n_points: int,
+    oracle: Callable[[int, int], bool],
+    answers: dict[int, bool],
+    mu_weight: float,
+) -> SscReport:
+    """Exact losses over all C(b, 2) pairs, each asked once.
+
+    ``answers`` is the memo ``oracle`` fills, read back for the positive
+    count; gamma_hat is then the exact negative-pair rate.
+    """
+    losses = [
+        loss[2] for loss in exhaustive_losses(candidates, oracle, n_points, mu_weight)
+    ]
+    n_pairs = n_points * (n_points - 1) // 2
+    n_pos = sum(answers.values())
+    return SscReport(
+        winner=best_candidate(candidates, losses),
+        losses=tuple(losses),
+        queries=n_pairs,
+        query_cap=n_pairs,
+        gamma_hat=(n_pairs - n_pos) / n_pairs,
+        n_pos=n_pos,
+        n_neg=n_pairs - n_pos,
+    )
+
+
+def _sampled_report(
+    candidates: Sequence[Clustering],
+    n_points: int,
+    oracle: Callable[[int, int], bool],
+    m_pairs: int,
+    seed: int,
+    mu_weight: float,
+) -> SscReport:
+    """``ssc_select``, ranking on the collected pairs if the cap runs out."""
+    try:
+        return ssc_select(
+            candidates,
+            n_points=n_points,
+            oracle=oracle,
+            m_pairs=m_pairs,
+            seed=seed,
+            mu_weight=mu_weight,
+        )
+    except OracleBudgetError as exc:
+        # A block whose pairs lie (almost) all on one side exhausts the cap;
+        # rank candidates on the pairs it did collect.  A side with no pairs
+        # has nothing to lose, so positives alone still separate "merge
+        # everything" from finer candidates.
+        losses = [
+            pair_losses(c, exc.pos_pairs, exc.neg_pairs, mu_weight)[2]
+            for c in candidates
+        ]
+        return SscReport(
+            winner=best_candidate(candidates, losses),
+            losses=tuple(losses),
+            queries=exc.queries,
+            query_cap=exc.query_cap,
+            gamma_hat=exc.gamma_hat,
+            n_pos=len(exc.pos_pairs),
+            n_neg=len(exc.neg_pairs),
+        )

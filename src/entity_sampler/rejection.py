@@ -56,9 +56,6 @@ class ProbabilityMap:
     for unseen codes (the balanced estimator emits the sparse form, keeping
     its cost proportional to the sample, not the dataset).  ``resolve``
     materializes the dense per-record view.
-
-    ``group_ids``, when present, carries the cluster id each record was
-    assigned by the estimator that produced the map.
     """
 
     dense: np.ndarray | None = None
@@ -66,7 +63,6 @@ class ProbabilityMap:
     default: float | None = None
     ids: tuple | None = None
     source: str = "unknown"
-    group_ids: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if (self.dense is None) == (self.by_code is None):

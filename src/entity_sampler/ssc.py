@@ -25,6 +25,7 @@ __all__ = [
     "OracleBudgetError",
     "SscReport",
     "SameClusterOracle",
+    "best_candidate",
     "exhaustive_losses",
     "pair_losses",
     "plan_pair_budget",
@@ -121,6 +122,14 @@ def exhaustive_losses(
     return [pair_losses(c, pos, neg, mu_weight) for c in candidates]
 
 
+def best_candidate(candidates: Sequence[Clustering], losses: Sequence[float]) -> int:
+    """Index of the candidate with the smallest loss.
+
+    Ties go to the candidate with fewer clusters, then to the earlier one.
+    """
+    return min(range(len(candidates)), key=lambda t: (losses[t], candidates[t].k))
+
+
 @dataclass(frozen=True)
 class SscReport:
     """Outcome of one selection run."""
@@ -199,9 +208,8 @@ def ssc_select(
         gamma_hat = max(len(neg), 1) / max(queries, 1)
         cap = queries
     losses = [pair_losses(c, pos, neg, mu_weight)[2] for c in candidates]
-    order = sorted(range(len(candidates)), key=lambda t: (losses[t], candidates[t].k))
     return SscReport(
-        winner=order[0],
+        winner=best_candidate(candidates, losses),
         losses=tuple(losses),
         queries=queries,
         query_cap=cap,

@@ -7,8 +7,10 @@ for a bench run with failed cells, 2 for input errors.
 
 from __future__ import annotations
 
+import builtins
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -301,3 +303,49 @@ def test_text_dataset_cannot_be_rewritten(tmp_path, capsys):
                "--out", str(tmp_path / "copy.csv")])
     assert rc == 2
     assert "only feature datasets" in capsys.readouterr().err
+
+
+def test_interactive_lsh_never_repeats_a_prompt(tmp_path, capsys, monkeypatch):
+    # (id, text, x, y, entity): exact-duplicate texts always share a block;
+    # "a" is a one-sided 3-record block that a pair budget of 1 sends
+    # through sampled selection, "c0"/"d0" share a text but not an entity
+    rows = [
+        ("a0", "alice smith", 0.0, 0.0, "A"),
+        ("a1", "alice smith", 0.2, 0.0, "A"),
+        ("a2", "alice smith", 0.4, 0.0, "A"),
+        ("b0", "bob jones", 20.0, 0.0, "B"),
+        ("b1", "bob jones", 20.2, 0.0, "B"),
+        ("c0", "carol white", 40.0, 0.0, "C"),
+        ("d0", "carol white", 40.5, 0.0, "D"),
+        ("e0", "dave brown", 60.0, 0.0, "E"),
+    ]
+    data = tmp_path / "names.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "name", "f0", "f1", "entity"])
+        writer.writerows(rows)
+    schema = tmp_path / "names.schema.json"
+    schema.write_text(json.dumps({
+        "text_cols": ["name"], "feature_cols": ["f0", "f1"],
+        "entity_col": "entity", "id_col": "id",
+    }))
+    entity = {rid: ent for rid, _, _, _, ent in rows}
+    asked = []
+
+    def answer(prompt):
+        a, b = re.search(r"\[(.+?)\] vs \[(.+?)\]", prompt).groups()
+        asked.append(frozenset((a, b)))
+        return "y" if entity[a] == entity[b] else "n"
+
+    monkeypatch.setattr(builtins, "input", answer)
+    map_path = str(tmp_path / "map.csv")
+    rc = main(["estimate", "--data", str(data), "--schema", str(schema),
+               "--method", "lsh", "--oracle", "interactive", "--seed", "3",
+               "--pair-budget", "1", "--out", map_path])
+    assert rc == 0
+    capsys.readouterr()
+    assert asked
+    assert len(asked) == len(set(asked))
+    pmap = ProbabilityMap.from_csv(map_path)
+    expected = sorted([3 / 8] * 3 + [2 / 8] * 2 + [1 / 8] * 3)
+    assert sorted(pmap.dense) == pytest.approx(expected)

@@ -166,3 +166,66 @@ def test_validation_errors():
         estimate_probs_lsh(vec, ok_blocking, (3, 1), 100, lambda i, j: True, seed=0)
     with pytest.raises(ValueError):
         estimate_probs_lsh(vec, ok_blocking, (1, 3), 0, lambda i, j: True, seed=0)
+
+
+class PairRecordingOracle(SameClusterOracle):
+    """Label oracle that also keeps every unordered pair it was asked."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        self.pairs = set()
+
+    def __call__(self, i, j):
+        self.pairs.add((min(i, j), max(i, j)))
+        return super().__call__(i, j)
+
+
+def test_two_record_blocks_ask_their_one_pair_once():
+    # within the radius, so each block proposes both "merge" and "split"
+    feats = np.array([[0.0, 0.0], [0.3, 0.0], [50.0, 0.0], [50.3, 0.0]])
+    labels = ["a", "a", "b", "c"]
+    data = Dataset(ids=tuple(range(4)), features=feats, entity_labels=labels)
+    blocking = blocking_of([(0, 2), (2, 4)], 4)
+    oracle = SameClusterOracle(labels)
+    est = estimate_probs_lsh(data, blocking, (1, 2), budget=2,
+                             oracle=oracle, seed=0)
+    assert oracle.queries == 2
+    assert est.group_ids[0] == est.group_ids[1]
+    assert est.group_ids[2] != est.group_ids[3]
+    reports = dict(est.reports)
+    dup, distinct = reports[0], reports[1]
+    assert (dup.queries, dup.query_cap, dup.n_pos, dup.n_neg) == (1, 1, 1, 0)
+    assert dup.gamma_hat == 0.0
+    assert (distinct.queries, distinct.query_cap) == (1, 1)
+    assert (distinct.n_pos, distinct.n_neg, distinct.gamma_hat) == (0, 1, 1.0)
+
+
+def test_sampled_block_at_the_cap_asks_each_pair_once():
+    # C(3, 2) = 3 pairs exceed the per-side budget of 1, so the block goes
+    # through sampled selection; all-negative answers never fill the
+    # positive side and the selector runs to its query cap
+    feats = np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]])
+    labels = [0, 1, 2]
+    data = Dataset(ids=(0, 1, 2), features=feats, entity_labels=labels)
+    oracle = SameClusterOracle(labels)
+    est = estimate_probs_lsh(data, blocking_of([(0, 3)], 3), (1, 3),
+                             budget=1, oracle=oracle, seed=0)
+    (_, report), = est.reports
+    assert report.queries == report.query_cap > 3
+    assert oracle.queries <= 3
+    assert est.group_sizes.tolist() == [1, 1, 1]
+
+
+def test_text_corpus_asks_each_distinct_pair_once():
+    data = duplicate_text_corpus(300, 0.4, seed=21)
+    # the looser threshold leaves a few blocks of 3-4 records, which the
+    # budget of 1 pair per block sends through sampled selection
+    blocking = lsh_partition(data, LshConfig.plan(0.3, 0.1), seed=21)
+    assert max(block.size for block in blocking.blocks) > 2
+    oracle = PairRecordingOracle(tuple(data.entity_codes))
+    est = estimate_probs_lsh(data, blocking, (1, 4), budget=50,
+                             oracle=oracle, seed=22)
+    assert oracle.queries > 0
+    assert oracle.queries == len(oracle.pairs)
+    # the selectors drew some pairs more than once; the memo answered those
+    assert sum(rep.queries for _, rep in est.reports) > oracle.queries
