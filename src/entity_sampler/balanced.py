@@ -98,26 +98,23 @@ def estimate_probs_balanced(data: Dataset, m: int, seed: int) -> ProbabilityMap:
     The sample is drawn with replacement; only per-value counts matter, so
     they are drawn directly as one multinomial over the distinct record
     contents (identical in law, and cost stays proportional to the number
-    of distinct values rather than the dataset).  Unseen values default to
-    the smallest seen estimate.
+    of distinct values rather than the dataset).  The map holds one slot per
+    distinct content; unseen values get the smallest seen estimate.
     """
     if m <= 0:
         raise ValueError("sample size m must be positive")
     rng = np.random.default_rng(seed)
-    freqs = data.dedup_freqs
-    counts = rng.multinomial(m, freqs / data.n)
-    seen = np.flatnonzero(counts)
-    if seen.size == 0:  # pragma: no cover - multinomial always places m > 0
-        raise RuntimeError("empty sample")
-    phat = {int(code): counts[code] / m for code in seen}
-    default = counts[seen].min() / m
-    if seen.size == 1:
+    counts = rng.multinomial(m, data.dedup_freqs / data.n)
+    seen = counts > 0
+    phat = counts / m
+    phat[~seen] = counts[seen].min() / m
+    if np.count_nonzero(seen) == 1:
         warnings.warn(
             "sample saw a single distinct value; estimates are degenerate",
             DegenerateMapWarning,
             stacklevel=2,
         )
-    return ProbabilityMap(by_code=phat, default=float(default), source="balanced")
+    return ProbabilityMap(by_code=phat, source="balanced")
 
 
 @dataclass(frozen=True)

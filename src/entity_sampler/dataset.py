@@ -209,19 +209,20 @@ class Dataset:
         return np.bincount(self.dedup_codes)
 
     @cached_property
-    def entity_codes(self) -> np.ndarray:
-        """Ground-truth codes: declared labels, else content equality."""
+    def _entity_factorization(self) -> tuple[np.ndarray, tuple]:
+        """Ground-truth codes and names: declared labels, else content equality."""
         if self.entity_labels is None:
-            return self.dedup_codes
-        codes, _ = _factorize_objects(self.entity_labels)
-        return codes
+            return self.dedup_codes, tuple(range(int(self.dedup_codes.max()) + 1))
+        codes, labels = _factorize_objects(self.entity_labels)
+        return codes, tuple(labels)
 
-    @cached_property
+    @property
+    def entity_codes(self) -> np.ndarray:
+        return self._entity_factorization[0]
+
+    @property
     def entity_names(self) -> tuple:
-        if self.entity_labels is None:
-            return tuple(range(int(self.dedup_codes.max()) + 1))
-        _, labels = _factorize_objects(self.entity_labels)
-        return tuple(labels)
+        return self._entity_factorization[1]
 
     @cached_property
     def entity_freqs(self) -> np.ndarray:

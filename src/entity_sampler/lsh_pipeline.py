@@ -11,7 +11,7 @@ every cluster, i.e. every entity, equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,6 +155,8 @@ def estimate_probs_lsh(
                     candidates, block.size, local_oracle, block_budget,
                     int(child_seeds[1]), mu_weight,
                 )
+                # the selector's draws include memo hits; report oracle calls
+                report = replace(report, queries=len(answers))
             winner = candidates[report.winner]
             reports.append((block_id, report))
         for members in winner.clusters:

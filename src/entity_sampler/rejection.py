@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -49,75 +49,51 @@ class DegenerateMapWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ProbabilityMap:
-    """Per-record probability estimates with their floor.
+    """Probability estimates with their floor.
 
-    Two backings share one interface: a dense array aligned with a dataset's
-    record order, or a sparse ``{content code: phat}`` table with a default
-    for unseen codes (the balanced estimator emits the sparse form, keeping
-    its cost proportional to the sample, not the dataset).  ``resolve``
-    materializes the dense per-record view.
+    One of two arrays carries the estimates: ``dense`` holds one per record
+    in a dataset's order, ``by_code`` one per content code of the dataset's
+    ``dedup_codes`` (the balanced estimator emits this form, keeping its
+    cost proportional to the distinct contents, not the records).
+    ``resolve`` gives the per-record view of either.
     """
 
     dense: np.ndarray | None = None
-    by_code: Mapping[int, float] | None = None
-    default: float | None = None
+    by_code: np.ndarray | None = None
     ids: tuple | None = None
     source: str = "unknown"
 
     def __post_init__(self) -> None:
         if (self.dense is None) == (self.by_code is None):
             raise InvalidMapError("exactly one backing (dense or by_code) required")
-        if self.dense is not None:
-            arr = np.asarray(self.dense, dtype=np.float64)
-            if arr.ndim != 1 or arr.size == 0:
-                raise InvalidMapError("dense map must be a non-empty 1-d array")
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-                raise InvalidMapError("probability estimates must be positive and finite")
-            object.__setattr__(self, "dense", arr)
-        else:
-            vals = list(self.by_code.values())
-            if not vals:
-                raise InvalidMapError("empty sparse probability map")
-            if any(not np.isfinite(v) or v <= 0 for v in vals):
-                raise InvalidMapError("probability estimates must be positive and finite")
-            if self.default is not None and (
-                not np.isfinite(self.default) or self.default <= 0
-            ):
-                raise InvalidMapError("default estimate must be positive and finite")
+        name = "dense" if self.dense is not None else "by_code"
+        arr = np.asarray(getattr(self, name), dtype=np.float64)
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidMapError(f"{name} map must be a non-empty 1-d array")
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+            raise InvalidMapError("probability estimates must be positive and finite")
+        object.__setattr__(self, name, arr)
 
     @property
     def floor(self) -> float:
         """Smallest estimate in the map (the acceptance numerator)."""
-        if self.dense is not None:
-            return float(self.dense.min())
-        lo = min(self.by_code.values())
-        if self.default is not None:
-            lo = min(lo, self.default)
-        return float(lo)
+        arr = self.dense if self.dense is not None else self.by_code
+        return float(arr.min())
 
     def resolve(self, data: Dataset) -> np.ndarray:
         """Dense per-record estimates aligned with ``data``."""
         if self.dense is not None:
-            if self.dense.shape[0] != data.n:
+            if self.dense.size != data.n:
                 raise CoverageError(
-                    f"map covers {self.dense.shape[0]} records, dataset has {data.n}"
+                    f"map covers {self.dense.size} records, dataset has {data.n}"
                 )
             return self.dense
-        codes = data.dedup_codes
-        n_codes = int(codes.max()) + 1
-        table = np.full(n_codes, np.nan)
-        for code, val in self.by_code.items():
-            if 0 <= code < n_codes:
-                table[code] = val
-        out = table[codes]
-        missing = np.isnan(out)
-        if missing.any():
-            if self.default is None:
-                raise CoverageError(
-                    f"{int(missing.sum())} records have no probability estimate"
-                )
-            out[missing] = self.default
-        return out
+        n_contents = data.dedup_freqs.size
+        if self.by_code.size != n_contents:
+            raise CoverageError(
+                f"map covers {self.by_code.size} contents, dataset has {n_contents}"
+            )
+        return self.by_code[data.dedup_codes]
 
     def to_csv(self, path: str, data: Dataset) -> None:
         """Write the two-column (record id, estimate) artifact."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,6 @@ __all__ = [
     "dataset_from_freqs",
     "dispersed_dataset",
     "duplicate_text_corpus",
-    "load_restaurants",
-    "load_publications",
     "mixture_tracking_dataset",
     "planted_clusters",
     "ratio_dataset",
@@ -343,39 +340,3 @@ def restaurants_standin(seed: int = 0) -> Dataset:
     freqs = np.ones(n_entities, dtype=np.int64)
     freqs[:n_dup] = 2
     return dataset_from_freqs(freqs, seed=seed)
-
-
-@dataclass(frozen=True)
-class _LoaderStub:
-    """Schema documentation for a real corpus this repo does not ship."""
-
-    name: str
-    expected_rows: int
-    columns: tuple[str, ...]
-    note: str
-
-    def __call__(self, path: str | None = None):
-        raise FileNotFoundError(
-            f"{self.name} is not distributed with this repository. "
-            f"Provide a CSV with columns {self.columns} "
-            f"({self.expected_rows} rows expected) and ingest it with the "
-            f"matching CsvSchema. {self.note}"
-        )
-
-
-load_restaurants = _LoaderStub(
-    name="restaurants",
-    expected_rows=864,
-    columns=("name", "addr", "city", "type", "class"),
-    note="The class column is the ground-truth entity id; 112 rows are "
-    "duplicate copies. Use restaurants_standin() for a synthetic "
-    "equivalent shape.",
-)
-
-load_publications = _LoaderStub(
-    name="publications",
-    expected_rows=1879,
-    columns=("title", "authors", "venue", "id"),
-    note="Tokenize title+authors into character 3-grams; use "
-    "duplicate_text_corpus() for a synthetic equivalent shape.",
-)

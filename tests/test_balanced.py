@@ -127,9 +127,11 @@ def test_estimates_are_counts_over_m():
     pmap = estimate_probs_balanced(d, m, seed=seed)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(m, d.dedup_freqs / d.n)
-    expect = {int(c): counts[c] / m for c in np.flatnonzero(counts)}
-    assert pmap.by_code == expect
-    assert pmap.default == pytest.approx(min(expect.values()))
+    seen = counts > 0
+    expect = counts / m
+    expect[~seen] = expect[seen].min()
+    assert np.array_equal(pmap.by_code, expect)
+    assert pmap.floor == expect[seen].min()
 
 
 def test_estimates_converge_to_true_probabilities():

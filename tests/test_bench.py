@@ -1,6 +1,7 @@
 """Benchmark harness: duplicate injection, grids, reports, error bounds."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ def test_spec_json_round_trip(tmp_path):
     assert loaded.dataset == spec.dataset
     assert loaded.sweep == spec.sweep
 
+
+
+def test_error_table_config_is_check_3_grid():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "error_table.json"
+    spec = ExperimentSpec.from_json(str(path))
+    assert spec.dataset == "dispersed:n_entities=25000,mean_freq=40"
+    assert spec.method == "balanced"
+    assert spec.sweep == (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)
+    assert spec.dup_rates == (0.1, 0.3)
+    assert (spec.repeats, spec.seed) == (20, 20260823)
+    assert (spec.profile, spec.schema, spec.method_params) == ("tpch", None, {})
 
 def test_spec_rejects_unknown_keys(tmp_path):
     path = tmp_path / "spec.json"

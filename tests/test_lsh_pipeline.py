@@ -211,8 +211,7 @@ def test_sampled_block_at_the_cap_asks_each_pair_once():
     est = estimate_probs_lsh(data, blocking_of([(0, 3)], 3), (1, 3),
                              budget=1, oracle=oracle, seed=0)
     (_, report), = est.reports
-    assert report.queries == report.query_cap > 3
-    assert oracle.queries <= 3
+    assert report.queries == oracle.queries <= 3 < report.query_cap
     assert est.group_sizes.tolist() == [1, 1, 1]
 
 
@@ -228,4 +227,5 @@ def test_text_corpus_asks_each_distinct_pair_once():
     assert oracle.queries > 0
     assert oracle.queries == len(oracle.pairs)
     # the selectors drew some pairs more than once; the memo answered those
-    assert sum(rep.queries for _, rep in est.reports) > oracle.queries
+    # and the reports count only the calls that reached the oracle
+    assert sum(rep.queries for _, rep in est.reports) == oracle.queries

@@ -127,15 +127,17 @@ def test_budget_error_when_acceptance_is_rare():
 
 def test_coverage_error_for_missing_code():
     d = two_entity_data()
-    pmap = ProbabilityMap(by_code={0: 0.5}, default=None)
+    pmap = ProbabilityMap(by_code=np.array([0.5]))
     with pytest.raises(CoverageError):
         pmap.resolve(d)
 
 
-def test_sparse_map_with_default_resolves():
+def test_per_code_map_resolves():
     d = two_entity_data()
     code_of_first = int(d.dedup_codes[0])
-    pmap = ProbabilityMap(by_code={code_of_first: 0.6}, default=0.4)
+    table = np.full(d.dedup_freqs.size, 0.4)
+    table[code_of_first] = 0.6
+    pmap = ProbabilityMap(by_code=table)
     dense = pmap.resolve(d)
     assert dense[0] == pytest.approx(0.6)
     assert dense[-1] == pytest.approx(0.4)

@@ -10,8 +10,6 @@ from entity_sampler.synth import (
     dataset_from_freqs,
     dispersed_dataset,
     duplicate_text_corpus,
-    load_publications,
-    load_restaurants,
     mixture_tracking_dataset,
     planted_clusters,
     ratio_dataset,
@@ -130,9 +128,3 @@ def test_standin_corpus_is_frozen():
     again = restaurants_standin(seed=0)
     assert again.ids == r.ids
 
-
-def test_real_dataset_loaders_document_expectations():
-    with pytest.raises(FileNotFoundError, match="[Cc]sv|[Ss]chema|[Ff]ile"):
-        load_restaurants("/nonexistent/path.csv")
-    with pytest.raises(FileNotFoundError):
-        load_publications("/nonexistent/path.csv")
