@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dataset import Dataset, DatasetError
 from .rejection import DegenerateMapWarning, ProbabilityMap
@@ -182,10 +181,10 @@ def goodman_estimate(
         if f_i == 0:
             continue
         log_w = (
-            gammaln(n - m + i)
-            - gammaln(n - m)
-            + gammaln(m - i + 1)
-            - gammaln(m + 1)
+            math.lgamma(n - m + i)
+            - math.lgamma(n - m)
+            + math.lgamma(m - i + 1)
+            - math.lgamma(m + 1)
         )
         sign = 1.0 if (i + 1) % 2 == 0 else -1.0
         terms.append(sign * math.exp(log_w) * f_i)

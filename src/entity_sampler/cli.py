@@ -129,6 +129,7 @@ class _InteractiveOracle:
 
 def _cmd_estimate(args) -> int:
     data = _load_dataset(args)
+    report: dict = {"records": data.n}
     if args.method == "balanced":
         if args.m is not None:
             m = args.m
@@ -147,6 +148,9 @@ def _cmd_estimate(args) -> int:
             fit = em_fit(data, args.k, seed=args.seed, max_iter=args.iters,
                          tol=args.tol)
             model = fit.model
+            report.update(em_iterations=fit.iterations,
+                          em_converged=fit.converged,
+                          em_restarts=fit.restarts_used)
         if args.model_out:
             model.to_json(args.model_out)
         pmap = estimate_probs_gmm(data, model)
@@ -183,8 +187,8 @@ def _cmd_estimate(args) -> int:
                 )
                 fh.write("\n")
     pmap.to_csv(args.out, data)
-    json.dump({"records": data.n, "floor": pmap.floor, "artifact": args.out},
-              sys.stdout, indent=2)
+    report.update(floor=pmap.floor, artifact=args.out)
+    json.dump(report, sys.stdout, indent=2)
     print()
     return 0
 
@@ -304,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocking-report", help="lsh: blocking stats JSON path")
     p.add_argument("--k", type=int, default=2, help="gmm: component count")
     p.add_argument("--iters", type=int, default=200, help="gmm: max iterations")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6,
+                   help="gmm: stop once an EM iteration raises the mean "
+                        "per-record log-likelihood by less than this")
     p.add_argument("--model-in", help="gmm: reuse a fitted model JSON")
     p.add_argument("--model-out", help="gmm: persist the fitted model")
     p.set_defaults(func=_cmd_estimate)

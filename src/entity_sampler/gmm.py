@@ -4,7 +4,8 @@ When record vectors follow a well-separated spherical mixture, the mixture
 density itself serves as the probability estimate: fit it by EM, evaluate
 the density at every record, and let the rejection sampler flatten it.  A
 planner converts accuracy targets into the EM sample size and iteration
-count.  All densities are handled in log space.
+count.  All densities are handled in log space, on (k, n) arrays: one row
+per component, one column per record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
@@ -45,6 +45,38 @@ class DensityUnderflowError(ValueError):
 
 class SeparationWarning(UserWarning):
     """Fitted means are closer than the well-separated regime requires."""
+
+
+def _sq_distances(x: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """Squared distance from every mean to every point, shaped (k, n).
+
+    Differences are taken directly: the ||x||^2 - 2 x.mu + ||mu||^2
+    expansion cancels catastrophically on values around 1e6.
+    """
+    return ((x[None, :, :] - means[:, None, :]) ** 2).sum(axis=2)
+
+
+def _log_components(
+    sq: np.ndarray, weights: np.ndarray, variances: np.ndarray, dim: int
+) -> np.ndarray:
+    """log w_j N(x_i; mu_j, var_j I) from squared distances, shaped (k, n)."""
+    return (
+        np.log(weights)[:, None]
+        - 0.5 * sq / variances[:, None]
+        - 0.5 * dim * np.log(2.0 * np.pi * variances)[:, None]
+    )
+
+
+def _normalize(log_comp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record log normalizer and responsibilities of (k, n) log terms.
+
+    One shifted ``exp`` serves both: the normalizer is max + log(sum), the
+    responsibilities are the shifted terms over their sum.
+    """
+    top = log_comp.max(axis=0)
+    e = np.exp(log_comp - top)
+    total = e.sum(axis=0)
+    return top + np.log(total), e / total
 
 
 @dataclass(frozen=True)
@@ -83,13 +115,8 @@ class MixtureModel:
         d = self.dim
         if pts.shape[1] != d:
             raise DatasetError(f"points have dimension {pts.shape[1]}, model {d}")
-        sq = ((pts[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
-        comp = (
-            np.log(self.weights)[None, :]
-            - 0.5 * sq / self.variances[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi * self.variances)[None, :]
-        )
-        return logsumexp(comp, axis=1)
+        sq = _sq_distances(pts, self.means)
+        return _normalize(_log_components(sq, self.weights, self.variances, d))[0]
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         return np.exp(self.logpdf(x))
@@ -181,11 +208,14 @@ def em_fit(
 ) -> EmResult:
     """Fit a spherical mixture by EM.
 
-    Stops after ``max_iter`` iterations or when the total parameter change
-    falls below ``tol``.  A collapsing component (vanishing variance or
+    Stops after ``max_iter`` iterations or once an iteration raises the mean
+    per-record log-likelihood by less than ``tol``.  An affine rescaling of
+    the data shifts that mean by a constant, so the rule stops at the same
+    iteration at any scale.  A collapsing component (vanishing variance or
     weight) triggers a restart with fresh initialization, up to
     ``max_restarts``, after which CollapseError is raised.  The returned
-    trace of log-likelihoods is non-decreasing.
+    trace of log-likelihoods is non-decreasing; its last entry belongs to
+    the returned model.
     """
     x = data.features if isinstance(data, Dataset) else np.asarray(data, np.float64)
     if x is None:
@@ -199,50 +229,34 @@ def em_fit(
     for attempt, child in enumerate(root.spawn(max_restarts + 1)):
         rng = np.random.default_rng(child)
         weights, means, variances = _init_params(x, k, rng)
+        sq = _sq_distances(x, means)
         history: list[float] = []
         collapsed = False
         converged = False
         iterations = 0
-        for it in range(max_iter):
-            sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-            log_comp = (
-                np.log(weights)[None, :]
-                - 0.5 * sq / variances[None, :]
-                - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
-            )
-            log_norm = logsumexp(log_comp, axis=1)
+        while True:
+            # the E-step of the current parameters also scores them
+            log_norm, resp = _normalize(_log_components(sq, weights, variances, d))
             history.append(float(log_norm.sum()))
-            resp = np.exp(log_comp - log_norm[:, None])
-            mass = resp.sum(axis=0)
-            new_weights = mass / n
-            if (new_weights < collapse_eps).any():
-                collapsed = True
-                break
-            new_means = (resp.T @ x) / mass[:, None]
-            sq_new = ((x[:, None, :] - new_means[None, :, :]) ** 2).sum(axis=2)
-            new_variances = (resp * sq_new).sum(axis=0) / (mass * d)
-            if (new_variances < collapse_eps).any():
-                collapsed = True
-                break
-            delta = (
-                np.abs(new_weights - weights).sum()
-                + np.linalg.norm(new_means - means, axis=1).sum()
-                + np.abs(new_variances - variances).sum()
-            )
-            weights, means, variances = new_weights, new_means, new_variances
-            iterations = it + 1
-            if delta < tol:
+            if len(history) > 1 and (history[-1] - history[-2]) / n < tol:
                 converged = True
                 break
+            if iterations == max_iter:
+                break
+            mass = resp.sum(axis=1)
+            weights = mass / n
+            if (weights < collapse_eps).any():
+                collapsed = True
+                break
+            means = (resp @ x) / mass[:, None]
+            sq = _sq_distances(x, means)
+            variances = (resp * sq).sum(axis=1) / (mass * d)
+            if (variances < collapse_eps).any():
+                collapsed = True
+                break
+            iterations += 1
         if collapsed:
             continue
-        sq = ((x[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-        log_comp = (
-            np.log(weights)[None, :]
-            - 0.5 * sq / variances[None, :]
-            - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :]
-        )
-        history.append(float(logsumexp(log_comp, axis=1).sum()))
         model = MixtureModel(weights=weights, means=means, variances=variances)
         return EmResult(
             model=model,

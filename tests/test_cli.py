@@ -2,7 +2,8 @@
 
 Every test drives ``main`` directly with an argv list, so exit codes and
 artifacts are exercised without spawning subprocesses: 0 for success, 1
-for a bench run with failed cells, 2 for input errors.
+for a bench run with failed cells, 2 for input errors.  The import guard is
+the exception: it needs a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -10,11 +11,15 @@ from __future__ import annotations
 import builtins
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import entity_sampler
 from entity_sampler.cli import main
 from entity_sampler.gmm import MixtureModel
 from entity_sampler.rejection import ProbabilityMap
@@ -158,10 +163,13 @@ def test_estimate_gmm_model_round_trip(tmp_path, capsys):
     model_path = str(tmp_path / "model.json")
     rc = main(["estimate", "--data", str(data), "--schema", str(schema),
                "--method", "gmm", "--k", "2", "--seed", "3",
-               "--model-out", model_path,
+               "--model-out", model_path, "--iters", "50",
                "--out", str(tmp_path / "map_a.csv")])
     assert rc == 0
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
+    assert report["em_converged"] is True
+    assert 1 <= report["em_iterations"] <= 50
+    assert report["em_restarts"] == 0
     model = MixtureModel.from_json(model_path)
     assert sorted(model.means.ravel()) == pytest.approx([0.0, 6.0], abs=0.5)
 
@@ -169,11 +177,22 @@ def test_estimate_gmm_model_round_trip(tmp_path, capsys):
                "--method", "gmm", "--model-in", model_path,
                "--out", str(tmp_path / "map_b.csv")])
     assert rc == 0
-    capsys.readouterr()
+    assert "em_iterations" not in json.loads(capsys.readouterr().out)
     # tolist/json round-trips float64 exactly, so the reloaded model
     # reproduces the artifact byte for byte
     assert (tmp_path / "map_a.csv").read_bytes() == \
         (tmp_path / "map_b.csv").read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(entity_sampler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, entity_sampler.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_estimate_lsh_writes_map_and_blocking_report(tmp_path, capsys):

@@ -6,6 +6,7 @@ independent of the model's own logsumexp path.
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from entity_sampler.dataset import Dataset
@@ -28,11 +29,20 @@ def two_component():
     )
 
 
+def four_in_three_d():
+    return MixtureModel(
+        weights=np.array([0.1, 0.2, 0.3, 0.4]),
+        means=np.array([[0.0, 0.0, 0.0], [5.0, -1.0, 2.0],
+                        [-3.0, 4.0, 1.0], [2.0, 2.0, -6.0]]),
+        variances=np.array([0.5, 1.0, 2.0, 0.25]),
+    )
+
+
 def sample_mixture(model, n, seed):
     rng = np.random.default_rng(seed)
     comps = rng.choice(len(model.weights), size=n, p=model.weights)
     sigma = np.sqrt(model.variances[comps])[:, None]
-    return model.means[comps] + sigma * rng.standard_normal((n, 1))
+    return model.means[comps] + sigma * rng.standard_normal((n, model.dim))
 
 
 def test_pdf_matches_scipy_oracle():
@@ -50,6 +60,25 @@ def test_logpdf_stable_in_tails():
     # exact: log(0.5) + logN(30; 6, 1) dominates
     want = np.log(0.5) + norm.logpdf(30.0, 6.0, 1.0)
     assert lp[0] == pytest.approx(want, rel=1e-9)
+
+
+def test_logpdf_matches_logsumexp_reference_in_three_d():
+    m = four_in_three_d()
+    rng = np.random.default_rng(5)
+    near = sample_mixture(m, 200, seed=6)
+    # 40 sigma of the widest component out, in random directions
+    dirs = rng.standard_normal((20, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    far = m.means[rng.integers(4, size=20)] + 40.0 * np.sqrt(2.0) * dirs
+    xs = np.vstack([near, far])
+    # spherical component = product of 1-d normals, one per coordinate
+    log_comp = np.stack([
+        np.log(w) + norm.logpdf(xs, mu, np.sqrt(v)).sum(axis=1)
+        for w, mu, v in zip(m.weights, m.means, m.variances)
+    ], axis=1)
+    want = logsumexp(log_comp, axis=1)
+    assert want[200:].max() < -500.0
+    assert np.allclose(m.logpdf(xs), want, rtol=1e-12, atol=0.0)
 
 
 def test_estimates_are_model_densities():
@@ -103,6 +132,31 @@ def test_em_loglik_monotone_and_recovers():
         assert np.allclose(res.model.means[order, 0], [0.0, 6.0], atol=0.1)
         assert np.allclose(res.model.weights[order], [0.5, 0.5], atol=0.05)
         assert np.allclose(res.model.variances[order], [1.0, 1.0], atol=0.15)
+
+
+def test_em_final_loglik_is_the_returned_models():
+    x = sample_mixture(four_in_three_d(), 3000, seed=7)
+    for max_iter in (3, 200):
+        res = em_fit(x, k=4, seed=1, max_iter=max_iter)
+        assert res.converged == (max_iter == 200)
+        assert len(res.loglik) == res.iterations + 1
+        assert res.loglik[-1] == pytest.approx(
+            res.model.logpdf(x).sum(), rel=1e-12)
+
+
+def test_em_stopping_rule_ignores_scale():
+    # acceptance check 7's mixture; at the shifted scale these two seeds ran
+    # all 200 iterations under a rule on absolute parameter change
+    for s in (0, 3):
+        rng = np.random.default_rng(s)
+        xs = np.concatenate([rng.normal(0.0, 1.0, 5000),
+                             rng.normal(6.0, 1.0, 5000)]).reshape(-1, 1)
+        raw = em_fit(xs, 2, seed=s)
+        shifted = em_fit(xs * 1e5 + 1e6, 2, seed=s)
+        assert raw.converged and shifted.converged
+        assert shifted.iterations == raw.iterations
+        assert np.allclose((shifted.model.means - 1e6) / 1e5, raw.model.means,
+                           rtol=0.0, atol=1e-9)
 
 
 def test_em_accepts_dataset():
