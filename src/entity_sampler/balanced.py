@@ -113,7 +113,7 @@ def estimate_probs_balanced(data: Dataset, m: int, seed: int) -> ProbabilityMap:
             DegenerateMapWarning,
             stacklevel=2,
         )
-    return ProbabilityMap(by_code=phat, source="balanced")
+    return ProbabilityMap(by_code=phat)
 
 
 @dataclass(frozen=True)

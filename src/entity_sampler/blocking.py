@@ -9,7 +9,9 @@ within distance lambda are co-blocked with probability at least 1 - delta.
 
 Two families are provided: min-hashing of token sets (collision probability
 equals Jaccard similarity) and signed random projections for vectors
-(collision probability 1 - angle/pi).
+(collision probability 1 - angle/pi).  Min-hash values are computed once
+per distinct token, and the bands are joined as the connected components of
+the graph linking records that share a band signature.
 """
 
 from __future__ import annotations
@@ -112,25 +114,6 @@ def jaccard_distance(a: frozenset, b: frozenset) -> float:
     return 1.0 - len(a & b) / union
 
 
-def _token_base_hashes(tokens: tuple[frozenset[str], ...]) -> list[np.ndarray]:
-    """Stable 64-bit hash of every token, per record (process independent)."""
-    cache: dict[str, int] = {}
-    out = []
-    for tokset in tokens:
-        vals = np.empty(len(tokset), dtype=np.uint64)
-        for j, tok in enumerate(tokset):
-            h = cache.get(tok)
-            if h is None:
-                digest = hashlib.blake2b(tok.encode("utf-8"), digest_size=8).digest()
-                h = int.from_bytes(digest, "little")
-                cache[tok] = h
-            vals[j] = h
-        if vals.size == 0:
-            raise DatasetError("record with an empty token set cannot be hashed")
-        out.append(vals)
-    return out
-
-
 def minhash_signatures(
     tokens: tuple[frozenset[str], ...], k: int, seed: int
 ) -> np.ndarray:
@@ -139,15 +122,24 @@ def minhash_signatures(
     rng = np.random.default_rng(seed)
     a = rng.integers(1, _MERSENNE, size=k, dtype=np.uint64)
     b = rng.integers(0, _MERSENNE, size=k, dtype=np.uint64)
-    base = _token_base_hashes(tokens)
+    sizes = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
+    if np.any(sizes == 0):
+        raise DatasetError("record with an empty token set cannot be hashed")
+    vocab: dict[str, int] = {}
+    flat = np.fromiter(
+        (vocab.setdefault(tok, len(vocab)) for toks in tokens for tok in toks),
+        dtype=np.int64,
+        count=int(sizes.sum()),
+    )
+    starts = np.cumsum(sizes) - sizes
+    # stable 64-bit hash of every distinct token (process independent)
+    digests = (hashlib.blake2b(t.encode(), digest_size=8).digest() for t in vocab)
+    base = np.array([int.from_bytes(d, "little") for d in digests], dtype=object)
     sig = np.empty((len(tokens), k), dtype=np.uint64)
-    a_obj = a.astype(object)
-    b_obj = b.astype(object)
-    for i, vals in enumerate(base):
-        # exact modular arithmetic via object ints; token sets are small
-        v = vals.astype(object)
-        hashed = (v[:, None] * a_obj[None, :] + b_obj[None, :]) % _MERSENNE
-        sig[i] = hashed.min(axis=0).astype(np.uint64)
+    for j in range(k):
+        # exact modular arithmetic via object ints, one column at a time
+        col = ((base * int(a[j]) + int(b[j])) % _MERSENNE).astype(np.uint64)
+        sig[:, j] = np.minimum.reduceat(col[flat], starts)
     return sig
 
 
@@ -159,26 +151,32 @@ def hyperplane_signatures(features: np.ndarray, k: int, seed: int) -> np.ndarray
     return (features @ w > 0).astype(np.uint64)
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest member index of each node's connected component.
 
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+    Each round hooks the larger of an edge's two roots onto the smaller,
+    then jumps pointers until every node points at its root.
+    """
+    parent = np.arange(n)
+    while True:
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            return parent
+        ru, rv = ru[live], rv[live]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def lsh_partition(data: Dataset, cfg: LshConfig, seed: int) -> Blocking:
-    """Block the dataset: records sharing any band signature are merged."""
+    """Block the dataset: records sharing any band signature are merged.
+
+    Blocks are ordered by their smallest record index; members ascend.
+    """
     if cfg.family == "minhash":
         if data.tokens is None:
             raise DatasetError("minhash blocking needs token records")
@@ -187,17 +185,15 @@ def lsh_partition(data: Dataset, cfg: LshConfig, seed: int) -> Blocking:
         if data.features is None:
             raise DatasetError("hyperplane blocking needs vector records")
         sig = hyperplane_signatures(data.features, cfg.k, seed)
-    uf = _UnionFind(data.n)
+    # every record links to the first record with its band signature
+    first_of = []
     for band in range(cfg.bands):
         cols = sig[:, band * cfg.rows : (band + 1) * cfg.rows]
-        first: dict[tuple, int] = {}
-        for i in range(data.n):
-            key = tuple(cols[i])
-            j = first.setdefault(key, i)
-            if j != i:
-                uf.union(j, i)
-    groups: dict[int, list[int]] = {}
-    for i in range(data.n):
-        groups.setdefault(uf.find(i), []).append(i)
-    blocks = tuple(np.array(sorted(g), dtype=np.int64) for g in groups.values())
-    return Blocking(blocks=blocks, n=data.n)
+        _, first, inv = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+        first_of.append(first[inv.reshape(-1)])
+    records = np.tile(np.arange(data.n), cfg.bands)
+    firsts = np.concatenate(first_of)
+    root = _components(data.n, records, firsts)
+    order = np.argsort(root, kind="stable")
+    cuts = np.flatnonzero(np.diff(root[order])) + 1
+    return Blocking(blocks=tuple(np.split(order, cuts)), n=data.n)

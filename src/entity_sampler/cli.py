@@ -86,7 +86,6 @@ def _write_dataset_csv(data: Dataset, path: str) -> None:
 
 def _cmd_ingest(args) -> int:
     data = _load_dataset(args)
-    data.check_label_consistency()
     if args.out:
         _write_dataset_csv(data, args.out)
     json.dump(_dataset_stats(data), sys.stdout, indent=2)

@@ -76,8 +76,7 @@ class Clustering:
         lab = np.empty(self.n, dtype=np.int64)
         for ci, members in enumerate(self.clusters):
             lab[members] = ci
-        for gi, idx in enumerate(self.garbage):
-            lab[idx] = -(gi + 1)
+        lab[self.garbage] = -np.arange(1, self.garbage.size + 1)
         return lab
 
     def same_cluster(self, i: int, j: int) -> bool:

@@ -6,8 +6,8 @@ over entities (``prob(e) = freq(e) / n``) and the whole point of the package
 is to sample entities almost uniformly even though the records are skewed.
 
 Records are stored column-wise (numpy arrays) so that million-row synthetic
-datasets stay cheap.  A small ``Record`` view object exists for ergonomics in
-tests and the CLI.
+datasets stay cheap.  A small ``Record`` view of one row serves the
+interactive oracle of the CLI.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -281,29 +281,6 @@ class Dataset:
             entity_id=None if self.entity_labels is None else self.entity_labels[i],
             value=None if self.values is None else float(self.values[i]),
         )
-
-    def records(self) -> Iterator[Record]:
-        return (self.record(i) for i in range(self.n))
-
-    @classmethod
-    def from_records(cls, records: Iterable[Record]) -> "Dataset":
-        recs = list(records)
-        ids = tuple(r.id for r in recs)
-        feats = None
-        if recs and recs[0].features is not None:
-            feats = np.array([r.features for r in recs], dtype=np.float64)
-        toks = None
-        if recs and recs[0].tokens is not None:
-            toks = tuple(r.tokens for r in recs)
-        ents = None
-        if recs and recs[0].entity_id is not None:
-            if any(r.entity_id is None for r in recs):
-                raise DatasetError("entity_id must be present on all records or none")
-            ents = tuple(r.entity_id for r in recs)
-        vals = None
-        if recs and recs[0].value is not None:
-            vals = np.array([r.value for r in recs], dtype=np.float64)
-        return cls(ids=ids, features=feats, tokens=toks, entity_labels=ents, values=vals)
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,7 @@ def estimate_probs_gmm(data: Dataset, model: MixtureModel) -> ProbabilityMap:
             f"log density {worst:.1f} below {_LOG_FLOOR}; "
             "records lie impossibly far from the fitted mixture"
         )
-    return ProbabilityMap(dense=np.exp(logd), source="gmm")
+    return ProbabilityMap(dense=np.exp(logd))
 
 
 @dataclass(frozen=True)

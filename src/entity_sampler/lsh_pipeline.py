@@ -167,7 +167,7 @@ def estimate_probs_lsh(
             next_group += 1
     sizes = np.bincount(group_ids, minlength=next_group)
     phat = sizes[group_ids] / data.n
-    pmap = ProbabilityMap(dense=phat, source="lsh")
+    pmap = ProbabilityMap(dense=phat)
     return LshEstimate(
         pmap=pmap, group_ids=group_ids, group_sizes=sizes, reports=tuple(reports)
     )

@@ -61,7 +61,6 @@ class ProbabilityMap:
     dense: np.ndarray | None = None
     by_code: np.ndarray | None = None
     ids: tuple | None = None
-    source: str = "unknown"
 
     def __post_init__(self) -> None:
         if (self.dense is None) == (self.by_code is None):
@@ -116,7 +115,7 @@ class ProbabilityMap:
             for row in reader:
                 ids.append(row[0])
                 vals.append(float(row[1]))
-        return cls(dense=np.array(vals), ids=tuple(ids), source="file")
+        return cls(dense=np.array(vals), ids=tuple(ids))
 
 
 @dataclass(frozen=True)

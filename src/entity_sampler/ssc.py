@@ -84,6 +84,13 @@ def plan_pair_budget(
     return max(1, math.ceil(m))
 
 
+def _joined(lab: np.ndarray, pairs: Sequence[tuple[int, int]]) -> int:
+    """Number of pairs whose two points share a non-garbage cluster."""
+    p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    same = (lab[p[:, 0]] == lab[p[:, 1]]) & (lab[p[:, 0]] >= 0)
+    return int(np.count_nonzero(same))
+
+
 def pair_losses(
     candidate: Clustering,
     pos_pairs: Sequence[tuple[int, int]],
@@ -96,16 +103,9 @@ def pair_losses(
     Negative loss: fraction of target-negative pairs the candidate joins.
     """
     lab = candidate.labels
-    pl = 0.0
-    for i, j in pos_pairs:
-        if not (lab[i] == lab[j] and lab[i] >= 0):
-            pl += 1
-    pl /= max(len(pos_pairs), 1)
-    nl = 0.0
-    for i, j in neg_pairs:
-        if lab[i] == lab[j] and lab[i] >= 0:
-            nl += 1
-    nl /= max(len(neg_pairs), 1)
+    n_pos, n_neg = len(pos_pairs), len(neg_pairs)
+    pl = (n_pos - _joined(lab, pos_pairs)) / max(n_pos, 1)
+    nl = _joined(lab, neg_pairs) / max(n_neg, 1)
     return pl, nl, mu_weight * pl + (1.0 - mu_weight) * nl
 
 
@@ -207,7 +207,8 @@ def ssc_select(
     if cap is None:
         gamma_hat = max(len(neg), 1) / max(queries, 1)
         cap = queries
-    losses = [pair_losses(c, pos, neg, mu_weight)[2] for c in candidates]
+    pos_arr, neg_arr = np.array(pos, dtype=np.int64), np.array(neg, dtype=np.int64)
+    losses = [pair_losses(c, pos_arr, neg_arr, mu_weight)[2] for c in candidates]
     return SscReport(
         winner=best_candidate(candidates, losses),
         losses=tuple(losses),

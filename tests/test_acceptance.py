@@ -69,8 +69,7 @@ def _line(num, ok, detail):
 
 def _exact_map(data):
     counts = np.bincount(data.entity_codes)
-    return ProbabilityMap(dense=counts[data.entity_codes] / data.n,
-                          source="exact")
+    return ProbabilityMap(dense=counts[data.entity_codes] / data.n)
 
 
 def _induced_tv(data, pmap):

@@ -1,9 +1,13 @@
-"""LSH banding: plan arithmetic, hash collision rates, co-blocking guarantee.
+"""LSH banding: plan arithmetic, hash collision rates, co-blocking guarantee,
+and signatures and blocks against per-record reference computations.
 
 The band/row plan places r as the smallest integer strictly inside
 (1 / (2 lambda), 1 / (-log(1 - lambda))) and s = ceil(2.2 log(1 / delta));
 the three golden cases below were worked by hand from that rule.
 """
+
+import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from entity_sampler.blocking import (
     BandWidthError,
     Blocking,
+    _components,
     LshConfig,
     choose_bands_rows,
     hyperplane_signatures,
@@ -20,7 +25,7 @@ from entity_sampler.blocking import (
     minhash_signatures,
 )
 from entity_sampler.dataset import Dataset, DatasetError
-from entity_sampler.synth import duplicate_text_corpus, token_pair
+from entity_sampler.synth import duplicate_text_corpus, planted_clusters, token_pair
 
 
 def test_plan_golden_cases():
@@ -141,3 +146,118 @@ def test_partition_property_random_corpora(seed):
     sizes = [b.size for b in blocking.blocks]
     assert sum(sizes) == data.n
     assert min(sizes) >= 1
+
+
+MERSENNE = (1 << 61) - 1
+
+
+def _blake2b64(token):
+    return int.from_bytes(
+        hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest(), "little"
+    )
+
+
+def test_minhash_matches_the_per_record_formula():
+    # h_j(S) = min over t in S of (blake2b64(t) a_j + b_j) mod (2^61 - 1),
+    # with a then b drawn from default_rng(seed)
+    data = duplicate_text_corpus(20, 0.3, seed=7)
+    k, seed = 12, 4
+    rng = np.random.default_rng(seed)
+    a = [int(x) for x in rng.integers(1, MERSENNE, size=k, dtype=np.uint64)]
+    b = [int(x) for x in rng.integers(0, MERSENNE, size=k, dtype=np.uint64)]
+    want = np.array(
+        [
+            [min((_blake2b64(t) * aj + bj) % MERSENNE for t in toks)
+             for aj, bj in zip(a, b)]
+            for toks in data.tokens
+        ],
+        dtype=np.uint64,
+    )
+    assert np.array_equal(minhash_signatures(data.tokens, k, seed), want)
+
+
+def test_minhash_rejects_an_empty_token_set():
+    a, _ = token_pair(shared=5, unique_each=2, seed=0)
+    with pytest.raises(DatasetError):
+        minhash_signatures((a, frozenset()), k=8, seed=0)
+    data = Dataset(ids=(0, 1), tokens=(frozenset(), a))
+    with pytest.raises(DatasetError):
+        lsh_partition(data, LshConfig.plan(0.2, 0.1), seed=0)
+
+
+def _reference_blocks(sig, cfg):
+    """Two records share a block iff a chain of band-equal pairs joins them;
+    blocks listed by smallest member, members ascending."""
+    n = sig.shape[0]
+    bands = [
+        [tuple(row) for row in sig[:, t * cfg.rows : (t + 1) * cfg.rows]]
+        for t in range(cfg.bands)
+    ]
+    adj = [
+        [j for j in range(n) if j != i and any(band[i] == band[j] for band in bands)]
+        for i in range(n)
+    ]
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, members = [start], []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(sorted(members))
+    return blocks
+
+
+def _assert_ordered(blocks):
+    firsts = [blk[0] for blk in blocks]
+    assert firsts == sorted(firsts)
+    assert all(np.all(np.diff(blk) > 0) for blk in blocks)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_minhash_partition_matches_band_chain_reference(seed):
+    data = duplicate_text_corpus(100, 0.3, seed=seed)
+    cfg = LshConfig.plan(0.2, 0.1, family="minhash")
+    got = lsh_partition(data, cfg, seed=seed).blocks
+    sig = minhash_signatures(data.tokens, cfg.k, seed)
+    want = _reference_blocks(sig, cfg)
+    assert len(want) < data.n  # some records do share a block
+    assert [blk.tolist() for blk in got] == want
+    _assert_ordered(got)
+
+
+def test_hyperplane_partition_matches_band_chain_reference():
+    # centred clusters and wide bands, so the records fall into several blocks
+    raw = planted_clusters(8, 5, 3.0, 10, seed=1, n_singletons=3)
+    data = Dataset(ids=raw.ids, features=raw.features - raw.features.mean(axis=0))
+    cfg = LshConfig(lam=0.2, delta=0.1, rows=8, bands=4, family="hyperplane")
+    got = lsh_partition(data, cfg, seed=1).blocks
+    want = _reference_blocks(hyperplane_signatures(data.features, cfg.k, 1), cfg)
+    assert 1 < len(want) < data.n
+    assert [blk.tolist() for blk in got] == want
+    _assert_ordered(got)
+
+
+def test_components_resolve_a_long_shuffled_chain_quickly():
+    # a path through 200k nodes in random order: hooking roots and jumping
+    # pointers takes a few rounds, where relabeling by neighbours alone would
+    # need about one round per node along the path
+    n = 200_000
+    path = np.random.default_rng(0).permutation(n)
+    start = time.perf_counter()
+    root = _components(n, path[:-1], path[1:])
+    assert time.perf_counter() - start < 10.0
+    assert np.array_equal(root, np.zeros(n, dtype=root.dtype))
+
+
+def test_components_label_each_component_by_its_smallest_member():
+    u = np.array([5, 3, 7, 1])
+    v = np.array([3, 9, 2, 1])
+    assert _components(10, u, v).tolist() == [0, 1, 2, 3, 4, 3, 6, 2, 8, 3]

@@ -15,12 +15,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import entity_sampler
 from entity_sampler.cli import main
+from entity_sampler.dataset import AmbiguousEntityWarning
 from entity_sampler.gmm import MixtureModel
 from entity_sampler.rejection import ProbabilityMap
 
@@ -73,6 +75,18 @@ def test_ingest_writes_a_reingestable_copy(tmp_path, capsys):
     assert stats["records"] == 6
     assert stats["distinct_contents"] == 3
     assert stats["eta"] == pytest.approx(1 / 6)
+
+
+def test_ingest_warns_once_on_ambiguous_labels(tmp_path, capsys):
+    data, schema = write_toy_csv(tmp_path)
+    with open(data, "a", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(["r6", 0.0, 0.0, "D", 10.0])  # r0's content
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["ingest", "--data", data, "--schema", schema]) == 0
+    capsys.readouterr()
+    ambiguous = [w for w in caught if issubclass(w.category, AmbiguousEntityWarning)]
+    assert len(ambiguous) == 1
 
 
 def test_inject_appends_labeled_copies(tmp_path, capsys):
