@@ -25,21 +25,38 @@ __all__ = [
 ]
 
 
+# (row, point) distances that one step of neighbour_mask computes
+_MASK_CHUNK = 1 << 20
+
+
 def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
     """Boolean mask of points with another point within ``mu_radius``.
 
-    The complement is the garbage set of ``regularized_kmeans``.
+    The complement is the garbage set of ``regularized_kmeans``.  Distances
+    are computed a block of rows at a time, so a call holds about 2^20 x d
+    float64 temporaries however many points there are.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ClusteringError("points must be an (n, d) array")
-    if mu_radius < 0:
-        raise ClusteringError("mu_radius must be non-negative")
-    if len(points) == 0:
-        return np.zeros(0, dtype=bool)
-    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    return d2.min(axis=1) <= mu_radius**2
+    if not mu_radius >= 0:
+        raise ClusteringError(f"mu_radius must be non-negative, got {mu_radius}")
+    n = len(points)
+    has_neighbour = np.empty(n, dtype=bool)
+    rows = max(1, _MASK_CHUNK // max(n, 1))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        has_neighbour[lo:hi] = _nearest_sq_distance(points, lo, hi) <= mu_radius**2
+    return has_neighbour
+
+
+def _nearest_sq_distance(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Squared distance from each of points[lo:hi] to its nearest other point."""
+    diff = points[lo:hi, None, :] - points[None, :, :]
+    np.square(diff, out=diff)
+    d2 = diff.sum(axis=2)
+    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    return d2.min(axis=1)
 
 
 class ClusteringError(ValueError):
@@ -190,17 +207,24 @@ def regularized_kmeans(
     seed: int = 0,
     brute_force_cap: int = 9,
     restarts: int = 32,
+    *,
+    has_neighbour: np.ndarray | None = None,
 ) -> Clustering:
     """Cluster an instance into k groups plus a garbage set.
 
     Points whose nearest neighbour is farther than ``mu_radius`` go to
     garbage; the remaining points are k-clustered (exactly when at most
     ``brute_force_cap`` remain, by restarted Lloyd otherwise).  ``k`` may be
-    zero only when the prefilter removes everything.
+    zero only when the prefilter removes everything.  ``has_neighbour`` is
+    ``neighbour_mask(points, mu_radius)`` when a caller clustering the same
+    points at several k has it already; it is computed when omitted.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
-    has_neighbour = neighbour_mask(points, mu_radius)
+    if has_neighbour is None:
+        has_neighbour = neighbour_mask(points, mu_radius)
+    elif np.asarray(has_neighbour).dtype != bool or np.shape(has_neighbour) != (n,):
+        raise ClusteringError(f"has_neighbour must be a bool array of length {n}")
     if n == 0:
         return Clustering(clusters=(), garbage=np.empty(0, dtype=np.int64), n=0)
     keep = np.flatnonzero(has_neighbour)

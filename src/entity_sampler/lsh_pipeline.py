@@ -102,23 +102,25 @@ def estimate_probs_lsh(
         raise ValueError(f"invalid k range [{k_lo}, {k_hi}]")
     if budget < 1:
         raise ValueError("pair budget must be positive")
+    if not mu_radius >= 0:
+        raise ClusteringError(f"mu_radius must be non-negative, got {mu_radius}")
     q = blocking.q
     group_ids = np.full(data.n, -1, dtype=np.int64)
     next_group = 0
     reports = []
     for block_id, block in enumerate(blocking.blocks):
+        if block.size == 1:
+            group_ids[block[0]] = next_group
+            next_group += 1
+            continue
         if proportional_budget:
             block_budget = max(1, int(round(budget * block.size / data.n)))
         else:
             block_budget = max(1, budget // q)
         points = data.features[block]
-        rng_seed = _block_seed(seed, block_id)
-        child_seeds = rng_seed.generate_state(2)
-        if block.size == 1:
-            group_ids[block[0]] = next_group
-            next_group += 1
-            continue
-        remaining = int(neighbour_mask(points, mu_radius).sum())
+        child_seeds = _block_seed(seed, block_id).generate_state(2)
+        has_neighbour = neighbour_mask(points, mu_radius)
+        remaining = int(has_neighbour.sum())
         if remaining == 0:
             ks = [0]
         else:
@@ -133,6 +135,7 @@ def estimate_probs_lsh(
                     seed=int(child_seeds[0]),
                     brute_force_cap=brute_force_cap,
                     restarts=restarts,
+                    has_neighbour=has_neighbour,
                 )
             except ClusteringError:
                 continue

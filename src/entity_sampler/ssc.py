@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,6 +130,27 @@ def best_candidate(candidates: Sequence[Clustering], losses: Sequence[float]) ->
     return min(range(len(candidates)), key=lambda t: (losses[t], candidates[t].k))
 
 
+# pairs drawn per call to the generator; the pair stream does not depend on it
+_PAIR_BATCH = 256
+
+
+def _draw_pairs(n_points: int, seed: int) -> Iterator[tuple[int, int]]:
+    """Endless uniform pairs (i, j), i != j, drawn a batch at a time.
+
+    One ``integers`` call over bounds alternating n, n - 1 consumes the
+    generator exactly as alternating scalar ``integers(n)`` and
+    ``integers(n - 1)`` calls do, so every batch size gives the same pairs.
+    """
+    rng = np.random.default_rng(seed)
+    bounds = np.tile([n_points, n_points - 1], _PAIR_BATCH)
+    while True:
+        ij = rng.integers(0, bounds)
+        ij[1::2] += ij[1::2] >= ij[::2]
+        # one flat list: a list per pair would feed the garbage collector
+        flat = iter(ij.tolist())
+        yield from zip(flat, flat)
+
+
 @dataclass(frozen=True)
 class SscReport:
     """Outcome of one selection run."""
@@ -169,7 +190,7 @@ def ssc_select(
         raise ValueError("pair budget must be positive")
     if not (0 <= mu_weight <= 1):
         raise ValueError("mu_weight must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
+    pairs = _draw_pairs(n_points, seed)
     pos: list[tuple[int, int]] = []
     neg: list[tuple[int, int]] = []
     queries = 0
@@ -186,10 +207,7 @@ def ssc_select(
                 query_cap=cap,
                 gamma_hat=gamma_hat,
             )
-        i = int(rng.integers(n_points))
-        j = int(rng.integers(n_points - 1))
-        if j >= i:
-            j += 1
+        i, j = next(pairs)
         same = bool(oracle(i, j))
         queries += 1
         if same:

@@ -1,9 +1,12 @@
 """Clustering core: brute-force oracle, Lloyd equivalence, garbage prefilter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entity_sampler import clustering
 from entity_sampler.clustering import (
     Clustering,
     ClusteringError,
@@ -87,6 +90,74 @@ def test_neighbour_mask_hand_case():
     assert neighbour_mask(pts, 1.0).tolist() == [True, True, False]
     assert neighbour_mask(pts, 0.1).tolist() == [False, False, False]
     assert neighbour_mask(np.empty((0, 2)), 1.0).size == 0
+
+
+def reference_mask(pts, mu_radius):
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
+    np.fill_diagonal(d2, np.inf)
+    return d2.min(axis=1) <= mu_radius**2
+
+
+def mask_cases():
+    rng = np.random.default_rng(31)
+    for d in range(1, 6):
+        pts = rng.normal(0, 1, (40, d))
+        pts[::7] = pts[1::7]  # exact duplicates
+        yield pytest.param(pts, 0.3 * d, id=f"d{d}")
+        yield pytest.param(pts, 0.0, id=f"d{d}-radius0")
+    far = 1e6 + rng.normal(0, 1e-3, (30, 3))
+    yield pytest.param(far, 1e-3, id="around-1e6")
+    yield pytest.param(np.array([[2.0, 3.0]]), 5.0, id="single")
+
+
+@pytest.mark.parametrize("pts,radius", list(mask_cases()))
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_neighbour_mask_matches_full_matrix(monkeypatch, pts, radius, rows):
+    # rows per step of 1 and 7 (uneven last step) as well as the default
+    if rows is not None:
+        monkeypatch.setattr(clustering, "_MASK_CHUNK", rows * len(pts))
+    got = neighbour_mask(pts, radius)
+    assert got.dtype == bool
+    assert got.tolist() == reference_mask(pts, radius).tolist()
+
+
+def test_neighbour_mask_spans_steps_at_the_default_size():
+    pts = np.random.default_rng(32).uniform(0, 40, (1500, 2))
+    assert 1500 > clustering._MASK_CHUNK // 1500  # several steps
+    want = reference_mask(pts, 0.5)
+    assert 0 < want.sum() < len(pts)
+    assert neighbour_mask(pts, 0.5).tolist() == want.tolist()
+
+
+def test_neighbour_mask_memory_is_bounded():
+    pts = np.random.default_rng(33).normal(0, 1, (3000, 2))
+    tracemalloc.start()
+    try:
+        neighbour_mask(pts, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # a 3000 x 3000 x 2 difference block is 144 MB
+
+
+def test_neighbour_mask_rejects_a_nan_radius():
+    pts = np.array([[0.0], [0.5]])
+    with pytest.raises(ClusteringError):
+        neighbour_mask(pts, float("nan"))
+    with pytest.raises(ClusteringError):
+        neighbour_mask(pts, -1.0)
+    assert neighbour_mask(pts, float("inf")).tolist() == [True, True]
+
+
+def test_given_neighbour_mask_is_used_and_validated():
+    data = planted_clusters(2, 20, separation=4.0, dim=2, seed=3, n_singletons=3)
+    mask = neighbour_mask(data.features, 1.0)
+    passed = regularized_kmeans(data.features, 2, 1.0, seed=0, has_neighbour=mask)
+    computed = regularized_kmeans(data.features, 2, 1.0, seed=0)
+    assert passed.labels.tolist() == computed.labels.tolist()
+    for bad in (mask[:-1], mask.astype(np.int64), mask.tolist()[:-1]):
+        with pytest.raises(ClusteringError):
+            regularized_kmeans(data.features, 2, 1.0, seed=0, has_neighbour=bad)
 
 
 def test_prefilter_postcondition():

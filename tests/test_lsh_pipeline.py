@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from entity_sampler import clustering, lsh_pipeline
 from entity_sampler.blocking import Blocking, LshConfig, lsh_partition
+from entity_sampler.clustering import ClusteringError
 from entity_sampler.dataset import Dataset, DatasetError, tv_distance, uniform_distribution
 from entity_sampler.lsh_pipeline import estimate_probs_lsh
 from entity_sampler.rejection import exact_induced_distribution
@@ -229,3 +231,31 @@ def test_text_corpus_asks_each_distinct_pair_once():
     # the selectors drew some pairs more than once; the memo answered those
     # and the reports count only the calls that reached the oracle
     assert sum(rep.queries for _, rep in est.reports) == oracle.queries
+
+
+def test_each_multi_record_block_builds_one_neighbour_mask(monkeypatch):
+    data = planted_clusters(3, 8, separation=4.0, dim=2, seed=5, n_singletons=2)
+    blocking = blocking_of([(0, 12), (12, 24), (24, 25), (25, 26)], data.n)
+    sizes = []
+    build = clustering.neighbour_mask
+
+    def counted(points, mu_radius):
+        sizes.append(len(points))
+        return build(points, mu_radius)
+
+    monkeypatch.setattr(lsh_pipeline, "neighbour_mask", counted)
+    monkeypatch.setattr(clustering, "neighbour_mask", counted)
+    est = estimate_probs_lsh(data, blocking, (1, 4), budget=20,
+                             oracle=SameClusterOracle(tuple(data.entity_codes)),
+                             seed=3, mu_radius=2.0)
+    assert sizes == [12, 12]  # k = 1..4 each, from one mask per block
+    assert len(est.reports) == 2
+
+
+def test_nan_radius_is_rejected():
+    data = planted_clusters(2, 3, separation=4.0, dim=2, seed=0)
+    for blocks in ([(0, 6)], [(i, i + 1) for i in range(6)]):
+        with pytest.raises(ClusteringError):
+            estimate_probs_lsh(data, blocking_of(blocks, data.n), (1, 2), 10,
+                               SameClusterOracle(tuple(data.entity_codes)),
+                               seed=0, mu_radius=float("nan"))

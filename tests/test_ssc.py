@@ -6,6 +6,8 @@ Loss oracle for the fixed 6-point instance with true clusters {0,1,2} and
   - splitting off point 2 breaks pairs (0,2) and (1,2): (1/3, 0, 1/6)
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,3 +182,70 @@ def test_select_recovers_truth_on_balanced_instances(seed):
         m_pairs=30, seed=seed,
     )
     assert rep.winner == 1
+
+
+
+class RecordingOracle(SameClusterOracle):
+    def __init__(self, labels):
+        super().__init__(labels)
+        self.asked = []
+
+    def __call__(self, i, j):
+        self.asked.append((i, j))
+        return super().__call__(i, j)
+
+
+def scalar_select(labels, m_pairs, seed, nu=1.0, gamma_probe=100):
+    """The selector's draw loop with two scalar ``integers`` calls a pair.
+
+    Returns the pairs asked in order, the positive and negative pairs,
+    query_cap, gamma_hat and whether the cap stopped the loop.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    asked, pos, neg = [], [], []
+    probe_neg, cap = 0, None
+    while len(pos) < m_pairs or len(neg) < m_pairs:
+        if cap is not None and len(asked) >= cap:
+            return asked, pos, neg, cap, gamma_hat, True
+        i = int(rng.integers(n))
+        j = int(rng.integers(n - 1))
+        j += j >= i
+        asked.append((i, j))
+        same = labels[i] == labels[j]
+        (pos if same else neg).append((i, j))
+        if not same and len(asked) <= gamma_probe:
+            probe_neg += 1
+        if len(asked) == gamma_probe and cap is None:
+            gamma_hat = min(max(probe_neg / gamma_probe, 1 / gamma_probe),
+                            1 - 1 / gamma_probe)
+            cap = math.ceil((1 + nu) * (m_pairs / gamma_hat + m_pairs / (1 - gamma_hat)))
+    if cap is None:
+        gamma_hat, cap = max(len(neg), 1) / len(asked), len(asked)
+    return asked, pos, neg, cap, gamma_hat, False
+
+
+@pytest.mark.parametrize("labels,m_pairs", [
+    ([0, 0, 0, 1, 1, 1], 25),                  # fills both sides
+    ([0, 1, 1, 2, 2, 2, 3, 4, 5, 5] * 5, 60),  # 50 points
+    ([7, 7, 7, 7], 10),  # all positive: past one batch of draws, to the cap
+    ([0, 1], 3),         # two points, all negative
+    ([0, 0], 3),         # two points, all positive
+])
+def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
+    n = len(labels)
+    cands = [clustering(list(range(n)), n=n),
+             Clustering(clusters=(), garbage=np.arange(n), n=n)]
+    for seed in range(12):
+        asked, pos, neg, cap, gamma_hat, hit_cap = scalar_select(labels, m_pairs, seed)
+        oracle = RecordingOracle(labels)
+        if hit_cap:
+            with pytest.raises(OracleBudgetError) as excinfo:
+                ssc_select(cands, n, oracle, m_pairs, seed=seed)
+            got = excinfo.value
+            assert got.pos_pairs == tuple(pos) and got.neg_pairs == tuple(neg)
+        else:
+            got = ssc_select(cands, n, oracle, m_pairs, seed=seed)
+            assert (got.n_pos, got.n_neg) == (len(pos), len(neg))
+        assert oracle.asked == asked
+        assert (got.queries, got.query_cap, got.gamma_hat) == (len(asked), cap, gamma_hat)
