@@ -46,10 +46,7 @@ from .dataset import (
     CsvSchema,
     Dataset,
     DiscreteDistribution,
-    EntityTable,
-    Record,
     char_ngrams,
-    empirical_distribution,
     ingest_csv,
     relative_error,
     tv_distance,
@@ -84,7 +81,6 @@ __all__ = [
     "Dataset",
     "DiscreteDistribution",
     "EmResult",
-    "EntityTable",
     "ExperimentSpec",
     "FingerprintStats",
     "GmmPlan",
@@ -92,7 +88,6 @@ __all__ = [
     "LshEstimate",
     "MixtureModel",
     "ProbabilityMap",
-    "Record",
     "SameClusterOracle",
     "SampleReport",
     "SampleResult",
@@ -102,7 +97,6 @@ __all__ = [
     "choose_bands_rows",
     "em_fit",
     "emit_report",
-    "empirical_distribution",
     "estimate_eta",
     "estimate_probs_balanced",
     "estimate_probs_gmm",

@@ -42,9 +42,8 @@ def _dataset_stats(data: Dataset) -> dict:
         "has_values": data.values is not None,
     }
     if data.entity_labels is not None:
-        table = data.entity_table()
-        stats["entities"] = table.n_entities
-        stats["eta"] = table.eta
+        stats["entities"] = len(data.entity_names)
+        stats["eta"] = float(data.entity_freqs.min() / data.n)
     return stats
 
 
@@ -110,16 +109,14 @@ class _InteractiveOracle:
     """Asks the terminal whether two records are duplicates."""
 
     def __init__(self, data: Dataset) -> None:
-        self._data = data
+        self._ids = data.ids
         self.queries = 0
 
     def __call__(self, i: int, j: int) -> bool:
         self.queries += 1
-        a, b = self._data.record(i), self._data.record(j)
+        a, b = self._ids[i], self._ids[j]
         while True:
-            answer = input(
-                f"same entity? [{a.id}] vs [{b.id}] (y/n): "
-            ).strip().lower()
+            answer = input(f"same entity? [{a}] vs [{b}] (y/n): ").strip().lower()
             if answer in ("y", "yes"):
                 return True
             if answer in ("n", "no"):
@@ -217,7 +214,7 @@ def _cmd_sample(args) -> int:
         {"requested": args.p, "accepted": result.size, "trials": result.trials,
          "acceptance_rate": result.size / result.trials,
          "trials_per_accept": result.trials_per_accept,
-         "distinct_entities": len(result.per_entity_counts)},
+         "distinct_entities": int(np.count_nonzero(result.per_entity_counts))},
         sys.stdout, indent=2,
     )
     print()

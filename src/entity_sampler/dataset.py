@@ -6,8 +6,9 @@ over entities (``prob(e) = freq(e) / n``) and the whole point of the package
 is to sample entities almost uniformly even though the records are skewed.
 
 Records are stored column-wise (numpy arrays) so that million-row synthetic
-datasets stay cheap.  A small ``Record`` view of one row serves the
-interactive oracle of the CLI.
+datasets stay cheap.  Entity-level results (frequencies, induced masses,
+sample counts) are arrays aligned with ``Dataset.entity_names``: slot ``c``
+belongs to entity code ``c``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,10 +29,7 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "DiscreteDistribution",
-    "EntityTable",
-    "Record",
     "char_ngrams",
-    "empirical_distribution",
     "ingest_csv",
     "relative_error",
     "tv_distance",
@@ -51,66 +50,6 @@ def char_ngrams(text: str, n: int = 3) -> frozenset[str]:
     if len(text) < n:
         return frozenset({text})
     return frozenset(text[i : i + n] for i in range(len(text) - n + 1))
-
-
-@dataclass(frozen=True)
-class Record:
-    """One row of a dataset.
-
-    ``features`` is a tuple of floats (or None for token data), ``tokens`` a
-    frozenset of strings (or None for numeric data).  ``entity_id`` is the
-    optional ground-truth label and ``value`` the optional numeric payload
-    whose mean the benchmarks estimate.
-    """
-
-    id: object
-    features: tuple[float, ...] | None = None
-    tokens: frozenset[str] | None = None
-    entity_id: object | None = None
-    value: float | None = None
-
-
-@dataclass(frozen=True)
-class EntityTable:
-    """Ground-truth table of distinct entities with frequencies.
-
-    Invariants: frequencies are positive ints summing to n, probabilities sum
-    to one, and each entity appears exactly once.
-    """
-
-    entities: tuple
-    freq: Mapping[object, int]
-    prob: Mapping[object, float]
-
-    def __post_init__(self) -> None:
-        if len(set(self.entities)) != len(self.entities):
-            raise DatasetError("duplicate entity in entity table")
-        if set(self.entities) != set(self.freq) or set(self.entities) != set(self.prob):
-            raise DatasetError("entity table keys disagree")
-        for e in self.entities:
-            if self.freq[e] <= 0 or self.freq[e] != int(self.freq[e]):
-                raise DatasetError(f"frequency of {e!r} is not a positive integer")
-        total = sum(self.prob.values())
-        if abs(total - 1.0) > 1e-9:
-            raise DatasetError(f"entity probabilities sum to {total}, not 1")
-
-    @property
-    def n_entities(self) -> int:
-        return len(self.entities)
-
-    @property
-    def n_records(self) -> int:
-        return sum(self.freq.values())
-
-    @property
-    def eta(self) -> float:
-        """Minimum entity probability (the balance level of the dataset)."""
-        return min(self.prob.values())
-
-    @property
-    def eta_max(self) -> float:
-        """Maximum entity probability."""
-        return max(self.prob.values())
 
 
 def _factorize_features(features: np.ndarray) -> np.ndarray:
@@ -248,39 +187,15 @@ class Dataset:
                 stacklevel=2,
             )
 
-    def entity_table(self) -> EntityTable:
-        freqs = self.entity_freqs
-        names = self.entity_names
-        n = self.n
-        freq = {names[i]: int(freqs[i]) for i in range(len(names))}
-        prob = {names[i]: freqs[i] / n for i in range(len(names))}
-        return EntityTable(entities=tuple(names), freq=freq, prob=prob)
-
     def entity_values(self) -> np.ndarray:
         """One value per entity (first occurrence), ordered by entity code."""
         if self.values is None:
             raise DatasetError("dataset has no value column")
-        n_ent = len(self.entity_names)
-        out = np.empty(n_ent)
-        seen = np.zeros(n_ent, dtype=bool)
-        first = np.full(n_ent, -1, dtype=np.int64)
-        # first occurrence per code
+        first = np.empty(len(self.entity_names), dtype=np.int64)
+        # written in reverse, so each code keeps its first record
         rev = np.arange(self.n - 1, -1, -1)
         first[self.entity_codes[rev]] = rev
-        out[:] = self.values[first]
-        seen[:] = first >= 0
-        if not seen.all():
-            raise DatasetError("entity without records")
-        return out
-
-    def record(self, i: int) -> Record:
-        return Record(
-            id=self.ids[i],
-            features=None if self.features is None else tuple(self.features[i]),
-            tokens=None if self.tokens is None else self.tokens[i],
-            entity_id=None if self.entity_labels is None else self.entity_labels[i],
-            value=None if self.values is None else float(self.values[i]),
-        )
+        return self.values[first]
 
 
 @dataclass(frozen=True)
@@ -375,48 +290,51 @@ def ingest_csv(path: str, schema: CsvSchema) -> Dataset:
     return ds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Finite distribution: support labels with a probability for each."""
+    """Finite distribution: mass ``p[i]`` on label ``support[i]``.
 
-    mass: Mapping[object, float]
+    Entity-level distributions take ``Dataset.entity_names`` as support, so
+    two of them over one dataset line up slot by slot.
+    """
+
+    support: tuple
+    p: np.ndarray
 
     def __post_init__(self) -> None:
-        for label, p in self.mass.items():
-            if p < 0 or not np.isfinite(p):
-                raise DatasetError(f"negative or non-finite mass at {label!r}")
-        total = sum(self.mass.values())
+        support = tuple(self.support)
+        p = np.asarray(self.p, dtype=np.float64)
+        if p.shape != (len(support),):
+            raise DatasetError(f"{p.size} masses for {len(support)} labels")
+        if len(set(support)) != len(support):
+            raise DatasetError("duplicate label in distribution support")
+        if not np.all(np.isfinite(p)) or np.any(p < 0):
+            raise DatasetError("negative or non-finite mass")
+        total = float(p.sum())
         if abs(total - 1.0) > 1e-9:
             raise DatasetError(f"masses sum to {total}, not 1")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "p", p)
 
-    @property
-    def support(self) -> tuple:
-        return tuple(self.mass)
+    @cached_property
+    def mass(self) -> Mapping[object, float]:
+        """Read-only label -> mass view, built on first use."""
+        return MappingProxyType(dict(zip(self.support, self.p.tolist())))
 
     def __getitem__(self, label) -> float:
         return self.mass.get(label, 0.0)
 
 
 def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Total variation distance, half the L1 gap over the union support."""
-    keys = set(p.mass) | set(q.mass)
-    return 0.5 * sum(abs(p[k] - q[k]) for k in keys)
-
-
-def empirical_distribution(draws: Sequence) -> DiscreteDistribution:
-    """Normalized counts of an observed sequence of labels."""
-    if len(draws) == 0:
-        raise DatasetError("cannot build a distribution from zero draws")
-    total = len(draws)
-    counts: dict = {}
-    for d in draws:
-        counts[d] = counts.get(d, 0) + 1
-    return DiscreteDistribution({k: v / total for k, v in counts.items()})
+    """Total variation distance, half the L1 gap over one shared support."""
+    if p.support != q.support:
+        raise DatasetError("distributions have different supports")
+    return 0.5 * float(np.abs(p.p - q.p).sum())
 
 
 def uniform_distribution(labels: Sequence) -> DiscreteDistribution:
-    p = 1.0 / len(labels)
-    return DiscreteDistribution({k: p for k in labels})
+    labels = tuple(labels)
+    return DiscreteDistribution(labels, np.full(len(labels), 1.0 / len(labels)))
 
 
 def relative_error(real: float, estimate: float) -> float:

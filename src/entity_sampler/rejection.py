@@ -5,6 +5,8 @@ Stage two of the cleaning pipeline: given per-record probability estimates
 draw ``v`` when a fresh uniform variate falls below ``floor / phat(v)``.  The
 induced entity distribution is proportional to ``prob(e) * floor / phat(e)``,
 so exact estimates yield an exactly uniform distribution over entities.
+Entity-level outputs, the sample counts and that induced distribution, are
+arrays in the order of ``data.entity_names``.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -120,11 +121,15 @@ class ProbabilityMap:
 
 @dataclass(frozen=True)
 class SampleResult:
-    """Accepted records plus the trial accounting of the run."""
+    """Accepted records plus the trial accounting of the run.
+
+    ``per_entity_counts[c]`` is the number of accepted records of entity
+    code ``c``, one slot per name in ``data.entity_names``.
+    """
 
     record_indices: np.ndarray
     trials: int
-    per_entity_counts: Mapping[object, int]
+    per_entity_counts: np.ndarray
 
     @property
     def size(self) -> int:
@@ -194,10 +199,8 @@ def sample_clean(
     counts = np.bincount(
         data.entity_codes[indices], minlength=len(data.entity_names)
     )
-    names = data.entity_names
-    per_entity = {names[i]: int(c) for i, c in enumerate(counts) if c > 0}
     return SampleResult(
-        record_indices=indices, trials=trials, per_entity_counts=per_entity
+        record_indices=indices, trials=trials, per_entity_counts=counts
     )
 
 
@@ -207,17 +210,16 @@ def exact_induced_distribution(
     """Closed-form entity distribution the sampler converges to.
 
     Mass of entity ``e`` is proportional to the sum of ``floor / phat(v)``
-    over the records ``v`` of ``e``.  Invariant under rescaling all
-    estimates by a constant, since the floor rescales with them.
+    over the records ``v`` of ``e``; the support is ``data.entity_names``.
+    Invariant under rescaling all estimates by a constant, since the floor
+    rescales with them.
     """
     phat = pmap.resolve(data)
     weights = pmap.floor / phat
     masses = np.bincount(
         data.entity_codes, weights=weights, minlength=len(data.entity_names)
     )
-    masses = masses / masses.sum()
-    names = data.entity_names
-    return DiscreteDistribution({names[i]: float(m) for i, m in enumerate(masses)})
+    return DiscreteDistribution(data.entity_names, masses / masses.sum())
 
 
 def expected_trials_per_accept(data: Dataset, pmap: ProbabilityMap) -> float:

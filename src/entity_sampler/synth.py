@@ -190,13 +190,11 @@ def planted_clusters(
     values = np.random.default_rng(seed + 1).uniform(
         _VALUE_LO, _VALUE_HI, size=n_clusters + n_singletons
     )
-    code_of = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
-    vals = np.array([values[code_of[lab]] for lab in labels])
     return Dataset(
         ids=tuple(range(len(labels))),
         features=features,
         entity_labels=tuple(labels),
-        values=vals,
+        values=np.repeat(values, [per_cluster] * n_clusters + [1] * n_singletons),
     )
 
 

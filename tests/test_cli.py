@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 
 import entity_sampler
-from entity_sampler.cli import main
-from entity_sampler.dataset import AmbiguousEntityWarning
+from entity_sampler.cli import _InteractiveOracle, main
+from entity_sampler.dataset import AmbiguousEntityWarning, Dataset
 from entity_sampler.gmm import MixtureModel
 from entity_sampler.rejection import ProbabilityMap
 
@@ -382,3 +382,23 @@ def test_interactive_lsh_never_repeats_a_prompt(tmp_path, capsys, monkeypatch):
     pmap = ProbabilityMap.from_csv(map_path)
     expected = sorted([3 / 8] * 3 + [2 / 8] * 2 + [1 / 8] * 3)
     assert sorted(pmap.dense) == pytest.approx(expected)
+
+
+def test_interactive_oracle_asks_until_answered(monkeypatch):
+    data = Dataset(ids=("r0", "r1", "r2"), features=np.zeros((3, 1)))
+    answers = iter(["maybe", "y", "no"])
+    prompts = []
+
+    def scripted(prompt):
+        prompts.append(prompt)
+        return next(answers)
+
+    monkeypatch.setattr(builtins, "input", scripted)
+    oracle = _InteractiveOracle(data)
+    assert oracle(0, 1) is True
+    assert oracle(1, 2) is False
+    assert oracle.queries == 2
+    # "maybe" is not an answer, so the first pair is asked twice
+    assert len(prompts) == 3
+    assert all("[r0]" in p and "[r1]" in p for p in prompts[:2])
+    assert "[r1]" in prompts[2] and "[r2]" in prompts[2]

@@ -1,4 +1,4 @@
-"""Dataset core: factorization, entity tables, metrics, CSV ingestion."""
+"""Dataset core: factorization, entity arrays, metrics, CSV ingestion."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from entity_sampler.dataset import (
     DatasetError,
     DiscreteDistribution,
     char_ngrams,
-    empirical_distribution,
     ingest_csv,
     relative_error,
     tv_distance,
@@ -67,14 +66,10 @@ def test_entity_values_takes_first_record_per_entity():
     assert toy().entity_values().tolist() == [10.0, 30.0]
 
 
-def test_entity_table_masses():
-    t = toy().entity_table()
-    assert t.entities == ("x", "y")
-    assert t.freq["x"] == 2 and t.freq["y"] == 1
-    assert t.prob["x"] == pytest.approx(2 / 3)
-    assert t.eta == pytest.approx(1 / 3)
-    assert t.eta_max == pytest.approx(2 / 3)
-    assert t.n_entities == 2 and t.n_records == 3
+def test_entity_freqs_align_with_names():
+    d = toy()
+    assert d.entity_names == ("x", "y")
+    assert d.entity_freqs.tolist() == [2, 1]
 
 
 def test_ambiguous_labels_warn():
@@ -95,26 +90,39 @@ def test_char_ngrams():
 
 
 def test_tv_distance_hand_case():
-    p = DiscreteDistribution({"a": 0.5, "b": 0.5})
-    q = DiscreteDistribution({"a": 0.2, "b": 0.3, "c": 0.5})
+    p = DiscreteDistribution(("a", "b", "c"), [0.5, 0.5, 0.0])
+    q = DiscreteDistribution(("a", "b", "c"), [0.2, 0.3, 0.5])
     assert tv_distance(p, q) == pytest.approx(0.5)
     assert tv_distance(p, p) == 0.0
 
 
-def test_empirical_and_uniform():
-    e = empirical_distribution(["a", "a", "b"])
-    assert e["a"] == pytest.approx(2 / 3)
-    assert e["b"] == pytest.approx(1 / 3)
-    assert e["zzz"] == 0.0
+def test_tv_distance_rejects_different_supports():
+    p = DiscreteDistribution(("a", "b"), [0.5, 0.5])
+    with pytest.raises(DatasetError, match="supports"):
+        tv_distance(p, uniform_distribution(("a", "b", "c")))
+    with pytest.raises(DatasetError, match="supports"):
+        tv_distance(p, uniform_distribution(("b", "a")))
+
+
+def test_uniform_and_label_lookup():
     u = uniform_distribution(("a", "b", "c", "d"))
-    assert all(u[k] == 0.25 for k in "abcd")
+    assert u.support == ("a", "b", "c", "d")
+    assert u.p.tolist() == [0.25] * 4
+    assert u["c"] == 0.25
+    assert u["zzz"] == 0.0
 
 
 def test_distribution_validation():
     with pytest.raises(DatasetError):
-        DiscreteDistribution({"a": -0.1, "b": 1.1})
+        DiscreteDistribution(("a", "b"), [-0.1, 1.1])
     with pytest.raises(DatasetError):
-        DiscreteDistribution({"a": 0.6, "b": 0.6})
+        DiscreteDistribution(("a", "b"), [0.6, 0.6])
+    with pytest.raises(DatasetError):
+        DiscreteDistribution(("a", "b"), [np.nan, 1.0])
+    with pytest.raises(DatasetError, match="duplicate"):
+        DiscreteDistribution(("a", "a"), [0.5, 0.5])
+    with pytest.raises(DatasetError, match="2 masses for 3 labels"):
+        DiscreteDistribution(("a", "b", "c"), [0.5, 0.5])
 
 
 def test_relative_error():
@@ -123,23 +131,15 @@ def test_relative_error():
         relative_error(0.0, 1.0)
 
 
-@given(
-    st.dictionaries(
-        st.sampled_from("abcde"),
-        st.floats(min_value=0.01, max_value=1.0),
-        min_size=1,
-    ),
-    st.dictionaries(
-        st.sampled_from("abcde"),
-        st.floats(min_value=0.01, max_value=1.0),
-        min_size=1,
-    ),
-)
-def test_tv_distance_is_a_metric(ma, mb):
-    p = DiscreteDistribution({k: v / sum(ma.values()) for k, v in ma.items()})
-    q = DiscreteDistribution({k: v / sum(mb.values()) for k, v in mb.items()})
-    assert tv_distance(p, q) == pytest.approx(tv_distance(q, p))
-    assert -1e-12 <= tv_distance(p, q) <= 1.0 + 1e-12
+weights = st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5)
+
+
+@given(weights.filter(any), weights.filter(any))
+def test_tv_distance_is_a_metric(wa, wb):
+    p = DiscreteDistribution(tuple("abcde"), np.array(wa) / sum(wa))
+    q = DiscreteDistribution(tuple("abcde"), np.array(wb) / sum(wb))
+    assert tv_distance(p, q) == tv_distance(q, p)
+    assert 0.0 <= tv_distance(p, q) <= 1.0 + 1e-12
 
 
 def write_csv(tmp_path, text):

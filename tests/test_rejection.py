@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entity_sampler.dataset import tv_distance, uniform_distribution
+from entity_sampler.dataset import Dataset, tv_distance, uniform_distribution
 from entity_sampler.rejection import (
     CoverageError,
     DegenerateMapWarning,
@@ -41,8 +41,21 @@ def test_distorted_probabilities_hand_case():
     d = two_entity_data()
     pmap = ProbabilityMap(dense=np.array([0.5, 0.5, 0.5, 0.25, 0.25]))
     induced = exact_induced_distribution(d, pmap)
-    assert induced[0] == pytest.approx(1.5 / 3.5)
-    assert induced[1] == pytest.approx(2.0 / 3.5)
+    assert induced.support == d.entity_names
+    assert induced.p.tolist() == pytest.approx([1.5 / 3.5, 2.0 / 3.5])
+
+
+def test_induced_mass_is_a_read_only_view_by_name():
+    d = Dataset(ids=tuple(range(5)), features=np.arange(5.0).reshape(-1, 1),
+                entity_labels=["u", "u", "u", "v", "v"])
+    induced = exact_induced_distribution(
+        d, ProbabilityMap(dense=np.array([0.5, 0.5, 0.5, 0.25, 0.25])))
+    assert induced.support == ("u", "v")
+    assert dict(induced.mass) == dict(zip(induced.support, induced.p.tolist()))
+    assert induced.mass["v"] == pytest.approx(2.0 / 3.5)
+    assert "w" not in induced.mass
+    with pytest.raises(TypeError):
+        induced.mass["u"] = 1.0
 
 
 def test_induced_is_scale_invariant():
@@ -102,17 +115,19 @@ def test_sample_result_bookkeeping():
     res = sample_clean(d, ProbabilityMap(dense=phat), p=200, seed=11)
     assert res.size == 200
     assert len(res.record_indices) == 200
-    assert sum(res.per_entity_counts.values()) == 200
+    assert res.per_entity_counts.shape == (len(d.entity_names),)
+    assert res.per_entity_counts.sum() == 200
+    assert res.per_entity_counts.tolist() == np.bincount(
+        d.entity_codes[res.record_indices], minlength=2).tolist()
     assert res.trials >= 200
     assert res.trials_per_accept == pytest.approx(res.trials / 200)
-    assert set(res.per_entity_counts) <= set(d.entity_names)
 
 
 def test_sample_counts_are_near_uniform_with_exact_probs():
     d = dataset_from_freqs([8, 1, 1], seed=2)
     phat = d.entity_freqs[d.entity_codes] / d.n
     res = sample_clean(d, ProbabilityMap(dense=phat), p=3000, seed=5)
-    counts = np.array([res.per_entity_counts.get(e, 0) for e in d.entity_names])
+    counts = res.per_entity_counts
     # binomial(3000, 1/3) gives sigma ~ 25.8; allow 4 sigma
     assert np.all(np.abs(counts - 1000) < 4 * np.sqrt(3000 * (1 / 3) * (2 / 3)))
 
