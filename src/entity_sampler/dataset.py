@@ -53,7 +53,14 @@ def char_ngrams(text: str, n: int = 3) -> frozenset[str]:
 
 
 def _factorize_features(features: np.ndarray) -> np.ndarray:
-    """Integer codes for exact row equality of a 2-d float array."""
+    """Integer codes for exact row equality of a 2-d float array.
+
+    -0.0 and 0.0 are one value; rows are compared as bytes, so a copy with
+    the negative zeros folded is made, only when there are any.
+    """
+    zeros = features == 0
+    if zeros.any() and np.signbit(features[zeros]).any():
+        features = features + 0.0  # -0.0 + 0.0 is 0.0
     view = np.ascontiguousarray(features).view(
         np.dtype((np.void, features.dtype.itemsize * features.shape[1]))
     ).ravel()
@@ -279,6 +286,10 @@ def ingest_csv(path: str, schema: CsvSchema) -> Dataset:
             ids.append(row[schema.id_col] if schema.id_col else idx)
     if not ids:
         raise DatasetError(f"no data rows in {path}")
+    # a row shorter than the header reads None in its missing cells
+    for col, cells in ((schema.entity_col, ents), (schema.id_col, ids)):
+        if col and None in cells:
+            raise DatasetError(f"malformed row {cells.index(None)}: no {col!r} cell")
     ds = Dataset(
         ids=tuple(ids),
         features=np.array(feats) if feats else None,

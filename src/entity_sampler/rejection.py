@@ -48,7 +48,7 @@ class DegenerateMapWarning(UserWarning):
     """All estimates equal; rejection degenerates to uniform record draws."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityMap:
     """Probability estimates with their floor.
 
@@ -119,7 +119,7 @@ class ProbabilityMap:
         return cls(dense=np.array(vals), ids=tuple(ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleResult:
     """Accepted records plus the trial accounting of the run.
 

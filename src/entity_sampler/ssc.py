@@ -25,10 +25,11 @@ __all__ = [
     "OracleBudgetError",
     "SscReport",
     "SameClusterOracle",
-    "best_candidate",
+    "all_pairs",
     "exhaustive_losses",
     "pair_losses",
     "plan_pair_budget",
+    "rank_candidates",
     "ssc_select",
 ]
 
@@ -109,6 +110,16 @@ def pair_losses(
     return pl, nl, mu_weight * pl + (1.0 - mu_weight) * nl
 
 
+def all_pairs(
+    oracle: Callable[[int, int], bool], n_points: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Positive and negative lists of all unordered pairs i < j, each asked once."""
+    pos, neg = [], []
+    for i, j in combinations(range(n_points), 2):
+        (pos if oracle(i, j) else neg).append((i, j))
+    return pos, neg
+
+
 def exhaustive_losses(
     candidates: Sequence[Clustering],
     oracle: Callable[[int, int], bool],
@@ -116,18 +127,8 @@ def exhaustive_losses(
     mu_weight: float = 0.5,
 ) -> list[tuple[float, float, float]]:
     """Losses of every candidate over all unordered distinct pairs."""
-    pos, neg = [], []
-    for i, j in combinations(range(n_points), 2):
-        (pos if oracle(i, j) else neg).append((i, j))
+    pos, neg = all_pairs(oracle, n_points)
     return [pair_losses(c, pos, neg, mu_weight) for c in candidates]
-
-
-def best_candidate(candidates: Sequence[Clustering], losses: Sequence[float]) -> int:
-    """Index of the candidate with the smallest loss.
-
-    Ties go to the candidate with fewer clusters, then to the earlier one.
-    """
-    return min(range(len(candidates)), key=lambda t: (losses[t], candidates[t].k))
 
 
 # pairs drawn per call to the generator; the pair stream does not depend on it
@@ -162,6 +163,35 @@ class SscReport:
     gamma_hat: float
     n_pos: int
     n_neg: int
+
+
+def rank_candidates(
+    candidates: Sequence[Clustering],
+    pos: Sequence[tuple[int, int]],
+    neg: Sequence[tuple[int, int]],
+    query_cap: int,
+    gamma_hat: float,
+    queries: int,
+    mu_weight: float = 0.5,
+) -> SscReport:
+    """Report whose winner has the smallest weighted loss on ``pos``/``neg``.
+
+    Ties go to the candidate with fewer clusters, then to the earlier one.
+    A side with no pairs has nothing to lose, so positives alone still
+    separate "merge everything" from finer candidates.
+    """
+    pos_arr = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
+    neg_arr = np.asarray(neg, dtype=np.int64).reshape(-1, 2)
+    losses = [pair_losses(c, pos_arr, neg_arr, mu_weight)[2] for c in candidates]
+    return SscReport(
+        winner=min(range(len(candidates)), key=lambda t: (losses[t], candidates[t].k)),
+        losses=tuple(losses),
+        queries=queries,
+        query_cap=query_cap,
+        gamma_hat=gamma_hat,
+        n_pos=len(pos_arr),
+        n_neg=len(neg_arr),
+    )
 
 
 def ssc_select(
@@ -225,14 +255,4 @@ def ssc_select(
     if cap is None:
         gamma_hat = max(len(neg), 1) / max(queries, 1)
         cap = queries
-    pos_arr, neg_arr = np.array(pos, dtype=np.int64), np.array(neg, dtype=np.int64)
-    losses = [pair_losses(c, pos_arr, neg_arr, mu_weight)[2] for c in candidates]
-    return SscReport(
-        winner=best_candidate(candidates, losses),
-        losses=tuple(losses),
-        queries=queries,
-        query_cap=cap,
-        gamma_hat=gamma_hat,
-        n_pos=len(pos),
-        n_neg=len(neg),
-    )
+    return rank_candidates(candidates, pos, neg, cap, gamma_hat, queries, mu_weight)

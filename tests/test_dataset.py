@@ -34,6 +34,15 @@ def test_dedup_groups_identical_feature_rows():
     assert sorted(d.dedup_freqs.tolist()) == [1, 2]
 
 
+def test_dedup_folds_negative_zero():
+    features = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, -1.0]])
+    d = Dataset(ids=(0, 1, 2), features=features)
+    assert sorted(d.dedup_freqs.tolist()) == [1, 2]
+    assert d.dedup_codes[0] == d.dedup_codes[1]
+    assert np.signbit(d.features[1, 0])  # the records keep their values
+    assert Dataset(ids=(0, 1), features=[[0.0], [-0.0]]).dedup_freqs.tolist() == [2]
+
+
 def test_entity_codes_first_appearance_order():
     d = Dataset(
         ids=(0, 1, 2, 3),
@@ -173,6 +182,19 @@ def test_ingest_csv_reports_bad_row(tmp_path):
     schema = CsvSchema(feature_cols=("x",), text_cols=())
     with pytest.raises(DatasetError, match="row 1"):
         ingest_csv(path, schema)
+
+
+def test_ingest_csv_rejects_a_short_row(tmp_path):
+    schema = CsvSchema(feature_cols=("x",), entity_col="who", id_col="id")
+    path = write_csv(tmp_path, "x,id,who\n1.0,r1,a\n2.0,r2\n")
+    with pytest.raises(DatasetError, match="row 1: no 'who' cell"):
+        ingest_csv(path, schema)
+    path = write_csv(tmp_path, "x,who,id\n1.0,a,r1\n2.0,b\n")
+    with pytest.raises(DatasetError, match="row 1: no 'id' cell"):
+        ingest_csv(path, schema)
+    # extra cells beyond the header are still accepted
+    path = write_csv(tmp_path, "x,who,id\n1.0,a,r1,extra\n")
+    assert ingest_csv(path, schema).ids == ("r1",)
 
 
 def test_ingest_csv_missing_column(tmp_path):

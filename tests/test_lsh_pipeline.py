@@ -1,5 +1,8 @@
 """Block-and-cluster probability estimation, end to end."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -142,17 +145,6 @@ def test_seed_determinism():
     assert np.array_equal(a.group_ids, b.group_ids)
 
 
-def test_proportional_budget_path():
-    data = duplicate_text_corpus(30, 0.4, seed=15)
-    blocking = lsh_partition(data, LshConfig.plan(0.2, 0.1), seed=16)
-    est = estimate_probs_lsh(
-        data, blocking, k_range=(1, 3), budget=300,
-        oracle=SameClusterOracle(tuple(data.entity_codes)), seed=17,
-        proportional_budget=True,
-    )
-    assert est.group_sizes.sum() == data.n
-
-
 def test_validation_errors():
     data = duplicate_text_corpus(10, 0.2, seed=18, with_features=False)
     blocking = lsh_partition(data, LshConfig.plan(0.2, 0.1), seed=19)
@@ -217,6 +209,23 @@ def test_sampled_block_at_the_cap_asks_each_pair_once():
     assert est.group_sizes.tolist() == [1, 1, 1]
 
 
+def test_single_entity_block_at_the_cap_merges():
+    # C(8, 2) = 28 pairs exceed the per-side budget of 5, so the block goes
+    # through sampled selection; all-positive answers never fill the
+    # negative side, the selector runs out its cap and the pipeline ranks
+    # the candidates on the positives alone
+    feats = np.random.default_rng(2).normal(0, 0.05, (8, 2))
+    data = Dataset(ids=tuple(range(8)), features=feats, entity_labels=[0] * 8)
+    oracle = SameClusterOracle([0] * 8)
+    est = estimate_probs_lsh(data, blocking_of([(0, 8)], 8), (1, 3),
+                             budget=5, oracle=oracle, seed=0)
+    (_, report), = est.reports
+    assert report.n_neg == 0
+    assert report.n_pos == report.query_cap > 28  # every draw up to the cap
+    assert report.queries == oracle.queries <= 28
+    assert est.group_sizes.tolist() == [8]
+
+
 def test_text_corpus_asks_each_distinct_pair_once():
     data = duplicate_text_corpus(300, 0.4, seed=21)
     # the looser threshold leaves a few blocks of 3-4 records, which the
@@ -259,3 +268,34 @@ def test_nan_radius_is_rejected():
             estimate_probs_lsh(data, blocking_of(blocks, data.n), (1, 2), 10,
                                SameClusterOracle(tuple(data.entity_codes)),
                                seed=0, mu_radius=float("nan"))
+
+
+def _perfbench_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_estimate_records_every_layer_it_calls():
+    # the benchmark's traced layer metrics wrap the pipeline's module
+    # globals; a call that bypasses them would read as zero time silently
+    spans = _perfbench_spans()
+    feats = np.array([[0.0, 0.0], [0.3, 0.0],
+                      [50.0, 0.0], [50.3, 0.0], [50.6, 0.0],
+                      [50.0, 0.3], [50.3, 0.3], [50.6, 0.3]])
+    labels = [0, 0, 1, 1, 1, 2, 2, 2]
+    data = Dataset(ids=tuple(range(8)), features=feats, entity_labels=labels)
+    tracer = spans.Tracer()
+    tracer.active = True
+    with spans.instrument(tracer):
+        # a per-block budget of 2 pairs: C(2, 2) = 1 is scored exhaustively,
+        # C(6, 2) = 15 by sampled selection
+        est = lsh_pipeline.estimate_probs_lsh(
+            data, blocking_of([(0, 2), (2, 8)], 8), (1, 3), budget=4,
+            oracle=SameClusterOracle(labels), seed=0)
+    assert [bid for bid, _ in est.reports] == [0, 1]
+    assert tracer.calls["ssc.select"] == 1  # the larger block only
+    assert tracer.calls["clustering.kmeans"] >= 1
+    assert tracer.calls["clustering.neighbour_mask"] >= 1

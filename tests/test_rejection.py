@@ -167,6 +167,16 @@ def test_invalid_maps_rejected():
         ProbabilityMap(dense=np.array([0.5, np.nan]))
 
 
+def test_map_and_sample_result_compare_by_identity_and_hash():
+    d = two_entity_data()
+    phat = d.entity_freqs[d.entity_codes] / d.n
+    pmap, twin = ProbabilityMap(dense=phat), ProbabilityMap(dense=phat.copy())
+    res = sample_clean(d, pmap, p=5, seed=0)
+    assert pmap == pmap and pmap != twin
+    assert res == res and res != sample_clean(d, pmap, p=5, seed=0)
+    assert len({pmap, twin, res}) == 3
+
+
 def test_map_csv_round_trip(tmp_path):
     d = two_entity_data()
     phat = np.array([0.123456789012345678, 0.2, 0.3, 1 / 3, 0.4])
