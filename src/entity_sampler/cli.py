@@ -10,7 +10,6 @@ artifact, ``bench`` runs an experiment grid from a JSON config, and
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
@@ -19,7 +18,14 @@ import numpy as np
 from . import bench as bench_mod
 from .balanced import estimate_probs_balanced, plan_sample_size
 from .blocking import LshConfig, lsh_partition
-from .dataset import CsvSchema, Dataset, DatasetError, ingest_csv
+from .dataset import (
+    CsvSchema,
+    Dataset,
+    DatasetError,
+    float_cells,
+    ingest_csv,
+    write_csv_columns,
+)
 from .gmm import MixtureModel, em_fit, estimate_probs_gmm
 from .lsh_pipeline import estimate_probs_lsh
 from .rejection import ProbabilityMap, sample_clean
@@ -56,20 +62,14 @@ def _write_dataset_csv(data: Dataset, path: str) -> None:
     if data.features is None:
         raise DatasetError("only feature datasets can be written back to CSV")
     header = ["id"] + [f"f{j}" for j in range(data.features.shape[1])]
+    columns = [data.ids, *map(float_cells, data.features.T)]
     if data.entity_labels is not None:
         header.append("entity")
+        columns.append(data.entity_labels)
     if data.values is not None:
         header.append("value")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            row = [data.ids[i]] + [f"{v:.17g}" for v in data.features[i]]
-            if data.entity_labels is not None:
-                row.append(data.entity_labels[i])
-            if data.values is not None:
-                row.append(f"{data.values[i]:.17g}")
-            writer.writerow(row)
+        columns.append(float_cells(data.values))
+    write_csv_columns(path, header, columns)
     schema = {
         "feature_cols": [f"f{j}" for j in range(data.features.shape[1])],
         "id_col": "id",
@@ -195,21 +195,16 @@ def _cmd_sample(args) -> int:
     if pmap.ids is not None and pmap.ids != tuple(str(i) for i in data.ids):
         raise DatasetError("probability map was built for a different dataset")
     result = sample_clean(data, pmap, args.p, args.seed)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["record_id"]
-        if data.entity_labels is not None:
-            header.append("entity")
-        if data.values is not None:
-            header.append("value")
-        writer.writerow(header)
-        for i in result.record_indices:
-            row = [data.ids[i]]
-            if data.entity_labels is not None:
-                row.append(data.entity_labels[i])
-            if data.values is not None:
-                row.append(f"{data.values[i]:.17g}")
-            writer.writerow(row)
+    picked = result.record_indices.tolist()
+    header = ["record_id"]
+    columns = [map(data.ids.__getitem__, picked)]
+    if data.entity_labels is not None:
+        header.append("entity")
+        columns.append(map(data.entity_labels.__getitem__, picked))
+    if data.values is not None:
+        header.append("value")
+        columns.append(float_cells(data.values[result.record_indices]))
+    write_csv_columns(args.out, header, columns)
     json.dump(
         {"requested": args.p, "accepted": result.size, "trials": result.trials,
          "acceptance_rate": result.size / result.trials,

@@ -51,9 +51,16 @@ def _sq_distances(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Squared distance from every mean to every point, shaped (k, n).
 
     Differences are taken directly: the ||x||^2 - 2 x.mu + ||mu||^2
-    expansion cancels catastrophically on values around 1e6.
+    expansion cancels catastrophically on values around 1e6.  Columns are
+    added one feature at a time, so the call holds two (k, n) arrays
+    whatever d is.
     """
-    return ((x[None, :, :] - means[:, None, :]) ** 2).sum(axis=2)
+    sq = np.square(x[:, 0] - means[:, :1])
+    diff = np.empty_like(sq)
+    for j in range(1, x.shape[1]):
+        np.subtract(x[:, j], means[:, j : j + 1], out=diff)
+        sq += np.square(diff, out=diff)
+    return sq
 
 
 def _log_components(

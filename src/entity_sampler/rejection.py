@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DiscreteDistribution
+from .dataset import Dataset, DiscreteDistribution, float_cells, write_csv_columns
 
 __all__ = [
     "CoverageError",
@@ -97,12 +97,9 @@ class ProbabilityMap:
 
     def to_csv(self, path: str, data: Dataset) -> None:
         """Write the two-column (record id, estimate) artifact."""
-        dense = self.resolve(data)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["record_id", "phat"])
-            for rid, val in zip(data.ids, dense):
-                writer.writerow([rid, f"{val:.17g}"])
+        write_csv_columns(
+            path, ["record_id", "phat"], [data.ids, float_cells(self.resolve(data))]
+        )
 
     @classmethod
     def from_csv(cls, path: str) -> "ProbabilityMap":

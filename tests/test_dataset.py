@@ -1,5 +1,7 @@
 """Dataset core: factorization, entity arrays, metrics, CSV ingestion."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,11 +13,14 @@ from entity_sampler.dataset import (
     DatasetError,
     DiscreteDistribution,
     char_ngrams,
+    float_cells,
     ingest_csv,
     relative_error,
     tv_distance,
     uniform_distribution,
+    write_csv_columns,
 )
+from entity_sampler.dataset import _factorize_features
 
 
 def toy():
@@ -41,6 +46,37 @@ def test_dedup_folds_negative_zero():
     assert d.dedup_codes[0] == d.dedup_codes[1]
     assert np.signbit(d.features[1, 0])  # the records keep their values
     assert Dataset(ids=(0, 1), features=[[0.0], [-0.0]]).dedup_freqs.tolist() == [2]
+
+
+def reference_codes(features):
+    """Codes of np.unique over a void view of the rows, -0.0 folded first."""
+    rows = np.ascontiguousarray(features + 0.0)
+    view = rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
+    return np.unique(view, return_inverse=True)[1].ravel()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_factorize_features_matches_the_void_view_codes(d):
+    rng = np.random.default_rng(d)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 1e6, -1e6,
+                     np.nextafter(1e6, np.inf), np.nextafter(-1e6, -np.inf),
+                     1e6 + 0.5, -1e6 - 0.5, 3e-310, -3e-310])
+    features = rng.choice(pool, size=(3000, d))
+    features = np.concatenate([features, features[:500]])  # exact duplicates
+    codes = _factorize_features(features)
+    assert np.array_equal(codes, reference_codes(features))
+    assert codes.dtype == np.int64
+    assert np.array_equal(_factorize_features(features[:1]), [0])
+
+
+def test_factorize_features_of_a_column_slice():
+    rng = np.random.default_rng(7)
+    table = rng.integers(-3, 3, size=(2000, 5)).astype(np.float64) * 1e6
+    table[::7, 2] = -0.0
+    for cols in (slice(1, 2), slice(0, 5, 2), slice(3, 0, -1)):
+        part = table[:, cols]
+        assert not part.flags.c_contiguous
+        assert np.array_equal(_factorize_features(part), reference_codes(part))
 
 
 def test_entity_codes_first_appearance_order():
@@ -89,6 +125,21 @@ def test_ambiguous_labels_warn():
     )
     with pytest.warns(AmbiguousEntityWarning):
         d.check_label_consistency()
+
+
+def test_ambiguous_labels_warning_counts_both_identities():
+    d = Dataset(
+        ids=tuple(range(5)),
+        features=np.array([[1.0], [1.0], [2.0], [3.0], [3.0]]),
+        entity_labels=["x", "y", "z", "w", "w"],
+    )
+    with pytest.warns(AmbiguousEntityWarning, match="3 distinct by content vs 4 by label"):
+        d.check_label_consistency()
+    consistent = Dataset(ids=(0, 1, 2), features=[[1.0], [1.0], [2.0]],
+                         entity_labels=["x", "x", "y"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        consistent.check_label_consistency()
 
 
 def test_char_ngrams():
@@ -218,3 +269,62 @@ def test_text_schema_builds_token_sets(tmp_path):
     assert d.tokens is not None
     assert "abc" in d.tokens[0] and "abc" in d.tokens[1]
     assert "xyz" in d.tokens[1] and "xyz" not in d.tokens[0]
+
+
+def test_ingest_csv_skips_blank_lines_without_counting_them(tmp_path):
+    path = write_csv(tmp_path, "x,who\n1.0,a\n\n2.0,b\n\nbad,c\n")
+    schema = CsvSchema(feature_cols=("x",), entity_col="who")
+    with pytest.raises(DatasetError, match="malformed row 2: could not convert"):
+        ingest_csv(path, schema)
+    path = write_csv(tmp_path, "x,who\n1.0,a\n\n2.0,b\n")
+    d = ingest_csv(path, schema)
+    assert d.ids == (0, 1)
+    assert d.features.tolist() == [[1.0], [2.0]]
+    assert d.entity_labels == ("a", "b")
+
+
+def test_ingest_csv_names_a_bad_float_in_the_last_row(tmp_path):
+    rows = "".join(f"{i}.5,{i}\n" for i in range(50))
+    path = write_csv(tmp_path, "x,amount\n" + rows + "7.0,oops\n")
+    schema = CsvSchema(feature_cols=("x",), value_col="amount")
+    with pytest.raises(DatasetError, match="malformed row 50: .*'oops'"):
+        ingest_csv(path, schema)
+
+
+def test_ingest_csv_rejects_a_row_short_of_a_feature_or_value_cell(tmp_path):
+    schema = CsvSchema(feature_cols=("x", "y"), value_col="amount")
+    path = write_csv(tmp_path, "amount,x,y\n1,2,3\n4,5\n")
+    with pytest.raises(DatasetError, match="malformed row 1: no 'y' cell"):
+        ingest_csv(path, schema)
+    path = write_csv(tmp_path, "x,y,amount\n1,2,3\n4,5,6\n7,8\n")
+    with pytest.raises(DatasetError, match="malformed row 2: no 'amount' cell"):
+        ingest_csv(path, schema)
+
+
+def test_ingest_csv_header_only_has_no_data_rows(tmp_path):
+    path = write_csv(tmp_path, "x,who\n")
+    schema = CsvSchema(feature_cols=("x",), entity_col="who")
+    with pytest.raises(DatasetError, match="no data rows"):
+        ingest_csv(path, schema)
+
+
+def test_ingest_csv_text_columns_match_per_row_ngrams(tmp_path):
+    rows = [("acme corp", "12 main st"), ("acme co", ""), ("zz", "x"), ("", "")]
+    text = "name,street,who\n" + "".join(f"{a},{b},e{i}\n" for i, (a, b) in enumerate(rows))
+    path = write_csv(tmp_path, text)
+    schema = CsvSchema(text_cols=("name", "street"), entity_col="who", ngram=3)
+    d = ingest_csv(path, schema)
+    assert d.tokens == tuple(char_ngrams(f"{a} {b}", 3) for a, b in rows)
+    assert d.ids == (0, 1, 2, 3)
+
+
+def test_float_cells_round_trip_across_chunks(tmp_path):
+    values = np.random.default_rng(3).normal(1e5, 1e5, size=10_000)
+    values[:3] = [-0.0, 1e-300, np.nextafter(1e6, np.inf)]
+    path = tmp_path / "cols.csv"
+    write_csv_columns(str(path), ["i", "v"], [range(values.size), float_cells(values)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "i,v" and len(lines) == values.size + 1
+    assert lines[1:] == [f"{i},{v:.17g}" for i, v in enumerate(values)]
+    back = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert np.array_equal(back, values) and np.signbit(back[0])

@@ -4,6 +4,8 @@ Density oracle: scipy's normal pdf evaluated by hand-written mixture sums,
 independent of the model's own logsumexp path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -19,6 +21,7 @@ from entity_sampler.gmm import (
     estimate_probs_gmm,
     plan_gmm,
 )
+from entity_sampler.gmm import _sq_distances
 
 
 def two_component():
@@ -209,3 +212,27 @@ def test_model_json_round_trip(tmp_path):
     assert np.array_equal(back.weights, m.weights)
     assert np.array_equal(back.means, m.means)
     assert np.array_equal(back.variances, m.variances)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sq_distances_equal_the_broadcast_sum(d):
+    rng = np.random.default_rng(d)
+    x = rng.normal(1e6, 1e3, size=(500, d))
+    means = rng.normal(1e6, 1e3, size=(4, d))
+    expected = ((x[None, :, :] - means[:, None, :]) ** 2).sum(axis=2)
+    assert np.array_equal(_sq_distances(x, means), expected)
+
+
+def test_sq_distances_hold_no_k_n_d_temporary():
+    k, n, d = 4, 5000, 64
+    rng = np.random.default_rng(0)
+    x, means = rng.normal(size=(n, d)), rng.normal(size=(k, d))
+    tracemalloc.start()
+    try:
+        sq = _sq_distances(x, means)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sq.shape == (k, n)
+    # the result plus one (k, n) scratch array, far from k * n * d floats
+    assert peak < 2.5 * k * n * 8
