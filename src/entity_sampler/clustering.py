@@ -4,7 +4,9 @@ A point with no neighbour within ``mu_radius`` cannot be a duplicate of
 anything, so it is routed to the garbage set before clustering; the rest are
 split into k clusters minimizing the usual within-cluster squared distance.
 Tiny instances are solved exactly by enumerating assignments; larger ones use
-Lloyd iterations with k-means++ seeding and many restarts.
+Lloyd iterations with k-means++ seeding and many restarts.  The result is one
+label array: clusters are 0..k-1 and each garbage point has its own negative
+label, so "same cluster" is "same non-negative label".
 """
 
 from __future__ import annotations
@@ -65,40 +67,38 @@ class ClusteringError(ValueError):
 
 @dataclass(frozen=True)
 class Clustering:
-    """Clusters plus garbage over point indices 0..n-1 of one instance.
+    """One partition of the points 0..n-1 of an instance, as a label array.
 
-    Garbage members behave as singleton clusters: the pair relation is
-    "same non-garbage cluster", and ``labels`` gives garbage points unique
-    negative ids so relabeling-invariant comparisons stay simple.
+    ``labels[i]`` is point i's cluster in 0..k-1, and no cluster is empty.
+    A garbage point carries its own negative label: the g garbage points
+    hold -1, -2, ..., -g, in index order when built by
+    ``regularized_kmeans``.  Garbage points behave as singleton clusters, so
+    two points are in the same cluster when they share a non-negative
+    label.  ``k`` is the number of clusters.
     """
 
-    clusters: tuple[np.ndarray, ...]
-    garbage: np.ndarray
-    n: int
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        nonempty = [p for p in (*self.clusters, self.garbage) if p.size]
-        allidx = np.concatenate(nonempty) if nonempty else np.empty(0, dtype=np.int64)
-        if allidx.size != self.n or np.unique(allidx).size != self.n:
-            raise ClusteringError("clusters plus garbage must partition the points")
-        if any(c.size == 0 for c in self.clusters):
-            raise ClusteringError("empty cluster")
+        lab = np.asarray(self.labels, dtype=np.int64)
+        if lab.ndim != 1:
+            raise ClusteringError("labels must be a one-dimensional array")
+        n_garbage = int(np.count_nonzero(lab < 0))
+        k = int(lab.max(initial=-1)) + 1
+        bad = "labels must be clusters 0..k-1 and garbage -1..-g, none empty"
+        if k + n_garbage > lab.size or lab.min(initial=0) < -n_garbage:
+            raise ClusteringError(bad)
+        # slot of each label among the k + g groups: clusters, then garbage
+        seen = np.zeros(k + n_garbage, dtype=bool)
+        seen[np.where(lab >= 0, lab, k - 1 - lab)] = True
+        if not seen.all():
+            raise ClusteringError(bad)
+        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "k", k)
 
     @property
-    def k(self) -> int:
-        return len(self.clusters)
-
-    @property
-    def labels(self) -> np.ndarray:
-        lab = np.empty(self.n, dtype=np.int64)
-        for ci, members in enumerate(self.clusters):
-            lab[members] = ci
-        lab[self.garbage] = -np.arange(1, self.garbage.size + 1)
-        return lab
-
-    def same_cluster(self, i: int, j: int) -> bool:
-        lab = self.labels
-        return bool(lab[i] == lab[j] and lab[i] >= 0) or i == j
+    def n(self) -> int:
+        return self.labels.size
 
 
 def kmeans_cost(points: np.ndarray, labels: np.ndarray) -> float:
@@ -142,9 +142,9 @@ def brute_force_kmeans(points: np.ndarray, k: int) -> np.ndarray:
     onehot = np.eye(k)[assign]                       # (P, n, k)
     counts = onehot.sum(axis=1)                      # (P, k)
     sums = np.einsum("pnk,nd->pkd", onehot, points)  # (P, k, d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = (sums**2).sum(axis=2) / counts
-    sq = np.nan_to_num(sq)
+    # an empty slot has zero sums and adds nothing to the cost
+    sq = np.divide((sums**2).sum(axis=2), counts,
+                   out=np.zeros_like(counts), where=counts > 0)
     total = float((points**2).sum())
     costs = total - sq.sum(axis=1)
     return assign[int(np.argmin(costs))]
@@ -225,26 +225,27 @@ def regularized_kmeans(
         has_neighbour = neighbour_mask(points, mu_radius)
     elif np.asarray(has_neighbour).dtype != bool or np.shape(has_neighbour) != (n,):
         raise ClusteringError(f"has_neighbour must be a bool array of length {n}")
-    if n == 0:
-        return Clustering(clusters=(), garbage=np.empty(0, dtype=np.int64), n=0)
+    labels = np.empty(n, dtype=np.int64)
     keep = np.flatnonzero(has_neighbour)
-    garbage = np.flatnonzero(~has_neighbour)
+    labels[~has_neighbour] = -np.arange(1, n - keep.size + 1)
     if keep.size == 0:
-        if k != 0:
+        if n and k != 0:
             raise ClusteringError(
                 f"k={k} requested but the prefilter left no points to cluster"
             )
-        return Clustering(clusters=(), garbage=garbage, n=n)
+        return Clustering(labels)
     if k < 1:
         raise ClusteringError("k must be >= 1 when clusterable points remain")
     if k > keep.size:
         raise ClusteringError(f"k={k} exceeds remaining point count {keep.size}")
     sub = points[keep]
     if keep.size <= brute_force_cap:
-        labels = brute_force_kmeans(sub, k)
+        # restricted growth strings: already labelled 0..k'-1
+        labels[keep] = brute_force_kmeans(sub, k)
     else:
-        labels = lloyd_kmeans(sub, k, seed=seed, restarts=restarts)
-    clusters = tuple(
-        keep[labels == lab] for lab in range(labels.max() + 1) if (labels == lab).any()
-    )
-    return Clustering(clusters=clusters, garbage=garbage, n=n)
+        sub_labels = lloyd_kmeans(sub, k, seed=seed, restarts=restarts)
+        # renumber the labels in use to 0..k'-1, keeping their order
+        used = np.zeros(k, dtype=bool)
+        used[sub_labels] = True
+        labels[keep] = (np.cumsum(used) - 1)[sub_labels]
+    return Clustering(labels)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import _kmeanspp_init
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
 
@@ -188,16 +189,10 @@ class EmResult:
 def _init_params(
     x: np.ndarray, k: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Farthest-point style means on a subsample, uniform weights, pooled var."""
+    """k-means++ means on a subsample, uniform weights, pooled variance."""
     n, d = x.shape
     sub = x[rng.choice(n, size=min(n, 2048), replace=False)]
-    means = np.empty((k, d))
-    means[0] = sub[rng.integers(len(sub))]
-    d2 = ((sub - means[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        probs = d2 / d2.sum() if d2.sum() > 0 else np.full(len(sub), 1.0 / len(sub))
-        means[j] = sub[rng.choice(len(sub), p=probs)]
-        d2 = np.minimum(d2, ((sub - means[j]) ** 2).sum(axis=1))
+    means = _kmeanspp_init(sub, k, rng)
     weights = np.full(k, 1.0 / k)
     pooled = ((x - x.mean(axis=0)) ** 2).sum() / (n * d)
     variances = np.full(k, max(pooled, 1e-12))

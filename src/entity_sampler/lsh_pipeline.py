@@ -143,12 +143,10 @@ def estimate_probs_lsh(
                 report = replace(report, queries=len(answers))
             winner = candidates[report.winner]
             reports.append((block_id, report))
-        for members in winner.clusters:
-            group_ids[block[members]] = next_group
-            next_group += 1
-        for idx in winner.garbage:
-            group_ids[block[idx]] = next_group
-            next_group += 1
+        # groups in label order: clusters 0..k-1, then garbage -1, -2, ...
+        lab = winner.labels
+        group_ids[block] = next_group + np.where(lab >= 0, lab, winner.k - 1 - lab)
+        next_group += winner.k + int(np.count_nonzero(lab < 0))
     sizes = np.bincount(group_ids, minlength=next_group)
     phat = sizes[group_ids] / data.n
     pmap = ProbabilityMap(dense=phat)

@@ -149,13 +149,16 @@ def _acceptance_ratios(data: Dataset, pmap: ProbabilityMap) -> np.ndarray:
     return ratios
 
 
+# uniform draws made per step of sample_clean; the draws depend on it
+_TRIAL_CHUNK = 1 << 16
+
+
 def sample_clean(
     data: Dataset,
     pmap: ProbabilityMap,
     p: int,
     seed: int,
     max_trials_factor: int = 10_000,
-    chunk: int = 1 << 16,
 ) -> SampleResult:
     """Draw ``p`` records (with replacement) via rejection.
 
@@ -177,7 +180,7 @@ def sample_clean(
             raise SampleBudgetError(
                 f"{trials} trials produced {n_acc} accepts; requested {p}"
             )
-        take = min(chunk, max_trials - trials)
+        take = min(_TRIAL_CHUNK, max_trials - trials)
         idx = rng.integers(0, data.n, size=take)
         u = rng.random(take)
         hits = idx[u < ratios[idx]]

@@ -72,7 +72,7 @@ def test_planted_two_cluster_recovery():
     for seed in range(5):
         data = planted_clusters(2, 50, separation=4.0, dim=2, seed=seed)
         cl = regularized_kmeans(data.features, 2, mu_radius=1.0, seed=seed)
-        assert cl.garbage.size == 0 and cl.k == 2
+        assert (cl.labels >= 0).all() and cl.k == 2
         got = cl.labels
         truth = data.entity_codes
         assert (got == truth).all() or (got == 1 - truth).all()
@@ -81,8 +81,9 @@ def test_planted_two_cluster_recovery():
 def test_singletons_routed_to_garbage():
     data = planted_clusters(2, 20, separation=4.0, dim=2, seed=3, n_singletons=3)
     cl = regularized_kmeans(data.features, 2, mu_radius=1.0, seed=0)
-    assert cl.garbage.size == 3
-    assert set(cl.garbage.tolist()) == {40, 41, 42}
+    garbage = np.flatnonzero(cl.labels < 0)
+    assert garbage.size == 3
+    assert set(garbage.tolist()) == {40, 41, 42}
 
 
 def test_neighbour_mask_hand_case():
@@ -173,7 +174,7 @@ def test_prefilter_postcondition():
             cl = regularized_kmeans(pts, 1, mu_radius=1.0, seed=t)
         d2 = ((pts[:, None] - pts[None]) ** 2).sum(-1)
         np.fill_diagonal(d2, np.inf)
-        for g in cl.garbage:
+        for g in np.flatnonzero(cl.labels < 0):
             assert d2[g].min() > 1.0
 
 
@@ -183,9 +184,9 @@ def test_garbage_labels_are_unique_negatives():
     lab = cl.labels
     assert lab[0] == lab[1] == 0
     assert lab[2] < 0 and lab[3] < 0 and lab[2] != lab[3]
-    assert cl.same_cluster(0, 1)
-    assert not cl.same_cluster(2, 3)
-    assert not cl.same_cluster(0, 2)
+    assert lab[0] == lab[1] >= 0
+    assert not lab[2] == lab[3] >= 0
+    assert not lab[0] == lab[2] >= 0
 
 
 def test_infeasible_requests_raise():
@@ -206,12 +207,19 @@ def test_empty_instance():
 
 def test_clustering_partition_validation():
     with pytest.raises(ClusteringError):
-        Clustering(
-            clusters=(np.array([0, 1]),), garbage=np.array([1]), n=2
-        )  # overlap
+        Clustering(np.array([0, 2]))  # skipped label: cluster 1 is empty
     with pytest.raises(ClusteringError):
-        Clustering(clusters=(np.array([0]), np.empty(0, dtype=np.int64)),
-                   garbage=np.empty(0, dtype=np.int64), n=1)  # empty cluster
+        Clustering(np.array([-1, -1]))  # repeated garbage label
+    with pytest.raises(ClusteringError):
+        Clustering(np.array([1]))  # empty cluster 0
+    with pytest.raises(ClusteringError):
+        Clustering(np.array([0, -2]))  # garbage label past -g
+    with pytest.raises(ClusteringError):
+        Clustering(np.array([0, 10**15]))  # refused before sizing k
+    with pytest.raises(ClusteringError):
+        Clustering(np.zeros((2, 2), dtype=np.int64))
+    cl = Clustering(np.array([0, -1, 1, -2, 0]))
+    assert (cl.k, cl.n) == (2, 5)
 
 
 @settings(deadline=None, max_examples=25)

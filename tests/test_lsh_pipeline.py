@@ -62,6 +62,24 @@ def test_planted_three_blocks_recover_exact_probabilities():
     assert tv_distance(induced, uniform_distribution(induced.support)) <= 1e-12
 
 
+def test_group_numbering_runs_on_across_blocks():
+    # blocks: {0}, {1..7}, {8}; in the middle block points 1, 4 and 3, 6
+    # form two clusters and 2, 5, 7 are isolated garbage between them
+    xs = [0.0, 0.0, 50.0, 10.0, 0.1, 80.0, 10.1, 30.0, 200.0]
+    feats = np.array(xs)[:, None]
+    entities = [0, 1, 2, 3, 1, 4, 3, 5, 6]
+    data = Dataset(ids=tuple(range(9)), features=feats, entity_labels=entities)
+    blocking = blocking_of([(0, 1), (1, 8), (8, 9)], 9)
+    est = estimate_probs_lsh(
+        data, blocking, k_range=(2, 2), budget=100,
+        oracle=SameClusterOracle(entities), seed=0,
+    )
+    # block 0: group 0; block 1: clusters 1, 2 in label order, then garbage
+    # 3, 4, 5 in index order; block 2: group 6
+    assert est.group_ids.tolist() == [0, 1, 3, 2, 1, 4, 2, 5, 6]
+    assert est.group_sizes.tolist() == [1, 2, 2, 1, 1, 1, 1]
+
+
 def test_group_sizes_partition_the_records():
     data = duplicate_text_corpus(60, 0.4, seed=3)
     blocking = lsh_partition(data, LshConfig.plan(0.2, 0.1), seed=4)

@@ -22,15 +22,12 @@ from entity_sampler.ssc import (
     ssc_select,
 )
 
-EMPTY = np.empty(0, dtype=np.int64)
-
 
 def clustering(*groups, n):
-    return Clustering(
-        clusters=tuple(np.array(g, dtype=np.int64) for g in groups),
-        garbage=EMPTY,
-        n=n,
-    )
+    labels = np.full(n, -1, dtype=np.int64)
+    for label, members in enumerate(groups):
+        labels[members] = label
+    return Clustering(labels)
 
 
 def six_point_instance():
@@ -83,9 +80,7 @@ def test_truth_wins_exhaustively_on_random_instances():
         n = int(rng.integers(4, 9))
         labels = rng.integers(0, 3, size=n).tolist()
         groups = [np.flatnonzero(np.array(labels) == g) for g in set(labels)]
-        truth = Clustering(
-            clusters=tuple(g for g in groups if g.size), garbage=EMPTY, n=n
-        )
+        truth = clustering(*groups, n=n)
         merged = clustering(list(range(n)), n=n)
         cands = [merged, truth] if truth.k > 1 else [truth, merged]
         pos, neg = all_pairs(labels)
@@ -175,7 +170,7 @@ def test_select_recovers_truth_on_balanced_instances(seed):
     labels = np.repeat([0, 1], 5)
     rng.shuffle(labels)
     groups = [np.flatnonzero(labels == g) for g in (0, 1)]
-    truth = Clustering(clusters=tuple(groups), garbage=EMPTY, n=10)
+    truth = clustering(*groups, n=10)
     merged = clustering(list(range(10)), n=10)
     rep = ssc_select(
         [merged, truth], n_points=10, oracle=SameClusterOracle(labels.tolist()),
@@ -235,7 +230,7 @@ def scalar_select(labels, m_pairs, seed, nu=1.0, gamma_probe=100):
 def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
     n = len(labels)
     cands = [clustering(list(range(n)), n=n),
-             Clustering(clusters=(), garbage=np.arange(n), n=n)]
+             Clustering(-np.arange(1, n + 1))]
     for seed in range(12):
         asked, pos, neg, cap, gamma_hat, hit_cap = scalar_select(labels, m_pairs, seed)
         oracle = RecordingOracle(labels)
