@@ -90,7 +90,7 @@ class LshConfig:
         return self.rows * self.bands
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Blocking:
     """Partition of record indices into disjoint blocks covering the dataset."""
 

@@ -65,7 +65,7 @@ class ClusteringError(ValueError):
     """Infeasible clustering request (e.g. more clusters than points)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clustering:
     """One partition of the points 0..n-1 of an instance, as a label array.
 

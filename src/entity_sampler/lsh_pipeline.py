@@ -4,9 +4,11 @@ Pipeline: block the records with locality-sensitive hashing, cluster every
 block into duplicate groups (regularized k-means over a small range of k,
 the winner chosen by sampled same-cluster selection against the oracle),
 then union the per-block clusterings.  Garbage points become singleton
-clusters.  The estimate of a record's probability is the size of its
-duplicate cluster over the dataset size, so the induced sampler weights
-every cluster, i.e. every entity, equally.
+clusters.  A two-record block has only "merge" and "split" to choose from,
+so it is settled by one radius test and at most one oracle question, all
+pair blocks at once in array form.  The estimate of a record's probability
+is the size of its duplicate cluster over the dataset size, so the induced
+sampler weights every cluster, i.e. every entity, equally.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .blocking import Blocking
 from .clustering import ClusteringError, neighbour_mask, regularized_kmeans
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
-from .ssc import OracleBudgetError, all_pairs, rank_candidates, ssc_select
+from .ssc import OracleBudgetError, SscReport, all_pairs, rank_candidates, ssc_select
 
 __all__ = ["LshEstimate", "estimate_probs_lsh"]
 
@@ -51,7 +53,7 @@ def _memo_oracle(
     return ask, answers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LshEstimate:
     """Probability map plus the assembled duplicate-group assignment."""
 
@@ -80,6 +82,13 @@ def estimate_probs_lsh(
     it at most once and the answer reused.  A block whose C(b, 2) pairs all
     fit in its per-side budget is scored exhaustively on exact losses;
     larger blocks are scored by sampled selection (``ssc_select``).
+
+    A two-record block is settled by one radius test and at most one
+    oracle question, with the result and report that clustering it at k = 1
+    and k = 2 would give: two points beyond ``mu_radius`` are two garbage
+    groups, a single clamped candidate is taken unasked, and otherwise the
+    pair merges on "same" and splits on "different".  Questions reach the
+    oracle in block order.
     """
     if data.features is None:
         raise DatasetError("clustering requires vector records")
@@ -93,13 +102,40 @@ def estimate_probs_lsh(
     if not mu_radius >= 0:
         raise ClusteringError(f"mu_radius must be non-negative, got {mu_radius}")
     block_budget = max(1, budget // blocking.q)
-    group_ids = np.full(data.n, -1, dtype=np.int64)
-    next_group = 0
+    blocks = blocking.blocks
+    block_sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=blocking.q)
+    members = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    starts = np.cumsum(block_sizes) - block_sizes
+    # group count of each block and each record's group within its block,
+    # in `members` order: a singleton is one group, an empty block none
+    n_groups = np.minimum(block_sizes, 1)
+    local = np.zeros(data.n, dtype=np.int64)
+    # a pair block is settled by one radius test and at most one question
+    pairs = np.flatnonzero(block_sizes == 2)
+    first = members[starts[pairs]]
+    second = members[starts[pairs] + 1]
+    near, can_split = _pair_geometry(data.features[first], data.features[second],
+                                     mu_radius)
+    # the clamped candidates: k = 1 merges, brute-force k = 2 may split
+    pair_ks = {min(max(k, 1), 2) for k in (k_lo, k_hi)}
+    # a pair out of radius is two garbage groups; the asked ones are
+    # settled in the loop below
+    n_groups[pairs] = np.where(near, 1 + (can_split & (pair_ks == {2})), 2)
+    asked = np.zeros(blocking.q, dtype=bool)
+    if len(pair_ks) == 2:
+        asked[pairs[near]] = True
+    splits = np.zeros(blocking.q, dtype=bool)
+    splits[pairs] = can_split
     reports = []
-    for block_id, block in enumerate(blocking.blocks):
-        if block.size == 1:
-            group_ids[block[0]] = next_group
-            next_group += 1
+    # asked pairs and larger blocks in block order, so the oracle gets its
+    # questions in the order of the blocks
+    for block_id in np.flatnonzero(asked | (block_sizes > 2)).tolist():
+        block = blocks[block_id]
+        if asked[block_id]:
+            same = bool(oracle(int(block[0]), int(block[1])))
+            split = bool(splits[block_id])
+            n_groups[block_id] = 1 + (split and not same)
+            reports.append((block_id, _pair_report(same, split)))
             continue
         points = data.features[block]
         child_seeds = _block_seed(seed, block_id).generate_state(2)
@@ -145,11 +181,48 @@ def estimate_probs_lsh(
             reports.append((block_id, report))
         # groups in label order: clusters 0..k-1, then garbage -1, -2, ...
         lab = winner.labels
-        group_ids[block] = next_group + np.where(lab >= 0, lab, winner.k - 1 - lab)
-        next_group += winner.k + int(np.count_nonzero(lab < 0))
-    sizes = np.bincount(group_ids, minlength=next_group)
+        start = starts[block_id]
+        local[start:start + block.size] = np.where(lab >= 0, lab, winner.k - 1 - lab)
+        n_groups[block_id] = winner.k + int(np.count_nonzero(lab < 0))
+    # a pair's second record has a group of its own unless the pair merged
+    local[starts[pairs] + 1] = n_groups[pairs] - 1
+    offsets = np.cumsum(n_groups) - n_groups
+    group_ids = np.empty(data.n, dtype=np.int64)
+    group_ids[members] = np.repeat(offsets, block_sizes) + local
+    sizes = np.bincount(group_ids, minlength=int(n_groups.sum()))
     phat = sizes[group_ids] / data.n
     pmap = ProbabilityMap(dense=phat)
     return LshEstimate(
         pmap=pmap, group_ids=group_ids, group_sizes=sizes, reports=tuple(reports)
+    )
+
+
+def _pair_geometry(
+    p0: np.ndarray, p1: np.ndarray, mu_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of two (P, d) arrays: is the pair within ``mu_radius``, and
+    does brute-force k = 2 split it?
+
+    Both are the floats ``neighbour_mask`` and ``brute_force_kmeans``
+    compute for two points.  Brute force costs a labelling as the flat sum
+    of squares less each cluster's squared sum over its count, and keeps
+    the merge when the two costs tie, which happens for distinct points
+    too once the expansion cancels.
+    """
+    near = ((p0 - p1) ** 2).sum(axis=1) <= mu_radius**2
+    total = (np.hstack((p0, p1)) ** 2).sum(axis=1)
+    split_cost = total - ((p0**2).sum(axis=1) + (p1**2).sum(axis=1))
+    merge_cost = total - ((p0 + p1) ** 2).sum(axis=1) / 2
+    return near, split_cost < merge_cost
+
+
+def _pair_report(same: bool, split: bool) -> SscReport:
+    """What ``rank_candidates`` reports for "merge" against brute-force
+    k = 2 on a pair's one answer; a k = 2 that merges ties with k = 1."""
+    merge_loss = 0.0 if same else 0.5
+    split_loss = (0.5 if same else 0.0) if split else merge_loss
+    return SscReport(
+        winner=int(split and not same), losses=(merge_loss, split_loss),
+        queries=1, query_cap=1, gamma_hat=0.0 if same else 1.0,
+        n_pos=int(same), n_neg=int(not same),
     )

@@ -8,11 +8,11 @@ import pytest
 
 from entity_sampler import clustering, lsh_pipeline
 from entity_sampler.blocking import Blocking, LshConfig, lsh_partition
-from entity_sampler.clustering import ClusteringError
+from entity_sampler.clustering import Clustering, ClusteringError
 from entity_sampler.dataset import Dataset, DatasetError, tv_distance, uniform_distribution
 from entity_sampler.lsh_pipeline import estimate_probs_lsh
 from entity_sampler.rejection import exact_induced_distribution
-from entity_sampler.ssc import SameClusterOracle, SscReport
+from entity_sampler.ssc import SameClusterOracle, SscReport, rank_candidates
 from entity_sampler.synth import duplicate_text_corpus, planted_clusters
 
 
@@ -181,13 +181,16 @@ def test_validation_errors():
 
 
 class PairRecordingOracle(SameClusterOracle):
-    """Label oracle that also keeps every unordered pair it was asked."""
+    """Label oracle that also keeps the pairs it was asked: in order, and
+    as a set of unordered pairs."""
 
     def __init__(self, labels):
         super().__init__(labels)
+        self.asked = []
         self.pairs = set()
 
     def __call__(self, i, j):
+        self.asked.append((i, j))
         self.pairs.add((min(i, j), max(i, j)))
         return super().__call__(i, j)
 
@@ -317,3 +320,125 @@ def test_traced_estimate_records_every_layer_it_calls():
     assert tracer.calls["ssc.select"] == 1  # the larger block only
     assert tracer.calls["clustering.kmeans"] >= 1
     assert tracer.calls["clustering.neighbour_mask"] >= 1
+
+
+def pair_block_data():
+    """Two-record blocks, each pair twice: once one entity, once two.
+
+    Identical points, near duplicates and pairs beyond a unit radius sit at
+    magnitudes 1, 1e6 and 1e9, plus random pairs at separations from
+    1e-12 to 10 times their magnitude.
+    """
+    rng = np.random.default_rng(11)
+    firsts, gaps = [], []
+    for scale in (1.0, 1e6, 1e9):
+        for gap in (0.0, 1e-12 * scale, 1e-3, 0.3, 5.0):
+            firsts.append(scale * rng.standard_normal(3))
+            gaps.append(gap * np.array([1.0, 0.0, 0.0]))
+    for _ in range(60):
+        scale = 10.0 ** rng.uniform(0, 9)
+        firsts.append(scale * rng.standard_normal(3))
+        gaps.append(scale * 10.0 ** rng.uniform(-12, 1) * rng.standard_normal(3))
+    feats, labels = [], []
+    for p, gap in zip(firsts, gaps):
+        for same in (True, False):
+            feats += [p, p + gap]
+            labels += [len(labels)] * 2 if same else [len(labels), len(labels) + 1]
+    n = len(labels)
+    data = Dataset(ids=tuple(range(n)), features=np.array(feats), entity_labels=labels)
+    return data, blocking_of([(i, i + 2) for i in range(0, n, 2)], n)
+
+
+def clustered_pairs(data, blocking, k_range, mu_radius):
+    """Group ids and reports from clustering each pair block at every
+    clamped k and ranking the candidates on the pair's one answer."""
+    group_ids = np.empty(data.n, dtype=np.int64)
+    next_group, reports = 0, []
+    for block_id, block in enumerate(blocking.blocks):
+        points = data.features[block]
+        remaining = int(clustering.neighbour_mask(points, mu_radius).sum())
+        ks = sorted({min(max(k, 1), remaining) for k in range(k_range[0], k_range[1] + 1)}
+                    if remaining else {0})
+        candidates = [clustering.regularized_kmeans(points, k, mu_radius) for k in ks]
+        winner = candidates[0]
+        if len(candidates) > 1:
+            same = data.entity_codes[block[0]] == data.entity_codes[block[1]]
+            pos, neg = ([(0, 1)], []) if same else ([], [(0, 1)])
+            report = rank_candidates(candidates, pos, neg, query_cap=1,
+                                     gamma_hat=float(len(neg)), queries=1)
+            winner = candidates[report.winner]
+            reports.append((block_id, report))
+        lab = winner.labels
+        group_ids[block] = next_group + np.where(lab >= 0, lab, winner.k - 1 - lab)
+        next_group += winner.k + int(np.count_nonzero(lab < 0))
+    return group_ids, tuple(reports)
+
+
+def test_pair_data_holds_distinct_points_that_brute_force_merges():
+    data, blocking = pair_block_data()
+    merged_apart = [
+        block for block in blocking.blocks
+        if (data.features[block[0]] != data.features[block[1]]).any()
+        and clustering.brute_force_kmeans(data.features[block], 2).tolist() == [0, 0]
+    ]
+    assert len(merged_apart) >= 10
+
+
+@pytest.mark.parametrize("mu_radius", [0.0, 1.0])
+@pytest.mark.parametrize("k_range", [(0, 1), (1, 1), (1, 2), (2, 4), (1, 4)])
+def test_pair_blocks_match_clustering_every_candidate(k_range, mu_radius):
+    data, blocking = pair_block_data()
+    oracle = SameClusterOracle(tuple(data.entity_codes))
+    est = estimate_probs_lsh(data, blocking, k_range, budget=blocking.q,
+                             oracle=oracle, seed=0, mu_radius=mu_radius)
+    group_ids, reports = clustered_pairs(data, blocking, k_range, mu_radius)
+    assert np.array_equal(est.group_ids, group_ids)
+    sizes = np.bincount(group_ids)
+    assert np.array_equal(est.group_sizes, sizes)
+    assert np.array_equal(est.pmap.dense, sizes[group_ids] / data.n)
+    assert repr(est.reports) == repr(reports)
+    assert oracle.queries == len(reports)
+    if k_range in ((1, 2), (1, 4)):  # both answers reach a report
+        assert {rep.n_pos for _, rep in reports} == {0, 1}
+    else:
+        assert reports == ()
+
+
+def test_oracle_questions_follow_block_order():
+    # blocks, each about its own centre and with interleaved members: a
+    # pair, three records, a pair beyond the radius, a singleton, a pair
+    # and four records; the four go through sampled selection
+    blocks = ([4, 11], [0, 7, 13], [2, 9], [5], [1, 12], [3, 6, 8, 10])
+    offsets = ([0.0, 0.3], [0.0, 0.3, 0.6], [0.0, 5.0], [0.0], [0.0, 0.4],
+               [0.0, 0.3, 0.6, 0.9])
+    labels = ["a", "f", "g", "h", "a", "i", "h", "f", "j", "g", "j", "a", "k", "f"]
+    feats = np.zeros((14, 2))
+    for b, (block, offs) in enumerate(zip(blocks, offsets)):
+        feats[block, 0] = 100.0 * b + np.array(offs)
+    data = Dataset(ids=tuple(range(14)), features=feats, entity_labels=labels)
+    blocking = Blocking(blocks=tuple(np.array(b) for b in blocks), n=14)
+    oracle = PairRecordingOracle(labels)
+    est = estimate_probs_lsh(data, blocking, (1, 4), budget=18, oracle=oracle,
+                             seed=3)
+    assert oracle.asked == [
+        (4, 11),
+        (0, 7), (0, 13), (7, 13),
+        (1, 12),
+        (10, 8), (10, 3), (8, 6), (3, 6),
+    ]
+    assert [bid for bid, _ in est.reports] == [0, 1, 4, 5]
+    assert (2, 9) not in oracle.asked
+    assert est.group_ids.tolist() == [1, 5, 2, 7, 0, 4, 7, 1, 8, 3, 8, 0, 6, 1]
+
+
+def test_result_types_compare_by_identity_and_hash():
+    data, blocking = pair_block_data()
+    twin_blocking = Blocking(blocks=tuple(b.copy() for b in blocking.blocks), n=data.n)
+    oracle = SameClusterOracle(tuple(data.entity_codes))
+    est, twin_est = (estimate_probs_lsh(data, b, (1, 2), data.n, oracle, seed=0)
+                     for b in (blocking, twin_blocking))
+    labels = np.array([0, 0, -1])
+    part, twin_part = Clustering(labels), Clustering(labels.copy())
+    for one, twin in ((part, twin_part), (blocking, twin_blocking), (est, twin_est)):
+        assert one == one and one != twin
+        assert len({one, twin}) == 2
