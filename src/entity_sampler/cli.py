@@ -168,16 +168,14 @@ def _cmd_estimate(args) -> int:
         )
         pmap = est.pmap
         if args.blocking_report:
-            sizes = [len(b) for b in blocking.blocks]
-            hist: dict[int, int] = {}
-            for s in sizes:
-                hist[s] = hist.get(s, 0) + 1
+            sizes, counts = np.unique([len(b) for b in blocking.blocks],
+                                      return_counts=True)
             with open(args.blocking_report, "w", encoding="utf-8") as fh:
                 json.dump(
-                    {"q": blocking.q, "n_blocks": len(sizes),
+                    {"q": blocking.q, "n_blocks": len(blocking.blocks),
                      "rows": cfg.rows, "bands": cfg.bands,
-                     "block_size_histogram": {
-                         str(k): hist[k] for k in sorted(hist)},
+                     "block_size_histogram": dict(
+                         zip(map(str, sizes.tolist()), counts.tolist())),
                      "oracle_queries": oracle.queries},
                     fh, indent=2,
                 )

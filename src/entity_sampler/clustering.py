@@ -139,6 +139,8 @@ def brute_force_kmeans(points: np.ndarray, k: int) -> np.ndarray:
     if n == 0 or k < 1:
         raise ClusteringError("brute force needs points and k >= 1")
     assign = _assignments(n, k)
+    # centred, so the expansion below does not cancel far from the origin
+    points = points - points.mean(axis=0)
     onehot = np.eye(k)[assign]                       # (P, n, k)
     counts = onehot.sum(axis=1)                      # (P, k)
     sums = np.einsum("pnk,nd->pkd", onehot, points)  # (P, k, d)

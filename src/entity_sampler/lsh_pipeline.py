@@ -13,7 +13,7 @@ sampler weights every cluster, i.e. every entity, equally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,7 +22,7 @@ from .blocking import Blocking
 from .clustering import ClusteringError, neighbour_mask, regularized_kmeans
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
-from .ssc import OracleBudgetError, SscReport, all_pairs, rank_candidates, ssc_select
+from .ssc import SscReport, ssc_select
 
 __all__ = ["LshEstimate", "estimate_probs_lsh"]
 
@@ -30,27 +30,6 @@ __all__ = ["LshEstimate", "estimate_probs_lsh"]
 def _block_seed(seed: int, block_id: int) -> np.random.SeedSequence:
     """Deterministic per-block randomness derived from the global seed."""
     return np.random.SeedSequence(entropy=(seed, block_id))
-
-
-def _memo_oracle(
-    oracle: Callable[[int, int], bool], block: np.ndarray
-) -> tuple[Callable[[int, int], bool], dict[int, bool]]:
-    """Block-local oracle that passes each unordered pair to ``oracle`` once.
-
-    Answers are kept under the integer key ``i * b + j`` (i < j, b the block
-    size) and returned with the oracle, so a caller can count the positives.
-    """
-    b = block.size
-    answers: dict[int, bool] = {}
-
-    def ask(i: int, j: int) -> bool:
-        key = i * b + j if i < j else j * b + i
-        same = answers.get(key)
-        if same is None:
-            same = answers[key] = bool(oracle(int(block[i]), int(block[j])))
-        return same
-
-    return ask, answers
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,10 +57,10 @@ def estimate_probs_lsh(
     ``k_range`` bounds the duplicate-group count tried per block; the range
     is clamped to what the block can support after its garbage points are
     removed.  ``oracle`` answers same-cluster queries on global record
-    indices and must answer consistently: each unordered pair is passed to
-    it at most once and the answer reused.  A block whose C(b, 2) pairs all
-    fit in its per-side budget is scored exhaustively on exact losses;
-    larger blocks are scored by sampled selection (``ssc_select``).
+    indices and must answer consistently.  A block of 3 or more records
+    with several candidates makes one ``ssc_select`` call, which asks each
+    unordered pair at most once: exhaustively when the block's C(b, 2)
+    pairs fit in its per-side budget, by sampled selection otherwise.
 
     A two-record block is settled by one radius test and at most one
     oracle question, with the result and report that clustering it at k = 1
@@ -155,28 +134,10 @@ def estimate_probs_lsh(
         if len(candidates) == 1:
             winner = candidates[0]
         else:
-            ask, answers = _memo_oracle(oracle, block)
-            n_pairs = block.size * (block.size - 1) // 2
-            if n_pairs <= block_budget:
-                pos, neg = all_pairs(ask, block.size)
-                report = rank_candidates(
-                    candidates, pos, neg, query_cap=n_pairs,
-                    gamma_hat=len(neg) / n_pairs, queries=n_pairs,
-                )
-            else:
-                try:
-                    report = ssc_select(candidates, block.size, ask,
-                                        m_pairs=block_budget, seed=int(child_seeds[1]))
-                except OracleBudgetError as exc:
-                    # a block whose pairs lie (almost) all on one side runs
-                    # out the cap; rank on the pairs it did collect
-                    report = rank_candidates(
-                        candidates, exc.pos_pairs, exc.neg_pairs,
-                        query_cap=exc.query_cap, gamma_hat=exc.gamma_hat,
-                        queries=exc.queries,
-                    )
-                # the selector's draws include memo hits; report oracle calls
-                report = replace(report, queries=len(answers))
+            ids = block.tolist()
+            report = ssc_select(candidates, block.size,
+                                lambda i, j: oracle(ids[i], ids[j]),
+                                m_pairs=block_budget, seed=int(child_seeds[1]))
             winner = candidates[report.winner]
             reports.append((block_id, report))
         # groups in label order: clusters 0..k-1, then garbage -1, -2, ...
@@ -204,12 +165,13 @@ def _pair_geometry(
     does brute-force k = 2 split it?
 
     Both are the floats ``neighbour_mask`` and ``brute_force_kmeans``
-    compute for two points.  Brute force costs a labelling as the flat sum
-    of squares less each cluster's squared sum over its count, and keeps
-    the merge when the two costs tie, which happens for distinct points
-    too once the expansion cancels.
+    compute for two points.  Brute force centres the points, costs a
+    labelling as the flat sum of squares less each cluster's squared sum
+    over its count, and keeps the merge when the two costs tie.
     """
     near = ((p0 - p1) ** 2).sum(axis=1) <= mu_radius**2
+    centre = (p0 + p1) / 2
+    p0, p1 = p0 - centre, p1 - centre
     total = (np.hstack((p0, p1)) ** 2).sum(axis=1)
     split_cost = total - ((p0**2).sum(axis=1) + (p1**2).sum(axis=1))
     merge_cost = total - ((p0 + p1) ** 2).sum(axis=1) / 2

@@ -5,9 +5,12 @@ loss  L(C) = mu * P+[C splits the pair] + (1 - mu) * P-[C joins the pair],
 where P+/P- are uniform over the target's positive and negative pairs.  The
 selector estimates both terms by sampling pairs, routing each through the
 oracle until both sides hold enough, and returns the empirical minimizer
-(ties favour fewer clusters).  A planner sizes the per-side budget and a
-query cap aborts runs whose oracle cost exceeds its expectation by more
-than the allowed factor.
+(ties favour fewer clusters).  The oracle hears each unordered pair at most
+once; an instance whose pairs fit in the budget, or whose every pair has
+been answered, is ranked on exact losses.  A planner sizes the per-side
+budget, and a query cap stops draws whose count exceeds its expectation by
+more than the allowed factor; the candidates are then ranked on the pairs
+drawn so far.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 from .clustering import Clustering
 
 __all__ = [
-    "OracleBudgetError",
     "SscReport",
     "SameClusterOracle",
     "all_pairs",
@@ -32,30 +34,6 @@ __all__ = [
     "rank_candidates",
     "ssc_select",
 ]
-
-
-class OracleBudgetError(RuntimeError):
-    """Oracle query cap exhausted before both pair sides filled.
-
-    Carries the pairs routed before the cap so a caller can still rank
-    candidates on whatever evidence the oracle did provide.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        pos_pairs: Sequence[tuple[int, int]] = (),
-        neg_pairs: Sequence[tuple[int, int]] = (),
-        queries: int = 0,
-        query_cap: int = 0,
-        gamma_hat: float = float("nan"),
-    ) -> None:
-        super().__init__(message)
-        self.pos_pairs = tuple(pos_pairs)
-        self.neg_pairs = tuple(neg_pairs)
-        self.queries = queries
-        self.query_cap = query_cap
-        self.gamma_hat = gamma_hat
 
 
 class SameClusterOracle:
@@ -204,13 +182,19 @@ def ssc_select(
     nu: float = 1.0,
     gamma_probe: int = 100,
 ) -> SscReport:
-    """Pick the candidate with the smallest sampled pair loss.
+    """Pick the candidate with the smallest pair loss.
 
-    Pairs (x, y), x != y, are drawn uniformly and routed by the oracle into
-    the positive or negative side until both hold ``m_pairs``.  The query
-    cap is (1 + nu) (m/gamma + m/(1-gamma)) with gamma, the negative-pair
-    rate, estimated from the first ``gamma_probe`` answers.  Ties in the
-    empirical loss go to the candidate with fewer clusters.
+    When all C(n, 2) pairs fit in ``m_pairs`` they are asked in
+    lexicographic order and the losses are exact.  Otherwise pairs (x, y),
+    x != y, are drawn uniformly with replacement and routed by the oracle
+    into the positive or negative side until both hold ``m_pairs`` draws.
+    The oracle is asked each unordered pair once and its answer reused, and
+    ``queries`` counts the pairs it was asked.  The draws stop at the cap
+    (1 + nu) (m/gamma + m/(1-gamma)), with gamma, the negative-pair rate,
+    estimated from the first ``gamma_probe`` draws; the candidates are then
+    ranked on the draws so far.  A run that gets every pair answered first
+    is ranked on the exact pairs.  Ties in the loss go to the candidate with
+    fewer clusters.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
@@ -220,39 +204,44 @@ def ssc_select(
         raise ValueError("pair budget must be positive")
     if not (0 <= mu_weight <= 1):
         raise ValueError("mu_weight must lie in [0, 1]")
-    pairs = _draw_pairs(n_points, seed)
-    pos: list[tuple[int, int]] = []
-    neg: list[tuple[int, int]] = []
-    queries = 0
-    probe_neg = 0
-    cap = None
-    while len(pos) < m_pairs or len(neg) < m_pairs:
-        if cap is not None and queries >= cap:
-            raise OracleBudgetError(
-                f"{queries} oracle queries exceed the cap {cap} "
-                f"(gamma_hat={gamma_hat:.3f})",
-                pos_pairs=pos,
-                neg_pairs=neg,
-                queries=queries,
-                query_cap=cap,
-                gamma_hat=gamma_hat,
-            )
-        i, j = next(pairs)
-        same = bool(oracle(i, j))
-        queries += 1
-        if same:
-            pos.append((i, j))
-        else:
-            neg.append((i, j))
-            if queries <= gamma_probe:
-                probe_neg += 1
-        if queries == gamma_probe and cap is None:
-            gamma_hat = min(max(probe_neg / gamma_probe, 1.0 / gamma_probe),
-                            1.0 - 1.0 / gamma_probe)
-            cap = math.ceil(
-                (1.0 + nu) * (m_pairs / gamma_hat + m_pairs / (1.0 - gamma_hat))
-            )
-    if cap is None:
-        gamma_hat = max(len(neg), 1) / max(queries, 1)
-        cap = queries
-    return rank_candidates(candidates, pos, neg, cap, gamma_hat, queries, mu_weight)
+    n_pairs = n_points * (n_points - 1) // 2
+    if n_pairs <= m_pairs:
+        pos, neg = all_pairs(oracle, n_points)
+    else:
+        pairs = _draw_pairs(n_points, seed)
+        # each answered pair under the key i * n + j, i < j
+        answers: dict[int, bool] = {}
+        pos, neg = [], []
+        draws = 0
+        probe_neg = 0
+        cap = None
+        while (len(pos) < m_pairs or len(neg) < m_pairs) and len(answers) < n_pairs:
+            if cap is not None and draws >= cap:
+                break
+            i, j = next(pairs)
+            key = i * n_points + j if i < j else j * n_points + i
+            same = answers.get(key)
+            if same is None:
+                same = answers[key] = bool(oracle(i, j))
+            draws += 1
+            if same:
+                pos.append((i, j))
+            else:
+                neg.append((i, j))
+                if draws <= gamma_probe:
+                    probe_neg += 1
+            if draws == gamma_probe and cap is None:
+                gamma_hat = min(max(probe_neg / gamma_probe, 1.0 / gamma_probe),
+                                1.0 - 1.0 / gamma_probe)
+                cap = math.ceil(
+                    (1.0 + nu) * (m_pairs / gamma_hat + m_pairs / (1.0 - gamma_hat))
+                )
+        if len(answers) < n_pairs:
+            if cap is None:
+                gamma_hat = max(len(neg), 1) / draws
+                cap = draws
+            return rank_candidates(candidates, pos, neg, cap, gamma_hat,
+                                   len(answers), mu_weight)
+        pos, neg = all_pairs(lambda i, j: answers[i * n_points + j], n_points)
+    return rank_candidates(candidates, pos, neg, n_pairs, len(neg) / n_pairs,
+                           n_pairs, mu_weight)

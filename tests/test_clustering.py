@@ -1,5 +1,6 @@
 """Clustering core: brute-force oracle, Lloyd equivalence, garbage prefilter."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,20 @@ def test_brute_force_on_hand_instance():
     assert labels[0] == labels[1] != labels[2]
     assert labels[2] == labels[3]
     assert kmeans_cost(line_points(), labels) == pytest.approx(1.0)
+
+
+def test_brute_force_is_exact_far_from_the_origin():
+    # the cost expansion runs on centred points, so it does not cancel
+    # around 1e6: two points a thousandth apart split, and 4 points within
+    # 0.05 of a centre of magnitude 1e6 get an optimal labelling
+    pair = np.array([[1e6, 0.0], [1e6 + 1e-3, 0.0]])
+    assert brute_force_kmeans(pair, 2).tolist() == [0, 1]
+    rng = np.random.default_rng(3)
+    labellings = [np.array(lab) for lab in itertools.product((0, 1), repeat=4)]
+    for _ in range(300):
+        pts = 1e6 * rng.standard_normal(2) + rng.uniform(-0.05, 0.05, (4, 2))
+        best = min(kmeans_cost(pts, lab) for lab in labellings)
+        assert kmeans_cost(pts, brute_force_kmeans(pts, 2)) <= best * (1 + 1e-6)
 
 
 def test_kmeans_cost_hand_value():

@@ -215,35 +215,36 @@ def test_two_record_blocks_ask_their_one_pair_once():
     assert (distinct.n_pos, distinct.n_neg, distinct.gamma_hat) == (0, 1, 1.0)
 
 
-def test_sampled_block_at_the_cap_asks_each_pair_once():
+def test_sampled_block_stops_once_every_pair_is_answered():
     # C(3, 2) = 3 pairs exceed the per-side budget of 1, so the block goes
     # through sampled selection; all-negative answers never fill the
-    # positive side and the selector runs to its query cap
+    # positive side, and the draws stop once all three pairs are answered
     feats = np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]])
     labels = [0, 1, 2]
     data = Dataset(ids=(0, 1, 2), features=feats, entity_labels=labels)
-    oracle = SameClusterOracle(labels)
+    oracle = PairRecordingOracle(labels)
     est = estimate_probs_lsh(data, blocking_of([(0, 3)], 3), (1, 3),
                              budget=1, oracle=oracle, seed=0)
     (_, report), = est.reports
-    assert report.queries == oracle.queries <= 3 < report.query_cap
+    assert oracle.pairs == {(0, 1), (0, 2), (1, 2)}
+    assert report.queries == report.query_cap == oracle.queries == 3
+    assert (report.n_pos, report.n_neg, report.gamma_hat) == (0, 3, 1.0)
     assert est.group_sizes.tolist() == [1, 1, 1]
 
 
-def test_single_entity_block_at_the_cap_merges():
+def test_single_entity_block_merges_on_its_exact_pairs():
     # C(8, 2) = 28 pairs exceed the per-side budget of 5, so the block goes
     # through sampled selection; all-positive answers never fill the
-    # negative side, the selector runs out its cap and the pipeline ranks
-    # the candidates on the positives alone
+    # negative side, and once all 28 pairs are answered the candidates are
+    # ranked on them, so the counts are counts of the block's pairs
     feats = np.random.default_rng(2).normal(0, 0.05, (8, 2))
     data = Dataset(ids=tuple(range(8)), features=feats, entity_labels=[0] * 8)
     oracle = SameClusterOracle([0] * 8)
     est = estimate_probs_lsh(data, blocking_of([(0, 8)], 8), (1, 3),
                              budget=5, oracle=oracle, seed=0)
     (_, report), = est.reports
-    assert report.n_neg == 0
-    assert report.n_pos == report.query_cap > 28  # every draw up to the cap
-    assert report.queries == oracle.queries <= 28
+    assert (report.n_pos, report.n_neg) == (28, 0)
+    assert report.queries == report.query_cap == oracle.queries == 28
     assert est.group_sizes.tolist() == [8]
 
 
@@ -258,8 +259,8 @@ def test_text_corpus_asks_each_distinct_pair_once():
                              oracle=oracle, seed=22)
     assert oracle.queries > 0
     assert oracle.queries == len(oracle.pairs)
-    # the selectors drew some pairs more than once; the memo answered those
-    # and the reports count only the calls that reached the oracle
+    # the selectors drew some pairs more than once; the reports count only
+    # the calls that reached the oracle
     assert sum(rep.queries for _, rep in est.reports) == oracle.queries
 
 
@@ -374,14 +375,14 @@ def clustered_pairs(data, blocking, k_range, mu_radius):
     return group_ids, tuple(reports)
 
 
-def test_pair_data_holds_distinct_points_that_brute_force_merges():
+def test_brute_force_splits_every_distinct_pair_of_the_pair_data():
+    # centred before the cost expansion, brute force keeps the merge only
+    # for identical points, at magnitudes up to 1e9 as well
     data, blocking = pair_block_data()
-    merged_apart = [
-        block for block in blocking.blocks
-        if (data.features[block[0]] != data.features[block[1]]).any()
-        and clustering.brute_force_kmeans(data.features[block], 2).tolist() == [0, 0]
-    ]
-    assert len(merged_apart) >= 10
+    for block in blocking.blocks:
+        distinct = (data.features[block[0]] != data.features[block[1]]).any()
+        labels = clustering.brute_force_kmeans(data.features[block], 2).tolist()
+        assert labels == ([0, 1] if distinct else [0, 0])
 
 
 @pytest.mark.parametrize("mu_radius", [0.0, 1.0])

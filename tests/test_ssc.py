@@ -1,4 +1,5 @@
-"""Same-cluster selection: hand-computed pair losses, budgets, the query cap.
+"""Same-cluster selection: hand-computed pair losses, budgets, the query cap,
+and the selector's pair bookkeeping.
 
 Loss oracle for the fixed 6-point instance with true clusters {0,1,2} and
 {3,4,5} (6 positive pairs, 9 negative):
@@ -7,6 +8,7 @@ Loss oracle for the fixed 6-point instance with true clusters {0,1,2} and
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from entity_sampler.clustering import Clustering
 from entity_sampler.ssc import (
-    OracleBudgetError,
     SameClusterOracle,
     exhaustive_losses,
     pair_losses,
     plan_pair_budget,
+    rank_candidates,
     ssc_select,
 )
 
@@ -90,16 +92,17 @@ def test_truth_wins_exhaustively_on_random_instances():
 
 
 def test_select_fills_both_sides():
+    # 5 draws a side over 15 pairs: sampled, not exhaustive
     truth, merged, split_one, labels = six_point_instance()
     oracle = SameClusterOracle(labels)
     rep = ssc_select(
-        [truth, merged, split_one], n_points=6, oracle=oracle, m_pairs=25, seed=1
+        [truth, merged, split_one], n_points=6, oracle=oracle, m_pairs=5, seed=1
     )
     assert rep.winner == 0
-    assert rep.n_pos >= 25 and rep.n_neg >= 25
+    assert rep.n_pos >= 5 and rep.n_neg >= 5
     assert len(rep.losses) == 3
-    assert rep.queries == oracle.queries
-    assert rep.queries <= rep.query_cap
+    assert rep.queries == oracle.queries < 15
+    assert rep.n_pos + rep.n_neg <= rep.query_cap
 
 
 def test_ties_prefer_fewer_clusters():
@@ -114,23 +117,22 @@ def test_ties_prefer_fewer_clusters():
     assert rep.winner == 1  # the k=2 candidate despite being listed second
 
 
-def test_cap_error_carries_collected_evidence():
-    # all-positive oracle: the negative side can never fill
-    merged = clustering([0, 1, 2, 3], n=4)
-    split = clustering([0, 1], [2, 3], n=4)
-    with pytest.raises(OracleBudgetError) as excinfo:
-        ssc_select(
-            [merged, split], n_points=4, oracle=SameClusterOracle([7, 7, 7, 7]),
-            m_pairs=3, seed=5,
-        )
-    exc = excinfo.value
-    assert len(exc.neg_pairs) == 0
-    assert len(exc.pos_pairs) == exc.queries
-    assert exc.queries >= exc.query_cap
-    assert "gamma_hat" in str(exc)
+def test_cap_report_ranks_collected_evidence():
+    # all-positive oracle: the negative side can never fill, and the cap
+    # of 607 draws comes before all C(60, 2) = 1770 pairs are answered
+    n = 60
+    merged = clustering(list(range(n)), n=n)
+    split = clustering(list(range(30)), list(range(30, n)), n=n)
+    oracle = SameClusterOracle([7] * n)
+    rep = ssc_select([merged, split], n_points=n, oracle=oracle, m_pairs=3, seed=5)
+    assert rep.gamma_hat == 0.01
+    assert rep.query_cap == math.ceil(2 * (3 / 0.01 + 3 / 0.99))
+    # every draw up to the cap is a positive; the oracle heard each pair once
+    assert (rep.n_pos, rep.n_neg) == (rep.query_cap, 0)
+    assert rep.queries == oracle.queries < rep.query_cap
     # the collected positives still rank the candidates correctly
-    losses = [pair_losses(c, exc.pos_pairs, exc.neg_pairs)[2] for c in (merged, split)]
-    assert losses[0] < losses[1]
+    assert rep.winner == 0
+    assert rep.losses[0] < rep.losses[1]
 
 
 def test_relabeling_invariance():
@@ -190,57 +192,89 @@ class RecordingOracle(SameClusterOracle):
         return super().__call__(i, j)
 
 
-def scalar_select(labels, m_pairs, seed, nu=1.0, gamma_probe=100):
-    """The selector's draw loop with two scalar ``integers`` calls a pair.
+def exact_report(candidates, labels):
+    """The report of ranking the candidates on every pair of ``labels``."""
+    pos, neg = all_pairs(labels)
+    n_pairs = len(pos) + len(neg)
+    return rank_candidates(candidates, pos, neg, query_cap=n_pairs,
+                           gamma_hat=len(neg) / n_pairs, queries=n_pairs)
 
-    Returns the pairs asked in order, the positive and negative pairs,
-    query_cap, gamma_hat and whether the cap stopped the loop.
+
+def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100):
+    """The selector's contract with two scalar ``integers`` calls a draw.
+
+    Returns the pairs the oracle should be asked, in order, and the report
+    the selector should give.
     """
-    rng = np.random.default_rng(seed)
     n = len(labels)
-    asked, pos, neg = [], [], []
+    n_pairs = n * (n - 1) // 2
+    if n_pairs <= m_pairs:
+        return list(combinations(range(n), 2)), exact_report(candidates, labels)
+    rng = np.random.default_rng(seed)
+    seen, asked, pos, neg = set(), [], [], []
     probe_neg, cap = 0, None
-    while len(pos) < m_pairs or len(neg) < m_pairs:
-        if cap is not None and len(asked) >= cap:
-            return asked, pos, neg, cap, gamma_hat, True
+    while (len(pos) < m_pairs or len(neg) < m_pairs) and len(seen) < n_pairs:
+        if cap is not None and len(pos) + len(neg) >= cap:
+            break
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
         j += j >= i
-        asked.append((i, j))
+        if (min(i, j), max(i, j)) not in seen:
+            seen.add((min(i, j), max(i, j)))
+            asked.append((i, j))
         same = labels[i] == labels[j]
         (pos if same else neg).append((i, j))
-        if not same and len(asked) <= gamma_probe:
+        draws = len(pos) + len(neg)
+        if not same and draws <= gamma_probe:
             probe_neg += 1
-        if len(asked) == gamma_probe and cap is None:
+        if draws == gamma_probe and cap is None:
             gamma_hat = min(max(probe_neg / gamma_probe, 1 / gamma_probe),
                             1 - 1 / gamma_probe)
             cap = math.ceil((1 + nu) * (m_pairs / gamma_hat + m_pairs / (1 - gamma_hat)))
+    if len(seen) == n_pairs:
+        return asked, exact_report(candidates, labels)
     if cap is None:
-        gamma_hat, cap = max(len(neg), 1) / len(asked), len(asked)
-    return asked, pos, neg, cap, gamma_hat, False
+        gamma_hat, cap = max(len(neg), 1) / (len(pos) + len(neg)), len(pos) + len(neg)
+    return asked, rank_candidates(candidates, pos, neg, cap, gamma_hat, len(asked))
 
 
 @pytest.mark.parametrize("labels,m_pairs", [
-    ([0, 0, 0, 1, 1, 1], 25),                  # fills both sides
-    ([0, 1, 1, 2, 2, 2, 3, 4, 5, 5] * 5, 60),  # 50 points
-    ([7, 7, 7, 7], 10),  # all positive: past one batch of draws, to the cap
+    ([0, 0, 0, 1, 1, 1], 25),                  # every pair fits: exhaustive
+    ([0, 1, 1, 2, 2, 2, 3, 4, 5, 5] * 5, 60),  # 50 points, fills both sides
+    ([7, 7, 7, 7], 10),  # every pair fits, all positive
     ([0, 1], 3),         # two points, all negative
     ([0, 0], 3),         # two points, all positive
+    ([0, 0, 0, 1, 1, 1], 4),  # 15 pairs, sampled: fills both sides
+    ([7] * 60, 3),       # all positive: past one batch of draws, to the cap
+    ([0, 1, 2], 1),      # all negative: every pair answered, no cap
+    ([5] * 12, 2),       # all positive: every pair answered, or the cap first
 ])
 def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
     n = len(labels)
     cands = [clustering(list(range(n)), n=n),
              Clustering(-np.arange(1, n + 1))]
     for seed in range(12):
-        asked, pos, neg, cap, gamma_hat, hit_cap = scalar_select(labels, m_pairs, seed)
+        asked, expected = scalar_select(cands, labels, m_pairs, seed)
         oracle = RecordingOracle(labels)
-        if hit_cap:
-            with pytest.raises(OracleBudgetError) as excinfo:
-                ssc_select(cands, n, oracle, m_pairs, seed=seed)
-            got = excinfo.value
-            assert got.pos_pairs == tuple(pos) and got.neg_pairs == tuple(neg)
-        else:
-            got = ssc_select(cands, n, oracle, m_pairs, seed=seed)
-            assert (got.n_pos, got.n_neg) == (len(pos), len(neg))
+        assert ssc_select(cands, n, oracle, m_pairs, seed=seed) == expected
         assert oracle.asked == asked
-        assert (got.queries, got.query_cap, got.gamma_hat) == (len(asked), cap, gamma_hat)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_select_asks_each_pair_at_most_once(data):
+    n = data.draw(st.integers(min_value=3, max_value=40), label="n")
+    n_pairs = n * (n - 1) // 2
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                       label="labels")
+    m_pairs = data.draw(st.integers(1, n_pairs + 3), label="m_pairs")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    codes = np.unique(labels, return_inverse=True)[1]
+    cands = [clustering(list(range(n)), n=n), Clustering(codes),
+             Clustering(-np.arange(1, n + 1))]
+    oracle = RecordingOracle(labels)
+    rep = ssc_select(cands, n, oracle, m_pairs, seed=seed)
+    unordered = {(min(i, j), max(i, j)) for i, j in oracle.asked}
+    assert len(unordered) == len(oracle.asked) == rep.queries <= n_pairs
+    if rep.queries == n_pairs:
+        assert rep == exact_report(cands, labels)
