@@ -10,8 +10,10 @@ within distance lambda are co-blocked with probability at least 1 - delta.
 Two families are provided: min-hashing of token sets (collision probability
 equals Jaccard similarity) and signed random projections for vectors
 (collision probability 1 - angle/pi).  Min-hash values are computed once
-per distinct token, and the bands are joined as the connected components of
-the graph linking records that share a band signature.
+per distinct token, in exact ``uint64`` arithmetic modulo 2^61 - 1, one hash
+column at a time.  Within a band, a stable sort of the band signatures links
+every record to the first record sharing its signature, and the bands are
+joined as the connected components of the graph of those links.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ __all__ = [
 ]
 
 _MERSENNE = (1 << 61) - 1
+# numpy scalars, so uint64 arithmetic never promotes to float on numpy 1.x
+_P = np.uint64(_MERSENNE)
+_LOW29 = np.uint64((1 << 29) - 1)
+_LOW32 = np.uint64((1 << 32) - 1)
+_3, _29, _32, _61 = (np.uint64(v) for v in (3, 29, 32, 61))
 
 
 class BandWidthError(ValueError):
@@ -99,7 +106,12 @@ class Blocking:
 
     def __post_init__(self) -> None:
         seen = np.concatenate(self.blocks) if self.blocks else np.empty(0, dtype=int)
-        if seen.size != self.n or np.unique(seen).size != self.n:
+        if not np.issubdtype(seen.dtype, np.integer):
+            raise DatasetError("blocks must hold integer record indices")
+        if seen.size and (seen.min() < 0 or seen.max() >= self.n):
+            raise DatasetError(f"block indices must lie in [0, {self.n})")
+        counts = np.bincount(seen.astype(np.intp, copy=False), minlength=self.n)
+        if seen.size != self.n or np.any(counts != 1):
             raise DatasetError("blocks must partition the record indices")
 
     @property
@@ -114,11 +126,45 @@ def jaccard_distance(a: frozenset, b: frozenset) -> float:
     return 1.0 - len(a & b) / union
 
 
+def _fold_mersenne(x: np.ndarray) -> np.ndarray:
+    """x mod (2^61 - 1) for any uint64 array x."""
+    # 2^61 = 1 (mod p): low 61 bits <= p plus high 3 bits <= 7, so < p + 8;
+    # one subtraction of p then leaves [0, p)
+    x = (x & _P) + (x >> _61)
+    np.subtract(x, _P, out=x, where=x >= _P)
+    return x
+
+
+def _affine_mod_mersenne(x: np.ndarray, a: np.uint64, b: np.uint64) -> np.ndarray:
+    """(a x + b) mod (2^61 - 1), exact in uint64, for x, a, b in [0, p).
+
+    With a = ah 2^32 + al and x = xh 2^32 + xl (ah, xh < 2^29), a x is
+    ah xh 2^64 + (ah xl + al xh) 2^32 + al xl, and 2^64 = 8, 2^61 = 1 (mod p).
+    """
+    ah, al = a >> _32, a & _LOW32
+    xh, xl = x >> _32, x & _LOW32
+    mid = ah * xl + al * xh  # two terms < 2^61, so < 2^62
+    low = al * xl  # < 2^64
+    s = (ah * xh) << _3  # ah xh 2^64 = 8 ah xh (mod p); ah xh < 2^58, so < 2^61
+    # mid 2^32 = (mid >> 29) 2^61 + (mid mod 2^29) 2^32, and 2^61 = 1 (mod p)
+    s += mid >> _29  # < 2^33
+    s += (mid & _LOW29) << _32  # < 2^61
+    s += low & _P  # < 2^61
+    s += low >> _61  # <= 7
+    s += b  # < 2^61, so s < 4 * 2^61 + 2^33 + 8 < 2^64
+    return _fold_mersenne(s)
+
+
 def minhash_signatures(
     tokens: tuple[frozenset[str], ...], k: int, seed: int
 ) -> np.ndarray:
     """(n, k) min-hash matrix; column collision probability approximates
-    the Jaccard similarity of the token sets."""
+    the Jaccard similarity of the token sets.
+
+    Hash j of a token t is (a_j blake2b64(t) + b_j) mod (2^61 - 1), computed
+    in exact ``uint64`` arithmetic modulo 2^61 - 1, one hash column at a time
+    over the distinct tokens.
+    """
     rng = np.random.default_rng(seed)
     a = rng.integers(1, _MERSENNE, size=k, dtype=np.uint64)
     b = rng.integers(0, _MERSENNE, size=k, dtype=np.uint64)
@@ -133,13 +179,14 @@ def minhash_signatures(
     )
     starts = np.cumsum(sizes) - sizes
     # stable 64-bit hash of every distinct token (process independent)
-    digests = (hashlib.blake2b(t.encode(), digest_size=8).digest() for t in vocab)
-    base = np.array([int.from_bytes(d, "little") for d in digests], dtype=object)
+    digests = b"".join(
+        hashlib.blake2b(t.encode(), digest_size=8).digest() for t in vocab
+    )
+    base = _fold_mersenne(np.frombuffer(digests, dtype="<u8"))
     sig = np.empty((len(tokens), k), dtype=np.uint64)
     for j in range(k):
-        # exact modular arithmetic via object ints, one column at a time
-        col = ((base * int(a[j]) + int(b[j])) % _MERSENNE).astype(np.uint64)
-        sig[:, j] = np.minimum.reduceat(col[flat], starts)
+        h = _affine_mod_mersenne(base, a[j], b[j])
+        sig[:, j] = np.minimum.reduceat(h[flat], starts)
     return sig
 
 
@@ -172,6 +219,22 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             parent = jumped
 
 
+def _band_links(cols: np.ndarray) -> np.ndarray:
+    """Smallest record index sharing each record's row of ``cols``.
+
+    A stable sort keeps equal rows in index order, so each run of equal
+    rows starts at its smallest index.
+    """
+    order = np.lexsort(cols.T)
+    ranked = cols[order]
+    head = np.empty(order.size, dtype=bool)
+    head[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=head[1:])
+    links = np.empty_like(order)
+    links[order] = order[head][np.cumsum(head) - 1]
+    return links
+
+
 def lsh_partition(data: Dataset, cfg: LshConfig, seed: int) -> Blocking:
     """Block the dataset: records sharing any band signature are merged.
 
@@ -185,12 +248,10 @@ def lsh_partition(data: Dataset, cfg: LshConfig, seed: int) -> Blocking:
         if data.features is None:
             raise DatasetError("hyperplane blocking needs vector records")
         sig = hyperplane_signatures(data.features, cfg.k, seed)
-    # every record links to the first record with its band signature
-    first_of = []
-    for band in range(cfg.bands):
-        cols = sig[:, band * cfg.rows : (band + 1) * cfg.rows]
-        _, first, inv = np.unique(cols, axis=0, return_index=True, return_inverse=True)
-        first_of.append(first[inv.reshape(-1)])
+    first_of = [
+        _band_links(sig[:, band * cfg.rows : (band + 1) * cfg.rows])
+        for band in range(cfg.bands)
+    ]
     records = np.tile(np.arange(data.n), cfg.bands)
     firsts = np.concatenate(first_of)
     root = _components(data.n, records, firsts)

@@ -110,9 +110,15 @@ class ProbabilityMap:
             header = next(reader, None)
             if header is None or header[:2] != ["record_id", "phat"]:
                 raise InvalidMapError(f"{path} is not a probability map artifact")
-            for row in reader:
-                ids.append(row[0])
-                vals.append(float(row[1]))
+            try:
+                for row in reader:
+                    ids.append(row[0])
+                    vals.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise InvalidMapError(
+                    f"{path} line {reader.line_num}: a map row needs a record id "
+                    f"and a numeric phat ({exc})"
+                ) from exc
         return cls(dense=np.array(vals), ids=tuple(ids))
 
 

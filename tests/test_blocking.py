@@ -16,7 +16,10 @@ from hypothesis import given, settings, strategies as st
 from entity_sampler.blocking import (
     BandWidthError,
     Blocking,
+    _affine_mod_mersenne,
+    _band_links,
     _components,
+    _fold_mersenne,
     LshConfig,
     choose_bands_rows,
     hyperplane_signatures,
@@ -97,6 +100,22 @@ def test_blocking_must_partition():
         Blocking(blocks=(np.array([0, 1]), np.array([1, 2])), n=3)
     with pytest.raises(DatasetError):
         Blocking(blocks=(np.array([0]),), n=2)
+
+
+def test_blocking_rejects_a_negative_index():
+    # -1 would alias record 1 and leave record 0 in no block
+    with pytest.raises(DatasetError, match=r"\[0, 2\)"):
+        Blocking(blocks=(np.array([1, -1]),), n=2)
+
+
+def test_blocking_rejects_an_out_of_range_index():
+    with pytest.raises(DatasetError, match=r"\[0, 2\)"):
+        Blocking(blocks=(np.array([0, 5]),), n=2)
+
+
+def test_blocking_rejects_float_indices():
+    with pytest.raises(DatasetError, match="integer"):
+        Blocking(blocks=(np.array([0.0, 1.0]),), n=2)
 
 
 def test_partition_covers_all_records():
@@ -261,3 +280,49 @@ def test_components_label_each_component_by_its_smallest_member():
     u = np.array([5, 3, 7, 1])
     v = np.array([3, 9, 2, 1])
     assert _components(10, u, v).tolist() == [0, 1, 2, 3, 4, 3, 6, 2, 8, 3]
+
+
+def test_affine_mod_mersenne_matches_python_ints():
+    rng = np.random.default_rng(0)
+    edges = [0, 1, MERSENNE - 1, MERSENNE, MERSENNE + 1, 2**64 - 1]
+    xs = np.concatenate([
+        np.array(edges, dtype=np.uint64),
+        rng.integers(0, 2**64, size=10_000, dtype=np.uint64, endpoint=False),
+    ])
+    folded = _fold_mersenne(xs)
+    assert [int(v) for v in folded] == [int(x) % MERSENNE for x in xs]
+    coeffs = [1, MERSENNE - 1] + [
+        int(v) for v in rng.integers(1, MERSENNE, size=4, dtype=np.uint64)
+    ]
+    for a in coeffs:
+        for b in coeffs + [0]:
+            got = _affine_mod_mersenne(folded, np.uint64(a), np.uint64(b))
+            assert got.dtype == np.uint64
+            assert [int(v) for v in got] == [(a * int(x) + b) % MERSENNE for x in xs]
+
+
+def _unique_links(cols):
+    _, first, inv = np.unique(cols, axis=0, return_index=True, return_inverse=True)
+    return first[inv.reshape(-1)]
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        np.full((50, 3), 7, dtype=np.uint64),
+        np.random.default_rng(1).integers(0, 2, size=(300, 8)).astype(np.uint64),
+        np.random.default_rng(2).permutation(
+            np.repeat(
+                np.random.default_rng(3).integers(
+                    0, 2**64, size=(40, 3), dtype=np.uint64, endpoint=False
+                ),
+                5,
+                axis=0,
+            )
+        ),
+        np.array([[2**64 - 1], [0], [2**64 - 1], [1], [0]], dtype=np.uint64),
+    ],
+    ids=["all-equal", "hyperplane-bits", "shuffled-duplicates", "one-column"],
+)
+def test_band_links_match_unique_first_index(cols):
+    assert np.array_equal(_band_links(cols), _unique_links(cols))

@@ -268,6 +268,19 @@ def test_sample_detects_foreign_map(tmp_path, capsys):
     assert "different dataset" in capsys.readouterr().err
 
 
+def test_sample_rejects_a_map_with_a_short_row(tmp_path, capsys):
+    data, schema = write_toy_csv(tmp_path)
+    map_path = tmp_path / "map.csv"
+    map_path.write_text("record_id,phat\nr0,0.5\nr1\n", encoding="utf-8")
+    rc = main(["sample", "--data", data, "--schema", schema,
+               "--map", str(map_path), "--p", "5",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{map_path} line 3" in err
+    assert "Traceback" not in err
+
+
 def test_bench_cli_runs_and_report_rerenders(tmp_path, capsys):
     cfg = {
         "dataset": "dispersed:n_entities=200,mean_freq=10",

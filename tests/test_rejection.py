@@ -186,3 +186,15 @@ def test_map_csv_round_trip(tmp_path):
     back = ProbabilityMap.from_csv(str(path))
     assert back.ids == tuple(str(i) for i in d.ids)
     assert np.array_equal(back.dense, phat)
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [("a,0.5\nb\n", 3), ("a,0.5\n\nb,0.5\n", 3), ("a,0.5\nb,half\n", 3)],
+    ids=["short-row", "blank-line", "non-numeric"],
+)
+def test_map_csv_rejects_malformed_rows(tmp_path, body, line):
+    path = tmp_path / "map.csv"
+    path.write_text("record_id,phat\n" + body, encoding="utf-8")
+    with pytest.raises(InvalidMapError, match=f"{path} line {line}"):
+        ProbabilityMap.from_csv(str(path))

@@ -1,0 +1,33 @@
+"""Smoke runs of the example scripts under scripts/, each in a fresh
+interpreter with the package on PYTHONPATH and small arguments."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize(
+    "name, headlines",
+    [
+        ("run_lsh_demo.py", ["LSH r=", "TV(induced, uniform)", "per accept"]),
+        ("run_planner_curves.py", ["balanced sample size m", "LSH plan", "EM plan"]),
+    ],
+)
+def test_script_runs_and_prints_its_headlines(name, headlines):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), "--entities", "50"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for line in headlines:
+        assert line in proc.stdout
