@@ -4,7 +4,9 @@ A point with no neighbour within ``mu_radius`` cannot be a duplicate of
 anything, so it is routed to the garbage set before clustering; the rest are
 split into k clusters minimizing the usual within-cluster squared distance.
 Tiny instances are solved exactly by enumerating assignments; larger ones use
-Lloyd iterations with k-means++ seeding and many restarts.  The result is one
+Lloyd iterations from many k-means++ seedings, all restarts iterated together
+on (restarts, n, k) arrays.  Squared distances are accumulated one coordinate
+at a time as direct differences, in bounded-size steps.  The result is one
 label array: clusters are 0..k-1 and each garbage point has its own negative
 label, so "same cluster" is "same non-negative label".
 """
@@ -27,15 +29,33 @@ __all__ = [
 ]
 
 
-# (row, point) distances that one step of neighbour_mask computes
+# (row, point) distances that one step of neighbour_mask computes, and
+# (restart, point, cluster) distances that one chunk of lloyd_kmeans holds
 _MASK_CHUNK = 1 << 20
+
+
+def _sq_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance between x and y over their last axis.
+
+    The other axes broadcast.  The sum is accumulated one coordinate at a
+    time, ``(x_j - y_j)**2`` in order, into one buffer, so no difference
+    array with a coordinate axis is built; for fewer than 8 coordinates these
+    are the floats numpy's ``((x - y)**2).sum(axis=-1)`` gives.
+    """
+    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    d2 = np.zeros(shape)
+    diff = np.empty(shape)
+    for j in range(x.shape[-1]):
+        np.subtract(x[..., j], y[..., j], out=diff)
+        d2 += np.square(diff, out=diff)
+    return d2
 
 
 def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
     """Boolean mask of points with another point within ``mu_radius``.
 
     The complement is the garbage set of ``regularized_kmeans``.  Distances
-    are computed a block of rows at a time, so a call holds about 2^20 x d
+    are computed a block of rows at a time, so a call holds about 2 x 2^20
     float64 temporaries however many points there are.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -48,17 +68,10 @@ def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
     rows = max(1, _MASK_CHUNK // max(n, 1))
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
-        has_neighbour[lo:hi] = _nearest_sq_distance(points, lo, hi) <= mu_radius**2
+        d2 = _sq_distance(points[lo:hi, None, :], points[None, :, :])
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        has_neighbour[lo:hi] = d2.min(axis=1) <= mu_radius**2
     return has_neighbour
-
-
-def _nearest_sq_distance(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Squared distance from each of points[lo:hi] to its nearest other point."""
-    diff = points[lo:hi, None, :] - points[None, :, :]
-    np.square(diff, out=diff)
-    d2 = diff.sum(axis=2)
-    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-    return d2.min(axis=1)
 
 
 class ClusteringError(ValueError):
@@ -171,35 +184,98 @@ def lloyd_kmeans(
     restarts: int = 32,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Best labels over ``restarts`` k-means++ seeded Lloyd runs."""
+    """Best labels over ``restarts`` k-means++ seeded Lloyd runs.
+
+    Every restart is seeded first, in order, from one generator, and the
+    restarts then iterate together, a chunk of about 2^20 (restart, point,
+    cluster) distances at a time, until each one's labels settle or
+    ``max_iter`` iterations pass.  The restart with the least within-cluster
+    squared distance wins (the first on a tie), and its clusters are
+    numbered 0..k'-1 in order of first occurrence, so restarts that reach
+    the same partition return the same labels.
+    """
+    points = np.asarray(points, dtype=np.float64)
     n = len(points)
+    if k < 1 or restarts < 1 or max_iter < 1:
+        raise ClusteringError(
+            f"k, restarts and max_iter must be >= 1, got {k}, {restarts}, {max_iter}")
     if k > n:
         raise ClusteringError(f"k={k} exceeds point count {n}")
+    if k == 1:
+        return np.zeros(n, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    best_labels = None
-    best_cost = np.inf
-    for _ in range(restarts):
-        centers = _kmeanspp_init(points, k, rng)
-        labels = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
+    starts = np.stack([_kmeanspp_init(points, k, rng) for _ in range(restarts)])
+    # the scoring gathers a (restarts, n, d) array of centroids
+    chunk = max(1, _MASK_CHUNK // (n * max(k, points.shape[1])))
+    best_labels, best_cost = None, np.inf
+    for lo in range(0, restarts, chunk):
+        labels = _lloyd_restarts(points, starts[lo:lo + chunk], max_iter)
+        means, _ = _centroids(points, labels, k)
+        rows = np.arange(len(labels))[:, None]
+        costs = _sq_distance(points, means[rows, labels]).sum(axis=1)
+        win = int(np.argmin(costs))
+        if costs[win] < best_cost:
+            best_cost, best_labels = costs[win], labels[win]
+    # number the clusters by first occurrence
+    used, first = np.unique(best_labels, return_index=True)
+    rank = np.empty(k, dtype=np.int64)
+    rank[used[np.argsort(first)]] = np.arange(used.size)
+    return rank[best_labels]
+
+
+def _centroids(
+    points: np.ndarray, labels: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean point and size of each cluster of each (restarts, n) label row.
+
+    Returns (restarts, k, d) means, zero for an empty cluster, and
+    (restarts, k) counts.  Each sum runs over the points in index order.
+    """
+    r, n = labels.shape
+    flat = (labels + k * np.arange(r)[:, None]).ravel()
+    counts = np.bincount(flat, minlength=r * k).reshape(r, k)
+    sums = np.empty((r * k, points.shape[1]))
+    for j, x in enumerate(points.T):
+        sums[:, j] = np.bincount(flat, weights=np.tile(x, r), minlength=r * k)
+    return sums.reshape(r, k, -1) / np.maximum(counts, 1)[..., None], counts
+
+
+def _lloyd_restarts(
+    points: np.ndarray, centers: np.ndarray, max_iter: int
+) -> np.ndarray:
+    """Lloyd labels from each of the (restarts, k, d) starting ``centers``.
+
+    A restart leaves the active set once its labels stop changing.  An empty
+    cluster is re-seeded on the point farthest from every centre, one
+    cluster after another as the per-restart loop always did.
+    """
+    r, k, _ = centers.shape
+    centers = centers.copy()
+    labels = np.zeros((r, len(points)), dtype=np.int64)
+    active = np.arange(r)
+    for _ in range(max_iter):
+        d2 = _sq_distance(points[None, :, None, :], centers[active, None, :, :])
+        new = d2.argmin(axis=2)
+        means, counts = _centroids(points, new, k)
+        # a restart with an empty cluster takes the per-restart update, which
+        # re-seeds each empty cluster on the farthest point
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
             for j in range(k):
-                members = points[new_labels == j]
+                members = points[new[a] == j]
                 if len(members):
-                    centers[j] = members.mean(axis=0)
+                    means[a, j] = members.mean(axis=0)
                 else:
-                    # re-seed an empty cluster on the farthest point
-                    far = int(d2.min(axis=1).argmax())
-                    centers[j] = points[far]
-                    new_labels[far] = j
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
-        cost = kmeans_cost(points, labels)
-        if cost < best_cost:
-            best_cost, best_labels = cost, labels.copy()
-    return best_labels
+                    far = int(d2[a].min(axis=1).argmax())
+                    means[a, j] = points[far]
+                    new[a, far] = j
+        del d2  # so the next iteration's distances do not double the peak
+        centers[active] = means
+        moving = (new != labels[active]).any(axis=1)
+        labels[active[moving]] = new[moving]
+        active = active[moving]
+        if active.size == 0:
+            break
+    return labels
 
 
 def regularized_kmeans(
@@ -245,9 +321,6 @@ def regularized_kmeans(
         # restricted growth strings: already labelled 0..k'-1
         labels[keep] = brute_force_kmeans(sub, k)
     else:
-        sub_labels = lloyd_kmeans(sub, k, seed=seed, restarts=restarts)
-        # renumber the labels in use to 0..k'-1, keeping their order
-        used = np.zeros(k, dtype=bool)
-        used[sub_labels] = True
-        labels[keep] = (np.cumsum(used) - 1)[sub_labels]
+        # numbered by first occurrence: already labelled 0..k'-1
+        labels[keep] = lloyd_kmeans(sub, k, seed=seed, restarts=restarts)
     return Clustering(labels)

@@ -19,7 +19,12 @@ from typing import Callable
 import numpy as np
 
 from .blocking import Blocking
-from .clustering import ClusteringError, neighbour_mask, regularized_kmeans
+from .clustering import (
+    ClusteringError,
+    _sq_distance,
+    neighbour_mask,
+    regularized_kmeans,
+)
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
 from .ssc import SscReport, ssc_select
@@ -165,11 +170,12 @@ def _pair_geometry(
     does brute-force k = 2 split it?
 
     Both are the floats ``neighbour_mask`` and ``brute_force_kmeans``
-    compute for two points.  Brute force centres the points, costs a
+    compute for two points; the radius test shares the mask's
+    ``_sq_distance``.  Brute force centres the points, costs a
     labelling as the flat sum of squares less each cluster's squared sum
     over its count, and keeps the merge when the two costs tie.
     """
-    near = ((p0 - p1) ** 2).sum(axis=1) <= mu_radius**2
+    near = _sq_distance(p0, p1) <= mu_radius**2
     centre = (p0 + p1) / 2
     p0, p1 = p0 - centre, p1 - centre
     total = (np.hstack((p0, p1)) ** 2).sum(axis=1)

@@ -83,6 +83,100 @@ def test_restarted_lloyd_usually_finds_the_optimum():
     assert hits >= 57  # observed 59/60 on this fixed stream
 
 
+def scalar_lloyd(points, k, seed, restarts=32, max_iter=100):
+    """The per-restart Lloyd loop that ``lloyd_kmeans`` batches, as it was."""
+    n = len(points)
+    rng = np.random.default_rng(seed)
+    best_labels = None
+    best_cost = np.inf
+    for _ in range(restarts):
+        centers = clustering._kmeanspp_init(points, k, rng)
+        labels = np.zeros(n, dtype=np.int64)
+        for _ in range(max_iter):
+            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            new_labels = d2.argmin(axis=1)
+            for j in range(k):
+                members = points[new_labels == j]
+                if len(members):
+                    centers[j] = members.mean(axis=0)
+                else:
+                    far = int(d2.min(axis=1).argmax())
+                    centers[j] = points[far]
+                    new_labels[far] = j
+            if np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+        cost = kmeans_cost(points, labels)
+        if cost < best_cost:
+            best_cost, best_labels = cost, labels.copy()
+    return best_labels
+
+
+def first_occurrence(labels):
+    """Labels renumbered 0, 1, ... in order of first appearance."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def lloyd_cases():
+    for seed in (4100, 4101, 4102):
+        pts = planted_clusters(40, 50, 10.0, 2, seed=seed, n_singletons=5).features
+        for k in range(1, 5):
+            yield pytest.param(pts, k, seed, id=f"planted{seed}-k{k}")
+            yield pytest.param(pts + 1e6, k, seed, id=f"planted{seed}+1e6-k{k}")
+    # a duplicated k-means++ centre leaves a cluster empty, which is
+    # re-seeded on the farthest point
+    two = np.repeat(np.array([[0.0, 0.0], [3.0, 1.0]]), 10, axis=0)
+    for seed in range(3):
+        yield pytest.param(two, 3, seed, id=f"two-points-{seed}")
+
+
+@pytest.mark.parametrize("pts,k,seed", list(lloyd_cases()))
+def test_batched_lloyd_matches_the_per_restart_loop(pts, k, seed):
+    got = lloyd_kmeans(pts, k, seed)
+    assert got.dtype == np.int64
+    assert got.tolist() == first_occurrence(scalar_lloyd(pts, k, seed)).tolist()
+
+
+def test_lloyd_chunks_keep_the_restart_order(monkeypatch):
+    # one restart per chunk picks the same winner as one chunk of all
+    pts = planted_clusters(6, 5, 3.0, 2, seed=7).features
+    whole = lloyd_kmeans(pts, 4, seed=11)
+    monkeypatch.setattr(clustering, "_MASK_CHUNK", 1)
+    assert lloyd_kmeans(pts, 4, seed=11).tolist() == whole.tolist()
+    assert whole.tolist() == first_occurrence(scalar_lloyd(pts, 4, 11)).tolist()
+
+
+def test_lloyd_memory_is_bounded():
+    pts = np.random.default_rng(34).normal(0, 1, (20_000, 2))
+    tracemalloc.start()
+    try:
+        lloyd_kmeans(pts, 4, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20  # all 32 restarts at once hold about 73 MB
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"k": 0}, {"k": -1}, {"restarts": 0}, {"max_iter": 0}, {"k": 3, "max_iter": -2},
+])
+def test_lloyd_rejects_bad_arguments(kwargs):
+    args = {"k": 2, "seed": 0, **kwargs}
+    with pytest.raises(ClusteringError):
+        lloyd_kmeans(line_points(), **args)
+
+
+def test_lloyd_single_cluster_skips_seeding(monkeypatch):
+    def no_seeding(*args):
+        raise AssertionError("k = 1 needs no seeding")
+
+    monkeypatch.setattr(clustering, "_kmeanspp_init", no_seeding)
+    assert lloyd_kmeans(line_points(), 1, seed=0).tolist() == [0, 0, 0, 0]
+
+
 def test_planted_two_cluster_recovery():
     for seed in range(5):
         data = planted_clusters(2, 50, separation=4.0, dim=2, seed=seed)
@@ -213,6 +307,8 @@ def test_infeasible_requests_raise():
     far = np.array([[0.0], [100.0]])
     with pytest.raises(ClusteringError):
         regularized_kmeans(far, 1, mu_radius=1.0, seed=0)  # nothing remains
+    with pytest.raises(ClusteringError):  # no Lloyd restart
+        regularized_kmeans(pts, 2, mu_radius=1.0, brute_force_cap=0, restarts=0)
 
 
 def test_empty_instance():

@@ -385,6 +385,24 @@ def test_brute_force_splits_every_distinct_pair_of_the_pair_data():
         assert labels == ([0, 1] if distinct else [0, 0])
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e9])
+@pytest.mark.parametrize("d", [1, 3, 8, 12, 17])
+def test_pair_radius_test_is_the_neighbour_mask_float(d, scale):
+    # gaps within an ulp of the radius as well as around it; from 8
+    # coordinates on, numpy's pairwise row sum flips some of these
+    rng = np.random.default_rng(d)
+    p0 = scale * rng.standard_normal((300, d))
+    u = rng.standard_normal((300, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    gaps = np.array([1 - 1e-6, 1 - 1e-12, np.nextafter(1.0, 0.0), 1.0,
+                     np.nextafter(1.0, 2.0), 1 + 1e-12, 1 + 1e-6])
+    p1 = p0 + np.resize(gaps, 300)[:, None] * u
+    near, _ = lsh_pipeline._pair_geometry(p0, p1, 1.0)
+    mask = [clustering.neighbour_mask(np.stack(pair), 1.0)[0] for pair in zip(p0, p1)]
+    assert near.tolist() == mask
+    assert near.any() and not near.all()
+
+
 @pytest.mark.parametrize("mu_radius", [0.0, 1.0])
 @pytest.mark.parametrize("k_range", [(0, 1), (1, 1), (1, 2), (2, 4), (1, 4)])
 def test_pair_blocks_match_clustering_every_candidate(k_range, mu_radius):
