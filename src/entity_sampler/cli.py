@@ -176,7 +176,8 @@ def _cmd_estimate(args) -> int:
                      "rows": cfg.rows, "bands": cfg.bands,
                      "block_size_histogram": dict(
                          zip(map(str, sizes.tolist()), counts.tolist())),
-                     "oracle_queries": oracle.queries},
+                     "oracle_queries": oracle.queries,
+                     "oracle_inferred": sum(rep.inferred for _, rep in est.reports)},
                     fh, indent=2,
                 )
                 fh.write("\n")
@@ -291,7 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=4)
     p.add_argument("--pair-budget", type=int, default=1000)
     p.add_argument("--oracle", choices=("labels", "interactive"),
-                   default="labels")
+                   default="labels",
+                   help="lsh: who answers same-entity questions; a pair that "
+                        "earlier answers settle by transitivity is not asked, "
+                        "so answers must be consistent")
     p.add_argument("--mu-radius", type=float, default=1.0,
                    help="lsh: garbage prefilter radius")
     p.add_argument("--blocking-report", help="lsh: blocking stats JSON path")

@@ -63,9 +63,12 @@ def estimate_probs_lsh(
     is clamped to what the block can support after its garbage points are
     removed.  ``oracle`` answers same-cluster queries on global record
     indices and must answer consistently.  A block of 3 or more records
-    with several candidates makes one ``ssc_select`` call, which asks each
-    unordered pair at most once: exhaustively when the block's C(b, 2)
-    pairs fit in its per-side budget, by sampled selection otherwise.
+    with several candidates makes one ``ssc_select`` call, which scores it
+    exhaustively when the block's C(b, 2) pairs fit in its per-side budget
+    and by sampled selection otherwise.  Either way the oracle is asked
+    only about pairs that its earlier answers in the block do not settle
+    by transitivity, so an inconsistent oracle is absorbed silently rather
+    than contradicted.
 
     A two-record block is settled by one radius test and at most one
     oracle question, with the result and report that clustering it at k = 1
@@ -192,5 +195,5 @@ def _pair_report(same: bool, split: bool) -> SscReport:
     return SscReport(
         winner=int(split and not same), losses=(merge_loss, split_loss),
         queries=1, query_cap=1, gamma_hat=0.0 if same else 1.0,
-        n_pos=int(same), n_neg=int(not same),
+        n_pos=int(same), n_neg=int(not same), inferred=0,
     )

@@ -5,12 +5,21 @@ loss  L(C) = mu * P+[C splits the pair] + (1 - mu) * P-[C joins the pair],
 where P+/P- are uniform over the target's positive and negative pairs.  The
 selector estimates both terms by sampling pairs, routing each through the
 oracle until both sides hold enough, and returns the empirical minimizer
-(ties favour fewer clusters).  The oracle hears each unordered pair at most
-once; an instance whose pairs fit in the budget, or whose every pair has
-been answered, is ranked on exact losses.  A planner sizes the per-side
-budget, and a query cap stops draws whose count exceeds its expectation by
-more than the allowed factor; the candidates are then ranked on the pairs
-drawn so far.
+(ties favour fewer clusters).  An instance whose pairs fit in the budget,
+or whose every pair has been drawn, is ranked on exact losses.  A planner
+sizes the per-side budget, and a query cap stops draws whose count exceeds
+its expectation by more than the allowed factor; the candidates are then
+ranked on the pairs drawn so far.
+
+The oracle must answer consistently, so that "same" is an equivalence
+relation.  It is asked only about pairs that its earlier answers leave
+open: two points already joined by "same" answers are "same", and two
+components already told apart are "different" (Wang et al., "Leveraging
+Transitive Relations for Crowdsourced Joins", SIGMOD 2013).  Every draw
+still counts with its true answer, so the losses do not change; only the
+questions do.  An inconsistent (noisy) oracle is absorbed silently rather
+than contradicted; such oracles are out of scope here (Mazumdar and Saha,
+"Clustering with Noisy Queries", NeurIPS 2017).
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -109,30 +118,13 @@ def exhaustive_losses(
     return [pair_losses(c, pos, neg, mu_weight) for c in candidates]
 
 
-# pairs drawn per call to the generator; the pair stream does not depend on it
-_PAIR_BATCH = 256
-
-
-def _draw_pairs(n_points: int, seed: int) -> Iterator[tuple[int, int]]:
-    """Endless uniform pairs (i, j), i != j, drawn a batch at a time.
-
-    One ``integers`` call over bounds alternating n, n - 1 consumes the
-    generator exactly as alternating scalar ``integers(n)`` and
-    ``integers(n - 1)`` calls do, so every batch size gives the same pairs.
-    """
-    rng = np.random.default_rng(seed)
-    bounds = np.tile([n_points, n_points - 1], _PAIR_BATCH)
-    while True:
-        ij = rng.integers(0, bounds)
-        ij[1::2] += ij[1::2] >= ij[::2]
-        # one flat list: a list per pair would feed the garbage collector
-        flat = iter(ij.tolist())
-        yield from zip(flat, flat)
-
-
 @dataclass(frozen=True)
 class SscReport:
-    """Outcome of one selection run."""
+    """Outcome of one selection run.
+
+    ``queries`` counts the pairs the oracle was asked and ``inferred`` the
+    distinct pairs that earlier answers settled without asking.
+    """
 
     winner: int
     losses: tuple[float, ...]
@@ -141,6 +133,7 @@ class SscReport:
     gamma_hat: float
     n_pos: int
     n_neg: int
+    inferred: int
 
 
 def rank_candidates(
@@ -151,6 +144,7 @@ def rank_candidates(
     gamma_hat: float,
     queries: int,
     mu_weight: float = 0.5,
+    inferred: int = 0,
 ) -> SscReport:
     """Report whose winner has the smallest weighted loss on ``pos``/``neg``.
 
@@ -169,7 +163,30 @@ def rank_candidates(
         gamma_hat=gamma_hat,
         n_pos=len(pos_arr),
         n_neg=len(neg_arr),
+        inferred=inferred,
     )
+
+
+# pairs drawn per ``integers`` call; the pair stream does not depend on it
+_PAIR_BATCH = 256
+
+
+def _merge(root: list, members: list, apart: list, a: int, b: int) -> None:
+    """Join the components rooted at ``a`` and ``b``.
+
+    The smaller component's points take the larger one's root, and only
+    its "different" edges are re-keyed to that root.
+    """
+    if len(members[a]) < len(members[b]):
+        a, b = b, a
+    for p in members[b]:
+        root[p] = a
+    members[a] += members[b]
+    for r in apart[b]:
+        apart[r].remove(b)
+        apart[r].add(a)
+    apart[a] |= apart[b]
+    members[b] = apart[b] = None
 
 
 def ssc_select(
@@ -184,64 +201,161 @@ def ssc_select(
 ) -> SscReport:
     """Pick the candidate with the smallest pair loss.
 
-    When all C(n, 2) pairs fit in ``m_pairs`` they are asked in
+    When all C(n, 2) pairs fit in ``m_pairs`` they are taken in
     lexicographic order and the losses are exact.  Otherwise pairs (x, y),
-    x != y, are drawn uniformly with replacement and routed by the oracle
-    into the positive or negative side until both hold ``m_pairs`` draws.
-    The oracle is asked each unordered pair once and its answer reused, and
-    ``queries`` counts the pairs it was asked.  The draws stop at the cap
-    (1 + nu) (m/gamma + m/(1-gamma)), with gamma, the negative-pair rate,
-    estimated from the first ``gamma_probe`` draws; the candidates are then
-    ranked on the draws so far.  A run that gets every pair answered first
-    is ranked on the exact pairs.  Ties in the loss go to the candidate with
-    fewer clusters.
+    x != y, are drawn uniformly with replacement and routed into the
+    positive or negative side until both hold ``m_pairs`` draws.  The draws
+    stop at the cap (1 + nu) (m/gamma + m/(1-gamma)), with gamma, the
+    negative-pair rate, estimated from the first ``gamma_probe`` draws; the
+    candidates are then ranked on the draws so far.  A run that draws every
+    pair first is ranked on the exact pairs.  Ties in the loss go to the
+    candidate with fewer clusters.
+
+    The oracle must answer consistently.  The selector keeps the components
+    of its "same" answers and the "different" answers between components,
+    and asks it only about pairs those leave open: a pair inside one
+    component is "same", a pair across two components told apart is
+    "different".  Every draw still gets its true answer, so the losses are
+    those of asking every pair.  ``queries`` counts the pairs asked and
+    ``inferred`` the distinct pairs settled without asking.  An
+    inconsistent (noisy) oracle is absorbed silently: a pair whose answer
+    would contradict earlier ones is never asked.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
     if n_points < 2:
         raise ValueError("need at least two points to draw pairs")
+    if any(c.n != n_points for c in candidates):
+        raise ValueError(f"every candidate must label the {n_points} points")
     if m_pairs < 1:
         raise ValueError("pair budget must be positive")
     if not (0 <= mu_weight <= 1):
         raise ValueError("mu_weight must lie in [0, 1]")
+    if not nu >= 0:
+        raise ValueError(f"nu must be non-negative, got {nu}")
+    if gamma_probe < 2:
+        # gamma-hat is clamped to [1/probe, 1 - 1/probe], empty below 2
+        raise ValueError(f"gamma_probe must be at least 2, got {gamma_probe}")
     n_pairs = n_points * (n_points - 1) // 2
+    # the block's answers: each point's component root, each root's
+    # members and the roots its component is known to differ from
+    root = list(range(n_points))
+    members = [[p] for p in range(n_points)]
+    apart = [set() for _ in range(n_points)]
+    asked = 0
     if n_pairs <= m_pairs:
-        pos, neg = all_pairs(oracle, n_points)
-    else:
-        pairs = _draw_pairs(n_points, seed)
-        # each answered pair under the key i * n + j, i < j
-        answers: dict[int, bool] = {}
-        pos, neg = [], []
-        draws = 0
-        probe_neg = 0
-        cap = None
-        while (len(pos) < m_pairs or len(neg) < m_pairs) and len(answers) < n_pairs:
-            if cap is not None and draws >= cap:
-                break
-            i, j = next(pairs)
-            key = i * n_points + j if i < j else j * n_points + i
-            same = answers.get(key)
-            if same is None:
-                same = answers[key] = bool(oracle(i, j))
-            draws += 1
-            if same:
-                pos.append((i, j))
+        for i, j in combinations(range(n_points), 2):
+            ri, rj = root[i], root[j]
+            if ri != rj and rj not in apart[ri]:
+                asked += 1
+                if oracle(i, j):
+                    _merge(root, members, apart, ri, rj)
+                else:
+                    apart[ri].add(rj)
+                    apart[rj].add(ri)
+        return _exact_report(candidates, root, asked, mu_weight)
+    rng = np.random.default_rng(seed)
+    # one ``integers`` call over bounds alternating n, n - 1 consumes the
+    # generator as alternating scalar calls do, so every batch size gives
+    # the same pairs
+    bounds = np.tile([n_points, n_points - 1], _PAIR_BATCH)
+    # the draws can cover every pair only if the largest cap allows that
+    # many; only then is each pair's first draw tracked, in an array no
+    # larger than the draws
+    cover = n_pairs <= max(gamma_probe, _cap(m_pairs, nu, 1.0 / gamma_probe),
+                           _cap(m_pairs, nu, 1.0 - 1.0 / gamma_probe))
+    drawn = np.zeros(n_pairs if cover else 0, dtype=bool)
+    batches, answers = [], []
+    draws = distinct = n_pos = n_neg = 0
+    # the draw count at which to act next: the probe, then the cap
+    cap = None
+    limit = gamma_probe
+    done = False
+    while not done and distinct < n_pairs:
+        ij = rng.integers(0, bounds).reshape(-1, 2)
+        ij[:, 1] += ij[:, 1] >= ij[:, 0]
+        end = _PAIR_BATCH
+        if cover:
+            key = _pair_index(ij, n_points)
+            first = np.zeros(_PAIR_BATCH, dtype=bool)
+            first[np.unique(key, return_index=True)[1]] = True
+            first &= ~drawn[key]
+            drawn[key] = True
+            # the draws of this batch up to the one that completes the pairs
+            seen = np.cumsum(first)
+            end = min(int(np.searchsorted(seen, n_pairs - distinct)) + 1, end)
+        same = bytearray(end)
+        t = 0
+        for i, j in zip(ij[:end, 0].tolist(), ij[:end, 1].tolist()):
+            ri, rj = root[i], root[j]
+            if ri == rj:
+                same[t] = 1
+                n_pos += 1
+            elif rj in apart[ri]:
+                n_neg += 1
+            elif oracle(i, j):
+                asked += 1
+                same[t] = 1
+                n_pos += 1
+                _merge(root, members, apart, ri, rj)
             else:
-                neg.append((i, j))
-                if draws <= gamma_probe:
-                    probe_neg += 1
-            if draws == gamma_probe and cap is None:
-                gamma_hat = min(max(probe_neg / gamma_probe, 1.0 / gamma_probe),
-                                1.0 - 1.0 / gamma_probe)
-                cap = math.ceil(
-                    (1.0 + nu) * (m_pairs / gamma_hat + m_pairs / (1.0 - gamma_hat))
-                )
-        if len(answers) < n_pairs:
-            if cap is None:
-                gamma_hat = max(len(neg), 1) / draws
-                cap = draws
-            return rank_candidates(candidates, pos, neg, cap, gamma_hat,
-                                   len(answers), mu_weight)
-        pos, neg = all_pairs(lambda i, j: answers[i * n_points + j], n_points)
-    return rank_candidates(candidates, pos, neg, n_pairs, len(neg) / n_pairs,
-                           n_pairs, mu_weight)
+                asked += 1
+                n_neg += 1
+                apart[ri].add(rj)
+                apart[rj].add(ri)
+            t += 1
+            draws += 1
+            if draws == limit:
+                if cap is None:
+                    gamma_hat = min(max(n_neg / gamma_probe, 1.0 / gamma_probe),
+                                    1.0 - 1.0 / gamma_probe)
+                    cap = limit = _cap(m_pairs, nu, gamma_hat)
+                if draws >= cap:
+                    done = True
+                    break
+            if n_pos >= m_pairs and n_neg >= m_pairs:
+                done = True
+                break
+        if cover:
+            distinct += int(seen[t - 1])
+        batches.append(ij[:t])
+        answers.append(same[:t])
+    if distinct == n_pairs:
+        return _exact_report(candidates, root, asked, mu_weight)
+    pairs = np.concatenate(batches)
+    if not cover:
+        distinct = np.unique(_pair_index(pairs, n_points)).size
+    if cap is None:
+        gamma_hat = max(n_neg, 1) / draws
+        cap = draws
+    same = np.frombuffer(b"".join(answers), dtype=bool)
+    return rank_candidates(candidates, pairs[same], pairs[~same], cap, gamma_hat,
+                           asked, mu_weight, inferred=distinct - asked)
+
+
+def _cap(m_pairs: int, nu: float, gamma_hat: float) -> int:
+    """Draws allowed at negative-pair rate ``gamma_hat``:
+    (1 + nu) (m/gamma + m/(1-gamma)), rounded up."""
+    return math.ceil((1.0 + nu) * (m_pairs / gamma_hat + m_pairs / (1.0 - gamma_hat)))
+
+
+def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
+    """Index in 0..C(n, 2)-1 of each unordered pair, row by row of i < j."""
+    lo, hi = ij.min(axis=1), ij.max(axis=1)
+    return lo * (2 * n_points - 3 - lo) // 2 + hi - 1
+
+
+def _exact_report(
+    candidates: Sequence[Clustering], root: list, asked: int, mu_weight: float
+) -> SscReport:
+    """Rank on every pair once the answers settle all of them: a pair is
+    positive exactly when its two points share a component root."""
+    n_points = len(root)
+    n_pairs = n_points * (n_points - 1) // 2
+    i, j = np.triu_indices(n_points, 1)
+    labels = np.asarray(root)
+    same = labels[i] == labels[j]
+    pairs = np.column_stack((i, j))
+    neg = pairs[~same]
+    return rank_candidates(candidates, pairs[same], neg, n_pairs, len(neg) / n_pairs,
+                           asked, mu_weight, inferred=n_pairs - asked)

@@ -235,8 +235,10 @@ def test_sampled_block_stops_once_every_pair_is_answered():
 def test_single_entity_block_merges_on_its_exact_pairs():
     # C(8, 2) = 28 pairs exceed the per-side budget of 5, so the block goes
     # through sampled selection; all-positive answers never fill the
-    # negative side, and once all 28 pairs are answered the candidates are
-    # ranked on them, so the counts are counts of the block's pairs
+    # negative side, and once all 28 pairs are drawn the candidates are
+    # ranked on them, so the counts are counts of the block's pairs.  The
+    # oracle hears the b - 1 = 7 pairs that join the components; the other
+    # 21 follow from those answers
     feats = np.random.default_rng(2).normal(0, 0.05, (8, 2))
     data = Dataset(ids=tuple(range(8)), features=feats, entity_labels=[0] * 8)
     oracle = SameClusterOracle([0] * 8)
@@ -244,8 +246,24 @@ def test_single_entity_block_merges_on_its_exact_pairs():
                              budget=5, oracle=oracle, seed=0)
     (_, report), = est.reports
     assert (report.n_pos, report.n_neg) == (28, 0)
-    assert report.queries == report.query_cap == oracle.queries == 28
+    assert report.query_cap == 28
+    assert report.queries == oracle.queries == 7
+    assert report.inferred == 21
     assert est.group_sizes.tolist() == [8]
+
+
+def test_fifty_record_single_entity_block_asks_b_minus_one_pairs():
+    # C(50, 2) = 1225 pairs exceed the per-side budget of 100: every answer
+    # is "same", so only the 49 pairs that join two components are asked
+    feats = np.random.default_rng(3).normal(0, 0.05, (50, 2))
+    data = Dataset(ids=tuple(range(50)), features=feats, entity_labels=[0] * 50)
+    oracle = SameClusterOracle([0] * 50)
+    est = estimate_probs_lsh(data, blocking_of([(0, 50)], 50), (1, 3),
+                             budget=100, oracle=oracle, seed=4)
+    (_, report), = est.reports
+    assert report.winner == 0  # the k = 1 candidate
+    assert report.queries == oracle.queries == 49
+    assert est.group_sizes.tolist() == [50]
 
 
 def test_text_corpus_asks_each_distinct_pair_once():

@@ -8,6 +8,7 @@ Loss oracle for the fixed 6-point instance with true clusters {0,1,2} and
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -165,6 +166,29 @@ def test_select_validation():
         ssc_select([c], 2, SameClusterOracle([0, 0]), 0, seed=0)
 
 
+def test_select_rejects_candidates_of_another_size():
+    cands = [Clustering(np.zeros(8, dtype=np.int64)), Clustering(np.arange(8))]
+    with pytest.raises(ValueError, match="4 points"):
+        ssc_select(cands, 4, SameClusterOracle([0, 0, 1, 1]), m_pairs=10, seed=0)
+
+
+def test_select_rejects_a_negative_cap_slack():
+    # a negative nu would put the cap below the draws already made
+    c = clustering([0, 1, 2, 3], n=4)
+    with pytest.raises(ValueError, match="nu"):
+        ssc_select([c], 4, SameClusterOracle([0, 0, 1, 1]), 1, seed=0, nu=-0.5)
+
+
+@pytest.mark.parametrize("gamma_probe", [0, 1])
+def test_select_rejects_a_probe_too_short_to_clamp(gamma_probe):
+    # gamma-hat is clamped to [1/probe, 1 - 1/probe]: a probe of 0 draws
+    # estimates nothing and one of 1 leaves gamma-hat at 0
+    c = clustering([0, 1, 2, 3], n=4)
+    with pytest.raises(ValueError, match="gamma_probe"):
+        ssc_select([c], 4, SameClusterOracle([0, 0, 1, 1]), 1, seed=0,
+                   gamma_probe=gamma_probe)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_select_recovers_truth_on_balanced_instances(seed):
@@ -183,35 +207,84 @@ def test_select_recovers_truth_on_balanced_instances(seed):
 
 
 class RecordingOracle(SameClusterOracle):
+    """Label oracle that records each pair it is asked, in order, and checks
+    that no earlier answer already settled it."""
+
     def __init__(self, labels):
         super().__init__(labels)
         self.asked = []
+        self.known = Settled(len(labels))
 
     def __call__(self, i, j):
+        assert self.known.answer(i, j) is None, f"pair {(i, j)} was settled"
         self.asked.append((i, j))
-        return super().__call__(i, j)
+        same = super().__call__(i, j)
+        self.known.record(i, j, same)
+        return same
 
 
-def exact_report(candidates, labels):
-    """The report of ranking the candidates on every pair of ``labels``."""
+class Settled:
+    """What a consistent oracle's answers imply, kept the plain way: a
+    component label per point, relabelled in full on each "same", and the
+    list of "different" answers."""
+
+    def __init__(self, n):
+        self.comp = list(range(n))
+        self.different = []
+
+    def answer(self, i, j):
+        """True or False when the answers so far settle (i, j), else None."""
+        comp = self.comp
+        if comp[i] == comp[j]:
+            return True
+        for a, b in self.different:
+            if {comp[a], comp[b]} == {comp[i], comp[j]}:
+                return False
+        return None
+
+    def record(self, i, j, same):
+        if same:
+            old, new = self.comp[j], self.comp[i]
+            self.comp = [new if c == old else c for c in self.comp]
+        else:
+            self.different.append((i, j))
+
+
+def exact_report(candidates, labels, queries=None):
+    """The report of ranking the candidates on every pair of ``labels``;
+    by default every pair was asked."""
     pos, neg = all_pairs(labels)
     n_pairs = len(pos) + len(neg)
+    queries = n_pairs if queries is None else queries
     return rank_candidates(candidates, pos, neg, query_cap=n_pairs,
-                           gamma_hat=len(neg) / n_pairs, queries=n_pairs)
+                           gamma_hat=len(neg) / n_pairs, queries=queries,
+                           inferred=n_pairs - queries)
 
 
-def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100):
+def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100,
+                  infer=True):
     """The selector's contract with two scalar ``integers`` calls a draw.
 
     Returns the pairs the oracle should be asked, in order, and the report
-    the selector should give.
+    the selector should give.  With ``infer`` a pair that earlier answers
+    settle is not asked; without it every distinct drawn pair is.
     """
     n = len(labels)
     n_pairs = n * (n - 1) // 2
+    known = Settled(n)
+    asked = []
+
+    def ask(i, j):
+        if not infer or known.answer(i, j) is None:
+            asked.append((i, j))
+            known.record(i, j, labels[i] == labels[j])
+
     if n_pairs <= m_pairs:
-        return list(combinations(range(n), 2)), exact_report(candidates, labels)
+        for i, j in combinations(range(n), 2):
+            ask(i, j)
+        return asked, exact_report(candidates, labels, len(asked))
     rng = np.random.default_rng(seed)
-    seen, asked, pos, neg = set(), [], [], []
+    seen, pos, neg = set(), [], []
     probe_neg, cap = 0, None
     while (len(pos) < m_pairs or len(neg) < m_pairs) and len(seen) < n_pairs:
         if cap is not None and len(pos) + len(neg) >= cap:
@@ -221,7 +294,7 @@ def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100):
         j += j >= i
         if (min(i, j), max(i, j)) not in seen:
             seen.add((min(i, j), max(i, j)))
-            asked.append((i, j))
+            ask(i, j)
         same = labels[i] == labels[j]
         (pos if same else neg).append((i, j))
         draws = len(pos) + len(neg)
@@ -232,10 +305,11 @@ def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100):
                             1 - 1 / gamma_probe)
             cap = math.ceil((1 + nu) * (m_pairs / gamma_hat + m_pairs / (1 - gamma_hat)))
     if len(seen) == n_pairs:
-        return asked, exact_report(candidates, labels)
+        return asked, exact_report(candidates, labels, len(asked))
     if cap is None:
         gamma_hat, cap = max(len(neg), 1) / (len(pos) + len(neg)), len(pos) + len(neg)
-    return asked, rank_candidates(candidates, pos, neg, cap, gamma_hat, len(asked))
+    return asked, rank_candidates(candidates, pos, neg, cap, gamma_hat, len(asked),
+                                  inferred=len(seen) - len(asked))
 
 
 @pytest.mark.parametrize("labels,m_pairs", [
@@ -260,6 +334,11 @@ def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
         assert oracle.asked == asked
 
 
+def is_subsequence(short, long):
+    rest = iter(long)
+    return all(item in rest for item in short)
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_select_asks_each_pair_at_most_once(data):
@@ -276,5 +355,43 @@ def test_select_asks_each_pair_at_most_once(data):
     rep = ssc_select(cands, n, oracle, m_pairs, seed=seed)
     unordered = {(min(i, j), max(i, j)) for i, j in oracle.asked}
     assert len(unordered) == len(oracle.asked) == rep.queries <= n_pairs
-    if rep.queries == n_pairs:
-        assert rep == exact_report(cands, labels)
+    if rep.queries + rep.inferred == n_pairs:
+        assert rep == exact_report(cands, labels, rep.queries)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_inference_only_drops_settled_questions(data):
+    n = data.draw(st.integers(min_value=3, max_value=40), label="n")
+    n_pairs = n * (n - 1) // 2
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                       label="labels")
+    m_pairs = data.draw(st.integers(1, n_pairs + 3), label="m_pairs")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    codes = np.unique(labels, return_inverse=True)[1]
+    cands = [clustering(list(range(n)), n=n), Clustering(codes),
+             Clustering(-np.arange(1, n + 1))]
+    plain_asked, plain = scalar_select(cands, labels, m_pairs, seed, infer=False)
+    # the oracle checks that each pair it hears was still open; its
+    # answers are the labels' truth
+    oracle = RecordingOracle(labels)
+    rep = ssc_select(cands, n, oracle, m_pairs, seed=seed)
+    assert is_subsequence(oracle.asked, plain_asked)
+    assert rep.queries == len(oracle.asked)
+    assert rep.queries + rep.inferred == plain.queries
+    # every draw got its true answer: the report is the plain one
+    assert replace(rep, queries=plain.queries, inferred=0) == plain
+
+
+def test_all_distinct_block_asks_every_pair_it_draws():
+    # no answer is "same", so no pair settles another
+    n = 30
+    cands = [clustering(list(range(n)), n=n), Clustering(-np.arange(1, n + 1))]
+    labels = list(range(n))
+    for seed in range(5):
+        plain_asked, plain = scalar_select(cands, labels, 40, seed, infer=False)
+        oracle = RecordingOracle(labels)
+        rep = ssc_select(cands, n, oracle, 40, seed=seed)
+        assert oracle.asked == plain_asked
+        assert (rep.queries, rep.inferred) == (plain.queries, 0)
+        assert rep.n_neg == plain.n_neg >= 40
