@@ -18,14 +18,6 @@ from .balanced import (
     goodman_estimate,
     plan_sample_size,
 )
-from .bench import (
-    CellResult,
-    ExperimentSpec,
-    SampleReport,
-    emit_report,
-    inject_duplicates,
-    run_experiment,
-)
 from .blocking import (
     Blocking,
     LshConfig,
@@ -71,6 +63,25 @@ from .rejection import (
 from .ssc import SameClusterOracle, SscReport, plan_pair_budget, ssc_select
 
 __version__ = "0.1.0"
+
+# the benchmark harness and its generators load on first use, so that
+# importing the package (and every CLI process) does not pay for them
+_BENCH_NAMES = frozenset({
+    "CellResult",
+    "ExperimentSpec",
+    "SampleReport",
+    "emit_report",
+    "inject_duplicates",
+    "run_experiment",
+})
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BalancedPlan",

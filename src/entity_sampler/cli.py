@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import bench as bench_mod
 from .balanced import estimate_probs_balanced, plan_sample_size
 from .blocking import LshConfig, lsh_partition
 from .dataset import (
@@ -93,6 +92,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_inject(args) -> int:
+    from . import bench as bench_mod
+
     data = _load_dataset(args)
     dirty = bench_mod.inject_duplicates(data, args.rate, args.profile, args.seed)
     _write_dataset_csv(dirty, args.out)
@@ -216,10 +217,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = bench_mod.ExperimentSpec.from_json(args.config)
-    report = bench_mod.run_experiment(spec)
     import os
 
+    from . import bench as bench_mod
+
+    spec = bench_mod.ExperimentSpec.from_json(args.config)
+    report = bench_mod.run_experiment(spec)
     os.makedirs(args.out, exist_ok=True)
     bench_mod.save_report(report, os.path.join(args.out, "report.json"))
     summary = bench_mod.emit_report(report, args.out, bounds=args.bounds,
@@ -238,6 +241,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import bench as bench_mod
+
     report = bench_mod.load_report(args.report)
     summary = bench_mod.emit_report(report, args.out, bounds=args.bounds,
                                     baseline_csv=args.baseline)
@@ -293,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-budget", type=int, default=1000)
     p.add_argument("--oracle", choices=("labels", "interactive"),
                    default="labels",
-                   help="lsh: who answers same-entity questions; a pair that "
-                        "earlier answers settle by transitivity is not asked, "
-                        "so answers must be consistent")
+                   help="lsh: who answers same-entity questions; each block's "
+                        "nearest pairs are asked first, and a pair that earlier "
+                        "answers settle by transitivity is not asked, so "
+                        "answers must be consistent")
     p.add_argument("--mu-radius", type=float, default=1.0,
                    help="lsh: garbage prefilter radius")
     p.add_argument("--blocking-report", help="lsh: blocking stats JSON path")

@@ -74,6 +74,47 @@ def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
     return has_neighbour
 
 
+def _radius_forest(
+    points: np.ndarray, mu_radius: float, has_neighbour: np.ndarray
+) -> np.ndarray:
+    """Minimum spanning forest of the points ``has_neighbour`` marks, over
+    the pairs within ``mu_radius``.
+
+    Returns (f, 2) int64 point indices, one edge a row, shortest first;
+    equal lengths keep the order in which Prim's algorithm adds them.  Each
+    step takes one row of the floats ``neighbour_mask`` computes, so with
+    its mask every marked point is in an edge, and memory stays O(n).
+    """
+    idx = np.flatnonzero(has_neighbour)
+    pts = np.asarray(points, dtype=np.float64)[idx]
+    # the first `left` rows are the points outside the forest, each with
+    # its squared distance to the nearest forest point within the radius
+    # (just above the radius while there is none) and that point's index
+    left = idx.size
+    best = np.full(left, np.nextafter(mu_radius**2, np.inf))
+    near = np.zeros(left, dtype=np.int64)
+    edges, lengths = [], []
+    v = 0  # the row that joins the forest next
+    while left:
+        left -= 1
+        # row v moves past the rows still outside
+        pts[[v, left]] = pts[[left, v]]
+        for a in (best, near, idx):
+            a[v], a[left] = a[left], a[v]
+        d2 = _sq_distance(pts[left], pts[:left])
+        closer = d2 < best[:left]
+        np.putmask(best[:left], closer, d2)
+        np.putmask(near[:left], closer, idx[left])
+        if left:
+            v = int(np.argmin(best[:left]))
+            # a point beyond the radius of the forest starts a new tree
+            if best[v] <= mu_radius**2:
+                edges.append((int(near[v]), int(idx[v])))
+                lengths.append(float(best[v]))
+    order = np.argsort(lengths, kind="stable")
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)[order]
+
+
 class ClusteringError(ValueError):
     """Infeasible clustering request (e.g. more clusters than points)."""
 

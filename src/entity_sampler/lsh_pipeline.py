@@ -2,11 +2,12 @@
 
 Pipeline: block the records with locality-sensitive hashing, cluster every
 block into duplicate groups (regularized k-means over a small range of k,
-the winner chosen by sampled same-cluster selection against the oracle),
-then union the per-block clusterings.  Garbage points become singleton
-clusters.  A two-record block has only "merge" and "split" to choose from,
-so it is settled by one radius test and at most one oracle question, all
-pair blocks at once in array form.  The estimate of a record's probability
+the winner chosen by sampled same-cluster selection against the oracle,
+which hears the block's nearest pairs first), then union the per-block
+clusterings.  Garbage points become singleton clusters.  A two-record
+block has only "merge" and "split" to choose from, so it is settled by one
+radius test and at most one oracle question, all pair blocks at once in
+array form.  The estimate of a record's probability
 is the size of its duplicate cluster over the dataset size, so the induced
 sampler weights every cluster, i.e. every entity, equally.
 """
@@ -21,6 +22,7 @@ import numpy as np
 from .blocking import Blocking
 from .clustering import (
     ClusteringError,
+    _radius_forest,
     _sq_distance,
     neighbour_mask,
     regularized_kmeans,
@@ -65,10 +67,14 @@ def estimate_probs_lsh(
     indices and must answer consistently.  A block of 3 or more records
     with several candidates makes one ``ssc_select`` call, which scores it
     exhaustively when the block's C(b, 2) pairs fit in its per-side budget
-    and by sampled selection otherwise.  Either way the oracle is asked
-    only about pairs that its earlier answers in the block do not settle
-    by transitivity, so an inconsistent oracle is absorbed silently rather
-    than contradicted.
+    and by sampled selection otherwise.  Either way the nearest pairs are
+    asked first: the edges of the minimum spanning forest that joins the
+    block's points within ``mu_radius``, shortest first, when the block's
+    budget allows them.  After that the oracle is asked only about pairs
+    that its earlier answers in the block do not settle by transitivity,
+    so an inconsistent oracle is absorbed silently rather than
+    contradicted.  The questions change, the draws and their answers do
+    not.
 
     A two-record block is settled by one radius test and at most one
     oracle question, with the result and report that clustering it at k = 1
@@ -145,7 +151,9 @@ def estimate_probs_lsh(
             ids = block.tolist()
             report = ssc_select(candidates, block.size,
                                 lambda i, j: oracle(ids[i], ids[j]),
-                                m_pairs=block_budget, seed=int(child_seeds[1]))
+                                m_pairs=block_budget, seed=int(child_seeds[1]),
+                                likely_pairs=_radius_forest(points, mu_radius,
+                                                            has_neighbour))
             winner = candidates[report.winner]
             reports.append((block_id, report))
         # groups in label order: clusters 0..k-1, then garbage -1, -2, ...

@@ -17,9 +17,14 @@ open: two points already joined by "same" answers are "same", and two
 components already told apart are "different" (Wang et al., "Leveraging
 Transitive Relations for Crowdsourced Joins", SIGMOD 2013).  Every draw
 still counts with its true answer, so the losses do not change; only the
-questions do.  An inconsistent (noisy) oracle is absorbed silently rather
-than contradicted; such oracles are out of scope here (Mazumdar and Saha,
-"Clustering with Noisy Queries", NeurIPS 2017).
+questions do.  Which pairs get settled depends on the order of the
+questions, so a caller may name likely duplicate pairs to be asked before
+anything is drawn, for example the nearest neighbours of a block: their
+"same" answers settle many of the draws that follow (Vesdapunt, Bellare and
+Dalvi, "Crowdsourcing Algorithms for Entity Resolution", PVLDB 2014).  An
+inconsistent (noisy) oracle is absorbed silently rather than contradicted;
+such oracles are out of scope here (Mazumdar and Saha, "Clustering with
+Noisy Queries", NeurIPS 2017).
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ class SscReport:
     """Outcome of one selection run.
 
     ``queries`` counts the pairs the oracle was asked and ``inferred`` the
-    distinct pairs that earlier answers settled without asking.
+    distinct pairs drawn, or scored exhaustively, that earlier answers
+    settled without asking.
     """
 
     winner: int
@@ -189,6 +195,24 @@ def _merge(root: list, members: list, apart: list, a: int, b: int) -> None:
     members[b] = apart[b] = None
 
 
+def _ask_open(
+    oracle: Callable[[int, int], bool], pairs, root: list, members: list, apart: list
+) -> list[tuple[int, int]]:
+    """Ask the oracle about each of ``pairs`` that the answers so far leave
+    open and record its answer; returns the pairs asked, in order."""
+    asked = []
+    for i, j in pairs:
+        ri, rj = root[i], root[j]
+        if ri != rj and rj not in apart[ri]:
+            asked.append((i, j))
+            if oracle(i, j):
+                _merge(root, members, apart, ri, rj)
+            else:
+                apart[ri].add(rj)
+                apart[rj].add(ri)
+    return asked
+
+
 def ssc_select(
     candidates: Sequence[Clustering],
     n_points: int,
@@ -198,6 +222,7 @@ def ssc_select(
     mu_weight: float = 0.5,
     nu: float = 1.0,
     gamma_probe: int = 100,
+    likely_pairs: Sequence[tuple[int, int]] = (),
 ) -> SscReport:
     """Pick the candidate with the smallest pair loss.
 
@@ -216,10 +241,17 @@ def ssc_select(
     and asks it only about pairs those leave open: a pair inside one
     component is "same", a pair across two components told apart is
     "different".  Every draw still gets its true answer, so the losses are
-    those of asking every pair.  ``queries`` counts the pairs asked and
-    ``inferred`` the distinct pairs settled without asking.  An
-    inconsistent (noisy) oracle is absorbed silently: a pair whose answer
-    would contradict earlier ones is never asked.
+    those of asking every pair.  An inconsistent (noisy) oracle is absorbed
+    silently: a pair whose answer would contradict earlier ones is never
+    asked.
+
+    ``likely_pairs`` are asked first, in order, each one that the earlier
+    answers leave open, when there are at most 2 ``m_pairs`` of them: no
+    more than the fewest draws a sampled run makes, and never too many for
+    an exhaustive one.  A longer list is ignored.  They change which pairs
+    are asked, never a draw or its answer, so the report differs only in
+    ``queries``, every pair asked, and ``inferred``, the distinct pairs
+    drawn (all C(n, 2) when exhaustive) that were never asked.
     """
     if not candidates:
         raise ValueError("no candidates to select from")
@@ -236,23 +268,23 @@ def ssc_select(
     if gamma_probe < 2:
         # gamma-hat is clamped to [1/probe, 1 - 1/probe], empty below 2
         raise ValueError(f"gamma_probe must be at least 2, got {gamma_probe}")
+    likely = np.asarray(likely_pairs, dtype=np.int64).reshape(-1, 2)
+    if likely.size and (likely.min() < 0 or likely.max() >= n_points
+                        or (likely[:, 0] == likely[:, 1]).any()):
+        raise ValueError(f"each likely pair must join two of the {n_points} points")
     n_pairs = n_points * (n_points - 1) // 2
     # the block's answers: each point's component root, each root's
     # members and the roots its component is known to differ from
     root = list(range(n_points))
     members = [[p] for p in range(n_points)]
     apart = [set() for _ in range(n_points)]
-    asked = 0
+    # no more likely questions than the fewest draws a sampled run makes
+    early = _ask_open(oracle, likely.tolist() if len(likely) <= 2 * m_pairs else (),
+                      root, members, apart)
+    asked = len(early)
     if n_pairs <= m_pairs:
-        for i, j in combinations(range(n_points), 2):
-            ri, rj = root[i], root[j]
-            if ri != rj and rj not in apart[ri]:
-                asked += 1
-                if oracle(i, j):
-                    _merge(root, members, apart, ri, rj)
-                else:
-                    apart[ri].add(rj)
-                    apart[rj].add(ri)
+        asked += len(_ask_open(oracle, combinations(range(n_points), 2),
+                               root, members, apart))
         return _exact_report(candidates, root, asked, mu_weight)
     rng = np.random.default_rng(seed)
     # one ``integers`` call over bounds alternating n, n - 1 consumes the
@@ -323,14 +355,17 @@ def ssc_select(
     if distinct == n_pairs:
         return _exact_report(candidates, root, asked, mu_weight)
     pairs = np.concatenate(batches)
-    if not cover:
-        distinct = np.unique(_pair_index(pairs, n_points)).size
+    keys = np.unique(_pair_index(pairs, n_points))
+    # every asked pair was drawn, except likely ones that never came up
+    early_keys = _pair_index(np.array(early, dtype=np.int64).reshape(-1, 2), n_points)
+    at = np.minimum(np.searchsorted(keys, early_keys), keys.size - 1)
+    undrawn = int(np.count_nonzero(keys[at] != early_keys))
     if cap is None:
         gamma_hat = max(n_neg, 1) / draws
         cap = draws
     same = np.frombuffer(b"".join(answers), dtype=bool)
     return rank_candidates(candidates, pairs[same], pairs[~same], cap, gamma_hat,
-                           asked, mu_weight, inferred=distinct - asked)
+                           asked, mu_weight, inferred=keys.size - asked + undrawn)
 
 
 def _cap(m_pairs: int, nu: float, gamma_hat: float) -> int:

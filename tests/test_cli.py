@@ -209,6 +209,20 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_the_bench_harness_unloaded():
+    src = os.path.dirname(os.path.dirname(entity_sampler.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, entity_sampler.cli; "
+            "print(sorted(m for m in ('entity_sampler.bench', 'entity_sampler.synth') "
+            "if m in sys.modules)); "
+            "from entity_sampler import run_experiment; "
+            "print(run_experiment.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["[]", "entity_sampler.bench"]
+
+
 def test_estimate_lsh_writes_map_and_blocking_report(tmp_path, capsys):
     rows = []
     spots = {"A": (20.0, -10.0, 4), "B": (50.0, 50.0, 3), "C": (-40.0, 30.0, 2)}

@@ -270,6 +270,79 @@ def test_given_neighbour_mask_is_used_and_validated():
             regularized_kmeans(data.features, 2, 1.0, seed=0, has_neighbour=bad)
 
 
+def kruskal_forest(pts, mu_radius):
+    """Minimum spanning forest of the pairs within ``mu_radius``, by Kruskal
+    over every pair: the squared lengths of its edges and each point's
+    component."""
+    n = len(pts)
+    d2 = clustering._sq_distance(pts[:, None, :], pts[None, :, :])
+    i, j = np.triu_indices(n, 1)
+    w = d2[i, j]
+    comp = list(range(n))
+    lengths = []
+    for t in np.argsort(w, kind="stable"):
+        a, b = comp[i[t]], comp[j[t]]
+        if w[t] <= mu_radius**2 and a != b:
+            comp = [a if c == b else c for c in comp]
+            lengths.append(w[t])
+    return lengths, comp
+
+
+def forest_cases():
+    rng = np.random.default_rng(36)
+    for d in (1, 2, 3, 8):
+        width = 40 / d
+        centres = rng.uniform(0, width, (12, d))
+        pts = np.repeat(centres, 5, axis=0) + rng.normal(0, 0.4 / np.sqrt(d), (60, d))
+        pts = np.vstack([pts, rng.uniform(0, width, (6, d))])
+        pts[::9] = pts[1::9]  # exact duplicates: zero-length edges
+        for scale in (1.0, 1e6):
+            yield pytest.param(pts + scale - 1.0, d, id=f"d{d}-at{scale:g}")
+
+
+@pytest.mark.parametrize("pts,d", list(forest_cases()))
+def test_radius_forest_is_a_minimum_spanning_forest(pts, d):
+    mask = neighbour_mask(pts, 1.0)
+    edges = clustering._radius_forest(pts, 1.0, mask)
+    assert edges.dtype == np.int64 and edges.shape[1] == 2
+    # its endpoints are exactly the points the mask keeps
+    assert np.array_equal(np.isin(np.arange(len(pts)), edges), mask)
+    assert 0 < mask.sum() < len(pts)
+    want_lengths, want_comp = kruskal_forest(pts, 1.0)
+    lengths = clustering._sq_distance(pts[edges[:, 0]], pts[edges[:, 1]])
+    # every minimum spanning forest has the same edge lengths; these are
+    # the mask's floats, shortest first
+    assert lengths.tolist() == sorted(want_lengths)
+    comp = list(range(len(pts)))
+    for a, b in edges.tolist():
+        ca, cb = comp[a], comp[b]
+        assert ca != cb  # no cycle
+        comp = [ca if c == cb else c for c in comp]
+    assert first_occurrence(comp).tolist() == first_occurrence(want_comp).tolist()
+
+
+def test_radius_forest_hand_case():
+    pts = np.array([[0.0], [0.5], [5.0], [5.2], [9.0]])
+    mask = neighbour_mask(pts, 1.0)
+    edges = clustering._radius_forest(pts, 1.0, mask)
+    assert [tuple(sorted(e)) for e in edges.tolist()] == [(2, 3), (0, 1)]
+    none = clustering._radius_forest(pts, 0.1, neighbour_mask(pts, 0.1))
+    assert none.shape == (0, 2)
+
+
+def test_radius_forest_memory_is_bounded():
+    pts = np.random.default_rng(35).uniform(0, 50, (5000, 2))
+    mask = neighbour_mask(pts, 0.5)
+    tracemalloc.start()
+    try:
+        edges = clustering._radius_forest(pts, 0.5, mask)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(edges) > 2000
+    assert peak < 4 * 2**20  # a 5000 x 5000 bool matrix alone is 24 MB
+
+
 def test_prefilter_postcondition():
     # garbage members have no neighbour within the radius, by construction
     rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """Block-and-cluster probability estimation, end to end."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +267,29 @@ def test_fifty_record_single_entity_block_asks_b_minus_one_pairs():
     assert est.group_sizes.tolist() == [50]
 
 
+def test_planted_block_asks_its_radius_forest_first(monkeypatch):
+    # the lsh-vectors benchmark's first input (VECTOR_SEEDS[0] = 4100): 40
+    # planted entities of 50 records and 5 singletons hash into one block
+    data = planted_clusters(40, 50, 10.0, 2, seed=4100, n_singletons=5)
+    blocking = lsh_partition(data, LshConfig.plan(0.2, 0.1, family="hyperplane"),
+                             seed=4101)
+    assert max(block.size for block in blocking.blocks) == 2005
+
+    def estimate():
+        oracle = SameClusterOracle(tuple(data.entity_codes))
+        est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=4102)
+        return est, oracle.queries
+
+    est, queries = estimate()
+    # without the forest the block asks about 52.7k questions
+    monkeypatch.setattr(lsh_pipeline, "_radius_forest", lambda *args: ())
+    bare, bare_queries = estimate()
+    assert queries <= 3000 < bare_queries
+    assert np.array_equal(est.group_ids, bare.group_ids)
+    assert [replace(rep, queries=0, inferred=0) for _, rep in est.reports] == \
+        [replace(rep, queries=0, inferred=0) for _, rep in bare.reports]
+
+
 def test_text_corpus_asks_each_distinct_pair_once():
     data = duplicate_text_corpus(300, 0.4, seed=21)
     # the looser threshold leaves a few blocks of 3-4 records, which the
@@ -444,7 +468,8 @@ def test_pair_blocks_match_clustering_every_candidate(k_range, mu_radius):
 def test_oracle_questions_follow_block_order():
     # blocks, each about its own centre and with interleaved members: a
     # pair, three records, a pair beyond the radius, a singleton, a pair
-    # and four records; the four go through sampled selection
+    # and four records; the four go through sampled selection.  A larger
+    # block hears its radius forest first, shortest edge first
     blocks = ([4, 11], [0, 7, 13], [2, 9], [5], [1, 12], [3, 6, 8, 10])
     offsets = ([0.0, 0.3], [0.0, 0.3, 0.6], [0.0, 5.0], [0.0], [0.0, 0.4],
                [0.0, 0.3, 0.6, 0.9])
@@ -459,9 +484,9 @@ def test_oracle_questions_follow_block_order():
                              seed=3)
     assert oracle.asked == [
         (4, 11),
-        (0, 7), (0, 13), (7, 13),
+        (0, 7), (7, 13),
         (1, 12),
-        (10, 8), (10, 3), (8, 6), (3, 6),
+        (8, 10), (3, 6), (6, 8),
     ]
     assert [bid for bid, _ in est.reports] == [0, 1, 4, 5]
     assert (2, 9) not in oracle.asked

@@ -395,3 +395,55 @@ def test_all_distinct_block_asks_every_pair_it_draws():
         assert oracle.asked == plain_asked
         assert (rep.queries, rep.inferred) == (plain.queries, 0)
         assert rep.n_neg == plain.n_neg >= 40
+
+
+@pytest.mark.parametrize("pair", [(2, 2), (-1, 2), (0, 4)])
+def test_select_rejects_a_likely_pair_off_the_instance(pair):
+    # checked even when the list is too long to be asked
+    c = clustering([0, 1, 2, 3], n=4)
+    with pytest.raises(ValueError, match="likely pair"):
+        ssc_select([c], 4, SameClusterOracle([0, 0, 1, 1]), 1, seed=0,
+                   likely_pairs=[(0, 1), (1, 2), pair])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_likely_pairs_change_only_the_questions(data):
+    n = data.draw(st.integers(min_value=3, max_value=30), label="n")
+    n_pairs = n * (n - 1) // 2
+    labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                       label="labels")
+    m_pairs = data.draw(st.integers(1, n_pairs + 3), label="m_pairs")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    likely = data.draw(st.lists(pair, max_size=2 * m_pairs + 4), label="likely")
+    codes = np.unique(labels, return_inverse=True)[1]
+    cands = [clustering(list(range(n)), n=n), Clustering(codes),
+             Clustering(-np.arange(1, n + 1))]
+    bare = RecordingOracle(labels)
+    base = ssc_select(cands, n, bare, m_pairs, seed=seed)
+    # the oracle checks that each pair it hears was still open, so no pair
+    # is asked twice
+    oracle = RecordingOracle(labels)
+    rep = ssc_select(cands, n, oracle, m_pairs, seed=seed, likely_pairs=likely)
+    asked = {(min(i, j), max(i, j)) for i, j in oracle.asked}
+    assert len(asked) == len(oracle.asked) == rep.queries
+    assert replace(rep, queries=0, inferred=0) == replace(base, queries=0, inferred=0)
+    # every distinct drawn pair (every pair when exhaustive) is asked or
+    # inferred, and ``inferred`` counts the ones never asked
+    drawn, _ = scalar_select(cands, labels, m_pairs, seed, infer=False)
+    drawn = {(min(i, j), max(i, j)) for i, j in drawn}
+    assert rep.inferred == len(drawn - asked)
+    if n_pairs <= m_pairs:
+        assert rep.queries + rep.inferred == n_pairs
+    if len(likely) > 2 * m_pairs:
+        # too many to ask before the draws: the question stream is the bare one
+        assert rep == base and oracle.asked == bare.asked
+    else:
+        known, early = Settled(n), []
+        for i, j in likely:
+            if known.answer(i, j) is None:
+                early.append((i, j))
+                known.record(i, j, labels[i] == labels[j])
+        assert oracle.asked[:len(early)] == early
