@@ -15,11 +15,9 @@ import argparse
 
 import numpy as np
 
-from entity_sampler.blocking import LshConfig, lsh_partition
+from entity_sampler import estimate
 from entity_sampler.dataset import tv_distance, uniform_distribution
-from entity_sampler.lsh_pipeline import estimate_probs_lsh
 from entity_sampler.rejection import exact_induced_distribution, sample_clean
-from entity_sampler.ssc import SameClusterOracle
 from entity_sampler.synth import duplicate_text_corpus
 
 
@@ -35,32 +33,23 @@ def main() -> None:
     args = ap.parse_args()
 
     data = duplicate_text_corpus(args.entities, args.dup_fraction, seed=args.seed)
-    cfg = LshConfig.plan(args.lam, args.delta, family="minhash")
-    blocking = lsh_partition(data, cfg, seed=args.seed + 1)
-    sizes = np.array([b.size for b in blocking.blocks])
+    est = estimate(data, "lsh", args.seed + 1, lam=args.lam, delta=args.delta,
+                   budget=args.budget)
+    cfg, sizes = est.config, np.array([b.size for b in est.blocking.blocks])
     print(
         f"{data.n} records, {args.entities} entities; "
-        f"LSH r={cfg.rows} s={cfg.bands} -> {blocking.q} blocks "
+        f"LSH r={cfg.rows} s={cfg.bands} -> {est.blocking.q} blocks "
         f"(max size {sizes.max()}, {int((sizes == 1).sum())} singletons)"
     )
-
-    oracle = SameClusterOracle(tuple(data.entity_codes))
-    est = estimate_probs_lsh(
-        data,
-        blocking,
-        k_range=(1, 4),
-        budget=args.budget,
-        oracle=oracle,
-        seed=args.seed + 2,
-    )
+    queries = sum(rep.queries for _, rep in est.lsh.reports)
     induced = exact_induced_distribution(data, est.pmap)
     tv = tv_distance(induced, uniform_distribution(induced.support))
     print(
-        f"recovered {est.group_sizes.size} duplicate groups "
-        f"({oracle.queries} oracle queries); TV(induced, uniform) = {tv:.4f}"
+        f"recovered {est.lsh.group_sizes.size} duplicate groups "
+        f"({queries} oracle queries); TV(induced, uniform) = {tv:.4f}"
     )
 
-    res = sample_clean(data, est.pmap, p=args.sample, seed=args.seed + 3)
+    res = sample_clean(data, est.pmap, p=args.sample, seed=args.seed + 2)
     got = np.unique(data.entity_codes[res.record_indices]).size
     print(
         f"sampled {res.size} records in {res.trials} trials "

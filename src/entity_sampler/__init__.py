@@ -2,10 +2,11 @@
 
 The pipeline has two stages: estimate each record's probability mass
 (``estimate_probs_balanced``, ``estimate_probs_lsh``, or
-``estimate_probs_gmm`` depending on what the data offers), then cancel the
-duplication skew by rejection sampling (``sample_clean``).  Planners size
-the samples the estimators need; a benchmark harness reproduces error
-sweeps over duplication rates and sample fractions.
+``estimate_probs_gmm`` depending on what the data offers, or ``estimate``
+to run one of them by name), then cancel the duplication skew by rejection
+sampling (``sample_clean``).  Planners size the samples the estimators
+need; a benchmark harness reproduces error sweeps over duplication rates
+and sample fractions.
 """
 
 from .balanced import (
@@ -64,23 +65,24 @@ from .ssc import SameClusterOracle, SscReport, plan_pair_budget, ssc_select
 
 __version__ = "0.1.0"
 
-# the benchmark harness and its generators load on first use, so that
-# importing the package (and every CLI process) does not pay for them
-_BENCH_NAMES = frozenset({
+# the benchmark harness and its generators, and the command line module
+# with ``estimate``, load on first use, so that importing the package
+# (and every CLI process) does not pay for them
+_LAZY_NAMES = {"Estimate": "cli", "estimate": "cli", **dict.fromkeys((
     "CellResult",
     "ExperimentSpec",
     "SampleReport",
     "emit_report",
     "inject_duplicates",
     "run_experiment",
-})
+), "bench")}
 
 
 def __getattr__(name: str):
-    if name in _BENCH_NAMES:
-        from . import bench
+    if name in _LAZY_NAMES:
+        from importlib import import_module
 
-        return getattr(bench, name)
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
@@ -92,6 +94,7 @@ __all__ = [
     "Dataset",
     "DiscreteDistribution",
     "EmResult",
+    "Estimate",
     "ExperimentSpec",
     "FingerprintStats",
     "GmmPlan",
@@ -108,6 +111,7 @@ __all__ = [
     "choose_bands_rows",
     "em_fit",
     "emit_report",
+    "estimate",
     "estimate_eta",
     "estimate_probs_balanced",
     "estimate_probs_gmm",

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import synth
-from .balanced import estimate_probs_balanced, plan_sample_size
-from .blocking import LshConfig, lsh_partition
+from .balanced import plan_sample_size
+from .cli import estimate
 from .dataset import (
     CsvSchema,
     Dataset,
@@ -30,10 +30,7 @@ from .dataset import (
     tv_distance,
     uniform_distribution,
 )
-from .gmm import em_fit, estimate_probs_gmm
-from .lsh_pipeline import estimate_probs_lsh
 from .rejection import exact_induced_distribution, sample_clean
-from .ssc import SameClusterOracle
 
 __all__ = [
     "CellResult",
@@ -143,8 +140,6 @@ class ExperimentSpec:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
-        raw["sweep"] = tuple(raw["sweep"])
-        raw["dup_rates"] = tuple(raw["dup_rates"])
         return cls(**raw)
 
 
@@ -225,35 +220,6 @@ def _build_dataset(spec: ExperimentSpec, dup: float, seed: int,
     return inject_duplicates(base, dup, spec.profile, seed)
 
 
-def _estimate(spec: ExperimentSpec, data: Dataset, m: int, seed: int):
-    params = spec.method_params
-    if spec.method == "balanced":
-        return estimate_probs_balanced(data, m, seed)
-    if spec.method == "gmm":
-        k = int(params.get("k", 2))
-        rng = np.random.default_rng(seed)
-        rows = rng.choice(data.n, size=min(m, data.n), replace=False)
-        fit = em_fit(data.features[rows], k, seed=seed,
-                     max_iter=int(params.get("max_iter", 200)),
-                     tol=float(params.get("tol", 1e-6)))
-        return estimate_probs_gmm(data, fit.model)
-    if data.entity_labels is None:
-        raise DatasetError("lsh estimation needs ground-truth labels as oracle")
-    cfg = LshConfig.plan(
-        lam=float(params.get("lam", 0.2)),
-        delta=float(params.get("delta", 0.1)),
-        family="minhash" if data.tokens is not None else "hyperplane",
-    )
-    blocking = lsh_partition(data, cfg, seed=seed)
-    oracle = SameClusterOracle(labels=tuple(data.entity_codes))
-    k_lo = int(params.get("k_min", 1))
-    k_hi = int(params.get("k_max", 4))
-    return estimate_probs_lsh(
-        data, blocking, (k_lo, k_hi), budget=m, oracle=oracle, seed=seed,
-        mu_radius=float(params.get("mu_radius", 1.0)),
-    ).pmap
-
-
 def _run_cell(spec: ExperimentSpec, dup: float, fraction: float,
               cell_index: int, base_cache: dict) -> CellResult:
     start = time.perf_counter()
@@ -268,7 +234,8 @@ def _run_cell(spec: ExperimentSpec, dup: float, fraction: float,
             if data.values is None:
                 raise DatasetError("benchmark datasets need a value column")
             m = max(1, math.ceil(fraction * data.n))
-            pmap = _estimate(spec, data, m, s_est)
+            pmap = estimate(data, spec.method, s_est, m=m,
+                            **{**spec.method_params, "budget": m}).pmap
             result = sample_clean(data, pmap, p=m, seed=s_sample)
             clean_mean = float(data.entity_values().mean())
             est_mean = float(data.values[result.record_indices].mean())
@@ -418,12 +385,8 @@ def emit_report(report: SampleReport, out_dir: str,
                     (_fmt(cell.dup_rate), _fmt(cell.fraction)), ""))
             writer.writerow(row)
     summary = {
-        "spec": {
-            "dataset": spec.dataset, "method": spec.method,
-            "sweep": list(spec.sweep), "dup_rates": list(spec.dup_rates),
-            "repeats": spec.repeats, "seed": spec.seed,
-            "profile": spec.profile,
-        },
+        "spec": {k: v for k, v in vars(spec).items()
+                 if k not in ("schema", "method_params")},
         "cells_csv": cells_path,
         "n_cells": len(report.cells),
         "n_failed": len(report.failed_cells),
@@ -438,17 +401,8 @@ def emit_report(report: SampleReport, out_dir: str,
 
 def save_report(report: SampleReport, path: str) -> None:
     """Persist a run so `emit_report` can re-render it with other options."""
-    spec = report.spec
-    payload = {
-        "spec": {
-            "dataset": spec.dataset, "method": spec.method,
-            "sweep": list(spec.sweep), "dup_rates": list(spec.dup_rates),
-            "repeats": spec.repeats, "seed": spec.seed,
-            "profile": spec.profile, "schema": spec.schema,
-            "method_params": spec.method_params,
-        },
-        "cells": [vars(c) for c in report.cells],
-    }
+    payload = {"spec": vars(report.spec),
+               "cells": [vars(c) for c in report.cells]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -457,12 +411,8 @@ def save_report(report: SampleReport, path: str) -> None:
 def load_report(path: str) -> SampleReport:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    raw_spec = payload["spec"]
-    raw_spec["sweep"] = tuple(raw_spec["sweep"])
-    raw_spec["dup_rates"] = tuple(raw_spec["dup_rates"])
-    spec = ExperimentSpec(**raw_spec)
     cells = tuple(CellResult(**c) for c in payload["cells"])
-    return SampleReport(spec=spec, cells=cells)
+    return SampleReport(spec=ExperimentSpec(**payload["spec"]), cells=cells)
 
 
 def _cell_bound(spec: ExperimentSpec, cell: CellResult) -> float | None:

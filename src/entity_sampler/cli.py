@@ -5,6 +5,7 @@ adds duplicate copies, ``estimate`` writes a probability-map artifact with
 one of the three estimators, ``sample`` rejection-samples against such an
 artifact, ``bench`` runs an experiment grid from a JSON config, and
 ``report`` re-renders a saved run.  All artifacts are CSV or JSON.
+The function ``estimate`` runs any of the three estimators in one call.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .balanced import estimate_probs_balanced, plan_sample_size
-from .blocking import LshConfig, lsh_partition
+from .blocking import Blocking, LshConfig, lsh_partition
 from .dataset import (
     CsvSchema,
     Dataset,
@@ -25,12 +28,12 @@ from .dataset import (
     ingest_csv,
     write_csv_columns,
 )
-from .gmm import MixtureModel, em_fit, estimate_probs_gmm
-from .lsh_pipeline import estimate_probs_lsh
-from .rejection import ProbabilityMap, sample_clean
+from .gmm import CollapseError, EmResult, MixtureModel, em_fit, estimate_probs_gmm
+from .lsh_pipeline import LshEstimate, estimate_probs_lsh
+from .rejection import ProbabilityMap, SampleBudgetError, sample_clean
 from .ssc import SameClusterOracle
 
-__all__ = ["main"]
+__all__ = ["Estimate", "estimate", "main"]
 
 
 def _load_dataset(args) -> Dataset:
@@ -111,10 +114,8 @@ class _InteractiveOracle:
 
     def __init__(self, data: Dataset) -> None:
         self._ids = data.ids
-        self.queries = 0
 
     def __call__(self, i: int, j: int) -> bool:
-        self.queries += 1
         a, b = self._ids[i], self._ids[j]
         while True:
             answer = input(f"same entity? [{a}] vs [{b}] (y/n): ").strip().lower()
@@ -124,66 +125,108 @@ class _InteractiveOracle:
                 return False
 
 
+@dataclass(frozen=True, eq=False)
+class Estimate:
+    """A probability map plus what its method computed on the way."""
+
+    pmap: ProbabilityMap
+    fit: EmResult | None = None  # gmm, when it fits its model
+    config: LshConfig | None = None  # lsh
+    blocking: Blocking | None = None  # lsh
+    lsh: LshEstimate | None = None  # lsh
+
+
+def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
+             oracle: Callable[[int, int], bool] | None = None,
+             model: MixtureModel | None = None, **method_params) -> Estimate:
+    """Estimate every record's probability with ``method``.
+
+    balanced draws ``m`` records.  gmm scores with ``model``, or with the
+    one EM fits (``k``, ``max_iter``, ``tol``) on ``m`` records drawn
+    without replacement, or on all when ``m`` is None.  lsh blocks with
+    minhash on tokens, else hyperplanes (``lam``, ``delta``), and clusters
+    the vectors (``k_min``, ``k_max``, ``budget``, ``mu_radius``) against
+    ``oracle``, by default the entity labels.  Other keys are ignored.
+    The layers are looked up as this module's globals at call time.
+    """
+    p = method_params
+    if method == "balanced":
+        if m is None:
+            raise ValueError("balanced estimation needs a sample size m")
+        return Estimate(estimate_probs_balanced(data, m, seed))
+    if method == "gmm":
+        fit = None
+        if model is None:
+            x = data
+            if m is not None and data.features is not None:
+                rng = np.random.default_rng(seed)
+                x = data.features[rng.choice(data.n, min(m, data.n), replace=False)]
+            fit = em_fit(x, int(p.get("k", 2)), seed=seed,
+                         max_iter=int(p.get("max_iter", 200)),
+                         tol=float(p.get("tol", 1e-6)))
+            model = fit.model
+        return Estimate(estimate_probs_gmm(data, model), fit=fit)
+    if method != "lsh":
+        raise ValueError(f"unknown method {method!r}")
+    if data.features is None:
+        raise DatasetError("clustering requires vector records")
+    if oracle is None:
+        if data.entity_labels is None:
+            raise DatasetError("lsh estimation needs an entity column as oracle")
+        oracle = SameClusterOracle(labels=tuple(data.entity_codes))
+    cfg = LshConfig.plan(float(p.get("lam", 0.2)), float(p.get("delta", 0.1)),
+                         family="minhash" if data.tokens is not None else "hyperplane")
+    blocking = lsh_partition(data, cfg, seed)
+    est = estimate_probs_lsh(
+        data, blocking, (int(p.get("k_min", 1)), int(p.get("k_max", 4))),
+        int(p.get("budget", 1000)), oracle, seed,
+        mu_radius=float(p.get("mu_radius", 1.0)),
+    )
+    return Estimate(est.pmap, config=cfg, blocking=blocking, lsh=est)
+
+
 def _cmd_estimate(args) -> int:
     data = _load_dataset(args)
     report: dict = {"records": data.n}
-    if args.method == "balanced":
-        if args.m is not None:
-            m = args.m
-        else:
-            if args.eta is None:
-                raise DatasetError("balanced planning needs --eta (or give --m)")
-            plan = plan_sample_size(
-                args.epsilon, args.delta, args.eta, args.entities, args.slack
+    m = args.m
+    if args.method == "balanced" and m is None:
+        if args.eta is None:
+            raise DatasetError("balanced planning needs --eta (or give --m)")
+        m = plan_sample_size(args.epsilon, args.delta, args.eta, args.entities,
+                             args.slack).m
+    model = None
+    if args.method == "gmm" and args.model_in:
+        model = MixtureModel.from_json(args.model_in)
+    est = estimate(
+        data, args.method, args.seed, m=m if args.method == "balanced" else None,
+        oracle=_InteractiveOracle(data) if args.oracle == "interactive" else None,
+        model=model, k=args.k, max_iter=args.iters, tol=args.tol, lam=args.lam,
+        delta=args.delta, k_min=args.k_min, k_max=args.k_max,
+        budget=args.pair_budget, mu_radius=args.mu_radius,
+    )
+    if est.fit is not None:
+        model = est.fit.model
+        report.update(em_iterations=est.fit.iterations,
+                      em_converged=est.fit.converged,
+                      em_restarts=est.fit.restarts_used)
+    if args.model_out and model is not None:
+        model.to_json(args.model_out)
+    if args.blocking_report and est.lsh is not None:
+        blocks = est.blocking.blocks
+        sizes, counts = np.unique([len(b) for b in blocks], return_counts=True)
+        with open(args.blocking_report, "w", encoding="utf-8") as fh:
+            json.dump(
+                {"q": est.blocking.q, "n_blocks": len(blocks),
+                 "rows": est.config.rows, "bands": est.config.bands,
+                 "block_size_histogram": dict(
+                     zip(map(str, sizes.tolist()), counts.tolist())),
+                 "oracle_queries": sum(r.queries for _, r in est.lsh.reports),
+                 "oracle_inferred": sum(r.inferred for _, r in est.lsh.reports)},
+                fh, indent=2,
             )
-            m = plan.m
-        pmap = estimate_probs_balanced(data, m, args.seed)
-    elif args.method == "gmm":
-        if args.model_in:
-            model = MixtureModel.from_json(args.model_in)
-        else:
-            fit = em_fit(data, args.k, seed=args.seed, max_iter=args.iters,
-                         tol=args.tol)
-            model = fit.model
-            report.update(em_iterations=fit.iterations,
-                          em_converged=fit.converged,
-                          em_restarts=fit.restarts_used)
-        if args.model_out:
-            model.to_json(args.model_out)
-        pmap = estimate_probs_gmm(data, model)
-    else:
-        cfg = LshConfig.plan(
-            args.lam, args.delta,
-            family="minhash" if data.tokens is not None else "hyperplane",
-        )
-        blocking = lsh_partition(data, cfg, args.seed)
-        if args.oracle == "labels":
-            if data.entity_labels is None:
-                raise DatasetError("--oracle labels needs an entity column")
-            oracle = SameClusterOracle(labels=tuple(data.entity_codes))
-        else:
-            oracle = _InteractiveOracle(data)
-        est = estimate_probs_lsh(
-            data, blocking, (args.k_min, args.k_max), args.pair_budget,
-            oracle, args.seed, mu_radius=args.mu_radius,
-        )
-        pmap = est.pmap
-        if args.blocking_report:
-            sizes, counts = np.unique([len(b) for b in blocking.blocks],
-                                      return_counts=True)
-            with open(args.blocking_report, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"q": blocking.q, "n_blocks": len(blocking.blocks),
-                     "rows": cfg.rows, "bands": cfg.bands,
-                     "block_size_histogram": dict(
-                         zip(map(str, sizes.tolist()), counts.tolist())),
-                     "oracle_queries": oracle.queries,
-                     "oracle_inferred": sum(rep.inferred for _, rep in est.reports)},
-                    fh, indent=2,
-                )
-                fh.write("\n")
-    pmap.to_csv(args.out, data)
-    report.update(floor=pmap.floor, artifact=args.out)
+            fh.write("\n")
+    est.pmap.to_csv(args.out, data)
+    report.update(floor=est.pmap.floor, artifact=args.out)
     json.dump(report, sys.stdout, indent=2)
     print()
     return 0
@@ -344,7 +387,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, ValueError, OSError) as exc:
+    except (DatasetError, ValueError, OSError, CollapseError,
+            SampleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

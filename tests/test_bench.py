@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entity_sampler import bench
 from entity_sampler.balanced import plan_sample_size
 from entity_sampler.bench import (
     ExperimentSpec,
@@ -165,6 +166,20 @@ def test_failed_cells_are_recorded_not_raised():
     for cell in report.cells:
         assert cell.status == "error"
         assert cell.message
+
+
+def test_lsh_pair_budget_is_the_cell_sample_size(monkeypatch):
+    # a "budget" key in method_params does not override the cell's m
+    seen = []
+
+    def recording_estimate(data, method, seed, *, m, **params):
+        seen.append((m, params["budget"]))
+        raise RuntimeError("recorded")
+
+    monkeypatch.setattr(bench, "estimate", recording_estimate)
+    report = run_experiment(tiny_spec(method="lsh", method_params={"budget": 7}))
+    assert len(report.failed_cells) == 2
+    assert len(seen) == 2 and all(m == budget != 7 for m, budget in seen)
 
 
 def test_error_decreases_with_fraction_on_average():

@@ -21,10 +21,17 @@ import numpy as np
 import pytest
 
 import entity_sampler
-from entity_sampler.cli import _InteractiveOracle, main
-from entity_sampler.dataset import AmbiguousEntityWarning, Dataset
-from entity_sampler.gmm import MixtureModel
-from entity_sampler.rejection import ProbabilityMap
+from entity_sampler import cli
+from entity_sampler.cli import _InteractiveOracle, estimate, main
+from entity_sampler.dataset import (
+    AmbiguousEntityWarning,
+    CsvSchema,
+    Dataset,
+    DatasetError,
+    ingest_csv,
+)
+from entity_sampler.gmm import MixtureModel, em_fit
+from entity_sampler.rejection import ProbabilityMap, SampleBudgetError
 
 
 def write_toy_csv(tmp_path, name="toy.csv"):
@@ -223,7 +230,9 @@ def test_cli_import_leaves_the_bench_harness_unloaded():
     assert proc.stdout.split() == ["[]", "entity_sampler.bench"]
 
 
-def test_estimate_lsh_writes_map_and_blocking_report(tmp_path, capsys):
+def write_planted_csv(tmp_path):
+    """Twelve 2-d records: entities of 4, 3 and 2 exact copies plus three
+    far-apart singletons."""
     rows = []
     spots = {"A": (20.0, -10.0, 4), "B": (50.0, 50.0, 3), "C": (-40.0, 30.0, 2)}
     for name, (x, y, count) in spots.items():
@@ -243,7 +252,11 @@ def test_estimate_lsh_writes_map_and_blocking_report(tmp_path, capsys):
         "value_col": "value",
         "id_col": "id",
     }))
+    return data, schema
 
+
+def test_estimate_lsh_writes_map_and_blocking_report(tmp_path, capsys):
+    data, schema = write_planted_csv(tmp_path)
     map_path = str(tmp_path / "map.csv")
     rep_path = str(tmp_path / "blocking.json")
     rc = main(["estimate", "--data", str(data), "--schema", str(schema),
@@ -403,13 +416,17 @@ def test_interactive_lsh_never_repeats_a_prompt(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(builtins, "input", answer)
     map_path = str(tmp_path / "map.csv")
+    rep_path = tmp_path / "blocking.json"
     rc = main(["estimate", "--data", str(data), "--schema", str(schema),
                "--method", "lsh", "--oracle", "interactive", "--seed", "3",
-               "--pair-budget", "1", "--out", map_path])
+               "--pair-budget", "1", "--blocking-report", str(rep_path),
+               "--out", map_path])
     assert rc == 0
     capsys.readouterr()
     assert asked
     assert len(asked) == len(set(asked))
+    # the report counts the questions from the selection reports
+    assert json.loads(rep_path.read_text())["oracle_queries"] == len(asked)
     pmap = ProbabilityMap.from_csv(map_path)
     expected = sorted([3 / 8] * 3 + [2 / 8] * 2 + [1 / 8] * 3)
     assert sorted(pmap.dense) == pytest.approx(expected)
@@ -428,8 +445,113 @@ def test_interactive_oracle_asks_until_answered(monkeypatch):
     oracle = _InteractiveOracle(data)
     assert oracle(0, 1) is True
     assert oracle(1, 2) is False
-    assert oracle.queries == 2
     # "maybe" is not an answer, so the first pair is asked twice
     assert len(prompts) == 3
     assert all("[r0]" in p and "[r1]" in p for p in prompts[:2])
     assert "[r1]" in prompts[2] and "[r2]" in prompts[2]
+
+
+def test_gmm_collapse_exits_two_without_a_traceback(tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    data.write_text("id,x\nr0,0\nr1,0\nr2,5\nr3,5\n", encoding="utf-8")
+    schema = tmp_path / "two.schema.json"
+    schema.write_text(json.dumps({"feature_cols": ["x"], "id_col": "id"}))
+    rc = main(["estimate", "--data", str(data), "--schema", str(schema),
+               "--method", "gmm", "--k", "4", "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: all 9 EM attempts collapsed a component (k=4)")
+    assert "Traceback" not in err
+
+
+def test_sample_budget_error_exits_two(tmp_path, capsys, monkeypatch):
+    data, schema = write_toy_csv(tmp_path)
+    map_path = str(tmp_path / "map.csv")
+    assert main(["estimate", "--data", data, "--schema", schema,
+                 "--method", "balanced", "--m", "50", "--out", map_path]) == 0
+    capsys.readouterr()
+
+    def exhausted(*args, **kwargs):
+        raise SampleBudgetError("50000 trials produced 3 accepts; requested 5")
+
+    monkeypatch.setattr(cli, "sample_clean", exhausted)
+    rc = main(["sample", "--data", data, "--schema", schema, "--map", map_path,
+               "--p", "5", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: 50000 trials produced 3 accepts; requested 5\n")
+
+
+def test_lsh_without_vectors_fails_before_blocking(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "text.csv"
+    data.write_text("id,name,entity\nt0,alice smith,A\nt1,alice smith,A\n"
+                    "t2,bob jones,B\n", encoding="utf-8")
+    schema = tmp_path / "text.schema.json"
+    schema.write_text(json.dumps({"text_cols": ["name"], "entity_col": "entity",
+                                  "id_col": "id"}))
+
+    def no_blocking(*args, **kwargs):
+        raise AssertionError("records without vectors were blocked")
+
+    monkeypatch.setattr(cli, "lsh_partition", no_blocking)
+    rc = main(["estimate", "--data", str(data), "--schema", str(schema),
+               "--method", "lsh", "--out", str(tmp_path / "m.csv")])
+    assert rc == 2
+    assert "clustering requires vector records" in capsys.readouterr().err
+    records = ingest_csv(str(data), CsvSchema.from_json(str(schema)))
+    with pytest.raises(DatasetError, match="clustering requires vector records"):
+        estimate(records, "lsh", 0)
+
+
+def test_lsh_default_oracle_needs_entity_labels():
+    data = Dataset(ids=("r0", "r1"), features=np.zeros((2, 1)))
+    with pytest.raises(DatasetError, match="entity column"):
+        estimate(data, "lsh", 0)
+
+
+def test_estimate_rejects_an_unknown_method_and_a_missing_m():
+    data = Dataset(ids=("r0", "r1"), features=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="unknown method"):
+        estimate(data, "kmeans", 0)
+    with pytest.raises(ValueError, match="sample size m"):
+        estimate(data, "balanced", 0)
+
+
+@pytest.mark.parametrize("seed, budget", [(7, 200), (3, 5)])
+def test_cli_lsh_artifact_equals_the_library_map(tmp_path, capsys, seed, budget):
+    data, schema = write_planted_csv(tmp_path)
+    cli_map = tmp_path / "cli.csv"
+    rc = main(["estimate", "--data", str(data), "--schema", str(schema),
+               "--method", "lsh", "--seed", str(seed), "--mu-radius", "5.0",
+               "--pair-budget", str(budget), "--out", str(cli_map)])
+    assert rc == 0
+    capsys.readouterr()
+    records = ingest_csv(str(data), CsvSchema.from_json(str(schema)))
+    est = estimate(records, "lsh", seed, budget=budget, mu_radius=5.0)
+    lib_map = tmp_path / "lib.csv"
+    est.pmap.to_csv(str(lib_map), records)
+    assert cli_map.read_bytes() == lib_map.read_bytes()
+    assert est.blocking.q == len(est.blocking.blocks) == 1
+    assert est.config.family == "hyperplane"
+    assert est.fit is None
+
+
+def test_gmm_subsample_fit_equals_em_fit_by_hand():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([rng.normal(0.0, 1.0, (90, 2)), rng.normal(7.0, 1.0, (60, 2))])
+    data = Dataset(ids=tuple(f"p{i}" for i in range(len(x))), features=x)
+    # keys only the bench bound reads are ignored
+    est = estimate(data, "gmm", 12, m=40, k=2, max_iter=30, tol=1e-7,
+                   eta=0.1, tau=0.5, eta_min=0.2, dim=2)
+    rows = np.random.default_rng(12).choice(len(x), size=40, replace=False)
+    fit = em_fit(x[rows], 2, seed=12, max_iter=30, tol=1e-7)
+    assert est.fit.loglik == fit.loglik
+    np.testing.assert_array_equal(est.fit.model.means, fit.model.means)
+    np.testing.assert_array_equal(est.pmap.dense, np.exp(fit.model.logpdf(x)))
+    # without m the fit sees every record, as the CLI's does
+    full = estimate(data, "gmm", 12, k=2, max_iter=30, tol=1e-7)
+    assert full.fit.loglik == em_fit(x, 2, seed=12, max_iter=30, tol=1e-7).loglik
+    # a given model is scored as it is, with no fit
+    given = estimate(data, "gmm", 0, m=40, model=fit.model)
+    assert given.fit is None
+    np.testing.assert_array_equal(given.pmap.dense, est.pmap.dense)

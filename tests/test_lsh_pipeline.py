@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entity_sampler import clustering, lsh_pipeline
+from entity_sampler import balanced, cli, clustering, dataset, lsh_pipeline, rejection, ssc
+from entity_sampler import blocking as blocking_module
 from entity_sampler.blocking import Blocking, LshConfig, lsh_partition
 from entity_sampler.clustering import Clustering, ClusteringError
 from entity_sampler.dataset import Dataset, DatasetError, tv_distance, uniform_distribution
@@ -363,6 +364,57 @@ def test_traced_estimate_records_every_layer_it_calls():
     assert tracer.calls["ssc.select"] == 1  # the larger block only
     assert tracer.calls["clustering.kmeans"] >= 1
     assert tracer.calls["clustering.neighbour_mask"] >= 1
+
+
+def test_cli_estimate_under_the_tracer_records_every_layer(tmp_path, capsys):
+    # the tracer swaps module attributes (among them cli.em_fit,
+    # cli.estimate_probs_gmm, cli.lsh_partition) and reads each with
+    # module.__dict__[name]; a refactor that drops or moves one of them
+    # must fail here rather than in a traced benchmark run
+    spans = _perfbench_spans()
+    owners = (balanced, blocking_module, cli, clustering, dataset, lsh_pipeline,
+              rejection, ssc, Dataset, rejection.ProbabilityMap)
+    before = [dict(vars(owner)) for owner in owners]
+    feats = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0],
+                      [9.0, 9.0], [9.0, 9.1], [-9.0, 4.0]])
+    path = str(tmp_path / "tiny.csv")
+    cli._write_dataset_csv(Dataset(ids=("a0", "a1", "a2", "b0", "b1", "c0"),
+                                   features=feats, entity_labels=list("AAABBC")),
+                           path)
+    runs = {
+        "gmm": ["--k", "2", "--iters", "20"],
+        "lsh": ["--k-max", "3", "--mu-radius", "1.0", "--pair-budget", "50"],
+        "balanced": ["--m", "30"],
+    }
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        tracer.active = True
+        swapped = sum(
+            vars(owner)[name] is not value
+            for owner, snap in zip(owners, before)
+            for name, value in snap.items() if name in vars(owner)
+        )
+        for method, extra in runs.items():
+            out = str(tmp_path / f"{method}.csv")
+            assert cli.main(["estimate", "--data", path, "--schema",
+                             path + ".schema.json", "--method", method,
+                             "--seed", "1", *extra, "--out", out]) == 0
+        tracer.active = False
+    capsys.readouterr()
+    assert swapped > 0
+    for name in ("gmm.em_fit", "gmm.density", "blocking.partition",
+                 "lsh_pipeline.estimate", "balanced.estimate"):
+        assert tracer.calls[name] == 1, name
+    assert tracer.calls["dataset.ingest_csv"] == 3
+    assert tracer.calls["rejection.map_write"] == 3
+    metrics = tracer.layer_metrics()
+    assert metrics["gmm.em_iterations"] >= 1
+    assert metrics["blocking.blocks"] >= 1
+    for owner, snap in zip(owners, before):
+        after = vars(owner)
+        assert set(after) == set(snap), owner
+        for name, value in snap.items():
+            assert after[name] is value, f"{owner}.{name} not restored"
 
 
 def pair_block_data():
