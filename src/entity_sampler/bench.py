@@ -48,6 +48,12 @@ __all__ = [
 ]
 
 _PROFILES = ("tpch", "uniform", "arbitrary")
+# the method_params keys that `estimate` or `_cell_bound` read, per method
+_METHOD_PARAMS = {
+    "balanced": {"eta", "delta"},
+    "lsh": {"lam", "delta", "k_min", "k_max", "budget", "mu_radius"},
+    "gmm": {"k", "max_iter", "tol", "tau", "eta_min", "dim", "delta"},
+}
 
 
 def inject_duplicates(
@@ -115,8 +121,12 @@ class ExperimentSpec:
     method_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.method not in ("balanced", "lsh", "gmm"):
+        if self.method not in _METHOD_PARAMS:
             raise ValueError(f"unknown method {self.method!r}")
+        unread = sorted(set(self.method_params) - _METHOD_PARAMS[self.method])
+        if unread:
+            raise ValueError(
+                f"method_params {unread} are not read by method {self.method!r}")
         # an empty sweep is a legal degenerate grid (header-only report)
         if not all(0 < f < 1 for f in self.sweep):
             raise ValueError("sample fractions must lie in (0, 1)")

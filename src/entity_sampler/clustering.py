@@ -5,8 +5,9 @@ anything, so it is routed to the garbage set before clustering; the rest are
 split into k clusters minimizing the usual within-cluster squared distance.
 Tiny instances are solved exactly by enumerating assignments; larger ones use
 Lloyd iterations from many k-means++ seedings, all restarts iterated together
-on (restarts, n, k) arrays.  Squared distances are accumulated one coordinate
-at a time as direct differences, in bounded-size steps.  The result is one
+on contiguous (restarts, n) arrays, one centre at a time, in buffers reused
+across iterations.  Squared distances are accumulated one coordinate at a
+time as direct differences, in bounded-size steps.  The result is one
 label array: clusters are 0..k-1 and each garbage point has its own negative
 label, so "same cluster" is "same non-negative label".
 """
@@ -30,7 +31,8 @@ __all__ = [
 
 
 # (row, point) distances that one step of neighbour_mask computes, and
-# (restart, point, cluster) distances that one chunk of lloyd_kmeans holds
+# (restart, point, cluster or coordinate) entries that one chunk of
+# lloyd_kmeans spans
 _MASK_CHUNK = 1 << 20
 
 
@@ -86,31 +88,43 @@ def _radius_forest(
     its mask every marked point is in an edge, and memory stays O(n).
     """
     idx = np.flatnonzero(has_neighbour)
-    pts = np.asarray(points, dtype=np.float64)[idx]
-    # the first `left` rows are the points outside the forest, each with
+    columns = np.asarray(points, dtype=np.float64)[idx].T.copy()
+    r2 = mu_radius**2
+    # the first `left` entries are the points outside the forest, each with
     # its squared distance to the nearest forest point within the radius
     # (just above the radius while there is none) and that point's index
     left = idx.size
-    best = np.full(left, np.nextafter(mu_radius**2, np.inf))
+    best = np.full(left, np.nextafter(r2, np.inf))
     near = np.zeros(left, dtype=np.int64)
+    d2_buf, diff_buf = np.empty((2, left))
+    closer_buf = np.empty(left, dtype=bool)
     edges, lengths = [], []
-    v = 0  # the row that joins the forest next
+    v = 0  # the entry that joins the forest next
     while left:
         left -= 1
-        # row v moves past the rows still outside
-        pts[[v, left]] = pts[[left, v]]
-        for a in (best, near, idx):
-            a[v], a[left] = a[left], a[v]
-        d2 = _sq_distance(pts[left], pts[:left])
-        closer = d2 < best[:left]
-        np.putmask(best[:left], closer, d2)
-        np.putmask(near[:left], closer, idx[left])
+        # entry v joins, and the last entry outside takes its place
+        x = columns[:, v].tolist()
+        joined = idx[v]
+        columns[:, v] = columns[:, left]
+        best[v], near[v], idx[v] = best[left], near[left], idx[left]
+        d2, diff, closer, nearest = (d2_buf[:left], diff_buf[:left],
+                                     closer_buf[:left], best[:left])
+        # coordinate by coordinate, as _sq_distance sums them
+        for j, col in enumerate(columns):
+            np.subtract(col[:left], x[j], out=diff if j else d2)
+            if j:
+                d2 += np.square(diff, out=diff)
+            else:
+                np.square(d2, out=d2)
+        np.less(d2, nearest, out=closer)
+        np.minimum(nearest, d2, out=nearest)
+        np.putmask(near[:left], closer, joined)
         if left:
-            v = int(np.argmin(best[:left]))
+            v = int(nearest.argmin())
             # a point beyond the radius of the forest starts a new tree
-            if best[v] <= mu_radius**2:
+            if nearest[v] <= r2:
                 edges.append((int(near[v]), int(idx[v])))
-                lengths.append(float(best[v]))
+                lengths.append(float(nearest[v]))
     order = np.argsort(lengths, kind="stable")
     return np.array(edges, dtype=np.int64).reshape(-1, 2)[order]
 
@@ -291,12 +305,36 @@ def _lloyd_restarts(
     cluster after another as the per-restart loop always did.
     """
     r, k, _ = centers.shape
+    n = len(points)
     centers = centers.copy()
-    labels = np.zeros((r, len(points)), dtype=np.int64)
+    columns = np.ascontiguousarray(points.T)
+    labels = np.zeros((r, n), dtype=np.int64)
+    # (restart, point) buffers, reused by every iteration's active rows
+    nearest_buf, d2_buf, diff_buf = np.empty((3, r, n))
+    closer_buf = np.empty((r, n), dtype=bool)
     active = np.arange(r)
     for _ in range(max_iter):
-        d2 = _sq_distance(points[None, :, None, :], centers[active, None, :, :])
-        new = d2.argmin(axis=2)
+        at = centers[active]
+        live = active.size
+        nearest, d2, diff, closer = (nearest_buf[:live], d2_buf[:live],
+                                     diff_buf[:live], closer_buf[:live])
+        new = np.zeros((live, n), dtype=np.int64)
+        # each centre's squared distances, one coordinate at a time in order
+        # as _sq_distance sums them, kept when strictly nearer than every
+        # earlier centre's, so ties go to the first centre as with argmin
+        for c in range(k):
+            out = d2 if c else nearest
+            for j, x in enumerate(columns):
+                np.subtract(x, at[:, c, j, None], out=diff if j else out)
+                if j:
+                    out += np.square(diff, out=diff)
+                else:
+                    np.square(out, out=out)
+            if c:
+                np.less(d2, nearest, out=closer)
+                np.minimum(nearest, d2, out=nearest)
+                # every label so far is below c
+                np.maximum(new, closer * c, out=new)
         means, counts = _centroids(points, new, k)
         # a restart with an empty cluster takes the per-restart update, which
         # re-seeds each empty cluster on the farthest point
@@ -306,10 +344,9 @@ def _lloyd_restarts(
                 if len(members):
                     means[a, j] = members.mean(axis=0)
                 else:
-                    far = int(d2[a].min(axis=1).argmax())
+                    far = int(nearest[a].argmax())
                     means[a, j] = points[far]
                     new[a, far] = j
-        del d2  # so the next iteration's distances do not double the peak
         centers[active] = means
         moving = (new != labels[active]).any(axis=1)
         labels[active[moving]] = new[moving]

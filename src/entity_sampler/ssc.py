@@ -25,6 +25,15 @@ Dalvi, "Crowdsourcing Algorithms for Entity Resolution", PVLDB 2014).  An
 inconsistent (noisy) oracle is absorbed silently rather than contradicted;
 such oracles are out of scope here (Mazumdar and Saha, "Clustering with
 Noisy Queries", NeurIPS 2017).
+
+A sampled run draws its pairs in batches that grow from 256 to 8,192
+draws.  A draw that the answers so far settle stays settled, so at the
+start of a batch one array step decides every such draw, from the points'
+component roots and the sorted keys of the root pairs told apart; only the
+draws still open are walked one at a time, and the settled draws between
+them are counted in bulk unless a stop falls among them.  An instance
+ranked on every pair counts each candidate's joined pairs from its table
+of (component, label) cells, without forming the pairs.
 """
 
 from __future__ import annotations
@@ -97,8 +106,16 @@ def pair_losses(
     """
     lab = candidate.labels
     n_pos, n_neg = len(pos_pairs), len(neg_pairs)
-    pl = (n_pos - _joined(lab, pos_pairs)) / max(n_pos, 1)
-    nl = _joined(lab, neg_pairs) / max(n_neg, 1)
+    return _losses(n_pos, n_pos - _joined(lab, pos_pairs), n_neg,
+                   _joined(lab, neg_pairs), mu_weight)
+
+
+def _losses(
+    n_pos: int, split_pos: int, n_neg: int, joined_neg: int, mu_weight: float
+) -> tuple[float, float, float]:
+    """(positive loss, negative loss, weighted loss) from the pair counts."""
+    pl = split_pos / max(n_pos, 1)
+    nl = joined_neg / max(n_neg, 1)
     return pl, nl, mu_weight * pl + (1.0 - mu_weight) * nl
 
 
@@ -161,20 +178,26 @@ def rank_candidates(
     pos_arr = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
     neg_arr = np.asarray(neg, dtype=np.int64).reshape(-1, 2)
     losses = [pair_losses(c, pos_arr, neg_arr, mu_weight)[2] for c in candidates]
+    return _ranked(candidates, losses, queries=queries, query_cap=query_cap,
+                   gamma_hat=gamma_hat, n_pos=len(pos_arr), n_neg=len(neg_arr),
+                   inferred=inferred)
+
+
+def _ranked(candidates: Sequence[Clustering], losses: list, **fields) -> SscReport:
+    """Report naming the smallest of ``losses``, ties to fewer clusters."""
     return SscReport(
         winner=min(range(len(candidates)), key=lambda t: (losses[t], candidates[t].k)),
         losses=tuple(losses),
-        queries=queries,
-        query_cap=query_cap,
-        gamma_hat=gamma_hat,
-        n_pos=len(pos_arr),
-        n_neg=len(neg_arr),
-        inferred=inferred,
+        **fields,
     )
 
 
-# pairs drawn per ``integers`` call; the pair stream does not depend on it
+# pairs drawn by the first ``integers`` call of a sampled run; each later
+# call draws twice as many, up to _PAIR_BATCH_MAX, so a run that stops
+# early draws few spare pairs and a long one makes few calls.  The pair
+# stream depends on neither.
 _PAIR_BATCH = 256
+_PAIR_BATCH_MAX = 8192
 
 
 def _merge(root: list, members: list, apart: list, a: int, b: int) -> None:
@@ -196,7 +219,8 @@ def _merge(root: list, members: list, apart: list, a: int, b: int) -> None:
 
 
 def _ask_open(
-    oracle: Callable[[int, int], bool], pairs, root: list, members: list, apart: list
+    oracle: Callable[[int, int], bool], pairs, root: list, members: list,
+    apart: list, differ: list,
 ) -> list[tuple[int, int]]:
     """Ask the oracle about each of ``pairs`` that the answers so far leave
     open and record its answer; returns the pairs asked, in order."""
@@ -210,6 +234,7 @@ def _ask_open(
             else:
                 apart[ri].add(rj)
                 apart[rj].add(ri)
+                differ += i, j
     return asked
 
 
@@ -245,6 +270,13 @@ def ssc_select(
     silently: a pair whose answer would contradict earlier ones is never
     asked.
 
+    The draws come in batches of 256, then twice as many each time up to
+    8,192, and the pair stream does not depend on the batch sizes.  Each
+    batch decides the draws that the answers so far settle in one array
+    step and walks only the open ones, counting the settled draws between
+    two open ones in bulk; a run of settled draws is walked draw by draw
+    only when the probe, the cap or both sides filling falls inside it.
+
     ``likely_pairs`` are asked first, in order, each one that the earlier
     answers leave open, when there are at most 2 ``m_pairs`` of them: no
     more than the fewest draws a sampled run makes, and never too many for
@@ -274,23 +306,21 @@ def ssc_select(
         raise ValueError(f"each likely pair must join two of the {n_points} points")
     n_pairs = n_points * (n_points - 1) // 2
     # the block's answers: each point's component root, each root's
-    # members and the roots its component is known to differ from
+    # members and the roots its component is known to differ from, and the
+    # points of each "different" answer, flat
     root = list(range(n_points))
     members = [[p] for p in range(n_points)]
     apart = [set() for _ in range(n_points)]
+    differ = []
     # no more likely questions than the fewest draws a sampled run makes
     early = _ask_open(oracle, likely.tolist() if len(likely) <= 2 * m_pairs else (),
-                      root, members, apart)
+                      root, members, apart, differ)
     asked = len(early)
     if n_pairs <= m_pairs:
         asked += len(_ask_open(oracle, combinations(range(n_points), 2),
-                               root, members, apart))
+                               root, members, apart, differ))
         return _exact_report(candidates, root, asked, mu_weight)
     rng = np.random.default_rng(seed)
-    # one ``integers`` call over bounds alternating n, n - 1 consumes the
-    # generator as alternating scalar calls do, so every batch size gives
-    # the same pairs
-    bounds = np.tile([n_points, n_points - 1], _PAIR_BATCH)
     # the draws can cover every pair only if the largest cap allows that
     # many; only then is each pair's first draw tracked, in an array no
     # larger than the draws
@@ -302,60 +332,101 @@ def ssc_select(
     # the draw count at which to act next: the probe, then the cap
     cap = None
     limit = gamma_probe
+    size = _PAIR_BATCH
+    # whether answers changed the components since `roots` and `apart_keys`
+    # were taken
+    stale = True
     done = False
     while not done and distinct < n_pairs:
-        ij = rng.integers(0, bounds).reshape(-1, 2)
+        # one ``integers`` call over bounds alternating n, n - 1 consumes the
+        # generator as alternating scalar calls do, so every batch size
+        # gives the same pairs
+        ij = rng.integers(0, np.tile([n_points, n_points - 1], size)).reshape(-1, 2)
         ij[:, 1] += ij[:, 1] >= ij[:, 0]
-        end = _PAIR_BATCH
+        end = size
         if cover:
             key = _pair_index(ij, n_points)
-            first = np.zeros(_PAIR_BATCH, dtype=bool)
+            first = np.zeros(size, dtype=bool)
             first[np.unique(key, return_index=True)[1]] = True
             first &= ~drawn[key]
             drawn[key] = True
             # the draws of this batch up to the one that completes the pairs
             seen = np.cumsum(first)
             end = min(int(np.searchsorted(seen, n_pairs - distinct)) + 1, end)
-        same = bytearray(end)
+        if stale:
+            roots = np.array(root)
+            apart_keys = _apart_keys(roots, differ)
+            stale = False
+        # the draws the answers so far settle, with their answers; a settled
+        # draw stays settled, so only the open ones are walked one by one
+        r0, r1 = roots[ij[:end, 0]], roots[ij[:end, 1]]
+        same = r0 == r1
+        root_key = r0 * n_points + r1
+        told_apart = apart_keys[np.searchsorted(apart_keys, root_key)] == root_key
+        opens = np.flatnonzero(~same & ~told_apart)
+        pos_before = np.concatenate(([0], np.cumsum(same))).tolist()
         t = 0
-        for i, j in zip(ij[:end, 0].tolist(), ij[:end, 1].tolist()):
-            ri, rj = root[i], root[j]
-            if ri == rj:
-                same[t] = 1
-                n_pos += 1
-            elif rj in apart[ri]:
-                n_neg += 1
-            elif oracle(i, j):
-                asked += 1
-                same[t] = 1
-                n_pos += 1
-                _merge(root, members, apart, ri, rj)
-            else:
-                asked += 1
-                n_neg += 1
-                apart[ri].add(rj)
-                apart[rj].add(ri)
-            t += 1
-            draws += 1
-            if draws == limit:
-                if cap is None:
-                    gamma_hat = min(max(n_neg / gamma_probe, 1.0 / gamma_probe),
-                                    1.0 - 1.0 / gamma_probe)
-                    cap = limit = _cap(m_pairs, nu, gamma_hat)
-                if draws >= cap:
+        for p, pair in zip(opens.tolist() + [end], ij[opens].tolist() + [None]):
+            # the settled draws t..p-1 count in bulk unless the probe, the
+            # cap or both sides filling falls among them
+            run_pos = pos_before[p] - pos_before[t]
+            run_neg = p - t - run_pos
+            if draws + p - t < limit and (n_pos + run_pos < m_pairs
+                                          or n_neg + run_neg < m_pairs):
+                draws += p - t
+                n_pos += run_pos
+                n_neg += run_neg
+                t = p
+            while t <= min(p, end - 1):
+                if t < p:
+                    s = bool(same[t])
+                else:
+                    i, j = pair
+                    ri, rj = root[i], root[j]
+                    if ri == rj:
+                        s = True
+                    elif rj in apart[ri]:
+                        s = False
+                    else:
+                        asked += 1
+                        stale = True
+                        s = bool(oracle(i, j))
+                        if s:
+                            _merge(root, members, apart, ri, rj)
+                        else:
+                            apart[ri].add(rj)
+                            apart[rj].add(ri)
+                            differ += i, j
+                    same[t] = s
+                t += 1
+                draws += 1
+                if s:
+                    n_pos += 1
+                else:
+                    n_neg += 1
+                if draws == limit:
+                    if cap is None:
+                        gamma_hat = min(max(n_neg / gamma_probe, 1.0 / gamma_probe),
+                                        1.0 - 1.0 / gamma_probe)
+                        cap = limit = _cap(m_pairs, nu, gamma_hat)
+                    if draws >= cap:
+                        done = True
+                        break
+                if n_pos >= m_pairs and n_neg >= m_pairs:
                     done = True
                     break
-            if n_pos >= m_pairs and n_neg >= m_pairs:
-                done = True
+            if done:
                 break
         if cover:
             distinct += int(seen[t - 1])
         batches.append(ij[:t])
         answers.append(same[:t])
+        size = min(2 * size, _PAIR_BATCH_MAX)
     if distinct == n_pairs:
         return _exact_report(candidates, root, asked, mu_weight)
     pairs = np.concatenate(batches)
-    keys = np.unique(_pair_index(pairs, n_points))
+    keys = np.sort(_pair_index(pairs, n_points))
+    n_distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     # every asked pair was drawn, except likely ones that never came up
     early_keys = _pair_index(np.array(early, dtype=np.int64).reshape(-1, 2), n_points)
     at = np.minimum(np.searchsorted(keys, early_keys), keys.size - 1)
@@ -363,9 +434,22 @@ def ssc_select(
     if cap is None:
         gamma_hat = max(n_neg, 1) / draws
         cap = draws
-    same = np.frombuffer(b"".join(answers), dtype=bool)
+    same = np.concatenate(answers)
     return rank_candidates(candidates, pairs[same], pairs[~same], cap, gamma_hat,
-                           asked, mu_weight, inferred=keys.size - asked + undrawn)
+                           asked, mu_weight, inferred=n_distinct - asked + undrawn)
+
+
+def _apart_keys(roots: np.ndarray, differ: list) -> np.ndarray:
+    """Sorted keys r * n + s of the component roots told apart, both ways
+    round, ending in n * n, which no pair of roots reaches.
+
+    ``differ`` lists the points i0, j0, i1, j1, ... of the "different"
+    answers; each tells apart the components that now hold its points.
+    """
+    n_points = roots.size
+    r = roots[np.array(differ, dtype=np.int64)].reshape(-1, 2)
+    return np.sort(np.concatenate((r[:, 0] * n_points + r[:, 1],
+                                   r[:, 1] * n_points + r[:, 0], [n_points**2])))
 
 
 def _cap(m_pairs: int, nu: float, gamma_hat: float) -> int:
@@ -384,13 +468,29 @@ def _exact_report(
     candidates: Sequence[Clustering], root: list, asked: int, mu_weight: float
 ) -> SscReport:
     """Rank on every pair once the answers settle all of them: a pair is
-    positive exactly when its two points share a component root."""
+    positive exactly when its two points share a component root.  A
+    candidate's joined positive pairs are counted from its table of
+    (root, label) cells, its joined negative pairs as the rest of the
+    pairs it joins."""
     n_points = len(root)
     n_pairs = n_points * (n_points - 1) // 2
-    i, j = np.triu_indices(n_points, 1)
-    labels = np.asarray(root)
-    same = labels[i] == labels[j]
-    pairs = np.column_stack((i, j))
-    neg = pairs[~same]
-    return rank_candidates(candidates, pairs[same], neg, n_pairs, len(neg) / n_pairs,
-                           asked, mu_weight, inferred=n_pairs - asked)
+    comp = np.asarray(root)
+    n_pos = _pairs_within(comp)
+    n_neg = n_pairs - n_pos
+    losses = []
+    for c in candidates:
+        kept = c.labels >= 0
+        lab = c.labels[kept]
+        joined_pos = _pairs_within(comp[kept] * c.k + lab)
+        joined_neg = _pairs_within(lab) - joined_pos
+        losses.append(_losses(n_pos, n_pos - joined_pos, n_neg, joined_neg,
+                              mu_weight)[2])
+    return _ranked(candidates, losses, queries=asked, query_cap=n_pairs,
+                   gamma_hat=n_neg / n_pairs, n_pos=n_pos, n_neg=n_neg,
+                   inferred=n_pairs - asked)
+
+
+def _pairs_within(codes: np.ndarray) -> int:
+    """Number of unordered pairs of entries that share a code (codes >= 0)."""
+    counts = np.bincount(codes)
+    return int((counts * (counts - 1) // 2).sum())

@@ -127,6 +127,23 @@ def test_spec_rejects_unknown_keys(tmp_path):
         ExperimentSpec.from_json(str(path))
 
 
+@pytest.mark.parametrize("method,key", [
+    ("lsh", "kmax"), ("lsh", "eta"), ("balanced", "k_max"), ("gmm", "mu_radius"),
+])
+def test_spec_rejects_method_params_nothing_reads(method, key):
+    # a misspelt "kmax" used to run silently with the default k_max
+    with pytest.raises(ValueError, match=key):
+        tiny_spec(method=method, method_params={key: 2})
+
+
+def test_spec_accepts_every_method_param_that_is_read():
+    tiny_spec(method="balanced", method_params={"eta": 0.1, "delta": 0.1})
+    tiny_spec(method="lsh", method_params=dict(
+        lam=0.2, delta=0.1, k_min=1, k_max=3, budget=5, mu_radius=0.5))
+    tiny_spec(method="gmm", method_params=dict(
+        k=2, max_iter=50, tol=1e-6, tau=0.05, eta_min=0.2, dim=1, delta=0.1))
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         tiny_spec(method="magic")

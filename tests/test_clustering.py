@@ -83,29 +83,34 @@ def test_restarted_lloyd_usually_finds_the_optimum():
     assert hits >= 57  # observed 59/60 on this fixed stream
 
 
+def scalar_lloyd_run(points, centers, max_iter):
+    """One restart's Lloyd loop from ``centers``, as it was, with argmin."""
+    labels = np.zeros(len(points), dtype=np.int64)
+    for _ in range(max_iter):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = d2.argmin(axis=1)
+        for j in range(len(centers)):
+            members = points[new_labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+            else:
+                far = int(d2.min(axis=1).argmax())
+                centers[j] = points[far]
+                new_labels[far] = j
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return labels
+
+
 def scalar_lloyd(points, k, seed, restarts=32, max_iter=100):
     """The per-restart Lloyd loop that ``lloyd_kmeans`` batches, as it was."""
-    n = len(points)
     rng = np.random.default_rng(seed)
     best_labels = None
     best_cost = np.inf
     for _ in range(restarts):
         centers = clustering._kmeanspp_init(points, k, rng)
-        labels = np.zeros(n, dtype=np.int64)
-        for _ in range(max_iter):
-            d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = d2.argmin(axis=1)
-            for j in range(k):
-                members = points[new_labels == j]
-                if len(members):
-                    centers[j] = members.mean(axis=0)
-                else:
-                    far = int(d2.min(axis=1).argmax())
-                    centers[j] = points[far]
-                    new_labels[far] = j
-            if np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
+        labels = scalar_lloyd_run(points, centers, max_iter)
         cost = kmeans_cost(points, labels)
         if cost < best_cost:
             best_cost, best_labels = cost, labels.copy()
@@ -138,6 +143,18 @@ def test_batched_lloyd_matches_the_per_restart_loop(pts, k, seed):
     got = lloyd_kmeans(pts, k, seed)
     assert got.dtype == np.int64
     assert got.tolist() == first_occurrence(scalar_lloyd(pts, k, seed)).tolist()
+
+
+def test_lloyd_ties_go_to_the_first_centre():
+    # equal starting centres tie on every point: the lower cluster index
+    # takes them all, as argmin does, and the other is re-seeded
+    pts = planted_clusters(3, 6, 4.0, 2, seed=2, n_singletons=2).features
+    starts = np.stack([pts[[0, 0, 7]], pts[[7, 0, 0]], pts[[0, 7, 0]],
+                       pts[[4, 4, 4]], pts[[3, 9, 3]]])
+    for max_iter in (1, 2, 100):
+        got = clustering._lloyd_restarts(pts, starts, max_iter)
+        want = [scalar_lloyd_run(pts, c.copy(), max_iter) for c in starts]
+        assert got.tolist() == np.array(want).tolist()
 
 
 def test_lloyd_chunks_keep_the_restart_order(monkeypatch):
@@ -319,6 +336,43 @@ def test_radius_forest_is_a_minimum_spanning_forest(pts, d):
         assert ca != cb  # no cycle
         comp = [ca if c == cb else c for c in comp]
     assert first_occurrence(comp).tolist() == first_occurrence(want_comp).tolist()
+
+
+def prim_forest(pts, mu_radius, mask):
+    """Prim's algorithm as ``_radius_forest`` runs it, with plain rows: the
+    joining row swaps with the last row outside, and on equal distances
+    the first row outside wins."""
+    idx = np.flatnonzero(mask)
+    pts = pts[idx]
+    left = idx.size
+    best = np.full(left, np.nextafter(mu_radius**2, np.inf))
+    near = np.zeros(left, dtype=np.int64)
+    edges, lengths, v = [], [], 0
+    while left:
+        left -= 1
+        for a in (pts, best, near, idx):
+            a[[v, left]] = a[[left, v]]
+        d2 = ((pts[:left] - pts[left]) ** 2).sum(axis=1)
+        closer = d2 < best[:left]
+        best[:left][closer] = d2[closer]
+        near[:left][closer] = idx[left]
+        if left:
+            v = int(np.argmin(best[:left]))
+            if best[v] <= mu_radius**2:
+                edges.append((near[v], idx[v]))
+                lengths.append(best[v])
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)[np.argsort(lengths, kind="stable")]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_radius_forest_keeps_prims_order_on_ties(d, scale):
+    # on a grid most distances tie, so which endpoints and which order the
+    # forest reports depends on the tie rule
+    pts = np.random.default_rng(d).integers(0, 6, (80, d)) * scale
+    mask = neighbour_mask(pts, scale)
+    got = clustering._radius_forest(pts, scale, mask)
+    assert got.tolist() == prim_forest(pts, scale, mask).tolist()
 
 
 def test_radius_forest_hand_case():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entity_sampler import ssc
 from entity_sampler.clustering import Clustering
 from entity_sampler.ssc import (
     SameClusterOracle,
@@ -322,6 +323,9 @@ def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100,
     ([7] * 60, 3),       # all positive: past one batch of draws, to the cap
     ([0, 1, 2], 1),      # all negative: every pair answered, no cap
     ([5] * 12, 2),       # all positive: every pair answered, or the cap first
+    # three classes: past several batches, both sides fill among draws
+    # that earlier answers settle
+    ([0] * 40 + [1] * 40 + [2] * 40, 500),
 ])
 def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
     n = len(labels)
@@ -331,6 +335,32 @@ def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
         asked, expected = scalar_select(cands, labels, m_pairs, seed)
         oracle = RecordingOracle(labels)
         assert ssc_select(cands, n, oracle, m_pairs, seed=seed) == expected
+        assert oracle.asked == asked
+
+
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+@pytest.mark.parametrize("labels,m_pairs,gamma_probe,nu", [
+    ([0, 1, 1, 2, 2, 2, 3, 4, 5, 5] * 5, 60, 100, 1.0),
+    # the probe past the first batch, then both sides fill
+    ([0] * 40 + [1] * 40 + [2] * 40, 500, 300, 1.0),
+    # the probe past the first batch, then the cap
+    ([7] * 60, 3, 300, 1.0),
+    # a rare negative side, far past the first batch: seed 0 stops at the
+    # cap, seeds 1-3 on both sides filling
+    ([0] * 150 + [1] * 2, 50, 700, 0.0),
+])
+def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs,
+                                    gamma_probe, nu):
+    monkeypatch.setattr(ssc, "_PAIR_BATCH", batch)
+    n = len(labels)
+    cands = [clustering(list(range(n)), n=n), Clustering(-np.arange(1, n + 1))]
+    for seed in range(4):
+        asked, expected = scalar_select(cands, labels, m_pairs, seed, nu=nu,
+                                        gamma_probe=gamma_probe)
+        oracle = RecordingOracle(labels)
+        rep = ssc_select(cands, n, oracle, m_pairs, seed=seed, nu=nu,
+                         gamma_probe=gamma_probe)
+        assert rep == expected
         assert oracle.asked == asked
 
 
