@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, positive_count
 from .rejection import DegenerateMapWarning, ProbabilityMap
 
 __all__ = [
@@ -98,10 +98,10 @@ def estimate_probs_balanced(data: Dataset, m: int, seed: int) -> ProbabilityMap:
     they are drawn directly as one multinomial over the distinct record
     contents (identical in law, and cost stays proportional to the number
     of distinct values rather than the dataset).  The map holds one slot per
-    distinct content; unseen values get the smallest seen estimate.
+    distinct content; unseen values get the smallest seen estimate.  A
+    non-integer ``m`` or one below 1 raises ValueError.
     """
-    if m <= 0:
-        raise ValueError("sample size m must be positive")
+    m = positive_count(m, "sample size m")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(m, data.dedup_freqs / data.n)
     seen = counts > 0

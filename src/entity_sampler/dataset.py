@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +34,7 @@ __all__ = [
     "char_ngrams",
     "float_cells",
     "ingest_csv",
+    "positive_count",
     "relative_error",
     "tv_distance",
     "uniform_distribution",
@@ -73,7 +75,7 @@ def _factorize_features(features: np.ndarray) -> np.ndarray:
     keys = np.ascontiguousarray(features).view(">u8").astype(np.uint64)
     if keys.shape[1] == 1:
         keys = keys[:, 0]
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys = keys[order]
         starts = keys[1:] != keys[:-1]
     else:
@@ -407,6 +409,17 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 def uniform_distribution(labels: Sequence) -> DiscreteDistribution:
     labels = tuple(labels)
     return DiscreteDistribution(labels, np.full(len(labels), 1.0 / len(labels)))
+
+
+def positive_count(value, name: str) -> int:
+    """``value`` as an int of at least 1; ValueError for anything else."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be at least 1, got {count}")
+    return count
 
 
 def relative_error(real: float, estimate: float) -> float:

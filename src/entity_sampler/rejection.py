@@ -5,7 +5,11 @@ Stage two of the cleaning pipeline: given per-record probability estimates
 draw ``v`` when a fresh uniform variate falls below ``floor / phat(v)``.  The
 induced entity distribution is proportional to ``prob(e) * floor / phat(e)``,
 so exact estimates yield an exactly uniform distribution over entities.
-Entity-level outputs, the sample counts and that induced distribution, are
+A map backed per content (``ProbabilityMap.by_code``) is sampled per
+content: its ratios are computed once per distinct content and each drawn
+record is looked up through its content code, so a call costs
+O(trials + distinct contents) once the dataset is factorized and allocates
+no per-record array.  Entity-level outputs, the sample counts and that induced distribution, are
 arrays in the order of ``data.entity_names``.
 """
 
@@ -17,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, DiscreteDistribution, float_cells, write_csv_columns
+from .dataset import (
+    Dataset,
+    DiscreteDistribution,
+    float_cells,
+    positive_count,
+    write_csv_columns,
+)
 
 __all__ = [
     "CoverageError",
@@ -56,7 +66,9 @@ class ProbabilityMap:
     in a dataset's order, ``by_code`` one per content code of the dataset's
     ``dedup_codes`` (the balanced estimator emits this form, keeping its
     cost proportional to the distinct contents, not the records).
-    ``resolve`` gives the per-record view of either.
+    ``resolve`` gives the per-record view of either; ``sample_clean`` and
+    ``expected_trials_per_accept`` read a ``by_code`` map per content and
+    never build that view.
     """
 
     dense: np.ndarray | None = None
@@ -80,20 +92,29 @@ class ProbabilityMap:
         arr = self.dense if self.dense is not None else self.by_code
         return float(arr.min())
 
-    def resolve(self, data: Dataset) -> np.ndarray:
-        """Dense per-record estimates aligned with ``data``."""
+    def _backing(self, data: Dataset) -> tuple[np.ndarray, np.ndarray | None]:
+        """The estimate array checked against ``data``, with its record codes.
+
+        The codes are ``data.dedup_codes`` for a ``by_code`` map (record
+        ``i``'s estimate is ``table[codes[i]]``) and None for a dense map.
+        """
         if self.dense is not None:
             if self.dense.size != data.n:
                 raise CoverageError(
                     f"map covers {self.dense.size} records, dataset has {data.n}"
                 )
-            return self.dense
+            return self.dense, None
         n_contents = data.dedup_freqs.size
         if self.by_code.size != n_contents:
             raise CoverageError(
                 f"map covers {self.by_code.size} contents, dataset has {n_contents}"
             )
-        return self.by_code[data.dedup_codes]
+        return self.by_code, data.dedup_codes
+
+    def resolve(self, data: Dataset) -> np.ndarray:
+        """Dense per-record estimates aligned with ``data``."""
+        table, codes = self._backing(data)
+        return table if codes is None else table[codes]
 
     def to_csv(self, path: str, data: Dataset) -> None:
         """Write the two-column (record id, estimate) artifact."""
@@ -143,16 +164,22 @@ class SampleResult:
         return self.trials / max(self.size, 1)
 
 
-def _acceptance_ratios(data: Dataset, pmap: ProbabilityMap) -> np.ndarray:
-    phat = pmap.resolve(data)
-    ratios = pmap.floor / phat
-    if np.allclose(phat, phat[0]):
+def _acceptance_ratios(
+    data: Dataset, pmap: ProbabilityMap
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``floor / estimate`` over the map's backing array, with its record codes.
+
+    Every code occurs in some record, so the backing holds the same values
+    as the per-record view and the degenerate-map test reads the same.
+    """
+    table, codes = pmap._backing(data)
+    if np.allclose(table, table[0] if codes is None else table[codes[0]]):
         warnings.warn(
             "all probability estimates are equal; sampling is uniform over records",
             DegenerateMapWarning,
             stacklevel=3,
         )
-    return ratios
+    return pmap.floor / table, codes
 
 
 # uniform draws made per step of sample_clean; the draws depend on it
@@ -171,13 +198,17 @@ def sample_clean(
     Accepts a uniform draw ``v`` when ``u < floor / phat(v)`` for a fresh
     ``u ~ U[0, 1)``; a ratio of one always accepts.  Raises
     SampleBudgetError after ``max_trials_factor * p`` trials so a badly
-    scaled map fails loudly instead of hanging.
+    scaled map fails loudly instead of hanging, and ValueError when ``p``
+    or ``max_trials_factor`` is not an integer of at least 1.  A ``by_code``
+    map's ratios are computed once per content and looked up through the
+    drawn records' content codes, so after factorization a call costs
+    O(trials + distinct contents) and allocates no per-record array; the
+    draws and the result are the same as for the map's dense view.
     """
-    if p <= 0:
-        raise ValueError("requested sample size must be positive")
-    ratios = _acceptance_ratios(data, pmap)
+    p = positive_count(p, "sample size p")
+    max_trials = positive_count(max_trials_factor, "max_trials_factor") * p
+    ratios, codes = _acceptance_ratios(data, pmap)
     rng = np.random.default_rng(seed)
-    max_trials = max_trials_factor * p
     accepted: list[np.ndarray] = []
     n_acc = 0
     trials = 0
@@ -189,13 +220,13 @@ def sample_clean(
         take = min(_TRIAL_CHUNK, max_trials - trials)
         idx = rng.integers(0, data.n, size=take)
         u = rng.random(take)
-        hits = idx[u < ratios[idx]]
+        accept = u < ratios[idx if codes is None else codes[idx]]
+        hits = idx[accept]
         if n_acc + hits.size >= p:
             need = p - n_acc
             # exact trial count up to and including the accepting draw of
             # the p-th record
-            hit_pos = np.flatnonzero(u < ratios[idx])
-            trials += int(hit_pos[need - 1]) + 1
+            trials += int(np.flatnonzero(accept)[need - 1]) + 1
             hits = hits[:need]
         else:
             trials += take
@@ -230,5 +261,6 @@ def exact_induced_distribution(
 
 def expected_trials_per_accept(data: Dataset, pmap: ProbabilityMap) -> float:
     """Mean number of uniform draws consumed per accepted record."""
-    ratios = _acceptance_ratios(data, pmap)
-    return float(1.0 / ratios.mean())
+    ratios, codes = _acceptance_ratios(data, pmap)
+    mean = ratios.mean() if codes is None else ratios @ data.dedup_freqs / data.n
+    return float(1.0 / mean)

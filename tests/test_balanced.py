@@ -149,6 +149,15 @@ def test_estimator_cost_tracks_distinct_values_not_rows():
     assert len(pmap.by_code) <= 3
 
 
+@pytest.mark.parametrize("m", [2.9, 2.5, np.float64(3.0), "3", 0, -1])
+def test_sample_size_must_be_a_positive_integer(m):
+    d = dataset_from_freqs([5, 3, 2], seed=0)
+    with pytest.raises(ValueError, match="sample size m"):
+        estimate_probs_balanced(d, m, seed=0)
+    assert np.array_equal(estimate_probs_balanced(d, np.int64(3), seed=0).by_code,
+                          estimate_probs_balanced(d, 3, seed=0).by_code)
+
+
 def test_single_value_sample_warns():
     d = dataset_from_freqs([3], seed=0)
     with pytest.warns(DegenerateMapWarning):

@@ -5,10 +5,13 @@ mass is proportional to the sum over its records of floor / phat(record),
 with floor the smallest estimate.  Exact estimates cancel frequency exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entity_sampler.balanced import estimate_probs_balanced
 from entity_sampler.dataset import Dataset, tv_distance, uniform_distribution
 from entity_sampler.rejection import (
     CoverageError,
@@ -20,7 +23,7 @@ from entity_sampler.rejection import (
     expected_trials_per_accept,
     sample_clean,
 )
-from entity_sampler.synth import dataset_from_freqs
+from entity_sampler.synth import dataset_from_freqs, dispersed_dataset
 
 
 def two_entity_data():
@@ -132,6 +135,23 @@ def test_sample_counts_are_near_uniform_with_exact_probs():
     assert np.all(np.abs(counts - 1000) < 4 * np.sqrt(3000 * (1 / 3) * (2 / 3)))
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [({"p": 2.5}, "sample size p"), ({"p": 0}, "sample size p"),
+     ({"p": -3}, "sample size p"), ({"p": np.float64(4.0)}, "sample size p"),
+     ({"p": "4"}, "sample size p"), ({"max_trials_factor": 0.5}, "max_trials_factor"),
+     ({"max_trials_factor": 0}, "max_trials_factor"),
+     ({"max_trials_factor": -2}, "max_trials_factor")],
+)
+def test_sample_size_and_trial_factor_must_be_positive_integers(kwargs, match):
+    d = two_entity_data()
+    pmap = ProbabilityMap(dense=d.entity_freqs[d.entity_codes] / d.n)
+    with pytest.raises(ValueError, match=match):
+        sample_clean(d, pmap, **{"p": 4, "seed": 0, **kwargs})
+    assert sample_clean(d, pmap, p=np.int64(4), seed=0,
+                        max_trials_factor=np.int32(3)).size == 4
+
+
 def test_budget_error_when_acceptance_is_rare():
     # floor 1e-9 makes four of five records near-impossible to accept
     d = two_entity_data()
@@ -156,6 +176,49 @@ def test_per_code_map_resolves():
     dense = pmap.resolve(d)
     assert dense[0] == pytest.approx(0.6)
     assert dense[-1] == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_backing_does_not_change_the_sample(seed):
+    # 70,000 accepts need more than one 65,536-trial chunk; 150 end inside
+    # the first
+    d = dataset_from_freqs([40, 17, 9, 5, 3, 2, 1, 1], seed=seed)
+    by_code = estimate_probs_balanced(d, m=30, seed=seed)
+    dense = ProbabilityMap(dense=by_code.resolve(d))
+    for p in (150, 70_000):
+        a = sample_clean(d, by_code, p=p, seed=seed + 10)
+        b = sample_clean(d, dense, p=p, seed=seed + 10)
+        assert np.array_equal(a.record_indices, b.record_indices)
+        assert a.trials == b.trials
+        assert np.array_equal(a.per_entity_counts, b.per_entity_counts)
+    assert a.trials > 1 << 16
+    assert expected_trials_per_accept(d, by_code) == pytest.approx(
+        expected_trials_per_accept(d, dense), rel=1e-12)
+
+
+def test_sampling_memory_does_not_grow_with_the_table():
+    d = dispersed_dataset(10_500, 40, 0.3, seed=4)
+    assert d.n >= 400_000
+    pmap = estimate_probs_balanced(d, m=4000, seed=5)
+    d.dedup_codes, d.entity_codes, d.entity_names  # factorize outside the trace
+    tracemalloc.start()
+    try:
+        res = sample_clean(d, pmap, p=1000, seed=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.size == 1000
+    assert peak < d.n * 8  # less than one float64 per record
+
+
+def test_equal_per_code_estimates_warn():
+    d = dataset_from_freqs([3, 2, 1], seed=0)
+    pmap = ProbabilityMap(by_code=np.full(d.dedup_freqs.size, 0.25))
+    with pytest.warns(DegenerateMapWarning):
+        res = sample_clean(d, pmap, p=20, seed=1)
+    assert res.trials == 20
+    with pytest.warns(DegenerateMapWarning):
+        assert expected_trials_per_accept(d, pmap) == 1.0
 
 
 def test_invalid_maps_rejected():
