@@ -9,8 +9,8 @@ A map backed per content (``ProbabilityMap.by_code``) is sampled per
 content: its ratios are computed once per distinct content and each drawn
 record is looked up through its content code, so a call costs
 O(trials + distinct contents) once the dataset is factorized and allocates
-no per-record array.  Entity-level outputs, the sample counts and that induced distribution, are
-arrays in the order of ``data.entity_names``.
+no per-record array.  Entity-level outputs, the sample counts and that
+induced distribution, are arrays in the order of ``data.entity_names``.
 """
 
 from __future__ import annotations
