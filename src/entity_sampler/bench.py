@@ -27,6 +27,7 @@ from .dataset import (
     DatasetError,
     ingest_csv,
     relative_error,
+    text_column,
     tv_distance,
     uniform_distribution,
 )
@@ -84,18 +85,16 @@ def inject_duplicates(
         copies = rng.integers(1, 6, size=n_selected)
     dup_rows = np.repeat(chosen, copies)
     order = np.concatenate([np.arange(data.n), dup_rows])
-    new_ids = data.ids + tuple(f"{data.ids[r]}+dup{j}" for j, r in enumerate(dup_rows))
-    labels = None
-    if data.entity_labels is not None:
-        arr = np.asarray(data.entity_labels)
-        labels = arr[order] if arr.dtype != object else tuple(
-            data.entity_labels[i] for i in order
-        )
+    dup_ids = [f"{i}+dup{j}" for j, i in enumerate(data.ids[dup_rows].tolist())]
+    # the copies' ids are text, so all ids join in an object column
+    new_ids = np.concatenate(
+        [data.ids.astype(object, copy=False), text_column(dup_ids)]
+    )
     return Dataset(
         ids=new_ids,
         features=None if data.features is None else data.features[order],
         tokens=None if data.tokens is None else tuple(data.tokens[i] for i in order),
-        entity_labels=labels,
+        entity_labels=None if data.entity_labels is None else data.entity_labels[order],
         values=None if data.values is None else data.values[order],
     )
 

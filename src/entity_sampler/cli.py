@@ -26,6 +26,7 @@ from .dataset import (
     DatasetError,
     float_cells,
     ingest_csv,
+    scalar_cells,
     write_csv_columns,
 )
 from .gmm import CollapseError, EmResult, MixtureModel, em_fit, estimate_probs_gmm
@@ -64,10 +65,10 @@ def _write_dataset_csv(data: Dataset, path: str) -> None:
     if data.features is None:
         raise DatasetError("only feature datasets can be written back to CSV")
     header = ["id"] + [f"f{j}" for j in range(data.features.shape[1])]
-    columns = [data.ids, *map(float_cells, data.features.T)]
+    columns = [scalar_cells(data.ids), *map(float_cells, data.features.T)]
     if data.entity_labels is not None:
         header.append("entity")
-        columns.append(data.entity_labels)
+        columns.append(scalar_cells(data.entity_labels))
     if data.values is not None:
         header.append("value")
         columns.append(float_cells(data.values))
@@ -173,7 +174,7 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
     if oracle is None:
         if data.entity_labels is None:
             raise DatasetError("lsh estimation needs an entity column as oracle")
-        oracle = SameClusterOracle(labels=tuple(data.entity_codes))
+        oracle = SameClusterOracle(labels=data.entity_codes.tolist())
     cfg = LshConfig.plan(float(p.get("lam", 0.2)), float(p.get("delta", 0.1)),
                          family="minhash" if data.tokens is not None else "hyperplane")
     blocking = lsh_partition(data, cfg, seed)
@@ -235,18 +236,22 @@ def _cmd_estimate(args) -> int:
 def _cmd_sample(args) -> int:
     data = _load_dataset(args)
     pmap = ProbabilityMap.from_csv(args.map)
-    if pmap.ids is not None and pmap.ids != tuple(str(i) for i in data.ids):
-        raise DatasetError("probability map was built for a different dataset")
+    if pmap.ids is not None:
+        # an id column is str text already; generated ids (np.arange) are
+        # compared as the text the map artifact holds
+        ids = data.ids if data.ids.dtype == object else data.ids.astype(str)
+        if not np.array_equal(pmap.ids, ids):
+            raise DatasetError("probability map was built for a different dataset")
     result = sample_clean(data, pmap, args.p, args.seed)
-    picked = result.record_indices.tolist()
+    picked = result.record_indices
     header = ["record_id"]
-    columns = [map(data.ids.__getitem__, picked)]
+    columns = [data.ids[picked].tolist()]
     if data.entity_labels is not None:
         header.append("entity")
-        columns.append(map(data.entity_labels.__getitem__, picked))
+        columns.append(data.entity_labels[picked].tolist())
     if data.values is not None:
         header.append("value")
-        columns.append(float_cells(data.values[result.record_indices]))
+        columns.append(float_cells(data.values[picked]))
     write_csv_columns(args.out, header, columns)
     json.dump(
         {"requested": args.p, "accepted": result.size, "trials": result.trials,

@@ -6,9 +6,12 @@ over entities (``prob(e) = freq(e) / n``) and the whole point of the package
 is to sample entities almost uniformly even though the records are skewed.
 
 Records are stored column-wise (numpy arrays) so that million-row synthetic
-datasets stay cheap.  Entity-level results (frequencies, induced masses,
-sample counts) are arrays aligned with ``Dataset.entity_names``: slot ``c``
-belongs to entity code ``c``.
+datasets stay cheap: record ids and entity labels are 1-d arrays too, made
+from any sequence by ``np.asarray`` or, when that does not give a 1-d array,
+as a 1-d object array; CSV text columns are object arrays of their cells.
+Entity-level results (frequencies, induced masses, sample counts) are arrays
+aligned with ``Dataset.entity_names``: slot ``c`` belongs to entity code
+``c``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ __all__ = [
     "ingest_csv",
     "positive_count",
     "relative_error",
+    "scalar_cells",
+    "text_column",
     "tv_distance",
     "uniform_distribution",
     "write_csv_columns",
@@ -91,13 +96,50 @@ def _factorize_features(features: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _column(items: Sequence) -> np.ndarray:
+    """``items`` as a 1-d array: ``np.asarray`` when that gives one, else a
+    1-d object array holding the items themselves (tuples, ragged rows)."""
+    try:
+        arr = np.asarray(items)
+    except ValueError:  # ragged nested sequences
+        arr = None
+    if arr is None or arr.ndim != 1:
+        arr = np.fromiter(items, dtype=object, count=len(items))
+    return arr
+
+
+# widest value span, per record, that gets a first-position table
+_SPAN_PER_RECORD = 4
+
+
 def _factorize_objects(items: Sequence) -> tuple[np.ndarray, list]:
     """Codes in first-appearance order plus the label list.
 
-    Numeric and string label columns go through numpy; only genuinely mixed
-    (object-dtype) columns fall back to the python loop.
+    Integer columns whose value span (max - min + 1) is at most
+    ``_SPAN_PER_RECORD`` times their length get a span-sized table of first
+    positions, filled by a reversed scatter; the present values are ranked
+    by first position, so only the distinct values are sorted, never the
+    records.  The bound keeps that int64 table no larger than the four
+    record-sized arrays (sorted copy, permutation, first index, inverse)
+    of the ``np.unique`` path, which every other numeric or fixed-width
+    string column and every wider span takes.  Object columns (CSV text,
+    mixed items) go through a dict, which for text is also faster than
+    sorting it.
     """
     arr = items if isinstance(items, np.ndarray) else np.asarray(items)
+    if arr.ndim == 1 and arr.dtype.kind in "iu" and arr.size:
+        lo = arr.min()
+        n = arr.size
+        span = int(arr.max()) - int(lo) + 1
+        if span <= _SPAN_PER_RECORD * n:
+            # wrapping int64 arithmetic gives the exact offset, below span
+            offs = np.subtract(arr, lo, dtype=np.int64, casting="unsafe")
+            table = np.full(span, -1, dtype=np.int64)
+            # written in reverse, so each value keeps its first record
+            table[offs[::-1]] = np.arange(n - 1, -1, -1)
+            firsts = np.sort(table[table >= 0])
+            table[offs[firsts]] = np.arange(firsts.size)
+            return table[offs], arr[firsts].tolist()
     if arr.ndim == 1 and arr.dtype != object:
         uniq, first, inv = np.unique(arr, return_index=True, return_inverse=True)
         order = np.argsort(first, kind="stable")
@@ -122,20 +164,24 @@ class Dataset:
     """Immutable column-wise record table.
 
     Exactly one of ``features`` / ``tokens`` carries the record content;
-    ``entity_labels`` (ground truth, a tuple or for large synthetic tables a
-    1-d label array) and ``values`` are optional.  Mutating operations return
-    new datasets; every randomized consumer takes an explicit seed, so
-    instances can be shared freely across workers.
+    ``entity_labels`` (ground truth) and ``values`` are optional.  ``ids``
+    and ``entity_labels`` are stored as 1-d arrays: any sequence is taken
+    through ``np.asarray``, or kept item for item in an object array when
+    that does not give a 1-d array, so ``(0, 1)``, ``["a", "b"]`` and
+    ``np.arange(n)`` all work.  Mutating operations return new datasets;
+    every randomized consumer takes an explicit seed, so instances can be
+    shared freely across workers.
     """
 
-    ids: tuple
+    ids: np.ndarray
     features: np.ndarray | None = None
     tokens: tuple[frozenset[str], ...] | None = None
-    entity_labels: Sequence | None = None
+    entity_labels: np.ndarray | None = None
     values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.ids)
+        object.__setattr__(self, "ids", _column(self.ids))
+        n = self.ids.shape[0]
         if self.features is None and self.tokens is None:
             raise DatasetError("dataset needs feature vectors or token sets")
         if self.features is not None:
@@ -147,8 +193,11 @@ class Dataset:
             object.__setattr__(self, "features", feats)
         if self.tokens is not None and len(self.tokens) != n:
             raise DatasetError("token column length mismatch")
-        if self.entity_labels is not None and len(self.entity_labels) != n:
-            raise DatasetError("entity label column length mismatch")
+        if self.entity_labels is not None:
+            labels = _column(self.entity_labels)
+            if labels.shape[0] != n:
+                raise DatasetError("entity label column length mismatch")
+            object.__setattr__(self, "entity_labels", labels)
         if self.values is not None:
             vals = np.asarray(self.values, dtype=np.float64)
             if vals.shape != (n,):
@@ -159,7 +208,7 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return self.ids.shape[0]
 
     @property
     def dim(self) -> int | None:
@@ -318,14 +367,26 @@ def ingest_csv(path: str, schema: CsvSchema) -> Dataset:
     ents, vals, ids = (next(rest) if c else None for c in singles)
     del cols, rest
     ds = Dataset(
-        ids=tuple(ids) if ids is not None else tuple(range(n)),
+        # id cells keep their exact text ("007" is not 7)
+        ids=text_column(ids) if ids is not None else np.arange(n),
         features=feats,
         tokens=toks,
-        entity_labels=tuple(ents) if ents is not None else None,
+        entity_labels=text_column(ents) if ents is not None else None,
         values=_float_column(vals) if vals is not None else None,
     )
     ds.check_label_consistency()
     return ds
+
+
+def text_column(cells: list[str]) -> np.ndarray:
+    """Text cells (of a CSV column, say) as a 1-d object array of the ``str``s.
+
+    An object array holds the cells themselves, so its memory follows the
+    total text; a fixed-width ``U`` array would cost every row the width
+    of the longest cell (one 2,000-character URL id among a million short
+    ones would take 8 GB).
+    """
+    return np.fromiter(cells, dtype=object, count=len(cells))
 
 
 def _float_column(cells: list[str]) -> np.ndarray:
@@ -353,15 +414,19 @@ def write_csv_columns(path: str, header: Sequence[str], columns: Sequence) -> No
         writer.writerows(zip(*columns))
 
 
+def scalar_cells(column: np.ndarray) -> Iterator:
+    """Python scalars of a 1-d column, made lazily, a few thousand at a time."""
+    return chain.from_iterable(
+        column[i : i + 4096].tolist() for i in range(0, len(column), 4096)
+    )
+
+
 def float_cells(values: np.ndarray) -> Iterator[str]:
     """``.17g`` text of each float, which parses back to the same float.
 
     Made lazily, a few thousand floats at a time.
     """
-    return chain.from_iterable(
-        map("{:.17g}".format, values[i : i + 4096].tolist())
-        for i in range(0, len(values), 4096)
-    )
+    return map("{:.17g}".format, scalar_cells(values))
 
 
 @dataclass(frozen=True, eq=False)

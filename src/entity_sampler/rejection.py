@@ -26,6 +26,8 @@ from .dataset import (
     DiscreteDistribution,
     float_cells,
     positive_count,
+    scalar_cells,
+    text_column,
     write_csv_columns,
 )
 
@@ -73,7 +75,7 @@ class ProbabilityMap:
 
     dense: np.ndarray | None = None
     by_code: np.ndarray | None = None
-    ids: tuple | None = None
+    ids: np.ndarray | None = None  # record id text, when read from an artifact
 
     def __post_init__(self) -> None:
         if (self.dense is None) == (self.by_code is None):
@@ -119,7 +121,8 @@ class ProbabilityMap:
     def to_csv(self, path: str, data: Dataset) -> None:
         """Write the two-column (record id, estimate) artifact."""
         write_csv_columns(
-            path, ["record_id", "phat"], [data.ids, float_cells(self.resolve(data))]
+            path, ["record_id", "phat"],
+            [scalar_cells(data.ids), float_cells(self.resolve(data))],
         )
 
     @classmethod
@@ -140,7 +143,7 @@ class ProbabilityMap:
                     f"{path} line {reader.line_num}: a map row needs a record id "
                     f"and a numeric phat ({exc})"
                 ) from exc
-        return cls(dense=np.array(vals), ids=tuple(ids))
+        return cls(dense=np.array(vals), ids=text_column(ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,12 +252,16 @@ def exact_induced_distribution(
     Mass of entity ``e`` is proportional to the sum of ``floor / phat(v)``
     over the records ``v`` of ``e``; the support is ``data.entity_names``.
     Invariant under rescaling all estimates by a constant, since the floor
-    rescales with them.
+    rescales with them.  A ``by_code`` map's ratios are computed once per
+    content and gathered through ``data.dedup_codes``; no per-record
+    division is made.
     """
-    phat = pmap.resolve(data)
-    weights = pmap.floor / phat
+    table, codes = pmap._backing(data)
+    ratios = pmap.floor / table
     masses = np.bincount(
-        data.entity_codes, weights=weights, minlength=len(data.entity_names)
+        data.entity_codes,
+        weights=ratios if codes is None else ratios[codes],
+        minlength=len(data.entity_names),
     )
     return DiscreteDistribution(data.entity_names, masses / masses.sum())
 

@@ -56,7 +56,7 @@ def dataset_from_freqs(
     codes = np.repeat(np.arange(n_ent), freqs)
     vals = values[codes]
     return Dataset(
-        ids=tuple(range(codes.shape[0])),
+        ids=np.arange(codes.shape[0]),
         features=vals.reshape(-1, 1),
         entity_labels=codes,
         values=vals,
@@ -152,7 +152,7 @@ def dispersed_dataset(
     content = values[ent_of_variant] + 1e-3 * variant_rank
     codes = np.repeat(np.arange(variant_freq.shape[0]), variant_freq)
     return Dataset(
-        ids=tuple(range(codes.shape[0])),
+        ids=np.arange(codes.shape[0]),
         features=content[codes].reshape(-1, 1),
         entity_labels=ent_of_variant[codes],
         values=values[ent_of_variant][codes],
@@ -191,9 +191,9 @@ def planted_clusters(
         _VALUE_LO, _VALUE_HI, size=n_clusters + n_singletons
     )
     return Dataset(
-        ids=tuple(range(len(labels))),
+        ids=np.arange(len(labels)),
         features=features,
-        entity_labels=tuple(labels),
+        entity_labels=labels,
         values=np.repeat(values, [per_cluster] * n_clusters + [1] * n_singletons),
     )
 
@@ -237,7 +237,7 @@ def mixture_tracking_dataset(
                                                    size=points.shape[0])
     codes = np.repeat(np.arange(points.shape[0]), freqs)
     return Dataset(
-        ids=tuple(range(codes.shape[0])),
+        ids=np.arange(codes.shape[0]),
         features=points[codes].reshape(-1, 1),
         entity_labels=codes,
         values=vals[codes],
@@ -322,10 +322,10 @@ def duplicate_text_corpus(
             feats.append(embed(e))
             values.append(base_vals[e])
     return Dataset(
-        ids=tuple(range(len(labels))),
+        ids=np.arange(len(labels)),
         features=np.vstack(feats) if with_features else None,
         tokens=tuple(tokens),
-        entity_labels=tuple(labels),
+        entity_labels=labels,
         values=np.array(values),
     )
 

@@ -8,6 +8,7 @@ import pytest
 
 from entity_sampler import bench
 from entity_sampler.balanced import plan_sample_size
+from entity_sampler.dataset import Dataset
 from entity_sampler.bench import (
     ExperimentSpec,
     balanced_error_bound,
@@ -55,7 +56,7 @@ def test_zero_rate_is_identity():
     d = base_data(100)
     out = inject_duplicates(d, 0.0, "tpch", seed=3)
     assert out.n == d.n
-    assert out.ids == d.ids
+    assert np.array_equal(out.ids, d.ids)
 
 
 def test_injection_preserves_entities_and_clean_mean():
@@ -65,6 +66,23 @@ def test_injection_preserves_entities_and_clean_mean():
     assert out.entity_values().mean() == pytest.approx(d.entity_values().mean())
     copies = [i for i in out.ids if "+dup" in str(i)]
     assert len(copies) == out.n - d.n
+
+
+@pytest.mark.parametrize("text_ids", [False, True])
+def test_injected_ids_keep_the_clean_ids_and_name_their_source(text_ids):
+    d = base_data(40)
+    if text_ids:
+        d = Dataset(ids=[f"r{i:03d}" for i in range(d.n)], features=d.features,
+                          entity_labels=d.entity_labels, values=d.values)
+    out = inject_duplicates(d, 0.25, "tpch", seed=5)
+    assert out.ids[: d.n].tolist() == d.ids.tolist()
+    # each copy is named after the clean record whose content it repeats
+    for j, rid in enumerate(out.ids[d.n :].tolist()):
+        src, tag = rid.split("+dup")
+        assert tag == str(j)
+        row = d.ids.tolist().index(src if text_ids else int(src))
+        assert out.features[d.n + j, 0] == d.features[row, 0]
+    assert out.ids.dtype == object
 
 
 def test_injection_validation():

@@ -126,7 +126,7 @@ def test_estimate_and_sample_round_trip(tmp_path, capsys):
     assert info["records"] == 6
     assert info["artifact"] == map_path
     pmap = ProbabilityMap.from_csv(map_path)
-    assert pmap.ids == ("r0", "r1", "r2", "r3", "r4", "r5")
+    assert pmap.ids.tolist() == ["r0", "r1", "r2", "r3", "r4", "r5"]
     assert pmap.floor == pytest.approx(info["floor"])
     assert pmap.floor > 0
 
@@ -297,6 +297,43 @@ def test_sample_detects_foreign_map(tmp_path, capsys):
                "--out", str(tmp_path / "s.csv")])
     assert rc == 2
     assert "different dataset" in capsys.readouterr().err
+
+
+def test_sample_rejects_a_map_whose_last_id_differs(tmp_path, capsys):
+    data, schema = write_toy_csv(tmp_path)
+    map_path = tmp_path / "map.csv"
+    assert main(["estimate", "--data", data, "--schema", schema,
+                 "--method", "balanced", "--m", "200", "--out", str(map_path)]) == 0
+    capsys.readouterr()
+    text = map_path.read_text(encoding="utf-8")
+    assert "\nr5," in text
+    map_path.write_text(text.replace("\nr5,", "\nr6,"), encoding="utf-8")
+    rc = main(["sample", "--data", data, "--schema", schema,
+               "--map", str(map_path), "--p", "5", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    assert "different dataset" in capsys.readouterr().err
+
+
+def test_id_text_survives_estimate_and_sample(tmp_path, capsys):
+    data = tmp_path / "ids.csv"
+    data.write_text("id,f0,entity\n007,1.0,a\n7,1.0,a\n0x1,2.0,b\n",
+                    encoding="utf-8")
+    schema = tmp_path / "ids.schema.json"
+    schema.write_text(json.dumps(
+        {"feature_cols": ["f0"], "entity_col": "entity", "id_col": "id"}))
+    args = ["--data", str(data), "--schema", str(schema)]
+    map_path = str(tmp_path / "map.csv")
+    assert main(["estimate", *args, "--method", "balanced", "--m", "50",
+                 "--out", map_path]) == 0
+    assert ProbabilityMap.from_csv(map_path).ids.tolist() == ["007", "7", "0x1"]
+    sample_path = tmp_path / "sample.csv"
+    assert main(["sample", *args, "--map", map_path, "--p", "200", "--seed", "3",
+                 "--out", str(sample_path)]) == 0
+    capsys.readouterr()
+    with open(sample_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    picked = {(row["record_id"], row["entity"]) for row in rows}
+    assert picked == {("007", "a"), ("7", "a"), ("0x1", "b")}
 
 
 def test_sample_rejects_a_map_with_a_short_row(tmp_path, capsys):

@@ -20,7 +20,7 @@ from entity_sampler.dataset import (
     uniform_distribution,
     write_csv_columns,
 )
-from entity_sampler.dataset import _factorize_features
+from entity_sampler.dataset import _factorize_features, _factorize_objects
 
 
 def toy():
@@ -100,6 +100,87 @@ def test_entity_codes_object_and_array_paths_agree():
     )
     assert obj.entity_codes.tolist() == arr.entity_codes.tolist()
     assert arr.entity_names == (1, 0, 2)
+
+
+def first_appearance(items):
+    """Dict reference: codes and names in order of first appearance."""
+    table: dict = {}
+    codes = [table.setdefault(x, len(table)) for x in items]
+    return codes, list(table)
+
+
+def assert_factorized_like_the_reference(arr):
+    codes, names = _factorize_objects(arr)
+    ref_codes, ref_names = first_appearance(arr.tolist())
+    assert codes.dtype == np.int64
+    assert codes.tolist() == ref_codes
+    assert names == ref_names
+    assert [type(x) for x in names] == [type(x) for x in ref_names]
+
+
+_ints = st.lists(st.integers(-40, 40), min_size=1, max_size=60)
+
+
+@given(_ints, st.sampled_from([np.int8, np.int16, np.int64]))
+def test_factorize_narrow_int_labels_matches_first_appearance(values, dtype):
+    assert_factorized_like_the_reference(np.array(values, dtype=dtype))
+
+
+@given(st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=30))
+def test_factorize_wide_int_labels_matches_first_appearance(values):
+    # a span far wider than n takes the sort
+    assert_factorized_like_the_reference(np.array(values + [-(2**62), 2**62]))
+
+
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=40), st.booleans())
+def test_factorize_uint64_labels_above_2_63_matches_first_appearance(offsets, wide):
+    base = 2**63 if wide else 2**64 - 6
+    values = [base + k for k in offsets if 0 <= base + k < 2**64]
+    if wide:
+        values.append(2**64 - 1)  # with the offsets around 2^63, a wide span
+    if values:
+        assert_factorized_like_the_reference(np.array(values, dtype=np.uint64))
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=30))
+def test_factorize_bool_labels_matches_first_appearance(values):
+    assert_factorized_like_the_reference(np.array(values))
+
+
+@given(st.lists(st.text(max_size=3), min_size=1, max_size=30))
+def test_factorize_str_labels_matches_first_appearance(values):
+    arr = np.array(values, dtype=str)
+    assert_factorized_like_the_reference(arr)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=2),
+                          st.tuples(st.integers(0, 2))), min_size=1, max_size=30))
+def test_factorize_mixed_object_labels_matches_first_appearance(values):
+    assert_factorized_like_the_reference(
+        np.fromiter(values, dtype=object, count=len(values)))
+
+
+def test_int_labels_straddling_2_63_keep_exact_offsets():
+    arr = np.array([2**63 + 1, 2**63 - 2, 2**63 + 1, 2**63 - 1], dtype=np.uint64)
+    codes, names = _factorize_objects(arr)
+    assert codes.tolist() == [0, 1, 0, 2]
+    assert names == [2**63 + 1, 2**63 - 2, 2**63 - 1]
+
+
+def test_ids_and_labels_from_tuples_and_lists_become_columns():
+    for ids, labels in [((0, 1), ("a", "b")), ([0, 1], ["a", "b"])]:
+        d = Dataset(ids=ids, features=np.zeros((2, 1)), entity_labels=labels)
+        assert isinstance(d.ids, np.ndarray) and d.ids.shape == (2,)
+        assert d.ids.tolist() == [0, 1]
+        assert d.entity_labels.tolist() == ["a", "b"]
+        assert d.entity_names == ("a", "b")
+    # items that np.asarray would stack into rows stay items of an object column
+    d = Dataset(ids=[(0, 1), (2, 3)], features=np.zeros((2, 1)),
+                entity_labels=[(1,), (1, 2)])
+    assert d.ids.dtype == object and d.ids.tolist() == [(0, 1), (2, 3)]
+    assert d.entity_names == ((1,), (1, 2))
+    with pytest.raises(DatasetError, match="entity label column length"):
+        Dataset(ids=(0, 1), features=np.zeros((2, 1)), entity_labels=["a"])
 
 
 def test_dataset_requires_content():
@@ -222,10 +303,25 @@ def test_ingest_csv_round_trip(tmp_path):
     )
     d = ingest_csv(path, schema)
     assert d.n == 3
-    assert d.ids == ("r1", "r2", "r3")
+    assert d.ids.tolist() == ["r1", "r2", "r3"]
     assert d.features.tolist() == [[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]
     assert d.entity_names == ("x", "y")
     assert d.values.tolist() == [10.0, 20.0, 30.0]
+
+
+def test_ingest_csv_text_columns_do_not_take_the_longest_cell_per_row(tmp_path):
+    long_id = "https://example.org/" + "x" * 2000
+    ids = [long_id] + [f"r{i}" for i in range(999)]
+    path = write_csv(tmp_path, "id,x,who\n" + "".join(
+        f"{rid},{i}.0,{'y' * 2000 if i == 0 else 'e'}\n"
+        for i, rid in enumerate(ids)))
+    schema = CsvSchema(feature_cols=("x",), entity_col="who", id_col="id")
+    d = ingest_csv(path, schema)
+    assert d.ids.tolist() == ids
+    # one pointer per row, not 4 bytes per character of the longest id
+    assert d.ids.nbytes <= 8 * d.n
+    assert d.entity_labels.nbytes <= 8 * d.n
+    assert d.entity_names == ("y" * 2000, "e")
 
 
 def test_ingest_csv_reports_bad_row(tmp_path):
@@ -245,7 +341,10 @@ def test_ingest_csv_rejects_a_short_row(tmp_path):
         ingest_csv(path, schema)
     # extra cells beyond the header are still accepted
     path = write_csv(tmp_path, "x,who,id\n1.0,a,r1,extra\n")
-    assert ingest_csv(path, schema).ids == ("r1",)
+    assert ingest_csv(path, schema).ids.tolist() == ["r1"]
+    # empty id cells stay empty text
+    path = write_csv(tmp_path, "x,who,id\n1.0,a,\n2.0,b,\n")
+    assert ingest_csv(path, schema).ids.tolist() == ["", ""]
 
 
 def test_ingest_csv_missing_column(tmp_path):
@@ -278,9 +377,9 @@ def test_ingest_csv_skips_blank_lines_without_counting_them(tmp_path):
         ingest_csv(path, schema)
     path = write_csv(tmp_path, "x,who\n1.0,a\n\n2.0,b\n")
     d = ingest_csv(path, schema)
-    assert d.ids == (0, 1)
+    assert np.array_equal(d.ids, np.arange(2))
     assert d.features.tolist() == [[1.0], [2.0]]
-    assert d.entity_labels == ("a", "b")
+    assert d.entity_labels.tolist() == ["a", "b"]
 
 
 def test_ingest_csv_names_a_bad_float_in_the_last_row(tmp_path):
@@ -315,7 +414,7 @@ def test_ingest_csv_text_columns_match_per_row_ngrams(tmp_path):
     schema = CsvSchema(text_cols=("name", "street"), entity_col="who", ngram=3)
     d = ingest_csv(path, schema)
     assert d.tokens == tuple(char_ngrams(f"{a} {b}", 3) for a, b in rows)
-    assert d.ids == (0, 1, 2, 3)
+    assert np.array_equal(d.ids, np.arange(4))
 
 
 def test_float_cells_round_trip_across_chunks(tmp_path):

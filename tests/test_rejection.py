@@ -196,6 +196,22 @@ def test_backing_does_not_change_the_sample(seed):
         expected_trials_per_accept(d, dense), rel=1e-12)
 
 
+@pytest.mark.parametrize("labels", ["entities", "pairs of entities", "none"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_induced_distribution_is_the_same_for_either_backing(labels, seed):
+    base = dataset_from_freqs([40, 17, 9, 5, 3, 2, 1, 1, 1], seed=seed)
+    entity_labels = {"entities": base.entity_labels,
+                     "pairs of entities": base.entity_labels // 2,
+                     "none": None}[labels]
+    d = Dataset(ids=base.ids, features=base.features, entity_labels=entity_labels)
+    by_code = estimate_probs_balanced(d, m=30, seed=seed)
+    dense = ProbabilityMap(dense=by_code.resolve(d))
+    a = exact_induced_distribution(d, by_code)
+    b = exact_induced_distribution(d, dense)
+    assert a.support == b.support == d.entity_names
+    assert np.allclose(a.p, b.p, rtol=1e-12, atol=0)
+
+
 def test_sampling_memory_does_not_grow_with_the_table():
     d = dispersed_dataset(10_500, 40, 0.3, seed=4)
     assert d.n >= 400_000
@@ -247,7 +263,7 @@ def test_map_csv_round_trip(tmp_path):
     path = tmp_path / "map.csv"
     pmap.to_csv(str(path), d)
     back = ProbabilityMap.from_csv(str(path))
-    assert back.ids == tuple(str(i) for i in d.ids)
+    assert np.array_equal(back.ids, d.ids.astype(str))
     assert np.array_equal(back.dense, phat)
 
 

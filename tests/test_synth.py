@@ -125,5 +125,5 @@ def test_standin_corpus_is_frozen():
     assert int((r.entity_freqs == 2).sum()) == 112
     assert r.n == 864
     again = restaurants_standin(seed=0)
-    assert again.ids == r.ids
+    assert np.array_equal(again.ids, r.ids)
 
