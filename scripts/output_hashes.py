@@ -11,7 +11,14 @@ prints the same hashes.  It hashes, for one seed and size,
   ``sample_clean`` result drawn against it (indices, trials and counts);
 * every file of an ``inject`` -> ``estimate --method balanced`` ->
   ``sample`` -> ``estimate --method gmm --model-out`` -> ``sample`` CLI run
-  on that table written as CSV.
+  on that table written as CSV;
+* on a near-duplicate text corpus (minhash blocking) and on planted 2-d and
+  3-d vector clusters with singletons (hyperplane blocking), the LSH
+  blocks, the ``estimate_probs_lsh`` ``group_ids``, map and reports, and
+  the ordered pairs the oracle was asked;
+* an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
+  parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
+  and 12-d samples.
 
 Example::
 
@@ -30,7 +37,8 @@ import tempfile
 
 import numpy as np
 
-from entity_sampler import balanced, cli, rejection, synth
+from entity_sampler import (balanced, blocking, cli, clustering, gmm,
+                            lsh_pipeline, rejection, synth)
 
 FRACTIONS = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)
 
@@ -75,6 +83,40 @@ def cli_run(data, seed: int, workdir: str) -> None:
             raise SystemExit(f"cli {argv[0]} exited {code}")
 
 
+class RecordingOracle:
+    """Same-cluster oracle over entity labels that keeps each pair asked."""
+
+    def __init__(self, labels) -> None:
+        self._labels = list(labels)
+        self.asked: list[tuple[int, int]] = []
+
+    def __call__(self, i: int, j: int) -> bool:
+        self.asked.append((i, j))
+        return self._labels[i] == self._labels[j]
+
+
+def lsh_lines(name: str, data, family: str, seed: int) -> None:
+    cfg = blocking.LshConfig.plan(0.2, 0.1, family=family)
+    blocks = blocking.lsh_partition(data, cfg, seed=seed)
+    print(f"lsh[{name}].blocks "
+          f"{digest(np.concatenate(blocks.blocks), [b.size for b in blocks.blocks])}")
+    oracle = RecordingOracle(data.entity_labels)
+    est = lsh_pipeline.estimate_probs_lsh(data, blocks, (1, 4), 2000, oracle,
+                                          seed=seed + 1)
+    print(f"lsh[{name}].group_ids {digest(est.group_ids)}")
+    print(f"lsh[{name}].dense {digest(est.pmap.dense)}")
+    print(f"lsh[{name}].reports {digest(repr(est.reports))}")
+    print(f"lsh[{name}].asked {digest(oracle.asked)}")
+
+
+def shifted_sample(n: int, dim: int, seed: int) -> np.ndarray:
+    """Three unit-variance clusters 10 apart in ``dim`` coordinates, every
+    coordinate shifted by 1e6."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(0.0, 10.0, size=(3, dim))
+    return 1e6 + centres[rng.integers(3, size=n)] + rng.normal(size=(n, dim))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seed", type=int, default=0)
@@ -99,6 +141,23 @@ def main() -> None:
         for name in sorted(os.listdir(workdir)):
             with open(os.path.join(workdir, name), "rb") as fh:
                 print(f"cli {name} {hashlib.sha256(fh.read()).hexdigest()}")
+
+    text = synth.duplicate_text_corpus(args.entities, 0.3, seed=args.seed)
+    lsh_lines("text", text, "minhash", args.seed + 30)
+    for dim in (2, 3):
+        planted = synth.planted_clusters(max(args.entities // 50, 2), 50, 10.0, dim,
+                                         seed=args.seed + dim, n_singletons=5)
+        lsh_lines(f"vectors{dim}d", planted, "hyperplane", args.seed + 30 + dim)
+
+    em = gmm.em_fit(shifted_sample(args.entities, 3, args.seed + 40), 3,
+                    seed=args.seed + 41)
+    print(f"em.loglik {digest(em.loglik)}")
+    print(f"em.model {digest(em.model.weights, em.model.means, em.model.variances)}")
+    print(f"em.iterations {em.iterations} restarts {em.restarts_used}")
+    for dim in (3, 12):
+        points = shifted_sample(max(args.entities // 4, 20), dim, args.seed + 50 + dim)
+        labels = clustering.lloyd_kmeans(points, 3, seed=args.seed + 60 + dim)
+        print(f"lloyd[{dim}d] {digest(labels)}")
 
 
 if __name__ == "__main__":

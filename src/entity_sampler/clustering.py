@@ -6,8 +6,12 @@ split into k clusters minimizing the usual within-cluster squared distance.
 Tiny instances are solved exactly by enumerating assignments; larger ones use
 Lloyd iterations from many k-means++ seedings, all restarts iterated together
 on contiguous (restarts, n) arrays, one centre at a time, in buffers reused
-across iterations.  Squared distances are accumulated one coordinate at a
-time as direct differences, in bounded-size steps.  The result is one
+across iterations.  Squared distances are summed in one kernel,
+``_sq_distance``: direct differences, one coordinate at a time and in
+order, into buffers the caller may reuse.  The neighbour mask, the radius
+forest, Lloyd and its restart scoring, the pair-block radius test of
+``lsh_pipeline`` and the EM of ``gmm`` all call it; only the k-means++
+seeding and the brute-force references sum their own.  The result is one
 label array: clusters are 0..k-1 and each garbage point has its own negative
 label, so "same cluster" is "same non-negative label".
 """
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .dataset import _factorize_objects
 
 __all__ = [
     "Clustering",
@@ -36,21 +42,32 @@ __all__ = [
 _MASK_CHUNK = 1 << 20
 
 
-def _sq_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _sq_distance(
+    x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None,
+    diff: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared Euclidean distance between x and y over their last axis.
 
     The other axes broadcast.  The sum is accumulated one coordinate at a
     time, ``(x_j - y_j)**2`` in order, into one buffer, so no difference
-    array with a coordinate axis is built; for fewer than 8 coordinates these
-    are the floats numpy's ``((x - y)**2).sum(axis=-1)`` gives.
+    array with a coordinate axis is built and values around 1e6 do not
+    cancel; for fewer than 8 coordinates these are the floats numpy's
+    ``((x - y)**2).sum(axis=-1)`` gives.  ``out`` receives the sums and
+    ``diff`` is scratch, both of the broadcast shape; each is allocated
+    when omitted.  Every squared distance of the package is summed here,
+    except in the k-means++ seeding and the brute-force references.
     """
-    shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    d2 = np.zeros(shape)
-    diff = np.empty(shape)
-    for j in range(x.shape[-1]):
-        np.subtract(x[..., j], y[..., j], out=diff)
-        d2 += np.square(diff, out=diff)
-    return d2
+    if out is None or diff is None:
+        shape = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+        out = np.empty(shape) if out is None else out
+        diff = np.empty(shape) if diff is None else diff
+    if x.shape[-1] == 0:
+        out[...] = 0.0
+        return out
+    np.square(np.subtract(x[..., 0], y[..., 0], out=out), out=out)
+    for j in range(1, x.shape[-1]):
+        out += np.square(np.subtract(x[..., j], y[..., j], out=diff), out=diff)
+    return out
 
 
 def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
@@ -103,19 +120,12 @@ def _radius_forest(
     while left:
         left -= 1
         # entry v joins, and the last entry outside takes its place
-        x = columns[:, v].tolist()
+        x = columns[:, v].copy()
         joined = idx[v]
         columns[:, v] = columns[:, left]
         best[v], near[v], idx[v] = best[left], near[left], idx[left]
-        d2, diff, closer, nearest = (d2_buf[:left], diff_buf[:left],
-                                     closer_buf[:left], best[:left])
-        # coordinate by coordinate, as _sq_distance sums them
-        for j, col in enumerate(columns):
-            np.subtract(col[:left], x[j], out=diff if j else d2)
-            if j:
-                d2 += np.square(diff, out=diff)
-            else:
-                np.square(d2, out=d2)
+        d2, closer, nearest = d2_buf[:left], closer_buf[:left], best[:left]
+        _sq_distance(columns[:, :left].T, x, out=d2, diff=diff_buf[:left])
         np.less(d2, nearest, out=closer)
         np.minimum(nearest, d2, out=nearest)
         np.putmask(near[:left], closer, joined)
@@ -272,10 +282,7 @@ def lloyd_kmeans(
         if costs[win] < best_cost:
             best_cost, best_labels = costs[win], labels[win]
     # number the clusters by first occurrence
-    used, first = np.unique(best_labels, return_index=True)
-    rank = np.empty(k, dtype=np.int64)
-    rank[used[np.argsort(first)]] = np.arange(used.size)
-    return rank[best_labels]
+    return _factorize_objects(best_labels)[0]
 
 
 def _centroids(
@@ -307,7 +314,8 @@ def _lloyd_restarts(
     r, k, _ = centers.shape
     n = len(points)
     centers = centers.copy()
-    columns = np.ascontiguousarray(points.T)
+    # the points with each coordinate's column contiguous, for the kernel
+    by_column = np.asfortranarray(points)
     labels = np.zeros((r, n), dtype=np.int64)
     # (restart, point) buffers, reused by every iteration's active rows
     nearest_buf, d2_buf, diff_buf = np.empty((3, r, n))
@@ -319,17 +327,12 @@ def _lloyd_restarts(
         nearest, d2, diff, closer = (nearest_buf[:live], d2_buf[:live],
                                      diff_buf[:live], closer_buf[:live])
         new = np.zeros((live, n), dtype=np.int64)
-        # each centre's squared distances, one coordinate at a time in order
-        # as _sq_distance sums them, kept when strictly nearer than every
-        # earlier centre's, so ties go to the first centre as with argmin
+        # each centre's squared distances, kept when strictly nearer than
+        # every earlier centre's, so ties go to the first centre as with
+        # argmin
         for c in range(k):
-            out = d2 if c else nearest
-            for j, x in enumerate(columns):
-                np.subtract(x, at[:, c, j, None], out=diff if j else out)
-                if j:
-                    out += np.square(diff, out=diff)
-                else:
-                    np.square(out, out=out)
+            _sq_distance(by_column, at[:, c, None, :], out=d2 if c else nearest,
+                         diff=diff)
             if c:
                 np.less(d2, nearest, out=closer)
                 np.minimum(nearest, d2, out=nearest)

@@ -98,11 +98,20 @@ def _factorize_features(features: np.ndarray) -> np.ndarray:
 
 def _column(items: Sequence) -> np.ndarray:
     """``items`` as a 1-d array: ``np.asarray`` when that gives one, else a
-    1-d object array holding the items themselves (tuples, ragged rows)."""
+    1-d object array holding the items themselves (tuples, ragged rows).
+
+    A sequence that ``np.asarray`` turns into text although not all of its
+    items are text (``[1, "1"]``) is kept item for item too: as text, the
+    int 1 and the string "1" would be one label.
+    """
     try:
         arr = np.asarray(items)
     except ValueError:  # ragged nested sequences
         arr = None
+    if arr is not None and arr.dtype.kind in "SU" and arr is not items:
+        text = str if arr.dtype.kind == "U" else bytes
+        if not all(isinstance(item, text) for item in items):
+            arr = None
     if arr is None or arr.ndim != 1:
         arr = np.fromiter(items, dtype=object, count=len(items))
     return arr
@@ -112,12 +121,23 @@ def _column(items: Sequence) -> np.ndarray:
 _SPAN_PER_RECORD = 4
 
 
+def _first_records(codes: np.ndarray, n_codes: int) -> np.ndarray:
+    """Index of each code's first record, -1 for a code with none.
+
+    One scatter of the record indices, written in reverse, so each code
+    keeps its first record.
+    """
+    first = np.full(n_codes, -1, dtype=np.int64)
+    first[codes[::-1]] = np.arange(codes.size - 1, -1, -1)
+    return first
+
+
 def _factorize_objects(items: Sequence) -> tuple[np.ndarray, list]:
     """Codes in first-appearance order plus the label list.
 
     Integer columns whose value span (max - min + 1) is at most
     ``_SPAN_PER_RECORD`` times their length get a span-sized table of first
-    positions, filled by a reversed scatter; the present values are ranked
+    positions, filled by ``_first_records``; the present values are ranked
     by first position, so only the distinct values are sorted, never the
     records.  The bound keeps that int64 table no larger than the four
     record-sized arrays (sorted copy, permutation, first index, inverse)
@@ -134,9 +154,7 @@ def _factorize_objects(items: Sequence) -> tuple[np.ndarray, list]:
         if span <= _SPAN_PER_RECORD * n:
             # wrapping int64 arithmetic gives the exact offset, below span
             offs = np.subtract(arr, lo, dtype=np.int64, casting="unsafe")
-            table = np.full(span, -1, dtype=np.int64)
-            # written in reverse, so each value keeps its first record
-            table[offs[::-1]] = np.arange(n - 1, -1, -1)
+            table = _first_records(offs, span)
             firsts = np.sort(table[table >= 0])
             table[offs[firsts]] = np.arange(firsts.size)
             return table[offs], arr[firsts].tolist()
@@ -250,15 +268,17 @@ class Dataset:
         """Warn when identical record content maps to several labels.
 
         Surfaces both candidate entity counts instead of silently picking
-        one notion of identity.
+        one notion of identity.  A content carries several labels exactly
+        when one of its records differs from the label of its first record,
+        so no (content, label) pairs are sorted.
         """
         if self.entity_labels is None:
             return
         by_label = len(self.entity_names)
-        # one integer per (content, label) pair
-        pairs = self.dedup_codes * by_label + self.entity_codes
         by_content = self.dedup_freqs.size
-        if np.unique(pairs).size != by_content:
+        codes = self.entity_codes
+        first_label = codes[_first_records(self.dedup_codes, by_content)]
+        if (codes != first_label[self.dedup_codes]).any():
             warnings.warn(
                 "identical record content carries different entity labels: "
                 f"{by_content} distinct by content vs {by_label} by label",
@@ -270,11 +290,7 @@ class Dataset:
         """One value per entity (first occurrence), ordered by entity code."""
         if self.values is None:
             raise DatasetError("dataset has no value column")
-        first = np.empty(len(self.entity_names), dtype=np.int64)
-        # written in reverse, so each code keeps its first record
-        rev = np.arange(self.n - 1, -1, -1)
-        first[self.entity_codes[rev]] = rev
-        return self.values[first]
+        return self.values[_first_records(self.entity_codes, len(self.entity_names))]
 
 
 @dataclass(frozen=True)

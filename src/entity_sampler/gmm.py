@@ -5,7 +5,8 @@ density itself serves as the probability estimate: fit it by EM, evaluate
 the density at every record, and let the rejection sampler flatten it.  A
 planner converts accuracy targets into the EM sample size and iteration
 count.  All densities are handled in log space, on (k, n) arrays: one row
-per component, one column per record.
+per component, one column per record.  The squared distances behind them
+come from ``clustering._sq_distance``, the package's one distance kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _kmeanspp_init
+from .clustering import _kmeanspp_init, _sq_distance
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
 
@@ -51,17 +52,11 @@ class SeparationWarning(UserWarning):
 def _sq_distances(x: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Squared distance from every mean to every point, shaped (k, n).
 
-    Differences are taken directly: the ||x||^2 - 2 x.mu + ||mu||^2
-    expansion cancels catastrophically on values around 1e6.  Columns are
-    added one feature at a time, so the call holds two (k, n) arrays
-    whatever d is.
+    ``clustering._sq_distance`` takes the differences directly, where the
+    ||x||^2 - 2 x.mu + ||mu||^2 expansion would cancel catastrophically on
+    values around 1e6, and holds two (k, n) arrays whatever d is.
     """
-    sq = np.square(x[:, 0] - means[:, :1])
-    diff = np.empty_like(sq)
-    for j in range(1, x.shape[1]):
-        np.subtract(x[:, j], means[:, j : j + 1], out=diff)
-        sq += np.square(diff, out=diff)
-    return sq
+    return _sq_distance(x, means[:, None, :])
 
 
 def _log_components(

@@ -2,14 +2,16 @@
 
 The quality of a candidate C against the target C* is the weighted pair
 loss  L(C) = mu * P+[C splits the pair] + (1 - mu) * P-[C joins the pair],
-where P+/P- are uniform over the target's positive and negative pairs.  The
-selector estimates both terms by sampling pairs, routing each through the
-oracle until both sides hold enough, and returns the empirical minimizer
-(ties favour fewer clusters).  An instance whose pairs fit in the budget,
-or whose every pair has been drawn, is ranked on exact losses.  A planner
-sizes the per-side budget, and a query cap stops draws whose count exceeds
-its expectation by more than the allowed factor; the candidates are then
-ranked on the pairs drawn so far.
+where P+/P- are uniform over the target's positive and negative pairs, and
+mu is the constant ``_MU`` = 0.5.  The selector estimates both terms by
+sampling pairs, routing each through the oracle until both sides hold
+enough, and returns the empirical minimizer (ties favour fewer clusters).
+An instance whose pairs fit in the budget, or whose every pair has been
+drawn, is ranked on exact losses.  A planner sizes the per-side budget, and
+a query cap stops draws whose count exceeds its expectation by more than
+the slack ``_NU`` = 1, with the negative-pair rate estimated from the first
+``_GAMMA_PROBE`` = 100 draws; the candidates are then ranked on the pairs
+drawn so far.
 
 The oracle must answer consistently, so that "same" is an equivalence
 relation.  It is asked only about pairs that its earlier answers leave
@@ -17,14 +19,16 @@ open: two points already joined by "same" answers are "same", and two
 components already told apart are "different" (Wang et al., "Leveraging
 Transitive Relations for Crowdsourced Joins", SIGMOD 2013).  Every draw
 still counts with its true answer, so the losses do not change; only the
-questions do.  Which pairs get settled depends on the order of the
-questions, so a caller may name likely duplicate pairs to be asked before
-anything is drawn, for example the nearest neighbours of a block: their
-"same" answers settle many of the draws that follow (Vesdapunt, Bellare and
-Dalvi, "Crowdsourcing Algorithms for Entity Resolution", PVLDB 2014).  An
-inconsistent (noisy) oracle is absorbed silently rather than contradicted;
-such oracles are out of scope here (Mazumdar and Saha, "Clustering with
-Noisy Queries", NeurIPS 2017).
+questions do.  One helper, ``_answer``, settles a pair from the answers
+so far or asks the oracle and records its answer, for the likely, the
+exhaustive and the drawn pairs alike.  Which pairs get settled depends on
+the order of the questions, so a caller may name likely duplicate pairs to
+be asked before anything is drawn, for example the nearest neighbours of a
+block: their "same" answers settle many of the draws that follow
+(Vesdapunt, Bellare and Dalvi, "Crowdsourcing Algorithms for Entity
+Resolution", PVLDB 2014).  An inconsistent (noisy) oracle is absorbed
+silently rather than contradicted; such oracles are out of scope here
+(Mazumdar and Saha, "Clustering with Noisy Queries", NeurIPS 2017).
 
 A sampled run draws its pairs in batches that grow from 256 to 8,192
 draws.  A draw that the answers so far settle stays settled, so at the
@@ -50,13 +54,18 @@ from .clustering import Clustering
 __all__ = [
     "SscReport",
     "SameClusterOracle",
-    "all_pairs",
-    "exhaustive_losses",
     "pair_losses",
     "plan_pair_budget",
     "rank_candidates",
     "ssc_select",
 ]
+
+# the weight mu of the positive loss, the slack nu of the query cap, and
+# the draws whose negative share estimates gamma for the cap; gamma-hat is
+# clamped to [1/probe, 1 - 1/probe]
+_MU = 0.5
+_NU = 1.0
+_GAMMA_PROBE = 100
 
 
 class SameClusterOracle:
@@ -97,47 +106,26 @@ def pair_losses(
     candidate: Clustering,
     pos_pairs: Sequence[tuple[int, int]],
     neg_pairs: Sequence[tuple[int, int]],
-    mu_weight: float = 0.5,
 ) -> tuple[float, float, float]:
     """(positive loss, negative loss, weighted loss) of one candidate.
 
     Positive loss: fraction of target-positive pairs the candidate splits.
     Negative loss: fraction of target-negative pairs the candidate joins.
+    The weighted loss gives them weights ``_MU`` and 1 - ``_MU``.
     """
     lab = candidate.labels
     n_pos, n_neg = len(pos_pairs), len(neg_pairs)
     return _losses(n_pos, n_pos - _joined(lab, pos_pairs), n_neg,
-                   _joined(lab, neg_pairs), mu_weight)
+                   _joined(lab, neg_pairs))
 
 
 def _losses(
-    n_pos: int, split_pos: int, n_neg: int, joined_neg: int, mu_weight: float
+    n_pos: int, split_pos: int, n_neg: int, joined_neg: int
 ) -> tuple[float, float, float]:
     """(positive loss, negative loss, weighted loss) from the pair counts."""
     pl = split_pos / max(n_pos, 1)
     nl = joined_neg / max(n_neg, 1)
-    return pl, nl, mu_weight * pl + (1.0 - mu_weight) * nl
-
-
-def all_pairs(
-    oracle: Callable[[int, int], bool], n_points: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Positive and negative lists of all unordered pairs i < j, each asked once."""
-    pos, neg = [], []
-    for i, j in combinations(range(n_points), 2):
-        (pos if oracle(i, j) else neg).append((i, j))
-    return pos, neg
-
-
-def exhaustive_losses(
-    candidates: Sequence[Clustering],
-    oracle: Callable[[int, int], bool],
-    n_points: int,
-    mu_weight: float = 0.5,
-) -> list[tuple[float, float, float]]:
-    """Losses of every candidate over all unordered distinct pairs."""
-    pos, neg = all_pairs(oracle, n_points)
-    return [pair_losses(c, pos, neg, mu_weight) for c in candidates]
+    return pl, nl, _MU * pl + (1.0 - _MU) * nl
 
 
 @dataclass(frozen=True)
@@ -166,7 +154,6 @@ def rank_candidates(
     query_cap: int,
     gamma_hat: float,
     queries: int,
-    mu_weight: float = 0.5,
     inferred: int = 0,
 ) -> SscReport:
     """Report whose winner has the smallest weighted loss on ``pos``/``neg``.
@@ -177,7 +164,7 @@ def rank_candidates(
     """
     pos_arr = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
     neg_arr = np.asarray(neg, dtype=np.int64).reshape(-1, 2)
-    losses = [pair_losses(c, pos_arr, neg_arr, mu_weight)[2] for c in candidates]
+    losses = [pair_losses(c, pos_arr, neg_arr)[2] for c in candidates]
     return _ranked(candidates, losses, queries=queries, query_cap=query_cap,
                    gamma_hat=gamma_hat, n_pos=len(pos_arr), n_neg=len(neg_arr),
                    inferred=inferred)
@@ -218,24 +205,36 @@ def _merge(root: list, members: list, apart: list, a: int, b: int) -> None:
     members[b] = apart[b] = None
 
 
-def _ask_open(
-    oracle: Callable[[int, int], bool], pairs, root: list, members: list,
-    apart: list, differ: list,
-) -> list[tuple[int, int]]:
-    """Ask the oracle about each of ``pairs`` that the answers so far leave
-    open and record its answer; returns the pairs asked, in order."""
-    asked = []
-    for i, j in pairs:
-        ri, rj = root[i], root[j]
-        if ri != rj and rj not in apart[ri]:
-            asked.append((i, j))
-            if oracle(i, j):
-                _merge(root, members, apart, ri, rj)
-            else:
-                apart[ri].add(rj)
-                apart[rj].add(ri)
-                differ += i, j
-    return asked
+def _answer(
+    oracle: Callable[[int, int], bool], i: int, j: int, root: list,
+    members: list, apart: list, differ: list,
+) -> tuple[bool, bool]:
+    """The answer to the pair (i, j), and whether the oracle was asked.
+
+    A pair inside one component is "same" and a pair across two components
+    told apart is "different"; any other pair goes to the oracle, whose
+    answer is recorded.  This is the selector's one oracle call.
+    """
+    ri, rj = root[i], root[j]
+    if ri == rj:
+        return True, False
+    if rj in apart[ri]:
+        return False, False
+    same = bool(oracle(i, j))
+    if same:
+        _merge(root, members, apart, ri, rj)
+    else:
+        apart[ri].add(rj)
+        apart[rj].add(ri)
+        differ += i, j
+    return same, True
+
+
+def _ask_open(oracle: Callable[[int, int], bool], pairs, *answers) -> list:
+    """The pairs among ``pairs`` that the answers so far leave open, in
+    order, each asked and its answer recorded; ``answers`` are the block's
+    ``root``, ``members``, ``apart`` and ``differ`` lists."""
+    return [(i, j) for i, j in pairs if _answer(oracle, i, j, *answers)[1]]
 
 
 def ssc_select(
@@ -244,9 +243,6 @@ def ssc_select(
     oracle: Callable[[int, int], bool],
     m_pairs: int,
     seed: int,
-    mu_weight: float = 0.5,
-    nu: float = 1.0,
-    gamma_probe: int = 100,
     likely_pairs: Sequence[tuple[int, int]] = (),
 ) -> SscReport:
     """Pick the candidate with the smallest pair loss.
@@ -255,11 +251,11 @@ def ssc_select(
     lexicographic order and the losses are exact.  Otherwise pairs (x, y),
     x != y, are drawn uniformly with replacement and routed into the
     positive or negative side until both hold ``m_pairs`` draws.  The draws
-    stop at the cap (1 + nu) (m/gamma + m/(1-gamma)), with gamma, the
-    negative-pair rate, estimated from the first ``gamma_probe`` draws; the
-    candidates are then ranked on the draws so far.  A run that draws every
-    pair first is ranked on the exact pairs.  Ties in the loss go to the
-    candidate with fewer clusters.
+    stop at the cap (1 + nu) (m/gamma + m/(1-gamma)), nu = ``_NU``, with
+    gamma, the negative-pair rate, estimated from the first
+    ``_GAMMA_PROBE`` draws; the candidates are then ranked on the draws so
+    far.  A run that draws every pair first is ranked on the exact pairs.
+    Ties in the loss go to the candidate with fewer clusters.
 
     The oracle must answer consistently.  The selector keeps the components
     of its "same" answers and the "different" answers between components,
@@ -293,13 +289,6 @@ def ssc_select(
         raise ValueError(f"every candidate must label the {n_points} points")
     if m_pairs < 1:
         raise ValueError("pair budget must be positive")
-    if not (0 <= mu_weight <= 1):
-        raise ValueError("mu_weight must lie in [0, 1]")
-    if not nu >= 0:
-        raise ValueError(f"nu must be non-negative, got {nu}")
-    if gamma_probe < 2:
-        # gamma-hat is clamped to [1/probe, 1 - 1/probe], empty below 2
-        raise ValueError(f"gamma_probe must be at least 2, got {gamma_probe}")
     likely = np.asarray(likely_pairs, dtype=np.int64).reshape(-1, 2)
     if likely.size and (likely.min() < 0 or likely.max() >= n_points
                         or (likely[:, 0] == likely[:, 1]).any()):
@@ -319,19 +308,19 @@ def ssc_select(
     if n_pairs <= m_pairs:
         asked += len(_ask_open(oracle, combinations(range(n_points), 2),
                                root, members, apart, differ))
-        return _exact_report(candidates, root, asked, mu_weight)
+        return _exact_report(candidates, root, asked)
     rng = np.random.default_rng(seed)
     # the draws can cover every pair only if the largest cap allows that
     # many; only then is each pair's first draw tracked, in an array no
     # larger than the draws
-    cover = n_pairs <= max(gamma_probe, _cap(m_pairs, nu, 1.0 / gamma_probe),
-                           _cap(m_pairs, nu, 1.0 - 1.0 / gamma_probe))
+    cover = n_pairs <= max(_GAMMA_PROBE, _cap(m_pairs, 1.0 / _GAMMA_PROBE),
+                           _cap(m_pairs, 1.0 - 1.0 / _GAMMA_PROBE))
     drawn = np.zeros(n_pairs if cover else 0, dtype=bool)
     batches, answers = [], []
     draws = distinct = n_pos = n_neg = 0
     # the draw count at which to act next: the probe, then the cap
     cap = None
-    limit = gamma_probe
+    limit = _GAMMA_PROBE
     size = _PAIR_BATCH
     # whether answers changed the components since `roots` and `apart_keys`
     # were taken
@@ -381,22 +370,9 @@ def ssc_select(
                 if t < p:
                     s = bool(same[t])
                 else:
-                    i, j = pair
-                    ri, rj = root[i], root[j]
-                    if ri == rj:
-                        s = True
-                    elif rj in apart[ri]:
-                        s = False
-                    else:
-                        asked += 1
-                        stale = True
-                        s = bool(oracle(i, j))
-                        if s:
-                            _merge(root, members, apart, ri, rj)
-                        else:
-                            apart[ri].add(rj)
-                            apart[rj].add(ri)
-                            differ += i, j
+                    s, fresh = _answer(oracle, *pair, root, members, apart, differ)
+                    asked += fresh
+                    stale = stale or fresh
                     same[t] = s
                 t += 1
                 draws += 1
@@ -406,9 +382,9 @@ def ssc_select(
                     n_neg += 1
                 if draws == limit:
                     if cap is None:
-                        gamma_hat = min(max(n_neg / gamma_probe, 1.0 / gamma_probe),
-                                        1.0 - 1.0 / gamma_probe)
-                        cap = limit = _cap(m_pairs, nu, gamma_hat)
+                        gamma_hat = min(max(n_neg / _GAMMA_PROBE, 1.0 / _GAMMA_PROBE),
+                                        1.0 - 1.0 / _GAMMA_PROBE)
+                        cap = limit = _cap(m_pairs, gamma_hat)
                     if draws >= cap:
                         done = True
                         break
@@ -423,7 +399,7 @@ def ssc_select(
         answers.append(same[:t])
         size = min(2 * size, _PAIR_BATCH_MAX)
     if distinct == n_pairs:
-        return _exact_report(candidates, root, asked, mu_weight)
+        return _exact_report(candidates, root, asked)
     pairs = np.concatenate(batches)
     keys = np.sort(_pair_index(pairs, n_points))
     n_distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
@@ -436,7 +412,7 @@ def ssc_select(
         cap = draws
     same = np.concatenate(answers)
     return rank_candidates(candidates, pairs[same], pairs[~same], cap, gamma_hat,
-                           asked, mu_weight, inferred=n_distinct - asked + undrawn)
+                           asked, inferred=n_distinct - asked + undrawn)
 
 
 def _apart_keys(roots: np.ndarray, differ: list) -> np.ndarray:
@@ -452,10 +428,10 @@ def _apart_keys(roots: np.ndarray, differ: list) -> np.ndarray:
                                    r[:, 1] * n_points + r[:, 0], [n_points**2])))
 
 
-def _cap(m_pairs: int, nu: float, gamma_hat: float) -> int:
+def _cap(m_pairs: int, gamma_hat: float) -> int:
     """Draws allowed at negative-pair rate ``gamma_hat``:
-    (1 + nu) (m/gamma + m/(1-gamma)), rounded up."""
-    return math.ceil((1.0 + nu) * (m_pairs / gamma_hat + m_pairs / (1.0 - gamma_hat)))
+    (1 + nu) (m/gamma + m/(1-gamma)), rounded up, with nu = ``_NU``."""
+    return math.ceil((1.0 + _NU) * (m_pairs / gamma_hat + m_pairs / (1.0 - gamma_hat)))
 
 
 def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
@@ -465,7 +441,7 @@ def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
 
 
 def _exact_report(
-    candidates: Sequence[Clustering], root: list, asked: int, mu_weight: float
+    candidates: Sequence[Clustering], root: list, asked: int
 ) -> SscReport:
     """Rank on every pair once the answers settle all of them: a pair is
     positive exactly when its two points share a component root.  A
@@ -483,8 +459,7 @@ def _exact_report(
         lab = c.labels[kept]
         joined_pos = _pairs_within(comp[kept] * c.k + lab)
         joined_neg = _pairs_within(lab) - joined_pos
-        losses.append(_losses(n_pos, n_pos - joined_pos, n_neg, joined_neg,
-                              mu_weight)[2])
+        losses.append(_losses(n_pos, n_pos - joined_pos, n_neg, joined_neg)[2])
     return _ranked(candidates, losses, queries=asked, query_cap=n_pairs,
                    gamma_hat=n_neg / n_pairs, n_pos=n_pos, n_neg=n_neg,
                    inferred=n_pairs - asked)

@@ -43,7 +43,6 @@ from entity_sampler.rejection import (
 )
 from entity_sampler.ssc import (
     SameClusterOracle,
-    exhaustive_losses,
     pair_losses,
     plan_pair_budget,
     ssc_select,
@@ -240,9 +239,8 @@ def test_06_pair_loss_selection_exhaustive_and_sampled():
         n = int(rng.integers(4, 10))
         labels = rng.integers(0, 3, size=n)
         truth, cands = _candidate_set(labels, rng)
-        losses = [l[2] for l in exhaustive_losses(
-            cands, SameClusterOracle(labels.tolist()), n)]
-        w = min(range(len(cands)), key=lambda i: (losses[i], cands[i].k))
+        w = ssc_select(cands, n, SameClusterOracle(labels.tolist()),
+                       m_pairs=n * (n - 1) // 2, seed=t).winner
         exhaustive_wins += _partition_key(cands[w]) == _partition_key(truth)
 
     alpha = 0.2

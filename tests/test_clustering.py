@@ -287,6 +287,41 @@ def test_given_neighbour_mask_is_used_and_validated():
             regularized_kmeans(data.features, 2, 1.0, seed=0, has_neighbour=bad)
 
 
+def loop_sq_distance(x, y):
+    """The kernel's contract: (x_j - y_j)**2 summed over j in order."""
+    d2 = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
+    for j in range(x.shape[-1]):
+        d2 = d2 + (x[..., j] - y[..., j]) ** 2
+    return d2
+
+
+def kernel_operands(pts, rng):
+    """(x, y) of each shape the kernel's callers pass."""
+    n, d = pts.shape
+    by_column = np.asfortranarray(pts)
+    centres = 1e6 + rng.normal(0.0, 5.0, (6, 3, d))
+    means = 1e6 + rng.normal(0.0, 5.0, (4, d))
+    yield "row block against all points", pts[5:17, None, :], pts[None, :, :]
+    yield "all points against one point", by_column, pts[7]
+    yield "restart centres against a column", by_column, centres[:, 1, None, :]
+    yield "means against a column", pts, means[:, None, :]
+
+
+@pytest.mark.parametrize("d", [1, 3, 8, 12])
+def test_sq_distance_sums_each_coordinate_in_order(d):
+    # around 1e6 a reordered or expanded sum moves the last bits; at d >= 8
+    # numpy's .sum(axis=-1) adds pairwise, so the loop is the reference
+    rng = np.random.default_rng(d)
+    pts = 1e6 + rng.normal(0.0, 5.0, (40, d))
+    for name, x, y in kernel_operands(pts, rng):
+        want = loop_sq_distance(x, y)
+        assert clustering._sq_distance(x, y).tobytes() == want.tobytes(), name
+        out, diff = np.full((2,) + want.shape, np.nan)
+        got = clustering._sq_distance(x, y, out=out, diff=diff)
+        assert got is out, name
+        assert out.tobytes() == want.tobytes(), name
+
+
 def kruskal_forest(pts, mu_radius):
     """Minimum spanning forest of the pairs within ``mu_radius``, by Kruskal
     over every pair: the squared lengths of its edges and each point's

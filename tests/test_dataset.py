@@ -223,6 +223,28 @@ def test_ambiguous_labels_warning_counts_both_identities():
         consistent.check_label_consistency()
 
 
+def test_second_label_at_the_last_record_of_a_content_warns():
+    # content [1.0] carries "x" at records 0-3 and "y" only at record 5
+    d = Dataset(ids=tuple(range(6)),
+                features=[[1.0], [1.0], [1.0], [1.0], [2.0], [1.0]],
+                entity_labels=["x", "x", "x", "x", "z", "y"])
+    with pytest.warns(AmbiguousEntityWarning, match="2 distinct by content vs 3 by label"):
+        d.check_label_consistency()
+
+
+def test_mixed_type_labels_and_ids_stay_distinct_items():
+    d = Dataset(ids=[0, 1, 2], features=[[0.0], [1.0], [2.0]],
+                entity_labels=[1, "1", 2])
+    assert d.entity_names == (1, "1", 2)
+    assert d.entity_freqs.tolist() == [1, 1, 1]
+    mixed = Dataset(ids=[0, "a"], features=np.zeros((2, 1)))
+    assert mixed.ids.tolist() == [0, "a"]
+    # all-text lists and arrays keep their numpy dtype
+    assert Dataset(ids=["0", "a"], features=np.zeros((2, 1))).ids.dtype.kind == "U"
+    assert Dataset(ids=np.array([b"0", b"a"]),
+                   features=np.zeros((2, 1))).ids.dtype.kind == "S"
+
+
 def test_char_ngrams():
     assert char_ngrams("abcd") == frozenset({"abc", "bcd"})
     # strings shorter than n collapse to a single whole-string token

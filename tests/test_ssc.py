@@ -19,7 +19,6 @@ from entity_sampler import ssc
 from entity_sampler.clustering import Clustering
 from entity_sampler.ssc import (
     SameClusterOracle,
-    exhaustive_losses,
     pair_losses,
     plan_pair_budget,
     rank_candidates,
@@ -61,21 +60,18 @@ def test_pair_losses_hand_case():
     assert loss == pytest.approx(1 / 6)
 
 
-def test_loss_weight_reweights():
-    truth, merged, _, labels = six_point_instance()
-    pos, neg = all_pairs(labels)
-    assert pair_losses(merged, pos, neg, mu_weight=1.0)[2] == 0.0
-    assert pair_losses(merged, pos, neg, mu_weight=0.0)[2] == 1.0
-
-
 def test_exhaustive_losses_match_hand_pairs():
+    # all 15 pairs fit in the budget: ranked on exact losses
     truth, merged, split_one, labels = six_point_instance()
     oracle = SameClusterOracle(labels)
-    losses = exhaustive_losses([truth, merged, split_one], oracle, 6)
-    assert losses[0] == (0.0, 0.0, 0.0)
-    assert losses[1] == (0.0, 1.0, 0.5)
-    assert losses[2][2] == pytest.approx(1 / 6)
-    assert oracle.queries == 15
+    rep = ssc_select([truth, merged, split_one], 6, oracle, m_pairs=15, seed=0)
+    assert rep.losses[0] == 0.0
+    assert rep.losses[1] == 0.5
+    assert rep.losses[2] == pytest.approx(1 / 6)
+    assert (rep.n_pos, rep.n_neg) == (6, 9)
+    # every pair is answered: 7 asked, 8 settled by earlier answers
+    assert rep.queries == oracle.queries == 7
+    assert rep.inferred == 8
 
 
 def test_truth_wins_exhaustively_on_random_instances():
@@ -171,23 +167,6 @@ def test_select_rejects_candidates_of_another_size():
     cands = [Clustering(np.zeros(8, dtype=np.int64)), Clustering(np.arange(8))]
     with pytest.raises(ValueError, match="4 points"):
         ssc_select(cands, 4, SameClusterOracle([0, 0, 1, 1]), m_pairs=10, seed=0)
-
-
-def test_select_rejects_a_negative_cap_slack():
-    # a negative nu would put the cap below the draws already made
-    c = clustering([0, 1, 2, 3], n=4)
-    with pytest.raises(ValueError, match="nu"):
-        ssc_select([c], 4, SameClusterOracle([0, 0, 1, 1]), 1, seed=0, nu=-0.5)
-
-
-@pytest.mark.parametrize("gamma_probe", [0, 1])
-def test_select_rejects_a_probe_too_short_to_clamp(gamma_probe):
-    # gamma-hat is clamped to [1/probe, 1 - 1/probe]: a probe of 0 draws
-    # estimates nothing and one of 1 leaves gamma-hat at 0
-    c = clustering([0, 1, 2, 3], n=4)
-    with pytest.raises(ValueError, match="gamma_probe"):
-        ssc_select([c], 4, SameClusterOracle([0, 0, 1, 1]), 1, seed=0,
-                   gamma_probe=gamma_probe)
 
 
 @settings(deadline=None, max_examples=20)
@@ -352,14 +331,15 @@ def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
 def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs,
                                     gamma_probe, nu):
     monkeypatch.setattr(ssc, "_PAIR_BATCH", batch)
+    monkeypatch.setattr(ssc, "_GAMMA_PROBE", gamma_probe)
+    monkeypatch.setattr(ssc, "_NU", nu)
     n = len(labels)
     cands = [clustering(list(range(n)), n=n), Clustering(-np.arange(1, n + 1))]
     for seed in range(4):
         asked, expected = scalar_select(cands, labels, m_pairs, seed, nu=nu,
                                         gamma_probe=gamma_probe)
         oracle = RecordingOracle(labels)
-        rep = ssc_select(cands, n, oracle, m_pairs, seed=seed, nu=nu,
-                         gamma_probe=gamma_probe)
+        rep = ssc_select(cands, n, oracle, m_pairs, seed=seed)
         assert rep == expected
         assert oracle.asked == asked
 
