@@ -14,8 +14,9 @@ prints the same hashes.  It hashes, for one seed and size,
   on that table written as CSV;
 * on a near-duplicate text corpus (minhash blocking) and on planted 2-d and
   3-d vector clusters with singletons (hyperplane blocking), the LSH
-  blocks, the ``estimate_probs_lsh`` ``group_ids``, map and reports, and
-  the ordered pairs the oracle was asked;
+  blocks, the ``estimate_probs_lsh`` ``group_ids``, map and outcome rows
+  (block, queries, inferred, n_pos, n_neg), and the ordered pairs the
+  oracle was asked;
 * an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
   parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
   and 12-d samples.
@@ -105,7 +106,12 @@ def lsh_lines(name: str, data, family: str, seed: int) -> None:
                                           seed=seed + 1)
     print(f"lsh[{name}].group_ids {digest(est.group_ids)}")
     print(f"lsh[{name}].dense {digest(est.pmap.dense)}")
-    print(f"lsh[{name}].reports {digest(repr(est.reports))}")
+    if hasattr(est, "outcomes"):
+        rows = est.outcomes.tolist()
+    else:  # a tree whose estimate keeps one selection report per block
+        rows = [(block, rep.queries, rep.inferred, rep.n_pos, rep.n_neg)
+                for block, rep in est.reports]
+    print(f"lsh[{name}].outcomes {digest(rows)}")
     print(f"lsh[{name}].asked {digest(oracle.asked)}")
 
 

@@ -41,7 +41,7 @@ def main() -> None:
         f"LSH r={cfg.rows} s={cfg.bands} -> {est.blocking.q} blocks "
         f"(max size {sizes.max()}, {int((sizes == 1).sum())} singletons)"
     )
-    queries = sum(rep.queries for _, rep in est.lsh.reports)
+    queries = int(est.lsh.outcomes["queries"].sum())
     induced = exact_induced_distribution(data, est.pmap)
     tv = tv_distance(induced, uniform_distribution(induced.support))
     print(

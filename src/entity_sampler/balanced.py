@@ -35,7 +35,11 @@ __all__ = [
 
 
 class UnstableSumWarning(UserWarning):
-    """Alternating-sum terms grew past the configured magnitude cap."""
+    """Alternating-sum terms grew past the magnitude cap."""
+
+
+# the largest alternating-sum term goodman_estimate trusts
+_MAGNITUDE_CAP = 1e12
 
 
 @dataclass(frozen=True)
@@ -161,16 +165,14 @@ def fingerprint_sample(
     return stats, pos / m
 
 
-def goodman_estimate(
-    stats: FingerprintStats, n: int, magnitude_cap: float = 1e12
-) -> float:
+def goodman_estimate(stats: FingerprintStats, n: int) -> float:
     """Unbiased estimate of the number of distinct values in the full table.
 
     E_hat = r + sum_i (-1)^(i+1) [(n-m+i-1)! (m-i)!] / [(n-m-1)! m!] f_i
     for a without-replacement sample of size m from n records.  Factorial
     ratios are evaluated through log-gamma; the alternating terms are summed
     exactly (math.fsum) in descending magnitude, and a term above
-    ``magnitude_cap`` flags the result as numerically untrustworthy.
+    ``_MAGNITUDE_CAP`` = 1e12 flags the result as numerically untrustworthy.
     Unbiasedness holds whenever no value occurs more than m times.
     """
     m = stats.m
@@ -188,7 +190,7 @@ def goodman_estimate(
         )
         sign = 1.0 if (i + 1) % 2 == 0 else -1.0
         terms.append(sign * math.exp(log_w) * f_i)
-    if terms and max(abs(t) for t in terms) > magnitude_cap:
+    if terms and max(abs(t) for t in terms) > _MAGNITUDE_CAP:
         warnings.warn(
             "alternating correction terms exceed the magnitude cap; "
             "the distinct-count estimate is numerically unreliable",

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .dataset import (
     tv_distance,
     uniform_distribution,
 )
+from .gmm import plan_gmm
 from .rejection import exact_induced_distribution, sample_clean
 
 __all__ = [
@@ -49,12 +51,14 @@ __all__ = [
 ]
 
 _PROFILES = ("tpch", "uniform", "arbitrary")
-# the method_params keys that `estimate` or `_cell_bound` read, per method
+# the method_params keys that `estimate` or `_cell_bound` read, per method,
+# and those that only `_cell_bound` reads
 _METHOD_PARAMS = {
     "balanced": {"eta", "delta"},
     "lsh": {"lam", "delta", "k_min", "k_max", "budget", "mu_radius"},
     "gmm": {"k", "max_iter", "tol", "tau", "eta_min", "dim", "delta"},
 }
+_BOUND_ONLY = {"eta", "tau", "eta_min", "dim"}
 
 
 def inject_duplicates(
@@ -235,6 +239,8 @@ def _run_cell(spec: ExperimentSpec, dup: float, fraction: float,
     errors = []
     trials = []
     tv_induced = None
+    params = {key: value for key, value in spec.method_params.items()
+              if key not in _BOUND_ONLY}
     try:
         for rep in range(spec.repeats):
             ss = np.random.SeedSequence(entropy=(spec.seed, cell_index, rep))
@@ -244,7 +250,7 @@ def _run_cell(spec: ExperimentSpec, dup: float, fraction: float,
                 raise DatasetError("benchmark datasets need a value column")
             m = max(1, math.ceil(fraction * data.n))
             pmap = estimate(data, spec.method, s_est, m=m,
-                            **{**spec.method_params, "budget": m}).pmap
+                            **{**params, "budget": m}).pmap
             result = sample_clean(data, pmap, p=m, seed=s_sample)
             clean_mean = float(data.entity_values().mean())
             est_mean = float(data.values[result.record_indices].mean())
@@ -298,48 +304,42 @@ def uniform_baseline_error(data: Dataset, p: int, seed: int) -> float:
     )
 
 
-def balanced_error_bound(m: int, eta: float, delta: float,
-                         n_entities: int | None = None, a: float = 1.0) -> float:
-    """Accuracy the balanced planner promises for a given sample size.
+def _invert_planner(m_raw: Callable[[float], float], m: int) -> float:
+    """Accuracy, at most 1, at which a planner's un-rounded sample size
+    ``m_raw(epsilon)`` is ``m``.
 
-    Inverts the planner's sample-size formula for epsilon by fixed-point
-    iteration (epsilon appears inside a log-log term, so no closed form).
+    Found by fixed-point iteration: epsilon appears inside a log term of
+    the planners' formulas, so they have no closed-form inverse.
     """
     eps = 1.0
     for _ in range(100):
-        plan = plan_sample_size(min(eps, 0.999), delta, eta, n_entities, a)
-        nxt = min(math.sqrt(plan.m_raw / m) * min(eps, 0.999), 1.0)
-        if abs(nxt - eps) < 1e-12:
-            eps = nxt
+        at = min(eps, 0.999)
+        prev, eps = eps, min(math.sqrt(m_raw(at) / m) * at, 1.0)
+        if abs(eps - prev) < 1e-12:
             break
-        eps = nxt
     return eps
 
 
-def ssc_error_bound(m_pairs: int, n_candidates: int, delta: float,
-                    a: float = 1.0) -> float:
+def balanced_error_bound(m: int, eta: float, delta: float,
+                         n_entities: int | None = None) -> float:
+    """Accuracy the balanced planner promises for a given sample size."""
+    return _invert_planner(
+        lambda eps: plan_sample_size(eps, delta, eta, n_entities).m_raw, m)
+
+
+def ssc_error_bound(m_pairs: int, n_candidates: int, delta: float) -> float:
     """Pair-loss accuracy a given pair budget buys in candidate selection."""
     if m_pairs < 1 or n_candidates < 1:
         raise ValueError("need a positive budget and candidate count")
-    return math.sqrt(a * (math.log(max(n_candidates, 2)) + math.log(2.0 / delta))
+    return math.sqrt((math.log(max(n_candidates, 2)) + math.log(2.0 / delta))
                      / m_pairs)
 
 
 def gmm_error_bound(m: int, tau: float, eta_min: float, dim: int, k: int,
-                    delta: float, c_prime: float = 1.0,
-                    c_iters: float = 1.0) -> float:
+                    delta: float) -> float:
     """Accuracy the mixture planner promises for a given fit-sample size."""
-    eps = 1.0
-    for _ in range(100):
-        iters = max(1, math.ceil(c_iters * math.log(1.0 / (tau * min(eps, 0.999)))))
-        raw = (c_prime * dim**3 * (math.log(k * k * iters) + math.log(1.0 / delta))
-               / (eta_min * tau**2))
-        nxt = min(math.sqrt(raw / m), 1.0)
-        if abs(nxt - eps) < 1e-12:
-            eps = nxt
-            break
-        eps = nxt
-    return eps
+    return _invert_planner(
+        lambda eps: plan_gmm(eps, delta, tau, eta_min, dim, k).m_raw, m)
 
 
 def _fmt(x) -> str:

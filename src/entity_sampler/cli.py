@@ -139,7 +139,10 @@ class Estimate:
 
 def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
              oracle: Callable[[int, int], bool] | None = None,
-             model: MixtureModel | None = None, **method_params) -> Estimate:
+             model: MixtureModel | None = None, k: int = 2, max_iter: int = 200,
+             tol: float = 1e-6, lam: float = 0.2, delta: float = 0.1,
+             k_min: int = 1, k_max: int = 4, budget: int = 1000,
+             mu_radius: float = 1.0) -> Estimate:
     """Estimate every record's probability with ``method``.
 
     balanced draws ``m`` records.  gmm scores with ``model``, or with the
@@ -147,10 +150,10 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
     without replacement, or on all when ``m`` is None.  lsh blocks with
     minhash on tokens, else hyperplanes (``lam``, ``delta``), and clusters
     the vectors (``k_min``, ``k_max``, ``budget``, ``mu_radius``) against
-    ``oracle``, by default the entity labels.  Other keys are ignored.
-    The layers are looked up as this module's globals at call time.
+    ``oracle``, by default the entity labels.  A method ignores the other
+    methods' keywords.  The layers are looked up as this module's globals
+    at call time.
     """
-    p = method_params
     if method == "balanced":
         if m is None:
             raise ValueError("balanced estimation needs a sample size m")
@@ -162,9 +165,7 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
             if m is not None and data.features is not None:
                 rng = np.random.default_rng(seed)
                 x = data.features[rng.choice(data.n, min(m, data.n), replace=False)]
-            fit = em_fit(x, int(p.get("k", 2)), seed=seed,
-                         max_iter=int(p.get("max_iter", 200)),
-                         tol=float(p.get("tol", 1e-6)))
+            fit = em_fit(x, int(k), seed=seed, max_iter=int(max_iter), tol=float(tol))
             model = fit.model
         return Estimate(estimate_probs_gmm(data, model), fit=fit)
     if method != "lsh":
@@ -175,14 +176,11 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
         if data.entity_labels is None:
             raise DatasetError("lsh estimation needs an entity column as oracle")
         oracle = SameClusterOracle(labels=data.entity_codes.tolist())
-    cfg = LshConfig.plan(float(p.get("lam", 0.2)), float(p.get("delta", 0.1)),
+    cfg = LshConfig.plan(float(lam), float(delta),
                          family="minhash" if data.tokens is not None else "hyperplane")
     blocking = lsh_partition(data, cfg, seed)
-    est = estimate_probs_lsh(
-        data, blocking, (int(p.get("k_min", 1)), int(p.get("k_max", 4))),
-        int(p.get("budget", 1000)), oracle, seed,
-        mu_radius=float(p.get("mu_radius", 1.0)),
-    )
+    est = estimate_probs_lsh(data, blocking, (int(k_min), int(k_max)), int(budget),
+                             oracle, seed, mu_radius=float(mu_radius))
     return Estimate(est.pmap, config=cfg, blocking=blocking, lsh=est)
 
 
@@ -221,8 +219,8 @@ def _cmd_estimate(args) -> int:
                  "rows": est.config.rows, "bands": est.config.bands,
                  "block_size_histogram": dict(
                      zip(map(str, sizes.tolist()), counts.tolist())),
-                 "oracle_queries": sum(r.queries for _, r in est.lsh.reports),
-                 "oracle_inferred": sum(r.inferred for _, r in est.lsh.reports)},
+                 "oracle_queries": int(est.lsh.outcomes["queries"].sum()),
+                 "oracle_inferred": int(est.lsh.outcomes["inferred"].sum())},
                 fh, indent=2,
             )
             fh.write("\n")

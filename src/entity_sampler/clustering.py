@@ -40,6 +40,8 @@ __all__ = [
 # (restart, point, cluster or coordinate) entries that one chunk of
 # lloyd_kmeans spans
 _MASK_CHUNK = 1 << 20
+# the most points regularized_kmeans clusters by enumerating assignments
+_BRUTE_FORCE_CAP = 9
 
 
 def _sq_distance(
@@ -364,8 +366,6 @@ def regularized_kmeans(
     k: int,
     mu_radius: float,
     seed: int = 0,
-    brute_force_cap: int = 9,
-    restarts: int = 32,
     *,
     has_neighbour: np.ndarray | None = None,
 ) -> Clustering:
@@ -373,7 +373,7 @@ def regularized_kmeans(
 
     Points whose nearest neighbour is farther than ``mu_radius`` go to
     garbage; the remaining points are k-clustered (exactly when at most
-    ``brute_force_cap`` remain, by restarted Lloyd otherwise).  ``k`` may be
+    ``_BRUTE_FORCE_CAP`` = 9 remain, by restarted Lloyd otherwise).  ``k`` may be
     zero only when the prefilter removes everything.  ``has_neighbour`` is
     ``neighbour_mask(points, mu_radius)`` when a caller clustering the same
     points at several k has it already; it is computed when omitted.
@@ -398,10 +398,10 @@ def regularized_kmeans(
     if k > keep.size:
         raise ClusteringError(f"k={k} exceeds remaining point count {keep.size}")
     sub = points[keep]
-    if keep.size <= brute_force_cap:
+    if keep.size <= _BRUTE_FORCE_CAP:
         # restricted growth strings: already labelled 0..k'-1
         labels[keep] = brute_force_kmeans(sub, k)
     else:
         # numbered by first occurrence: already labelled 0..k'-1
-        labels[keep] = lloyd_kmeans(sub, k, seed=seed, restarts=restarts)
+        labels[keep] = lloyd_kmeans(sub, k, seed=seed)
     return Clustering(labels)

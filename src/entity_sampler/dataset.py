@@ -100,17 +100,18 @@ def _column(items: Sequence) -> np.ndarray:
     """``items`` as a 1-d array: ``np.asarray`` when that gives one, else a
     1-d object array holding the items themselves (tuples, ragged rows).
 
-    A sequence that ``np.asarray`` turns into text although not all of its
-    items are text (``[1, "1"]``) is kept item for item too: as text, the
-    int 1 and the string "1" would be one label.
+    A sequence that ``np.asarray`` turns into text or floats although not
+    all of its items are text or floats (``[1, "1"]``, ``[2**60 + 1, 0.5]``)
+    is kept item for item too: as text, the int 1 and the string "1" would
+    be one label, and as floats, 2**60 + 1 and 2**60 would.
     """
     try:
         arr = np.asarray(items)
     except ValueError:  # ragged nested sequences
         arr = None
-    if arr is not None and arr.dtype.kind in "SU" and arr is not items:
-        text = str if arr.dtype.kind == "U" else bytes
-        if not all(isinstance(item, text) for item in items):
+    if arr is not None and arr.dtype.kind in "SUf" and arr is not items:
+        kind = {"U": str, "S": bytes, "f": (float, np.floating)}[arr.dtype.kind]
+        if not all(isinstance(item, kind) for item in items):
             arr = None
     if arr is None or arr.ndim != 1:
         arr = np.fromiter(items, dtype=object, count=len(items))
@@ -181,12 +182,14 @@ def _factorize_objects(items: Sequence) -> tuple[np.ndarray, list]:
 class Dataset:
     """Immutable column-wise record table.
 
-    Exactly one of ``features`` / ``tokens`` carries the record content;
-    ``entity_labels`` (ground truth) and ``values`` are optional.  ``ids``
-    and ``entity_labels`` are stored as 1-d arrays: any sequence is taken
-    through ``np.asarray``, or kept item for item in an object array when
-    that does not give a 1-d array, so ``(0, 1)``, ``["a", "b"]`` and
-    ``np.arange(n)`` all work.  Mutating operations return new datasets;
+    ``features`` or ``tokens`` carries the record content, or both, as a
+    text corpus with embeddings does: exact content equality
+    (``dedup_codes``) then compares the features, and minhash blocking
+    reads the tokens.  ``entity_labels`` (ground truth) and ``values`` are
+    optional.  ``ids`` and ``entity_labels`` are stored as 1-d arrays: any
+    sequence is taken through ``np.asarray``, or kept item for item in an
+    object array when that does not give a 1-d array, so ``(0, 1)``,
+    ``["a", "b"]`` and ``np.arange(n)`` all work.  Mutating operations return new datasets;
     every randomized consumer takes an explicit seed, so instances can be
     shared freely across workers.
     """
@@ -227,10 +230,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.ids.shape[0]
-
-    @property
-    def dim(self) -> int | None:
-        return None if self.features is None else self.features.shape[1]
 
     @cached_property
     def dedup_codes(self) -> np.ndarray:

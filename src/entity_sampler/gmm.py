@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 _LOG_FLOOR = -700.0  # exp underflows to zero a little below this
+# EM attempts after the first, and the weight or variance below which a
+# component has collapsed
+_MAX_RESTARTS = 8
+_COLLAPSE_EPS = 1e-8
 
 
 class CollapseError(RuntimeError):
@@ -200,8 +204,6 @@ def em_fit(
     seed: int,
     max_iter: int = 200,
     tol: float = 1e-6,
-    max_restarts: int = 8,
-    collapse_eps: float = 1e-8,
 ) -> EmResult:
     """Fit a spherical mixture by EM.
 
@@ -210,7 +212,7 @@ def em_fit(
     the data shifts that mean by a constant, so the rule stops at the same
     iteration at any scale.  A collapsing component (vanishing variance or
     weight) triggers a restart with fresh initialization, up to
-    ``max_restarts``, after which CollapseError is raised.  The returned
+    ``_MAX_RESTARTS`` = 8, after which CollapseError is raised.  The returned
     trace of log-likelihoods is non-decreasing; its last entry belongs to
     the returned model.
     """
@@ -223,7 +225,7 @@ def em_fit(
         raise ValueError("k must be positive")
     n, d = x.shape
     root = np.random.SeedSequence(seed)
-    for attempt, child in enumerate(root.spawn(max_restarts + 1)):
+    for attempt, child in enumerate(root.spawn(_MAX_RESTARTS + 1)):
         rng = np.random.default_rng(child)
         weights, means, variances = _init_params(x, k, rng)
         sq = _sq_distances(x, means)
@@ -242,13 +244,13 @@ def em_fit(
                 break
             mass = resp.sum(axis=1)
             weights = mass / n
-            if (weights < collapse_eps).any():
+            if (weights < _COLLAPSE_EPS).any():
                 collapsed = True
                 break
             means = (resp @ x) / mass[:, None]
             sq = _sq_distances(x, means)
             variances = (resp * sq).sum(axis=1) / (mass * d)
-            if (variances < collapse_eps).any():
+            if (variances < _COLLAPSE_EPS).any():
                 collapsed = True
                 break
             iterations += 1
@@ -263,7 +265,7 @@ def em_fit(
             restarts_used=attempt,
         )
     raise CollapseError(
-        f"all {max_restarts + 1} EM attempts collapsed a component (k={k})"
+        f"all {_MAX_RESTARTS + 1} EM attempts collapsed a component (k={k})"
     )
 
 

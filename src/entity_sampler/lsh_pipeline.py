@@ -29,7 +29,7 @@ from .clustering import (
 )
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
-from .ssc import SscReport, ssc_select
+from .ssc import ssc_select
 
 __all__ = ["LshEstimate", "estimate_probs_lsh"]
 
@@ -39,14 +39,25 @@ def _block_seed(seed: int, block_id: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(seed, block_id))
 
 
+_OUTCOME = np.dtype([(name, np.int64) for name in
+                     ("block", "queries", "inferred", "n_pos", "n_neg")])
+
+
 @dataclass(frozen=True, eq=False)
 class LshEstimate:
-    """Probability map plus the assembled duplicate-group assignment."""
+    """Probability map plus the assembled duplicate-group assignment.
+
+    ``outcomes`` has a row for each block whose outcome the oracle decided
+    (asked pair blocks and ``ssc_select`` blocks), in block order: the
+    block id and the ``SscReport`` counts ``queries``, ``inferred``,
+    ``n_pos`` and ``n_neg``.  A pair block asks one question, and its
+    answer is its one positive or negative pair.
+    """
 
     pmap: ProbabilityMap
     group_ids: np.ndarray
     group_sizes: np.ndarray
-    reports: tuple
+    outcomes: np.ndarray
 
 
 def estimate_probs_lsh(
@@ -77,7 +88,7 @@ def estimate_probs_lsh(
     not.
 
     A two-record block is settled by one radius test and at most one
-    oracle question, with the result and report that clustering it at k = 1
+    oracle question, with the result and outcome that clustering it at k = 1
     and k = 2 would give: two points beyond ``mu_radius`` are two garbage
     groups, a single clamped candidate is taken unasked, and otherwise the
     pair merges on "same" and splits on "different".  Questions reach the
@@ -119,7 +130,7 @@ def estimate_probs_lsh(
         asked[pairs[near]] = True
     splits = np.zeros(blocking.q, dtype=bool)
     splits[pairs] = can_split
-    reports = []
+    outcomes = []
     # asked pairs and larger blocks in block order, so the oracle gets its
     # questions in the order of the blocks
     for block_id in np.flatnonzero(asked | (block_sizes > 2)).tolist():
@@ -128,7 +139,7 @@ def estimate_probs_lsh(
             same = bool(oracle(int(block[0]), int(block[1])))
             split = bool(splits[block_id])
             n_groups[block_id] = 1 + (split and not same)
-            reports.append((block_id, _pair_report(same, split)))
+            outcomes.append((block_id, 1, 0, same, not same))
             continue
         points = data.features[block]
         child_seeds = _block_seed(seed, block_id).generate_state(2)
@@ -155,7 +166,8 @@ def estimate_probs_lsh(
                                 likely_pairs=_radius_forest(points, mu_radius,
                                                             has_neighbour))
             winner = candidates[report.winner]
-            reports.append((block_id, report))
+            outcomes.append((block_id, report.queries, report.inferred,
+                             report.n_pos, report.n_neg))
         # groups in label order: clusters 0..k-1, then garbage -1, -2, ...
         lab = winner.labels
         start = starts[block_id]
@@ -169,9 +181,8 @@ def estimate_probs_lsh(
     sizes = np.bincount(group_ids, minlength=int(n_groups.sum()))
     phat = sizes[group_ids] / data.n
     pmap = ProbabilityMap(dense=phat)
-    return LshEstimate(
-        pmap=pmap, group_ids=group_ids, group_sizes=sizes, reports=tuple(reports)
-    )
+    return LshEstimate(pmap=pmap, group_ids=group_ids, group_sizes=sizes,
+                       outcomes=np.array(outcomes, dtype=_OUTCOME))
 
 
 def _pair_geometry(
@@ -193,15 +204,3 @@ def _pair_geometry(
     split_cost = total - ((p0**2).sum(axis=1) + (p1**2).sum(axis=1))
     merge_cost = total - ((p0 + p1) ** 2).sum(axis=1) / 2
     return near, split_cost < merge_cost
-
-
-def _pair_report(same: bool, split: bool) -> SscReport:
-    """What ``rank_candidates`` reports for "merge" against brute-force
-    k = 2 on a pair's one answer; a k = 2 that merges ties with k = 1."""
-    merge_loss = 0.0 if same else 0.5
-    split_loss = (0.5 if same else 0.0) if split else merge_loss
-    return SscReport(
-        winner=int(split and not same), losses=(merge_loss, split_loss),
-        queries=1, query_cap=1, gamma_hat=0.0 if same else 1.0,
-        n_pos=int(same), n_neg=int(not same), inferred=0,
-    )

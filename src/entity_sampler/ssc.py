@@ -134,14 +134,12 @@ class SscReport:
 
     ``queries`` counts the pairs the oracle was asked and ``inferred`` the
     distinct pairs drawn, or scored exhaustively, that earlier answers
-    settled without asking.
+    settled without asking; ``n_pos`` and ``n_neg`` count the pairs ranked on.
     """
 
     winner: int
     losses: tuple[float, ...]
     queries: int
-    query_cap: int
-    gamma_hat: float
     n_pos: int
     n_neg: int
     inferred: int
@@ -151,8 +149,6 @@ def rank_candidates(
     candidates: Sequence[Clustering],
     pos: Sequence[tuple[int, int]],
     neg: Sequence[tuple[int, int]],
-    query_cap: int,
-    gamma_hat: float,
     queries: int,
     inferred: int = 0,
 ) -> SscReport:
@@ -165,9 +161,8 @@ def rank_candidates(
     pos_arr = np.asarray(pos, dtype=np.int64).reshape(-1, 2)
     neg_arr = np.asarray(neg, dtype=np.int64).reshape(-1, 2)
     losses = [pair_losses(c, pos_arr, neg_arr)[2] for c in candidates]
-    return _ranked(candidates, losses, queries=queries, query_cap=query_cap,
-                   gamma_hat=gamma_hat, n_pos=len(pos_arr), n_neg=len(neg_arr),
-                   inferred=inferred)
+    return _ranked(candidates, losses, queries=queries, n_pos=len(pos_arr),
+                   n_neg=len(neg_arr), inferred=inferred)
 
 
 def _ranked(candidates: Sequence[Clustering], losses: list, **fields) -> SscReport:
@@ -407,12 +402,9 @@ def ssc_select(
     early_keys = _pair_index(np.array(early, dtype=np.int64).reshape(-1, 2), n_points)
     at = np.minimum(np.searchsorted(keys, early_keys), keys.size - 1)
     undrawn = int(np.count_nonzero(keys[at] != early_keys))
-    if cap is None:
-        gamma_hat = max(n_neg, 1) / draws
-        cap = draws
     same = np.concatenate(answers)
-    return rank_candidates(candidates, pairs[same], pairs[~same], cap, gamma_hat,
-                           asked, inferred=n_distinct - asked + undrawn)
+    return rank_candidates(candidates, pairs[same], pairs[~same], asked,
+                           inferred=n_distinct - asked + undrawn)
 
 
 def _apart_keys(roots: np.ndarray, differ: list) -> np.ndarray:
@@ -460,8 +452,7 @@ def _exact_report(
         joined_pos = _pairs_within(comp[kept] * c.k + lab)
         joined_neg = _pairs_within(lab) - joined_pos
         losses.append(_losses(n_pos, n_pos - joined_pos, n_neg, joined_neg)[2])
-    return _ranked(candidates, losses, queries=asked, query_cap=n_pairs,
-                   gamma_hat=n_neg / n_pairs, n_pos=n_pos, n_neg=n_neg,
+    return _ranked(candidates, losses, queries=asked, n_pos=n_pos, n_neg=n_neg,
                    inferred=n_pairs - asked)
 
 

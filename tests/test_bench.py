@@ -9,6 +9,7 @@ import pytest
 from entity_sampler import bench
 from entity_sampler.balanced import plan_sample_size
 from entity_sampler.dataset import Dataset
+from entity_sampler.gmm import plan_gmm
 from entity_sampler.bench import (
     ExperimentSpec,
     balanced_error_bound,
@@ -289,6 +290,17 @@ def test_balanced_bound_inverts_the_planner():
 def test_ssc_bound_inverts_the_planner():
     eps = ssc_error_bound(m_pairs=500, n_candidates=4, delta=0.1)
     assert plan_pair_budget(4, eps, 0.1) == pytest.approx(500, abs=1)
+
+
+def test_gmm_bound_inverts_the_planner():
+    kw = dict(delta=0.1, tau=0.05, eta_min=0.2, dim=2, k=3)
+    for m in (10**7, 10**8, 10**9):
+        eps = gmm_error_bound(m, **kw)
+        planned = plan_gmm(eps, kw["delta"], kw["tau"], kw["eta_min"], kw["dim"],
+                           kw["k"])
+        assert planned.m_raw == pytest.approx(m, rel=0.01)
+    # a sample too small for any guarantee clamps to the vacuous bound
+    assert gmm_error_bound(10, **kw) == 1.0
 
 
 def test_gmm_bound_monotone():

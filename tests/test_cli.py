@@ -32,6 +32,7 @@ from entity_sampler.dataset import (
 )
 from entity_sampler.gmm import MixtureModel, em_fit
 from entity_sampler.rejection import ProbabilityMap, SampleBudgetError
+from entity_sampler.synth import planted_clusters
 
 
 def write_toy_csv(tmp_path, name="toy.csv"):
@@ -554,6 +555,14 @@ def test_estimate_rejects_an_unknown_method_and_a_missing_m():
         estimate(data, "balanced", 0)
 
 
+def test_estimate_rejects_a_misspelt_method_keyword():
+    # "kmax" used to run silently with the default k_max of 4
+    data = planted_clusters(3, 5, 10.0, 2, seed=0)
+    assert estimate(data, "lsh", 1, k_max=1).lsh.group_sizes.size == 1
+    with pytest.raises(TypeError, match="kmax"):
+        estimate(data, "lsh", 1, kmax=1)
+
+
 @pytest.mark.parametrize("seed, budget", [(7, 200), (3, 5)])
 def test_cli_lsh_artifact_equals_the_library_map(tmp_path, capsys, seed, budget):
     data, schema = write_planted_csv(tmp_path)
@@ -577,9 +586,7 @@ def test_gmm_subsample_fit_equals_em_fit_by_hand():
     rng = np.random.default_rng(5)
     x = np.concatenate([rng.normal(0.0, 1.0, (90, 2)), rng.normal(7.0, 1.0, (60, 2))])
     data = Dataset(ids=tuple(f"p{i}" for i in range(len(x))), features=x)
-    # keys only the bench bound reads are ignored
-    est = estimate(data, "gmm", 12, m=40, k=2, max_iter=30, tol=1e-7,
-                   eta=0.1, tau=0.5, eta_min=0.2, dim=2)
+    est = estimate(data, "gmm", 12, m=40, k=2, max_iter=30, tol=1e-7)
     rows = np.random.default_rng(12).choice(len(x), size=40, replace=False)
     fit = em_fit(x[rows], 2, seed=12, max_iter=30, tol=1e-7)
     assert est.fit.loglik == fit.loglik

@@ -66,8 +66,9 @@ def test_default_solver_is_exact_on_small_instances():
         assert kmeans_cost(pts, cl.labels) == pytest.approx(c_brute, rel=1e-9)
 
 
-def test_restarted_lloyd_usually_finds_the_optimum():
+def test_restarted_lloyd_usually_finds_the_optimum(monkeypatch):
     # the > cap solver path; restarts make misses rare but not impossible
+    monkeypatch.setattr(clustering, "_BRUTE_FORCE_CAP", 0)
     rng = np.random.default_rng(99)
     hits = 0
     for t in range(60):
@@ -76,9 +77,7 @@ def test_restarted_lloyd_usually_finds_the_optimum():
         k = int(rng.integers(1, min(n, 4) + 1))
         pts = rng.normal(0, 1, (n, d))
         c_brute = kmeans_cost(pts, brute_force_kmeans(pts, k))
-        cl = regularized_kmeans(
-            pts, k, mu_radius=1e9, seed=t, brute_force_cap=0, restarts=32
-        )
+        cl = regularized_kmeans(pts, k, mu_radius=1e9, seed=t)
         hits += bool(np.isclose(kmeans_cost(pts, cl.labels), c_brute, rtol=1e-9))
     assert hits >= 57  # observed 59/60 on this fixed stream
 
@@ -470,7 +469,7 @@ def test_infeasible_requests_raise():
     with pytest.raises(ClusteringError):
         regularized_kmeans(far, 1, mu_radius=1.0, seed=0)  # nothing remains
     with pytest.raises(ClusteringError):  # no Lloyd restart
-        regularized_kmeans(pts, 2, mu_radius=1.0, brute_force_cap=0, restarts=0)
+        lloyd_kmeans(pts, 2, seed=0, restarts=0)
 
 
 def test_empty_instance():
@@ -503,7 +502,8 @@ def test_solver_never_beats_brute_force(seed):
     pts = rng.normal(0, 1, (n, 2))
     k = int(rng.integers(1, n + 1))
     c_brute = kmeans_cost(pts, brute_force_kmeans(pts, k))
-    cl = regularized_kmeans(
-        pts, k, mu_radius=1e9, seed=seed, brute_force_cap=0, restarts=32
-    )
+    # the Lloyd path; a fixture-free patch, as hypothesis reruns the body
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_BRUTE_FORCE_CAP", 0)
+        cl = regularized_kmeans(pts, k, mu_radius=1e9, seed=seed)
     assert kmeans_cost(pts, cl.labels) >= c_brute - 1e-12

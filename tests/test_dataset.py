@@ -239,6 +239,15 @@ def test_mixed_type_labels_and_ids_stay_distinct_items():
     assert d.entity_freqs.tolist() == [1, 1, 1]
     mixed = Dataset(ids=[0, "a"], features=np.zeros((2, 1)))
     assert mixed.ids.tolist() == [0, "a"]
+    # as floats, 2**60 + 1 and 2**60 would be one id and one label
+    big = [2**60 + 1, 2**60, 0.5]
+    wide = Dataset(ids=big, features=[[0.0], [1.0], [2.0]], entity_labels=big)
+    assert wide.ids.tolist() == big
+    assert wide.entity_names == (2**60 + 1, 2**60, 0.5)
+    assert wide.entity_freqs.tolist() == [1, 1, 1]
+    # lists of floats, lists of ints and arrays keep their numpy dtype
+    for ids, kind in (([0.5, 1.5], "f"), ([0, 2**60], "i"), (np.array([0, 0.5]), "f")):
+        assert Dataset(ids=ids, features=np.zeros((2, 1))).ids.dtype.kind == kind
     # all-text lists and arrays keep their numpy dtype
     assert Dataset(ids=["0", "a"], features=np.zeros((2, 1))).ids.dtype.kind == "U"
     assert Dataset(ids=np.array([b"0", b"a"]),

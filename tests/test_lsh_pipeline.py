@@ -14,7 +14,7 @@ from entity_sampler.clustering import Clustering, ClusteringError
 from entity_sampler.dataset import Dataset, DatasetError, tv_distance, uniform_distribution
 from entity_sampler.lsh_pipeline import estimate_probs_lsh
 from entity_sampler.rejection import exact_induced_distribution
-from entity_sampler.ssc import SameClusterOracle, SscReport, rank_candidates
+from entity_sampler.ssc import SameClusterOracle, rank_candidates
 from entity_sampler.synth import duplicate_text_corpus, planted_clusters
 
 
@@ -150,10 +150,13 @@ def test_reports_expose_selection_outcomes():
         data, blocking, k_range=(1, 3), budget=400,
         oracle=SameClusterOracle(tuple(data.entity_codes)), seed=11,
     )
-    assert all(
-        isinstance(bid, int) and isinstance(rep, SscReport)
-        for bid, rep in est.reports
-    )
+    out = est.outcomes
+    assert out.dtype.names == ("block", "queries", "inferred", "n_pos", "n_neg")
+    assert all(out.dtype[name] == np.int64 for name in out.dtype.names)
+    # one row per decided block, in block order, each of two records or more
+    assert out.size > 0 and (np.diff(out["block"]) > 0).all()
+    sizes = np.array([block.size for block in blocking.blocks])
+    assert (sizes[out["block"]] >= 2).all()
 
 
 def test_seed_determinism():
@@ -209,12 +212,9 @@ def test_two_record_blocks_ask_their_one_pair_once():
     assert oracle.queries == 2
     assert est.group_ids[0] == est.group_ids[1]
     assert est.group_ids[2] != est.group_ids[3]
-    reports = dict(est.reports)
-    dup, distinct = reports[0], reports[1]
-    assert (dup.queries, dup.query_cap, dup.n_pos, dup.n_neg) == (1, 1, 1, 0)
-    assert dup.gamma_hat == 0.0
-    assert (distinct.queries, distinct.query_cap) == (1, 1)
-    assert (distinct.n_pos, distinct.n_neg, distinct.gamma_hat) == (0, 1, 1.0)
+    # (block, queries, inferred, n_pos, n_neg): one question each, "same"
+    # for the duplicate pair and "different" for the distinct one
+    assert est.outcomes.tolist() == [(0, 1, 0, 1, 0), (1, 1, 0, 0, 1)]
 
 
 def test_sampled_block_stops_once_every_pair_is_answered():
@@ -227,10 +227,9 @@ def test_sampled_block_stops_once_every_pair_is_answered():
     oracle = PairRecordingOracle(labels)
     est = estimate_probs_lsh(data, blocking_of([(0, 3)], 3), (1, 3),
                              budget=1, oracle=oracle, seed=0)
-    (_, report), = est.reports
     assert oracle.pairs == {(0, 1), (0, 2), (1, 2)}
-    assert report.queries == report.query_cap == oracle.queries == 3
-    assert (report.n_pos, report.n_neg, report.gamma_hat) == (0, 3, 1.0)
+    assert oracle.queries == 3
+    assert est.outcomes.tolist() == [(0, 3, 0, 0, 3)]
     assert est.group_sizes.tolist() == [1, 1, 1]
 
 
@@ -246,11 +245,9 @@ def test_single_entity_block_merges_on_its_exact_pairs():
     oracle = SameClusterOracle([0] * 8)
     est = estimate_probs_lsh(data, blocking_of([(0, 8)], 8), (1, 3),
                              budget=5, oracle=oracle, seed=0)
-    (_, report), = est.reports
-    assert (report.n_pos, report.n_neg) == (28, 0)
-    assert report.query_cap == 28
-    assert report.queries == oracle.queries == 7
-    assert report.inferred == 21
+    assert oracle.queries == 7
+    # (block, queries, inferred, n_pos, n_neg)
+    assert est.outcomes.tolist() == [(0, 7, 21, 28, 0)]
     assert est.group_sizes.tolist() == [8]
 
 
@@ -262,10 +259,10 @@ def test_fifty_record_single_entity_block_asks_b_minus_one_pairs():
     oracle = SameClusterOracle([0] * 50)
     est = estimate_probs_lsh(data, blocking_of([(0, 50)], 50), (1, 3),
                              budget=100, oracle=oracle, seed=4)
-    (_, report), = est.reports
-    assert report.winner == 0  # the k = 1 candidate
-    assert report.queries == oracle.queries == 49
-    assert est.group_sizes.tolist() == [50]
+    (block, queries, *_), = est.outcomes.tolist()
+    assert block == 0
+    assert queries == oracle.queries == 49
+    assert est.group_sizes.tolist() == [50]  # the k = 1 candidate won
 
 
 def test_planted_block_asks_its_radius_forest_first(monkeypatch):
@@ -276,19 +273,31 @@ def test_planted_block_asks_its_radius_forest_first(monkeypatch):
                              seed=4101)
     assert max(block.size for block in blocking.blocks) == 2005
 
+    reports = []
+
+    def recording_select(*args, **kwargs):
+        reports.append(ssc.ssc_select(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(lsh_pipeline, "ssc_select", recording_select)
+
     def estimate():
         oracle = SameClusterOracle(tuple(data.entity_codes))
         est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=4102)
-        return est, oracle.queries
+        # winners and losses, with the counts that the questions change zeroed
+        ranked = [replace(rep, queries=0, inferred=0) for rep in reports]
+        reports.clear()
+        return est, oracle.queries, ranked
 
-    est, queries = estimate()
+    est, queries, ranked = estimate()
     # without the forest the block asks about 52.7k questions
     monkeypatch.setattr(lsh_pipeline, "_radius_forest", lambda *args: ())
-    bare, bare_queries = estimate()
+    bare, bare_queries, bare_ranked = estimate()
     assert queries <= 3000 < bare_queries
     assert np.array_equal(est.group_ids, bare.group_ids)
-    assert [replace(rep, queries=0, inferred=0) for _, rep in est.reports] == \
-        [replace(rep, queries=0, inferred=0) for _, rep in bare.reports]
+    assert ranked == bare_ranked and len(ranked) == 1
+    for name in ("block", "n_pos", "n_neg"):
+        assert np.array_equal(est.outcomes[name], bare.outcomes[name])
 
 
 def test_text_corpus_asks_each_distinct_pair_once():
@@ -302,9 +311,9 @@ def test_text_corpus_asks_each_distinct_pair_once():
                              oracle=oracle, seed=22)
     assert oracle.queries > 0
     assert oracle.queries == len(oracle.pairs)
-    # the selectors drew some pairs more than once; the reports count only
+    # the selectors drew some pairs more than once; the outcomes count only
     # the calls that reached the oracle
-    assert sum(rep.queries for _, rep in est.reports) == oracle.queries
+    assert est.outcomes["queries"].sum() == oracle.queries
 
 
 def test_each_multi_record_block_builds_one_neighbour_mask(monkeypatch):
@@ -323,7 +332,7 @@ def test_each_multi_record_block_builds_one_neighbour_mask(monkeypatch):
                              oracle=SameClusterOracle(tuple(data.entity_codes)),
                              seed=3, mu_radius=2.0)
     assert sizes == [12, 12]  # k = 1..4 each, from one mask per block
-    assert len(est.reports) == 2
+    assert len(est.outcomes) == 2
 
 
 def test_nan_radius_is_rejected():
@@ -360,7 +369,7 @@ def test_traced_estimate_records_every_layer_it_calls():
         est = lsh_pipeline.estimate_probs_lsh(
             data, blocking_of([(0, 2), (2, 8)], 8), (1, 3), budget=4,
             oracle=SameClusterOracle(labels), seed=0)
-    assert [bid for bid, _ in est.reports] == [0, 1]
+    assert est.outcomes["block"].tolist() == [0, 1]
     assert tracer.calls["ssc.select"] == 1  # the larger block only
     assert tracer.calls["clustering.kmeans"] >= 1
     assert tracer.calls["clustering.neighbour_mask"] >= 1
@@ -445,10 +454,11 @@ def pair_block_data():
 
 
 def clustered_pairs(data, blocking, k_range, mu_radius):
-    """Group ids and reports from clustering each pair block at every
-    clamped k and ranking the candidates on the pair's one answer."""
+    """Group ids and outcome rows (block, queries, inferred, n_pos, n_neg)
+    from clustering each pair block at every clamped k and ranking the
+    candidates on the pair's one answer."""
     group_ids = np.empty(data.n, dtype=np.int64)
-    next_group, reports = 0, []
+    next_group, outcomes = 0, []
     for block_id, block in enumerate(blocking.blocks):
         points = data.features[block]
         remaining = int(clustering.neighbour_mask(points, mu_radius).sum())
@@ -459,14 +469,14 @@ def clustered_pairs(data, blocking, k_range, mu_radius):
         if len(candidates) > 1:
             same = data.entity_codes[block[0]] == data.entity_codes[block[1]]
             pos, neg = ([(0, 1)], []) if same else ([], [(0, 1)])
-            report = rank_candidates(candidates, pos, neg, query_cap=1,
-                                     gamma_hat=float(len(neg)), queries=1)
+            report = rank_candidates(candidates, pos, neg, queries=1)
             winner = candidates[report.winner]
-            reports.append((block_id, report))
+            outcomes.append((block_id, report.queries, report.inferred,
+                             report.n_pos, report.n_neg))
         lab = winner.labels
         group_ids[block] = next_group + np.where(lab >= 0, lab, winner.k - 1 - lab)
         next_group += winner.k + int(np.count_nonzero(lab < 0))
-    return group_ids, tuple(reports)
+    return group_ids, outcomes
 
 
 def test_brute_force_splits_every_distinct_pair_of_the_pair_data():
@@ -504,17 +514,17 @@ def test_pair_blocks_match_clustering_every_candidate(k_range, mu_radius):
     oracle = SameClusterOracle(tuple(data.entity_codes))
     est = estimate_probs_lsh(data, blocking, k_range, budget=blocking.q,
                              oracle=oracle, seed=0, mu_radius=mu_radius)
-    group_ids, reports = clustered_pairs(data, blocking, k_range, mu_radius)
+    group_ids, outcomes = clustered_pairs(data, blocking, k_range, mu_radius)
     assert np.array_equal(est.group_ids, group_ids)
     sizes = np.bincount(group_ids)
     assert np.array_equal(est.group_sizes, sizes)
     assert np.array_equal(est.pmap.dense, sizes[group_ids] / data.n)
-    assert repr(est.reports) == repr(reports)
-    assert oracle.queries == len(reports)
-    if k_range in ((1, 2), (1, 4)):  # both answers reach a report
-        assert {rep.n_pos for _, rep in reports} == {0, 1}
+    assert est.outcomes.tolist() == outcomes
+    assert oracle.queries == len(outcomes)
+    if k_range in ((1, 2), (1, 4)):  # both answers reach an outcome
+        assert {n_pos for *_, n_pos, _ in outcomes} == {0, 1}
     else:
-        assert reports == ()
+        assert outcomes == []
 
 
 def test_oracle_questions_follow_block_order():
@@ -540,7 +550,7 @@ def test_oracle_questions_follow_block_order():
         (1, 12),
         (8, 10), (3, 6), (6, 8),
     ]
-    assert [bid for bid, _ in est.reports] == [0, 1, 4, 5]
+    assert est.outcomes["block"].tolist() == [0, 1, 4, 5]
     assert (2, 9) not in oracle.asked
     assert est.group_ids.tolist() == [1, 5, 2, 7, 0, 4, 7, 1, 8, 3, 8, 0, 6, 1]
 

@@ -18,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ("run_lsh_demo.py", ["LSH r=", "TV(induced, uniform)", "per accept"]),
         ("run_planner_curves.py", ["balanced sample size m", "LSH plan", "EM plan"]),
         ("output_hashes.py", ["entity_names ", "sample_clean[0.1] ", "cli gmm.sample.csv ",
-                               "lsh[text].asked ", "lsh[vectors3d].reports ",
+                               "lsh[text].asked ", "lsh[vectors3d].outcomes ",
                                "em.loglik ", "lloyd[12d] "]),
     ],
 )

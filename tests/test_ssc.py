@@ -100,7 +100,8 @@ def test_select_fills_both_sides():
     assert rep.n_pos >= 5 and rep.n_neg >= 5
     assert len(rep.losses) == 3
     assert rep.queries == oracle.queries < 15
-    assert rep.n_pos + rep.n_neg <= rep.query_cap
+    # both sides fill before the probe sets a cap
+    assert rep.n_pos + rep.n_neg < ssc._GAMMA_PROBE
 
 
 def test_ties_prefer_fewer_clusters():
@@ -123,11 +124,10 @@ def test_cap_report_ranks_collected_evidence():
     split = clustering(list(range(30)), list(range(30, n)), n=n)
     oracle = SameClusterOracle([7] * n)
     rep = ssc_select([merged, split], n_points=n, oracle=oracle, m_pairs=3, seed=5)
-    assert rep.gamma_hat == 0.01
-    assert rep.query_cap == math.ceil(2 * (3 / 0.01 + 3 / 0.99))
-    # every draw up to the cap is a positive; the oracle heard each pair once
-    assert (rep.n_pos, rep.n_neg) == (rep.query_cap, 0)
-    assert rep.queries == oracle.queries < rep.query_cap
+    # every draw up to the cap, set by gamma-hat clamped to 1/100, is a
+    # positive; the oracle heard each pair once
+    assert (rep.n_pos, rep.n_neg) == (math.ceil(2 * (3 / 0.01 + 3 / 0.99)), 0)
+    assert rep.queries == oracle.queries < rep.n_pos
     # the collected positives still rank the candidates correctly
     assert rep.winner == 0
     assert rep.losses[0] < rep.losses[1]
@@ -236,8 +236,7 @@ def exact_report(candidates, labels, queries=None):
     pos, neg = all_pairs(labels)
     n_pairs = len(pos) + len(neg)
     queries = n_pairs if queries is None else queries
-    return rank_candidates(candidates, pos, neg, query_cap=n_pairs,
-                           gamma_hat=len(neg) / n_pairs, queries=queries,
+    return rank_candidates(candidates, pos, neg, queries=queries,
                            inferred=n_pairs - queries)
 
 
@@ -286,9 +285,7 @@ def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100,
             cap = math.ceil((1 + nu) * (m_pairs / gamma_hat + m_pairs / (1 - gamma_hat)))
     if len(seen) == n_pairs:
         return asked, exact_report(candidates, labels, len(asked))
-    if cap is None:
-        gamma_hat, cap = max(len(neg), 1) / (len(pos) + len(neg)), len(pos) + len(neg)
-    return asked, rank_candidates(candidates, pos, neg, cap, gamma_hat, len(asked),
+    return asked, rank_candidates(candidates, pos, neg, len(asked),
                                   inferred=len(seen) - len(asked))
 
 
