@@ -106,12 +106,7 @@ def lsh_lines(name: str, data, family: str, seed: int) -> None:
                                           seed=seed + 1)
     print(f"lsh[{name}].group_ids {digest(est.group_ids)}")
     print(f"lsh[{name}].dense {digest(est.pmap.dense)}")
-    if hasattr(est, "outcomes"):
-        rows = est.outcomes.tolist()
-    else:  # a tree whose estimate keeps one selection report per block
-        rows = [(block, rep.queries, rep.inferred, rep.n_pos, rep.n_neg)
-                for block, rep in est.reports]
-    print(f"lsh[{name}].outcomes {digest(rows)}")
+    print(f"lsh[{name}].outcomes {digest(est.outcomes.tolist())}")
     print(f"lsh[{name}].asked {digest(oracle.asked)}")
 
 

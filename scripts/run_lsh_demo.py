@@ -35,7 +35,7 @@ def main() -> None:
     data = duplicate_text_corpus(args.entities, args.dup_fraction, seed=args.seed)
     est = estimate(data, "lsh", args.seed + 1, lam=args.lam, delta=args.delta,
                    budget=args.budget)
-    cfg, sizes = est.config, np.array([b.size for b in est.blocking.blocks])
+    cfg, sizes = est.config, est.blocking.sizes
     print(
         f"{data.n} records, {args.entities} entities; "
         f"LSH r={cfg.rows} s={cfg.bands} -> {est.blocking.q} blocks "

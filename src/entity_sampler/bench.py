@@ -27,6 +27,7 @@ from .dataset import (
     Dataset,
     DatasetError,
     ingest_csv,
+    integer,
     relative_error,
     text_column,
     tv_distance,
@@ -59,6 +60,8 @@ _METHOD_PARAMS = {
     "gmm": {"k", "max_iter", "tol", "tau", "eta_min", "dim", "delta"},
 }
 _BOUND_ONLY = {"eta", "tau", "eta_min", "dim"}
+# the method_params that count something, so must be integers
+_COUNTS = {"k", "max_iter", "k_min", "k_max", "budget", "dim"}
 
 
 def inject_duplicates(
@@ -111,6 +114,9 @@ class ExperimentSpec:
     generator URI like ``dispersed:n_entities=25000,mean_freq=40``.  The
     ``dispersed`` generator bakes the cell's duplication rate into its
     skew; every other source gets exact-copy injection at that rate.
+    ``method_params`` holds only keys the method reads, checked when the
+    spec is built: counts are integers, ``eta`` and ``eta_min`` lie in
+    (0, 1], ``tau`` is positive and ``dim`` at least 1.
     """
 
     dataset: str
@@ -126,10 +132,20 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.method not in _METHOD_PARAMS:
             raise ValueError(f"unknown method {self.method!r}")
-        unread = sorted(set(self.method_params) - _METHOD_PARAMS[self.method])
+        params = self.method_params
+        unread = sorted(set(params) - _METHOD_PARAMS[self.method])
         if unread:
             raise ValueError(
                 f"method_params {unread} are not read by method {self.method!r}")
+        for key in _COUNTS & set(params):
+            integer(params[key], key)
+        for key in ("eta", "eta_min"):
+            if key in params and not 0 < params[key] <= 1:
+                raise ValueError(f"{key} must lie in (0, 1], got {params[key]!r}")
+        if "tau" in params and not params["tau"] > 0:
+            raise ValueError(f"tau must be positive, got {params['tau']!r}")
+        if "dim" in params and params["dim"] < 1:
+            raise ValueError(f"dim must be at least 1, got {params['dim']!r}")
         # an empty sweep is a legal degenerate grid (header-only report)
         if not all(0 < f < 1 for f in self.sweep):
             raise ValueError("sample fractions must lie in (0, 1)")

@@ -13,7 +13,8 @@ equals Jaccard similarity) and signed random projections for vectors
 per distinct token, in exact ``uint64`` arithmetic modulo 2^61 - 1, one hash
 column at a time.  Within a band, a stable sort of the band signatures links
 every record to the first record sharing its signature, and the bands are
-joined as the connected components of the graph of those links.
+joined as the connected components of the graph of those links.  A
+blocking is one label array: each record carries its block's number.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,24 +101,49 @@ class LshConfig:
 
 @dataclass(frozen=True, eq=False)
 class Blocking:
-    """Partition of record indices into disjoint blocks covering the dataset."""
+    """Partition of the records into q disjoint, non-empty blocks, as a
+    label array.
 
-    blocks: tuple[np.ndarray, ...]
-    n: int
+    ``labels[i]`` is record i's block in 0..q-1, and no block is empty.
+    ``lsh_partition`` numbers the blocks in the order of their smallest
+    record.  ``blocks`` lists each block's records, ascending, as read-only
+    views; it is built on first use.
+    """
+
+    labels: np.ndarray
 
     def __post_init__(self) -> None:
-        seen = np.concatenate(self.blocks) if self.blocks else np.empty(0, dtype=int)
-        if not np.issubdtype(seen.dtype, np.integer):
-            raise DatasetError("blocks must hold integer record indices")
-        if seen.size and (seen.min() < 0 or seen.max() >= self.n):
-            raise DatasetError(f"block indices must lie in [0, {self.n})")
-        counts = np.bincount(seen.astype(np.intp, copy=False), minlength=self.n)
-        if seen.size != self.n or np.any(counts != 1):
-            raise DatasetError("blocks must partition the record indices")
+        lab = np.asarray(self.labels)
+        if lab.ndim != 1 or not np.issubdtype(lab.dtype, np.integer):
+            raise DatasetError("block labels must be a 1-d integer array")
+        if lab.size and lab.min() < 0:
+            raise DatasetError("block labels must be non-negative")
+        # q <= n, so a label of n or more skips a block number
+        if lab.size and lab.max() >= lab.size:
+            raise DatasetError("block labels must number the blocks 0..q-1")
+        lab = lab.astype(np.int64, copy=False)
+        if not np.bincount(lab).all():
+            raise DatasetError("block labels must number the blocks 0..q-1")
+        object.__setattr__(self, "labels", lab)
+
+    @property
+    def n(self) -> int:
+        return self.labels.size
 
     @property
     def q(self) -> int:
-        return len(self.blocks)
+        return int(self.labels.max(initial=-1)) + 1
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Record count of each block, in block order."""
+        return np.bincount(self.labels, minlength=self.q)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        order = np.argsort(self.labels, kind="stable")
+        order.setflags(write=False)
+        return tuple(np.split(order, np.cumsum(self.sizes)[:-1]))
 
 
 def jaccard_distance(a: frozenset, b: frozenset) -> float:
@@ -238,7 +265,7 @@ def _band_links(cols: np.ndarray) -> np.ndarray:
 def lsh_partition(data: Dataset, cfg: LshConfig, seed: int) -> Blocking:
     """Block the dataset: records sharing any band signature are merged.
 
-    Blocks are ordered by their smallest record index; members ascend.
+    Blocks are numbered in the order of their smallest record index.
     """
     if cfg.family == "minhash":
         if data.tokens is None:
@@ -255,6 +282,5 @@ def lsh_partition(data: Dataset, cfg: LshConfig, seed: int) -> Blocking:
     records = np.tile(np.arange(data.n), cfg.bands)
     firsts = np.concatenate(first_of)
     root = _components(data.n, records, firsts)
-    order = np.argsort(root, kind="stable")
-    cuts = np.flatnonzero(np.diff(root[order])) + 1
-    return Blocking(blocks=tuple(np.split(order, cuts)), n=data.n)
+    # a block's number is its root's rank among the roots
+    return Blocking(labels=(np.cumsum(root == np.arange(data.n)) - 1)[root])

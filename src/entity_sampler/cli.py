@@ -26,6 +26,7 @@ from .dataset import (
     DatasetError,
     float_cells,
     ingest_csv,
+    integer,
     scalar_cells,
     write_csv_columns,
 )
@@ -151,8 +152,9 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
     minhash on tokens, else hyperplanes (``lam``, ``delta``), and clusters
     the vectors (``k_min``, ``k_max``, ``budget``, ``mu_radius``) against
     ``oracle``, by default the entity labels.  A method ignores the other
-    methods' keywords.  The layers are looked up as this module's globals
-    at call time.
+    methods' keywords; a count it reads (``k``, ``max_iter``, ``k_min``,
+    ``k_max``, ``budget``) that is not an integer raises ValueError.  The
+    layers are looked up as this module's globals at call time.
     """
     if method == "balanced":
         if m is None:
@@ -165,13 +167,16 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
             if m is not None and data.features is not None:
                 rng = np.random.default_rng(seed)
                 x = data.features[rng.choice(data.n, min(m, data.n), replace=False)]
-            fit = em_fit(x, int(k), seed=seed, max_iter=int(max_iter), tol=float(tol))
+            fit = em_fit(x, integer(k, "k"), seed=seed,
+                         max_iter=integer(max_iter, "max_iter"), tol=float(tol))
             model = fit.model
         return Estimate(estimate_probs_gmm(data, model), fit=fit)
     if method != "lsh":
         raise ValueError(f"unknown method {method!r}")
     if data.features is None:
         raise DatasetError("clustering requires vector records")
+    k_range = (integer(k_min, "k_min"), integer(k_max, "k_max"))
+    budget = integer(budget, "budget")
     if oracle is None:
         if data.entity_labels is None:
             raise DatasetError("lsh estimation needs an entity column as oracle")
@@ -179,8 +184,8 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
     cfg = LshConfig.plan(float(lam), float(delta),
                          family="minhash" if data.tokens is not None else "hyperplane")
     blocking = lsh_partition(data, cfg, seed)
-    est = estimate_probs_lsh(data, blocking, (int(k_min), int(k_max)), int(budget),
-                             oracle, seed, mu_radius=float(mu_radius))
+    est = estimate_probs_lsh(data, blocking, k_range, budget, oracle, seed,
+                             mu_radius=float(mu_radius))
     return Estimate(est.pmap, config=cfg, blocking=blocking, lsh=est)
 
 
@@ -211,11 +216,11 @@ def _cmd_estimate(args) -> int:
     if args.model_out and model is not None:
         model.to_json(args.model_out)
     if args.blocking_report and est.lsh is not None:
-        blocks = est.blocking.blocks
-        sizes, counts = np.unique([len(b) for b in blocks], return_counts=True)
+        q = est.blocking.q
+        sizes, counts = np.unique(est.blocking.sizes, return_counts=True)
         with open(args.blocking_report, "w", encoding="utf-8") as fh:
             json.dump(
-                {"q": est.blocking.q, "n_blocks": len(blocks),
+                {"q": q, "n_blocks": q,
                  "rows": est.config.rows, "bands": est.config.bands,
                  "block_size_histogram": dict(
                      zip(map(str, sizes.tolist()), counts.tolist())),

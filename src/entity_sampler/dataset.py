@@ -37,6 +37,7 @@ __all__ = [
     "char_ngrams",
     "float_cells",
     "ingest_csv",
+    "integer",
     "positive_count",
     "relative_error",
     "scalar_cells",
@@ -491,12 +492,17 @@ def uniform_distribution(labels: Sequence) -> DiscreteDistribution:
     return DiscreteDistribution(labels, np.full(len(labels), 1.0 / len(labels)))
 
 
-def positive_count(value, name: str) -> int:
-    """``value`` as an int of at least 1; ValueError for anything else."""
+def integer(value, name: str) -> int:
+    """``value`` as an int; ValueError naming ``name`` for a non-integer."""
     try:
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def positive_count(value, name: str) -> int:
+    """``value`` as an int of at least 1; ValueError for anything else."""
+    count = integer(value, name)
     if count < 1:
         raise ValueError(f"{name} must be at least 1, got {count}")
     return count

@@ -39,6 +39,9 @@ _LOG_FLOOR = -700.0  # exp underflows to zero a little below this
 # component has collapsed
 _MAX_RESTARTS = 8
 _COLLAPSE_EPS = 1e-8
+# the planner's sample-size constant c' and iteration constant c
+_C_PRIME = 1.0
+_C_ITERS = 1.0
 
 
 class CollapseError(RuntimeError):
@@ -298,8 +301,6 @@ class GmmPlan:
     eta_min: float
     dim: int
     k: int
-    c_prime: float
-    c_iters: float
     iterations: int
     m_raw: float
     m: int
@@ -312,13 +313,12 @@ def plan_gmm(
     eta_min: float,
     dim: int,
     k: int,
-    c_prime: float = 1.0,
-    c_iters: float = 1.0,
 ) -> GmmPlan:
     """Plan the EM budget.
 
-    iterations T = ceil(c_iters log(1/(tau epsilon))), and
-    m = ceil(c_prime d^3 (log(k^2 T) + log(1/delta)) / (eta_min tau^2 eps^2)).
+    iterations T = ceil(c log(1/(tau epsilon))), and
+    m = ceil(c' d^3 (log(k^2 T) + log(1/delta)) / (eta_min tau^2 eps^2)),
+    with c = c' = 1.
     ``tau`` is the smallest mixture density over the data, ``eta_min`` the
     smallest component weight.
     """
@@ -328,11 +328,9 @@ def plan_gmm(
         raise ValueError("tau must be positive and eta_min in (0, 1]")
     if dim < 1 or k < 1:
         raise ValueError("dim and k must be positive")
-    if c_prime <= 0 or c_iters <= 0:
-        raise ValueError("constants must be positive")
-    iters = max(1, math.ceil(c_iters * math.log(1.0 / (tau * epsilon))))
+    iters = max(1, math.ceil(_C_ITERS * math.log(1.0 / (tau * epsilon))))
     m_raw = (
-        c_prime
+        _C_PRIME
         * dim**3
         * (math.log(k**2 * iters) + math.log(1.0 / delta))
         / (eta_min * tau**2 * epsilon**2)
@@ -344,8 +342,6 @@ def plan_gmm(
         eta_min=eta_min,
         dim=dim,
         k=k,
-        c_prime=c_prime,
-        c_iters=c_iters,
         iterations=iters,
         m_raw=m_raw,
         m=max(1, math.ceil(m_raw)),

@@ -105,14 +105,15 @@ def estimate_probs_lsh(
         raise ValueError("pair budget must be positive")
     if not mu_radius >= 0:
         raise ClusteringError(f"mu_radius must be non-negative, got {mu_radius}")
-    block_budget = max(1, budget // blocking.q)
-    blocks = blocking.blocks
-    block_sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=blocking.q)
-    members = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    block_sizes = blocking.sizes
+    q = block_sizes.size
+    block_budget = max(1, budget // q)
+    # each block's records, ascending, from `starts[b]` on
+    members = np.argsort(blocking.labels, kind="stable")
     starts = np.cumsum(block_sizes) - block_sizes
-    # group count of each block and each record's group within its block,
-    # in `members` order: a singleton is one group, an empty block none
-    n_groups = np.minimum(block_sizes, 1)
+    # group count of each block (a singleton is one group) and each
+    # record's group within its block
+    n_groups = np.ones(q, dtype=np.int64)
     local = np.zeros(data.n, dtype=np.int64)
     # a pair block is settled by one radius test and at most one question
     pairs = np.flatnonzero(block_sizes == 2)
@@ -125,16 +126,17 @@ def estimate_probs_lsh(
     # a pair out of radius is two garbage groups; the asked ones are
     # settled in the loop below
     n_groups[pairs] = np.where(near, 1 + (can_split & (pair_ks == {2})), 2)
-    asked = np.zeros(blocking.q, dtype=bool)
+    asked = np.zeros(q, dtype=bool)
     if len(pair_ks) == 2:
         asked[pairs[near]] = True
-    splits = np.zeros(blocking.q, dtype=bool)
+    splits = np.zeros(q, dtype=bool)
     splits[pairs] = can_split
     outcomes = []
     # asked pairs and larger blocks in block order, so the oracle gets its
     # questions in the order of the blocks
     for block_id in np.flatnonzero(asked | (block_sizes > 2)).tolist():
-        block = blocks[block_id]
+        start = starts[block_id]
+        block = members[start:start + block_sizes[block_id]]
         if asked[block_id]:
             same = bool(oracle(int(block[0]), int(block[1])))
             split = bool(splits[block_id])
@@ -170,14 +172,12 @@ def estimate_probs_lsh(
                              report.n_pos, report.n_neg))
         # groups in label order: clusters 0..k-1, then garbage -1, -2, ...
         lab = winner.labels
-        start = starts[block_id]
-        local[start:start + block.size] = np.where(lab >= 0, lab, winner.k - 1 - lab)
+        local[block] = np.where(lab >= 0, lab, winner.k - 1 - lab)
         n_groups[block_id] = winner.k + int(np.count_nonzero(lab < 0))
     # a pair's second record has a group of its own unless the pair merged
-    local[starts[pairs] + 1] = n_groups[pairs] - 1
+    local[second] = n_groups[pairs] - 1
     offsets = np.cumsum(n_groups) - n_groups
-    group_ids = np.empty(data.n, dtype=np.int64)
-    group_ids[members] = np.repeat(offsets, block_sizes) + local
+    group_ids = offsets[blocking.labels] + local
     sizes = np.bincount(group_ids, minlength=int(n_groups.sum()))
     phat = sizes[group_ids] / data.n
     pmap = ProbabilityMap(dense=phat)

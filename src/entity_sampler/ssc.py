@@ -66,6 +66,8 @@ __all__ = [
 _MU = 0.5
 _NU = 1.0
 _GAMMA_PROBE = 100
+# the constant a of the pair budget
+_PAIR_A = 1.0
 
 
 class SameClusterOracle:
@@ -80,18 +82,17 @@ class SameClusterOracle:
         return self._labels[i] == self._labels[j]
 
 
-def plan_pair_budget(
-    n_candidates: int, epsilon: float, delta: float, a: float = 1.0
-) -> int:
+def plan_pair_budget(n_candidates: int, epsilon: float, delta: float) -> int:
     """Per-side pair count for epsilon-accurate losses over the candidates.
 
-    m = ceil(a (log s + log(2/delta)) / epsilon^2) with s candidates.
+    m = ceil(a (log s + log(2/delta)) / epsilon^2) with s candidates and
+    a = 1.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
     if not (0 < epsilon < 1) or not (0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    m = a * (math.log(n_candidates) + math.log(2.0 / delta)) / epsilon**2
+    m = _PAIR_A * (math.log(n_candidates) + math.log(2.0 / delta)) / epsilon**2
     return max(1, math.ceil(m))
 
 

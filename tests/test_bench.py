@@ -163,6 +163,21 @@ def test_spec_accepts_every_method_param_that_is_read():
         k=2, max_iter=50, tol=1e-6, tau=0.05, eta_min=0.2, dim=1, delta=0.1))
 
 
+@pytest.mark.parametrize("method,params,key", [
+    ("gmm", {"eta_min": 1.5, "tau": 0.05}, "eta_min"),
+    ("gmm", {"eta_min": 0.2, "tau": 0.0}, "tau"),
+    ("gmm", {"dim": 0}, "dim"),
+    ("gmm", {"k": 2.5}, "k"),
+    ("balanced", {"eta": 0.0}, "eta"),
+    ("lsh", {"k_max": 1.9}, "k_max"),
+])
+def test_spec_rejects_invalid_method_param_values(method, params, key):
+    # eta_min 1.5 used to run every cell and only fail when emit_report
+    # computed the bounds; k_max 1.9 was truncated to 1
+    with pytest.raises(ValueError, match=key):
+        tiny_spec(method=method, method_params=params)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         tiny_spec(method="magic")

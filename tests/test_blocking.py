@@ -6,6 +6,7 @@ The band/row plan places r as the smallest integer strictly inside
 the three golden cases below were worked by hand from that rule.
 """
 
+import dataclasses
 import hashlib
 import time
 
@@ -96,26 +97,46 @@ def test_hyperplane_rates():
 
 
 def test_blocking_must_partition():
-    with pytest.raises(DatasetError):
-        Blocking(blocks=(np.array([0, 1]), np.array([1, 2])), n=3)
-    with pytest.raises(DatasetError):
-        Blocking(blocks=(np.array([0]),), n=2)
+    # block 1 is empty: the labels skip a block number
+    with pytest.raises(DatasetError, match=r"0\.\.q-1"):
+        Blocking(labels=np.array([0, 2, 2]))
+    blocking = Blocking(labels=np.array([1, 0, 1, 2]))
+    assert (blocking.n, blocking.q) == (4, 3)
+    assert blocking.sizes.tolist() == [1, 2, 1]
+    assert [b.tolist() for b in blocking.blocks] == [[1], [0, 2], [3]]
 
 
 def test_blocking_rejects_a_negative_index():
-    # -1 would alias record 1 and leave record 0 in no block
-    with pytest.raises(DatasetError, match=r"\[0, 2\)"):
-        Blocking(blocks=(np.array([1, -1]),), n=2)
+    with pytest.raises(DatasetError, match="non-negative"):
+        Blocking(labels=np.array([0, -1]))
 
 
 def test_blocking_rejects_an_out_of_range_index():
-    with pytest.raises(DatasetError, match=r"\[0, 2\)"):
-        Blocking(blocks=(np.array([0, 5]),), n=2)
+    # q <= n, so a label of n or more always skips a block number; a huge
+    # one is refused before any per-label table is allocated
+    for big in (2, 5, 2**62):
+        with pytest.raises(DatasetError, match=r"0\.\.q-1"):
+            Blocking(labels=np.array([0, big]))
+    with pytest.raises(DatasetError, match=r"0\.\.q-1"):
+        Blocking(labels=np.array([0, 2**64 - 1], dtype=np.uint64))
 
 
 def test_blocking_rejects_float_indices():
     with pytest.raises(DatasetError, match="integer"):
-        Blocking(blocks=(np.array([0.0, 1.0]),), n=2)
+        Blocking(labels=np.array([0.0, 1.0]))
+    with pytest.raises(DatasetError, match="integer"):
+        Blocking(labels=np.array([True, False]))
+    with pytest.raises(DatasetError, match="1-d"):
+        Blocking(labels=np.zeros((2, 2), dtype=np.int64))
+
+
+def test_blocking_keeps_one_int64_label_array():
+    blocking = Blocking(labels=np.array([0, 0, 1], dtype=np.int32))
+    assert blocking.labels.dtype == np.int64
+    assert [f.name for f in dataclasses.fields(Blocking)] == ["labels"]
+    # the blocks are views on one read-only array
+    with pytest.raises(ValueError):
+        blocking.blocks[0][0] = 2
 
 
 def test_partition_covers_all_records():

@@ -563,6 +563,18 @@ def test_estimate_rejects_a_misspelt_method_keyword():
         estimate(data, "lsh", 1, kmax=1)
 
 
+@pytest.mark.parametrize("method, keyword", [
+    ("lsh", "k_max"), ("lsh", "k_min"), ("lsh", "budget"),
+    ("gmm", "k"), ("gmm", "max_iter"),
+])
+def test_estimate_refuses_a_count_that_is_not_an_integer(method, keyword):
+    # k_max=1.9 used to be truncated to 1, one group where k_max=2 gives 2
+    data = planted_clusters(3, 5, 10.0, 2, seed=0)
+    assert estimate(data, "lsh", 1, k_max=2).lsh.group_sizes.size == 2
+    with pytest.raises(ValueError, match=keyword):
+        estimate(data, method, 1, **{keyword: 1.9})
+
+
 @pytest.mark.parametrize("seed, budget", [(7, 200), (3, 5)])
 def test_cli_lsh_artifact_equals_the_library_map(tmp_path, capsys, seed, budget):
     data, schema = write_planted_csv(tmp_path)

@@ -19,7 +19,11 @@ from entity_sampler.synth import duplicate_text_corpus, planted_clusters
 
 
 def blocking_of(slices, n):
-    return Blocking(blocks=tuple(np.arange(a, b) for a, b in slices), n=n)
+    """Blocking of n records whose block b is the records of slices[b]."""
+    labels = np.full(n, -1, dtype=np.int64)
+    for b, (lo, hi) in enumerate(slices):
+        labels[lo:hi] = b
+    return Blocking(labels=labels)
 
 
 def test_zero_duplicates_give_uniform_map():
@@ -28,7 +32,7 @@ def test_zero_duplicates_give_uniform_map():
     feats = rng.normal(0, 1, (n, 2)) + 50 * np.arange(n)[:, None]
     data = Dataset(ids=tuple(range(n)), features=feats,
                    entity_labels=list(range(n)))
-    blocking = Blocking(blocks=tuple(np.array([i]) for i in range(n)), n=n)
+    blocking = Blocking(labels=np.arange(n))
     est = estimate_probs_lsh(
         data, blocking, k_range=(1, 3), budget=100,
         oracle=SameClusterOracle(list(range(n))), seed=0,
@@ -111,7 +115,7 @@ def test_text_corpus_end_to_end_close_to_uniform():
 def test_pure_duplicate_block_merges():
     feats = np.random.default_rng(0).normal(0, 0.05, (6, 2))
     data = Dataset(ids=tuple(range(6)), features=feats, entity_labels=[0] * 6)
-    blocking = Blocking(blocks=(np.arange(6),), n=6)
+    blocking = Blocking(labels=np.zeros(6, dtype=np.int64))
     est = estimate_probs_lsh(
         data, blocking, k_range=(1, 3), budget=40,
         oracle=SameClusterOracle([0] * 6), seed=1,
@@ -123,7 +127,7 @@ def test_all_garbage_block_becomes_singletons():
     feats = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
     data = Dataset(ids=tuple(range(4)), features=feats,
                    entity_labels=[0, 1, 2, 3])
-    blocking = Blocking(blocks=(np.arange(4),), n=4)
+    blocking = Blocking(labels=np.zeros(4, dtype=np.int64))
     est = estimate_probs_lsh(
         data, blocking, k_range=(1, 4), budget=40,
         oracle=SameClusterOracle([0, 1, 2, 3]), seed=1,
@@ -135,7 +139,7 @@ def test_k_range_clamped_to_block_support():
     feats = np.array([[0.0, 0], [0.1, 0], [4.0, 0], [4.1, 0], [20.0, 20.0]])
     data = Dataset(ids=tuple(range(5)), features=feats,
                    entity_labels=[0, 0, 1, 1, 2])
-    blocking = Blocking(blocks=(np.arange(5),), n=5)
+    blocking = Blocking(labels=np.zeros(5, dtype=np.int64))
     est = estimate_probs_lsh(
         data, blocking, k_range=(1, 6), budget=60,
         oracle=SameClusterOracle([0, 0, 1, 1, 2]), seed=1,
@@ -159,6 +163,26 @@ def test_reports_expose_selection_outcomes():
     assert (sizes[out["block"]] >= 2).all()
 
 
+def test_estimate_reads_the_labels_not_the_block_tuple(monkeypatch):
+    # the looser threshold leaves pair blocks and a few blocks of 3-4
+    data = duplicate_text_corpus(300, 0.4, seed=21)
+    cfg = LshConfig.plan(0.3, 0.1)
+    blocking = lsh_partition(data, cfg, seed=22)
+    sizes = np.array([block.size for block in blocking.blocks])
+    assert (sizes > 2).any() and (sizes == 2).any()
+    oracle = SameClusterOracle(tuple(data.entity_codes))
+    want = estimate_probs_lsh(data, blocking, (1, 3), 300, oracle, seed=23)
+
+    def refuse(self):
+        raise AssertionError("the pipeline built Blocking.blocks")
+
+    monkeypatch.setattr(Blocking, "blocks", property(refuse), raising=False)
+    got = estimate_probs_lsh(data, lsh_partition(data, cfg, seed=22), (1, 3), 300,
+                             oracle, seed=23)
+    assert np.array_equal(got.group_ids, want.group_ids)
+    assert got.outcomes.tolist() == want.outcomes.tolist()
+
+
 def test_seed_determinism():
     data = duplicate_text_corpus(50, 0.4, seed=12)
     blocking = lsh_partition(data, LshConfig.plan(0.2, 0.1), seed=13)
@@ -175,10 +199,10 @@ def test_validation_errors():
         estimate_probs_lsh(data, blocking, (1, 3), 100,
                            SameClusterOracle(tuple(data.entity_codes)), seed=0)
     vec = Dataset(ids=(0, 1), features=np.zeros((2, 2)), entity_labels=[0, 1])
-    wrong = Blocking(blocks=(np.arange(3),), n=3)
+    wrong = Blocking(labels=np.zeros(3, dtype=np.int64))
     with pytest.raises(DatasetError):
         estimate_probs_lsh(vec, wrong, (1, 3), 100, lambda i, j: True, seed=0)
-    ok_blocking = Blocking(blocks=(np.arange(2),), n=2)
+    ok_blocking = Blocking(labels=np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
         estimate_probs_lsh(vec, ok_blocking, (3, 1), 100, lambda i, j: True, seed=0)
     with pytest.raises(ValueError):
@@ -540,7 +564,10 @@ def test_oracle_questions_follow_block_order():
     for b, (block, offs) in enumerate(zip(blocks, offsets)):
         feats[block, 0] = 100.0 * b + np.array(offs)
     data = Dataset(ids=tuple(range(14)), features=feats, entity_labels=labels)
-    blocking = Blocking(blocks=tuple(np.array(b) for b in blocks), n=14)
+    block_of = np.empty(14, dtype=np.int64)
+    for b, block in enumerate(blocks):
+        block_of[block] = b
+    blocking = Blocking(labels=block_of)
     oracle = PairRecordingOracle(labels)
     est = estimate_probs_lsh(data, blocking, (1, 4), budget=18, oracle=oracle,
                              seed=3)
@@ -557,7 +584,7 @@ def test_oracle_questions_follow_block_order():
 
 def test_result_types_compare_by_identity_and_hash():
     data, blocking = pair_block_data()
-    twin_blocking = Blocking(blocks=tuple(b.copy() for b in blocking.blocks), n=data.n)
+    twin_blocking = Blocking(labels=blocking.labels.copy())
     oracle = SameClusterOracle(tuple(data.entity_codes))
     est, twin_est = (estimate_probs_lsh(data, b, (1, 2), data.n, oracle, seed=0)
                      for b in (blocking, twin_blocking))
