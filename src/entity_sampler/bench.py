@@ -137,7 +137,7 @@ class ExperimentSpec:
         if unread:
             raise ValueError(
                 f"method_params {unread} are not read by method {self.method!r}")
-        for key in _COUNTS & set(params):
+        for key in sorted(_COUNTS & set(params)):
             integer(params[key], key)
         for key in ("eta", "eta_min"):
             if key in params and not 0 < params[key] <= 1:
