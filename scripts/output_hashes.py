@@ -15,8 +15,10 @@ prints the same hashes.  It hashes, for one seed and size,
 * on a near-duplicate text corpus (minhash blocking) and on planted 2-d and
   3-d vector clusters with singletons (hyperplane blocking), the LSH
   blocks, the ``estimate_probs_lsh`` ``group_ids``, map and outcome rows
-  (block, queries, inferred, n_pos, n_neg), and the ordered pairs the
-  oracle was asked;
+  (block, queries, inferred, n_pos, n_neg), the ordered pairs the
+  oracle was asked, and the same sequence with each pair's two records
+  sorted (``asked_pairs``), which does not depend on which record of a
+  pair is named first;
 * an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
   parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
   and 12-d samples.
@@ -108,6 +110,8 @@ def lsh_lines(name: str, data, family: str, seed: int) -> None:
     print(f"lsh[{name}].dense {digest(est.pmap.dense)}")
     print(f"lsh[{name}].outcomes {digest(est.outcomes.tolist())}")
     print(f"lsh[{name}].asked {digest(oracle.asked)}")
+    print(f"lsh[{name}].asked_pairs "
+          f"{digest([(min(pair), max(pair)) for pair in oracle.asked])}")
 
 
 def shifted_sample(n: int, dim: int, seed: int) -> np.ndarray:

@@ -241,7 +241,7 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
         while True:
             jumped = parent[parent]
-            if np.array_equal(jumped, parent):
+            if (jumped == parent).all():
                 break
             parent = jumped
 

@@ -8,26 +8,38 @@ Lloyd iterations from many k-means++ seedings, all restarts iterated together
 on contiguous (restarts, n) arrays, one centre at a time, in buffers reused
 across iterations.  Squared distances are summed in one kernel,
 ``_sq_distance``: direct differences, one coordinate at a time and in
-order, into buffers the caller may reuse.  The neighbour mask, the radius
-forest, Lloyd and its restart scoring, the pair-block radius test of
-``lsh_pipeline`` and the EM of ``gmm`` all call it; only the k-means++
-seeding and the brute-force references sum their own.  The result is one
-label array: clusters are 0..k-1 and each garbage point has its own negative
-label, so "same cluster" is "same non-negative label".
+order, into buffers the caller may reuse.  The radius graph, Lloyd and its
+restart scoring, the pair-block radius test of ``lsh_pipeline`` and the EM
+of ``gmm`` all call it; only the k-means++ seeding and the brute-force
+references sum their own.
+
+A block's pairs within ``mu_radius`` form one sparse radius graph: grid
+cells of side about ``mu_radius`` over at most three coordinates propose
+the candidate pairs, and the kernel keeps those within the radius, so no
+b^2 distance pass runs.  Its pairs are (i, j) with i < j, and a graph of
+more than ``_MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.  The
+neighbour mask is the graph's endpoints, and the radius forest is its
+minimum spanning forest by Borůvka rounds, ties broken by (squared length,
+i, j).  The result of clustering is one label array: clusters are 0..k-1
+and each garbage point has its own negative label, so "same cluster" is
+"same non-negative label".
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .blocking import _components
 from .dataset import _factorize_objects
 
 __all__ = [
     "Clustering",
     "ClusteringError",
+    "RadiusGraphError",
     "brute_force_kmeans",
     "kmeans_cost",
     "lloyd_kmeans",
@@ -36,10 +48,17 @@ __all__ = [
 ]
 
 
-# (row, point) distances that one step of neighbour_mask computes, and
-# (restart, point, cluster or coordinate) entries that one chunk of
-# lloyd_kmeans spans
+# words of temporaries that one step of _radius_graph holds, and (restart,
+# point, cluster or coordinate) entries that one chunk of lloyd_kmeans spans
 _MASK_CHUNK = 1 << 20
+# the most pairs a radius graph keeps (24 bytes each, about 100 MB): the
+# 2.9M pairs of a 200k-record 2-d planted block fit
+_MAX_GRAPH_PAIRS = 1 << 22
+# a block with at most this many pairs takes all of them as candidates
+_ALL_PAIRS_CAP = 2048
+# the coordinates the radius graph's grid hashes, and its most cells per axis
+_GRID_AXES = 3
+_GRID_CELLS = 1 << 20
 # the most points regularized_kmeans clusters by enumerating assignments
 _BRUTE_FORCE_CAP = 9
 
@@ -72,26 +91,174 @@ def _sq_distance(
     return out
 
 
-def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
-    """Boolean mask of points with another point within ``mu_radius``.
+def _radius_graph(
+    points: np.ndarray, mu_radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of points within ``mu_radius``: (u, v, d2) with u < v.
 
-    The complement is the garbage set of ``regularized_kmeans``.  Distances
-    are computed a block of rows at a time, so a call holds about 2 x 2^20
-    float64 temporaries however many points there are.
+    ``d2`` holds each pair's ``_sq_distance``, and a pair is kept when it
+    is at most ``mu_radius**2``, the test the pair-block radius test makes.
+    The pairs come in no particular order.
+
+    A block of at most ``_ALL_PAIRS_CAP`` pairs takes all of them as
+    candidates.  A larger one hashes each point to a grid cell over the
+    (at most ``_GRID_AXES``) coordinates of widest span, and a candidate is
+    a pair in one cell or in two neighbouring cells (Bentley, Stanat and
+    Williams 1977).  The candidates are filtered in steps of about
+    ``_MASK_CHUNK / (2d + 8)``, whole runs of one point's partners at a
+    time, so a step holds about ``_MASK_CHUNK`` words of temporaries.
+
+    No kept pair is missed.  The computed sum is at least each computed
+    term ``fl(fl(x_j - y_j)**2)``, so a kept pair has, on every axis, a
+    term at most ``mu**2`` as computed.  When ``|fl(x_j - y_j)| >= 2**-500`` its
+    square is a normal float, so it is at most ``mu (1 + 2u)`` (u = 2**-53,
+    the unit roundoff); when smaller it is below ``t = max(mu, 2**-500)``.
+    Either way ``|x_j - y_j| <= t (1 + 4u)``, which also covers squares
+    that underflow to zero when ``mu`` is 0 or tiny.  A point's cell is
+    ``floor(fl(fl(x_j - lo_j) / s_j))`` for the block's least coordinate
+    ``lo_j``: monotone in x_j, so two points whose cells are two or more
+    apart straddle a whole cell, whose width is at least
+    ``s_j (1 - 7 c u)`` at cell index c.  The side is
+    ``s_j = max(t, span_j / _GRID_CELLS) (1 + 2**-20)``, so c stays below
+    ``_GRID_CELLS + 1`` = 2**20 + 1 and that width exceeds ``t (1 + 4u)``.
+    Non-finite coordinates, spans or ``mu**2`` put every point in one
+    cell.
+
+    A graph keeping more than ``_MAX_GRAPH_PAIRS`` pairs raises
+    ``RadiusGraphError``; up to then it holds at most the limit plus one
+    chunk of kept pairs, 24 bytes each, besides the chunk's candidates.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ClusteringError("points must be an (n, d) array")
     if not mu_radius >= 0:
         raise ClusteringError(f"mu_radius must be non-negative, got {mu_radius}")
+    n, d = points.shape
+    r2 = mu_radius**2
+    # a step's temporaries hold about 2d + 8 words per candidate
+    chunk = max(1, _MASK_CHUNK // (2 * d + 8))
+    if n * (n - 1) // 2 <= min(_ALL_PAIRS_CAP, chunk):
+        graph = _near_pairs(points, *_all_pairs(n), r2)
+        _check_graph_size(graph[0].size, n, mu_radius)
+        return graph
+    order, p, q0, q_len = _grid_rows(points, mu_radius)
+    by_cell = points[order]
+    kept = []
+    count = 0
+    # row r's candidates are (p[r], q0[r] + t) for t < q_len[r]; a step
+    # takes whole rows, about `chunk` candidates
+    ends = np.cumsum(q_len)
+    lo = 0
+    while lo < ends.size:
+        before = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, before + chunk, side="right")))
+        lengths = q_len[lo:hi]
+        firsts = np.repeat(q0[lo:hi] - (ends[lo:hi] - lengths - before), lengths)
+        a, b, d2 = _near_pairs(by_cell, np.repeat(p[lo:hi], lengths),
+                               firsts + np.arange(firsts.size), r2)
+        count += d2.size
+        _check_graph_size(count, n, mu_radius)
+        i, j = order[a], order[b]
+        kept.append((np.minimum(i, j), np.maximum(i, j), d2))
+        lo = hi
+    return tuple(np.concatenate(parts) for parts in zip(*kept))
+
+
+def _near_pairs(
+    points: np.ndarray, p: np.ndarray, q: np.ndarray, r2: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate pairs (p, q) whose ``_sq_distance`` is at most r2,
+    with those distances."""
+    d2 = _sq_distance(points[p], points[q])
+    near = np.flatnonzero(d2 <= r2)
+    return p[near], q[near], d2[near]
+
+
+def _check_graph_size(count: int, n: int, mu_radius: float) -> None:
+    if count > _MAX_GRAPH_PAIRS:
+        raise RadiusGraphError(
+            f"the radius graph of a {n}-point block at mu_radius={mu_radius} "
+            f"keeps {count} pairs, more than the limit of {_MAX_GRAPH_PAIRS}")
+
+
+@lru_cache(maxsize=64)
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of n points, in lexicographic order, read-only."""
+    pairs = np.triu_indices(n, 1)
+    for half in pairs:
+        half.flags.writeable = False
+    return pairs
+
+
+def _grid_rows(
+    points: np.ndarray, mu_radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Candidate pairs of ``_radius_graph``'s grid, as rows.
+
+    Returns the points in cell order (a stable sort, so index order within
+    a cell) and, per row, a position p in that order and the run of
+    positions q0, ..., q0 + len - 1 it is paired with: the later points of
+    p's own cell, then all points of each neighbouring cell whose key is
+    larger, so that each candidate pair appears once.
+    """
     n = len(points)
-    has_neighbour = np.empty(n, dtype=bool)
-    rows = max(1, _MASK_CHUNK // max(n, 1))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        d2 = _sq_distance(points[lo:hi, None, :], points[None, :, :])
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        has_neighbour[lo:hi] = d2.min(axis=1) <= mu_radius**2
+    with np.errstate(invalid="ignore", over="ignore"):
+        lo = points.min(axis=0)
+        span = points.max(axis=0) - lo
+    axes = np.argsort(-span, kind="stable")[:_GRID_AXES]
+    side = (np.maximum(max(mu_radius, 2.0**-500), span[axes] / _GRID_CELLS)
+            * (1 + 2.0**-20))
+    # an infinite mu**2 keeps every pair, however far apart
+    if (np.isfinite(mu_radius**2) and np.isfinite(points).all()
+            and np.isfinite(side).all()):
+        cells = np.floor((points[:, axes] - lo[axes]) / side).astype(np.int64)
+        radix = cells.max(axis=0) + 3
+    else:
+        cells = np.zeros((n, 0), dtype=np.int64)
+        radix = np.zeros(0, dtype=np.int64)
+    # keys in mixed radix, each coordinate shifted by one so that a
+    # neighbour one cell lower stays in range
+    strides = np.cumprod(np.concatenate(([1], radix)))[:-1]
+    key = (cells + 1) @ strides
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    cell_keys = key[head]
+    sizes = np.diff(np.append(head, n))
+    # each cell with itself, then with its neighbours of larger key (half
+    # of the 3^D - 1 offsets)
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=strides.size)),
+                       dtype=np.int64) @ strides
+    first, second = [np.arange(head.size)], [np.arange(head.size)]
+    for delta in offsets[offsets > 0]:
+        at = np.minimum(np.searchsorted(cell_keys, cell_keys + delta), head.size - 1)
+        found = np.flatnonzero(cell_keys[at] == cell_keys + delta)
+        first.append(found)
+        second.append(at[found])
+    first, second = np.concatenate(first), np.concatenate(second)
+    # one row per point of each pair's first cell
+    rows = sizes[first]
+    pair = np.repeat(np.arange(first.size), rows)
+    p = np.arange(pair.size) - np.repeat(np.cumsum(rows) - rows - head[first], rows)
+    q0, q_len = head[second][pair], sizes[second][pair]
+    own = np.flatnonzero(first[pair] == second[pair])
+    q_len[own] -= p[own] + 1 - q0[own]
+    q0[own] = p[own] + 1
+    return order, p, q0, q_len
+
+
+def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
+    """Boolean mask of points with another point within ``mu_radius``.
+
+    The complement is the garbage set of ``regularized_kmeans``.  The mask
+    is the set of endpoints of ``_radius_graph``: no b^2 distance pass, the
+    same floats, and a block whose graph keeps more than
+    ``_MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.
+    """
+    u, v, _ = _radius_graph(points, mu_radius)
+    has_neighbour = np.zeros(len(points), dtype=bool)
+    has_neighbour[u] = True
+    has_neighbour[v] = True
     return has_neighbour
 
 
@@ -99,50 +266,53 @@ def _radius_forest(
     points: np.ndarray, mu_radius: float, has_neighbour: np.ndarray
 ) -> np.ndarray:
     """Minimum spanning forest of the points ``has_neighbour`` marks, over
-    the pairs within ``mu_radius``.
+    their pairs within ``mu_radius``.
 
-    Returns (f, 2) int64 point indices, one edge a row, shortest first;
-    equal lengths keep the order in which Prim's algorithm adds them.  Each
-    step takes one row of the floats ``neighbour_mask`` computes, so with
-    its mask every marked point is in an edge, and memory stays O(n).
+    Returns (f, 2) int64 point indices, one edge (i, j) with i < j a row,
+    in increasing (squared length, i, j): the edges that Kruskal's
+    algorithm takes over the pairs sorted that way, in that order.  The
+    order is total, so the forest is unique.  Borůvka rounds over the
+    ``_radius_graph`` of the marked points build it: each component takes
+    its least edge, and the hook-and-jump ``_components`` of ``blocking``
+    merges them.  With ``neighbour_mask``'s mask every marked point is in
+    an edge.  It raises ``RadiusGraphError`` where that graph does.
     """
     idx = np.flatnonzero(has_neighbour)
-    columns = np.asarray(points, dtype=np.float64)[idx].T.copy()
-    r2 = mu_radius**2
-    # the first `left` entries are the points outside the forest, each with
-    # its squared distance to the nearest forest point within the radius
-    # (just above the radius while there is none) and that point's index
-    left = idx.size
-    best = np.full(left, np.nextafter(r2, np.inf))
-    near = np.zeros(left, dtype=np.int64)
-    d2_buf, diff_buf = np.empty((2, left))
-    closer_buf = np.empty(left, dtype=bool)
-    edges, lengths = [], []
-    v = 0  # the entry that joins the forest next
-    while left:
-        left -= 1
-        # entry v joins, and the last entry outside takes its place
-        x = columns[:, v].copy()
-        joined = idx[v]
-        columns[:, v] = columns[:, left]
-        best[v], near[v], idx[v] = best[left], near[left], idx[left]
-        d2, closer, nearest = d2_buf[:left], closer_buf[:left], best[:left]
-        _sq_distance(columns[:, :left].T, x, out=d2, diff=diff_buf[:left])
-        np.less(d2, nearest, out=closer)
-        np.minimum(nearest, d2, out=nearest)
-        np.putmask(near[:left], closer, joined)
-        if left:
-            v = int(nearest.argmin())
-            # a point beyond the radius of the forest starts a new tree
-            if nearest[v] <= r2:
-                edges.append((int(near[v]), int(idx[v])))
-                lengths.append(float(nearest[v]))
-    order = np.argsort(lengths, kind="stable")
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)[order]
+    n = idx.size
+    u, v, d2 = _radius_graph(np.asarray(points, dtype=np.float64)[idx], mu_radius)
+    # the edges in the total order (a quick sort by length, then each run
+    # of equal lengths by (i, j)), and the live edges' ranks in it
+    order = np.argsort(d2)
+    tie = np.flatnonzero(d2[order[1:]] == d2[order[:-1]])
+    if tie.size:
+        run = np.union1d(tie, tie + 1)
+        order[run] = order[run][np.lexsort((v[order[run]], u[order[run]],
+                                            d2[order[run]]))]
+    u, v = u[order], v[order]
+    rank = np.arange(u.size)
+    # the live edges' components, each named by its least member
+    cu, cv = u, v
+    taken = []
+    while rank.size:
+        least = np.full(n, u.size)
+        np.minimum.at(least, cu, rank)
+        np.minimum.at(least, cv, rank)
+        pick = np.flatnonzero((rank == least[cu]) | (rank == least[cv]))
+        taken.append(rank[pick])
+        merged = _components(n, cu[pick], cv[pick])
+        cu, cv = merged[cu], merged[cv]
+        live = np.flatnonzero(cu != cv)
+        rank, cu, cv = rank[live], cu[live], cv[live]
+    rank = np.sort(np.concatenate(taken)) if taken else rank
+    return np.column_stack((idx[u[rank]], idx[v[rank]]))
 
 
 class ClusteringError(ValueError):
     """Infeasible clustering request (e.g. more clusters than points)."""
+
+
+class RadiusGraphError(ClusteringError):
+    """A block's radius graph keeps more pairs than ``_MAX_GRAPH_PAIRS``."""
 
 
 @dataclass(frozen=True, eq=False)

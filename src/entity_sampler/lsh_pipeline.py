@@ -4,12 +4,17 @@ Pipeline: block the records with locality-sensitive hashing, cluster every
 block into duplicate groups (regularized k-means over a small range of k,
 the winner chosen by sampled same-cluster selection against the oracle,
 which hears the block's nearest pairs first), then union the per-block
-clusterings.  Garbage points become singleton clusters.  A two-record
-block has only "merge" and "split" to choose from, so it is settled by one
-radius test and at most one oracle question, all pair blocks at once in
-array form.  The estimate of a record's probability
-is the size of its duplicate cluster over the dataset size, so the induced
-sampler weights every cluster, i.e. every entity, equally.
+clusterings.  A block's distance work is its sparse radius graph, built
+from grid cells rather than b^2 distances: once for the garbage
+prefilter's mask and once for its radius forest, whose edges (i, j), i < j,
+are asked shortest first, ties by (i, j).  A block whose graph keeps more
+than ``clustering._MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.
+Garbage points become singleton clusters.  A two-record block has only
+"merge" and "split" to choose from, so it is settled by one radius test
+and at most one oracle question, all pair blocks at once in array form.
+The estimate of a record's probability is the size of its duplicate
+cluster over the dataset size, so the induced sampler weights every
+cluster, i.e. every entity, equally.
 """
 
 from __future__ import annotations
@@ -79,13 +84,13 @@ def estimate_probs_lsh(
     with several candidates makes one ``ssc_select`` call, which scores it
     exhaustively when the block's C(b, 2) pairs fit in its per-side budget
     and by sampled selection otherwise.  Either way the nearest pairs are
-    asked first: the edges of the minimum spanning forest that joins the
-    block's points within ``mu_radius``, shortest first, when the block's
-    budget allows them.  After that the oracle is asked only about pairs
-    that its earlier answers in the block do not settle by transitivity,
-    so an inconsistent oracle is absorbed silently rather than
-    contradicted.  The questions change, the draws and their answers do
-    not.
+    asked first: the edges (i, j), i < j, of the minimum spanning forest
+    that joins the block's points within ``mu_radius``, in (squared
+    length, i, j) order, when the block's budget allows them.  After that
+    the oracle is asked only about pairs that its earlier answers in the
+    block do not settle by transitivity, so an inconsistent oracle is
+    absorbed silently rather than contradicted.  The questions change, the
+    draws and their answers do not.
 
     A two-record block is settled by one radius test and at most one
     oracle question, with the result and outcome that clustering it at k = 1

@@ -218,10 +218,18 @@ def test_neighbour_mask_hand_case():
     assert neighbour_mask(np.empty((0, 2)), 1.0).size == 0
 
 
+def reference_graph(pts, mu_radius):
+    """Every pair i < j whose squared distance, summed one coordinate at a
+    time in order, is at most mu_radius**2, in lexicographic order."""
+    i, j = np.triu_indices(len(pts), 1)
+    d2 = loop_sq_distance(pts[i], pts[j])
+    near = d2 <= mu_radius**2
+    return i[near], j[near], d2[near]
+
+
 def reference_mask(pts, mu_radius):
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    return d2.min(axis=1) <= mu_radius**2
+    i, j, _ = reference_graph(pts, mu_radius)
+    return np.isin(np.arange(len(pts)), np.concatenate((i, j)))
 
 
 def mask_cases():
@@ -234,12 +242,36 @@ def mask_cases():
     far = 1e6 + rng.normal(0, 1e-3, (30, 3))
     yield pytest.param(far, 1e-3, id="around-1e6")
     yield pytest.param(np.array([[2.0, 3.0]]), 5.0, id="single")
+    # pairs exactly mu apart: along an axis, and on 3-4-5 and 2-3-6
+    # diagonals that cross cell corners; at mu = 0.1 the steps round
+    for d, mu in ((1, 5.0), (2, 5.0), (3, 7.0), (2, 0.1)):
+        lattice = rng.integers(0, 12, (60, d)) * (mu / (5.0 if d < 3 else 7.0))
+        yield pytest.param(lattice, mu, id=f"lattice-d{d}-mu{mu:g}")
+    yield pytest.param(1e6 + rng.integers(0, 8, (50, 2)) * 0.25, 0.25,
+                       id="lattice-around-1e6")
+    yield pytest.param(1e9 + rng.normal(0, 1e-3, (40, 2)), 1e-3, id="around-1e9")
+    yield pytest.param(1e9 + rng.integers(0, 8, (50, 3)) * 1.0, 1.0,
+                       id="lattice-around-1e9")
+    # most pairs are exact duplicates; squares of 1e-170 underflow to zero
+    dups = rng.integers(0, 4, (40, 2)) * 1.0
+    dups[:3, 0] = [1e-170, 2e-170, -1e-170]
+    yield pytest.param(dups, 0.0, id="duplicates-radius0")
+    yield pytest.param(np.array([[0.0], [1e-170], [3e-170], [5e-170]]), 0.0,
+                       id="underflow-radius0")
+    yield pytest.param(rng.normal(0, 1e3, (6, 2)), np.inf, id="radius-inf")
+    pts = rng.normal(0, 1, (60, 12))
+    pts[::9] = pts[1::9]
+    yield pytest.param(pts, 3.5, id="d12")
+    # a span of 1e9 at mu = 1e-3 takes coarser cells than mu
+    wide = np.concatenate((rng.uniform(0, 1e9, (20, 1)), np.arange(20)[:, None] * 1e-3))
+    yield pytest.param(wide, 1e-3, id="wide-span")
+    yield pytest.param(np.empty((0, 2)), 1.0, id="empty")
 
 
 @pytest.mark.parametrize("pts,radius", list(mask_cases()))
 @pytest.mark.parametrize("rows", [1, 7, None])
 def test_neighbour_mask_matches_full_matrix(monkeypatch, pts, radius, rows):
-    # rows per step of 1 and 7 (uneven last step) as well as the default
+    # steps of a few candidates (uneven last step) as well as the default
     if rows is not None:
         monkeypatch.setattr(clustering, "_MASK_CHUNK", rows * len(pts))
     got = neighbour_mask(pts, radius)
@@ -247,12 +279,84 @@ def test_neighbour_mask_matches_full_matrix(monkeypatch, pts, radius, rows):
     assert got.tolist() == reference_mask(pts, radius).tolist()
 
 
+@pytest.mark.parametrize("pts,radius", list(mask_cases()))
+@pytest.mark.parametrize("rows", [1, 7, None])
+def test_radius_graph_is_every_pair_within_the_radius(monkeypatch, pts, radius, rows):
+    # the small steps take the grid path, the default all pairs of a small
+    # block
+    if rows is not None:
+        monkeypatch.setattr(clustering, "_MASK_CHUNK", rows * len(pts))
+    u, v, d2 = clustering._radius_graph(pts, radius)
+    assert u.dtype == v.dtype == np.int64 and d2.dtype == np.float64
+    assert (u < v).all()
+    want_u, want_v, want_d2 = reference_graph(pts, radius)
+    order = np.lexsort((v, u))
+    assert u[order].tolist() == want_u.tolist()
+    assert v[order].tolist() == want_v.tolist()
+    assert d2[order].tobytes() == want_d2.tobytes()
+
+
+def test_dense_radius_graph_raises_a_typed_error(monkeypatch):
+    pts = np.random.default_rng(38).normal(0, 0.1, (30, 2))  # all 435 pairs
+    for cap in (435, 0):  # all pairs at once, then grid cells
+        monkeypatch.setattr(clustering, "_ALL_PAIRS_CAP", cap)
+        monkeypatch.setattr(clustering, "_MAX_GRAPH_PAIRS", 435)
+        assert clustering._radius_graph(pts, 1.0)[0].size == 435
+        monkeypatch.setattr(clustering, "_MAX_GRAPH_PAIRS", 434)
+        for build in (lambda: clustering._radius_graph(pts, 1.0),
+                      lambda: neighbour_mask(pts, 1.0),
+                      lambda: clustering._radius_forest(pts, 1.0, np.ones(30, bool))):
+            with pytest.raises(clustering.RadiusGraphError) as err:
+                build()
+            assert isinstance(err.value, ClusteringError)
+            assert "30-point" in str(err.value) and "mu_radius=1.0" in str(err.value)
+            assert "keeps 435 pairs" in str(err.value)
+
+
+def chunked_quadratic_mask(pts, mu_radius, rows=64):
+    has_neighbour = np.empty(len(pts), dtype=bool)
+    for lo in range(0, len(pts), rows):
+        d2 = loop_sq_distance(pts[lo:lo + rows, None, :], pts[None, :, :])
+        d2[np.arange(d2.shape[0]), np.arange(lo, lo + d2.shape[0])] = np.inf
+        has_neighbour[lo:lo + rows] = d2.min(axis=1) <= mu_radius**2
+    return has_neighbour
+
+
+def test_radius_graph_scales_to_a_planted_block_of_20005_points():
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    # one block of 400 planted entities of 50 records and 5 singletons
+    pts = planted_clusters(400, 50, 10.0, 2, seed=39, n_singletons=5).features
+    n = len(pts)
+    assert n == 20_005
+    mask = neighbour_mask(pts, 1.0)
+    assert mask.tolist() == chunked_quadratic_mask(pts, 1.0).tolist()
+    u, v, _ = clustering._radius_graph(pts, 1.0)
+    edges = clustering._radius_forest(pts, 1.0, mask)
+    assert np.array_equal(np.isin(np.arange(n), edges), mask)
+
+    def components(a, b):
+        return connected_components(coo_matrix((np.ones(a.size), (a, b)), shape=(n, n)),
+                                    directed=False)[0]
+
+    # a forest over the marked points with one tree per graph component:
+    # its edge count is the marked points less the graph's components
+    graph_parts = components(u, v) - (n - int(mask.sum()))
+    assert len(edges) == int(mask.sum()) - graph_parts
+    assert components(edges[:, 0], edges[:, 1]) == n - len(edges)  # no cycle
+
+
 def test_neighbour_mask_spans_steps_at_the_default_size():
-    pts = np.random.default_rng(32).uniform(0, 40, (1500, 2))
-    assert 1500 > clustering._MASK_CHUNK // 1500  # several steps
-    want = reference_mask(pts, 0.5)
+    # a dense square whose candidate pairs fill several default steps, and
+    # sparse points around it
+    rng = np.random.default_rng(32)
+    pts = np.vstack((rng.uniform(0, 1.5, (1400, 2)), rng.uniform(0, 1000, (100, 2))))
+    candidates = clustering._grid_rows(pts, 0.3)[3].sum()
+    assert candidates > 2 * (clustering._MASK_CHUNK // 12)  # a step at d = 2
+    want = reference_mask(pts, 0.3)
     assert 0 < want.sum() < len(pts)
-    assert neighbour_mask(pts, 0.5).tolist() == want.tolist()
+    assert neighbour_mask(pts, 0.3).tolist() == want.tolist()
 
 
 def test_neighbour_mask_memory_is_bounded():
@@ -323,20 +427,22 @@ def test_sq_distance_sums_each_coordinate_in_order(d):
 
 def kruskal_forest(pts, mu_radius):
     """Minimum spanning forest of the pairs within ``mu_radius``, by Kruskal
-    over every pair: the squared lengths of its edges and each point's
-    component."""
+    over every pair i < j in (squared length, i, j) order (a stable sort of
+    the lexicographic pairs): its edges in the order taken, their squared
+    lengths and each point's component."""
     n = len(pts)
     d2 = clustering._sq_distance(pts[:, None, :], pts[None, :, :])
     i, j = np.triu_indices(n, 1)
     w = d2[i, j]
     comp = list(range(n))
-    lengths = []
+    edges, lengths = [], []
     for t in np.argsort(w, kind="stable"):
         a, b = comp[i[t]], comp[j[t]]
         if w[t] <= mu_radius**2 and a != b:
             comp = [a if c == b else c for c in comp]
+            edges.append([int(i[t]), int(j[t])])
             lengths.append(w[t])
-    return lengths, comp
+    return edges, lengths, comp
 
 
 def forest_cases():
@@ -359,11 +465,11 @@ def test_radius_forest_is_a_minimum_spanning_forest(pts, d):
     # its endpoints are exactly the points the mask keeps
     assert np.array_equal(np.isin(np.arange(len(pts)), edges), mask)
     assert 0 < mask.sum() < len(pts)
-    want_lengths, want_comp = kruskal_forest(pts, 1.0)
+    want_edges, want_lengths, want_comp = kruskal_forest(pts, 1.0)
     lengths = clustering._sq_distance(pts[edges[:, 0]], pts[edges[:, 1]])
-    # every minimum spanning forest has the same edge lengths; these are
-    # the mask's floats, shortest first
+    # the mask's floats, shortest first, and Kruskal's edges
     assert lengths.tolist() == sorted(want_lengths)
+    assert edges.tolist() == want_edges
     comp = list(range(len(pts)))
     for a, b in edges.tolist():
         ca, cb = comp[a], comp[b]
@@ -372,48 +478,22 @@ def test_radius_forest_is_a_minimum_spanning_forest(pts, d):
     assert first_occurrence(comp).tolist() == first_occurrence(want_comp).tolist()
 
 
-def prim_forest(pts, mu_radius, mask):
-    """Prim's algorithm as ``_radius_forest`` runs it, with plain rows: the
-    joining row swaps with the last row outside, and on equal distances
-    the first row outside wins."""
-    idx = np.flatnonzero(mask)
-    pts = pts[idx]
-    left = idx.size
-    best = np.full(left, np.nextafter(mu_radius**2, np.inf))
-    near = np.zeros(left, dtype=np.int64)
-    edges, lengths, v = [], [], 0
-    while left:
-        left -= 1
-        for a in (pts, best, near, idx):
-            a[[v, left]] = a[[left, v]]
-        d2 = ((pts[:left] - pts[left]) ** 2).sum(axis=1)
-        closer = d2 < best[:left]
-        best[:left][closer] = d2[closer]
-        near[:left][closer] = idx[left]
-        if left:
-            v = int(np.argmin(best[:left]))
-            if best[v] <= mu_radius**2:
-                edges.append((near[v], idx[v]))
-                lengths.append(best[v])
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)[np.argsort(lengths, kind="stable")]
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("scale", [1.0, 1e6])
-def test_radius_forest_keeps_prims_order_on_ties(d, scale):
-    # on a grid most distances tie, so which endpoints and which order the
-    # forest reports depends on the tie rule
+def test_radius_forest_is_kruskals_in_length_then_index_order(d, scale):
+    # on a grid most lengths tie, so which edges the forest reports, and
+    # in which order, depends on the tie rule: (squared length, i, j)
     pts = np.random.default_rng(d).integers(0, 6, (80, d)) * scale
     mask = neighbour_mask(pts, scale)
     got = clustering._radius_forest(pts, scale, mask)
-    assert got.tolist() == prim_forest(pts, scale, mask).tolist()
+    assert got.tolist() == kruskal_forest(pts, scale)[0]
 
 
 def test_radius_forest_hand_case():
     pts = np.array([[0.0], [0.5], [5.0], [5.2], [9.0]])
     mask = neighbour_mask(pts, 1.0)
     edges = clustering._radius_forest(pts, 1.0, mask)
-    assert [tuple(sorted(e)) for e in edges.tolist()] == [(2, 3), (0, 1)]
+    assert edges.tolist() == [[2, 3], [0, 1]]
     none = clustering._radius_forest(pts, 0.1, neighbour_mask(pts, 0.1))
     assert none.shape == (0, 2)
 
