@@ -110,11 +110,12 @@ def _radius_graph(
 
     No kept pair is missed.  The computed sum is at least each computed
     term ``fl(fl(x_j - y_j)**2)``, so a kept pair has, on every axis, a
-    term at most ``mu**2`` as computed.  When ``|fl(x_j - y_j)| >= 2**-500`` its
-    square is a normal float, so it is at most ``mu (1 + 2u)`` (u = 2**-53,
-    the unit roundoff); when smaller it is below ``t = max(mu, 2**-500)``.
-    Either way ``|x_j - y_j| <= t (1 + 4u)``, which also covers squares
-    that underflow to zero when ``mu`` is 0 or tiny.  A point's cell is
+    term at most ``mu**2`` as computed.  A difference
+    ``|fl(x_j - y_j)| >= 2**-500`` has a normal square, so it is at most
+    ``mu (1 + 2u)`` (u = 2**-53, the unit roundoff); a smaller one is below
+    ``t = max(mu, 2**-500)``.  Either way ``|x_j - y_j| <= t (1 + 4u)``,
+    which also covers squares that underflow to zero when ``mu`` is 0 or
+    tiny.  A point's cell is
     ``floor(fl(fl(x_j - lo_j) / s_j))`` for the block's least coordinate
     ``lo_j``: monotone in x_j, so two points whose cells are two or more
     apart straddle a whole cell, whose width is at least
