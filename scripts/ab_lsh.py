@@ -17,8 +17,13 @@ input built second partitions a few per cent slower even when the trees
 are the same, so the inputs are built twice, once in each order, each
 serving half of the repeats, and the trees alternate which runs first.
 Per input it prints the median milliseconds of partition + estimate and
-of the estimate alone for each tree, and whether the two trees'
-``group_ids``, ``pmap.dense``, ``outcomes`` and oracle call counts agree.
+of the estimate alone for each tree, each tree's total-variation distance
+between the entity distribution its map induces and the uniform one, its
+oracle call count, and whether the two trees' ``group_ids``,
+``pmap.dense``, ``outcomes`` and oracle call counts agree.  An output that
+changes by design then shows whether its TV and oracle calls stayed equal
+or improved.  The exit status is 0 when every input agrees or is no worse
+in both.
 
 Example::
 
@@ -53,7 +58,8 @@ def load(src: str, name: str):
     sys.modules[name] = package
     spec.loader.exec_module(package)
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("blocking", "lsh_pipeline", "ssc", "synth")}
+            for mod in ("blocking", "dataset", "lsh_pipeline", "rejection", "ssc",
+                        "synth")}
 
 
 def inputs(vector_seeds, text_seeds):
@@ -83,6 +89,13 @@ def run(pkg, data, family: str, s_block: int, s_est: int):
     return t2 - t0, t2 - t1, est, oracle.queries
 
 
+def tv_to_uniform(pkg, data, est) -> float:
+    """TV between the entity distribution the map induces and uniform."""
+    induced = pkg["rejection"].exact_induced_distribution(data, est.pmap)
+    return pkg["dataset"].tv_distance(
+        induced, pkg["dataset"].uniform_distribution(induced.support))
+
+
 def agree(a, b) -> bool:
     (_, _, ea, qa), (_, _, eb, qb) = a, b
     return (np.array_equal(ea.group_ids, eb.group_ids)
@@ -101,8 +114,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     trees = {"old": load(args.old_src, "ab_old"), "new": load(args.new_src, "ab_new")}
     print(f"{'input':<17} {'old ms':>8} {'new ms':>8} {'new/old':>8} "
-          f"{'old est':>8} {'new est':>8}  agree")
-    all_agree = True
+          f"{'old est':>8} {'new est':>8} {'old TV':>7} {'new TV':>7} "
+          f"{'old q':>6} {'new q':>6}  agree")
+    all_agree = no_worse = True
     for label, build, family, s_block, s_est in inputs(args.vector_seeds,
                                                        args.text_seeds):
         times = {side: ([], []) for side in trees}
@@ -116,16 +130,24 @@ def main(argv=None) -> int:
                     last[side] = run(trees[side], data[side], family, s_block, s_est)
                     times[side][0].append(last[side][0])
                     times[side][1].append(last[side][1])
+            if half == 0:  # the estimates are deterministic: score the first
+                tv = {side: tv_to_uniform(trees[side], data[side], last[side][2])
+                      for side in order}
             del data
         same = agree(last["old"], last["new"])
+        calls = {side: last[side][3] for side in trees}
         all_agree &= same
+        no_worse &= tv["new"] <= tv["old"] and calls["new"] <= calls["old"]
         total = {side: 1e3 * statistics.median(t[0]) for side, t in times.items()}
         est = {side: 1e3 * statistics.median(t[1]) for side, t in times.items()}
         print(f"{label:<17} {total['old']:8.1f} {total['new']:8.1f} "
               f"{total['new'] / total['old']:8.3f} {est['old']:8.1f} "
-              f"{est['new']:8.1f}  {'yes' if same else 'NO'}", flush=True)
+              f"{est['new']:8.1f} {tv['old']:7.4f} {tv['new']:7.4f} "
+              f"{calls['old']:6d} {calls['new']:6d}  {'yes' if same else 'NO'}",
+              flush=True)
     print(f"outputs agree on every input: {'yes' if all_agree else 'NO'}")
-    return 0 if all_agree else 1
+    print(f"TV and oracle calls no worse on every input: {'yes' if no_worse else 'NO'}")
+    return 0 if no_worse else 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ and each garbage point has its own negative label, so "same cluster" is
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -91,13 +92,23 @@ def _sq_distance(
     return out
 
 
+def _sq_radius(mu_radius: float) -> float:
+    """``mu_radius**2``, or infinity when the square overflows, so that a
+    radius past about 1.34e154 keeps every pair as ``inf`` does."""
+    try:
+        return mu_radius**2
+    except OverflowError:
+        return math.inf
+
+
 def _radius_graph(
     points: np.ndarray, mu_radius: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair of points within ``mu_radius``: (u, v, d2) with u < v.
 
     ``d2`` holds each pair's ``_sq_distance``, and a pair is kept when it
-    is at most ``mu_radius**2``, the test the pair-block radius test makes.
+    is at most ``mu_radius**2`` (infinite when that square overflows), the
+    test the pair-block radius test makes.
     The pairs come in no particular order.
 
     A block of at most ``_ALL_PAIRS_CAP`` pairs takes all of them as
@@ -135,7 +146,7 @@ def _radius_graph(
     if not mu_radius >= 0:
         raise ClusteringError(f"mu_radius must be non-negative, got {mu_radius}")
     n, d = points.shape
-    r2 = mu_radius**2
+    r2 = _sq_radius(mu_radius)
     # a step's temporaries hold about 2d + 8 words per candidate
     chunk = max(1, _MASK_CHUNK // (2 * d + 8))
     if n * (n - 1) // 2 <= min(_ALL_PAIRS_CAP, chunk):
@@ -210,7 +221,7 @@ def _grid_rows(
     side = (np.maximum(max(mu_radius, 2.0**-500), span[axes] / _GRID_CELLS)
             * (1 + 2.0**-20))
     # an infinite mu**2 keeps every pair, however far apart
-    if (np.isfinite(mu_radius**2) and np.isfinite(points).all()
+    if (np.isfinite(_sq_radius(mu_radius)) and np.isfinite(points).all()
             and np.isfinite(side).all()):
         cells = np.floor((points[:, axes] - lo[axes]) / side).astype(np.int64)
         radix = cells.max(axis=0) + 3

@@ -1,14 +1,20 @@
 """Frequency estimation for blockable datasets.
 
 Pipeline: block the records with locality-sensitive hashing, cluster every
-block into duplicate groups (regularized k-means over a small range of k,
-the winner chosen by sampled same-cluster selection against the oracle,
-which hears the block's nearest pairs first), then union the per-block
-clusterings.  A block's distance work is its sparse radius graph, built
-from grid cells rather than b^2 distances: once for the garbage
-prefilter's mask and once for its radius forest, whose edges (i, j), i < j,
-are asked shortest first, ties by (i, j).  A block whose graph keeps more
-than ``clustering._MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.
+block into duplicate groups, then union the per-block clusterings.  A
+block that asks the oracle anything first asks the edges of its radius
+forest, the minimum spanning forest of its pairs within ``mu_radius``,
+shortest first, ties by (i, j).  When the forest fits the block's budget,
+the block's candidates are k = 1 and the components of the forest's
+"same" answers (Vesdapunt, Bellare and Dalvi, PVLDB 2014), so no k-means
+at k >= 2 runs and the answers set the cluster count.  Otherwise the
+candidates are regularized k-means over ``k_range``.  Either way sampled
+same-cluster selection against the oracle picks the winner, over a
+candidate set fixed before the first draw.  A block's distance work is
+its sparse radius graph, built from grid cells rather than b^2
+distances: once for the garbage prefilter's mask and once for its radius
+forest.  A block whose graph keeps more than
+``clustering._MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.
 Garbage points become singleton clusters.  A two-record block has only
 "merge" and "split" to choose from, so it is settled by one radius test
 and at most one oracle question, all pair blocks at once in array form.
@@ -29,12 +35,13 @@ from .clustering import (
     ClusteringError,
     _radius_forest,
     _sq_distance,
+    _sq_radius,
     neighbour_mask,
     regularized_kmeans,
 )
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
-from .ssc import ssc_select
+from .ssc import _likely_pairs_fit, ssc_select
 
 __all__ = ["LshEstimate", "estimate_probs_lsh"]
 
@@ -77,19 +84,34 @@ def estimate_probs_lsh(
     """Estimate per-record probabilities block by block.
 
     ``budget`` is the total pair budget, split equally over blocks.
-    ``k_range`` bounds the duplicate-group count tried per block; the range
-    is clamped to what the block can support after its garbage points are
-    removed.  ``oracle`` answers same-cluster queries on global record
-    indices and must answer consistently.  A block of 3 or more records
-    with several candidates makes one ``ssc_select`` call, which scores it
-    exhaustively when the block's C(b, 2) pairs fit in its per-side budget
-    and by sampled selection otherwise.  Either way the nearest pairs are
-    asked first: the edges (i, j), i < j, of the minimum spanning forest
-    that joins the block's points within ``mu_radius``, in (squared
-    length, i, j) order, when the block's budget allows them.  After that
-    the oracle is asked only about pairs that its earlier answers in the
-    block do not settle by transitivity, so an inconsistent oracle is
-    absorbed silently rather than contradicted.  The questions change, the
+    ``oracle`` answers same-cluster queries on global record indices and
+    must answer consistently.
+
+    A block of 3 or more records builds its radius forest when ``k_range``
+    reaches past 1 and one of its points has a neighbour within
+    ``mu_radius``: the minimum spanning forest that joins its points within
+    ``mu_radius``, edges (i, j), i < j, in (squared length, i, j) order.
+    The forest fits when it has at most twice the block's per-side budget
+    of edges, the rule by which ``ssc_select`` asks likely pairs first.
+    The block's candidates are then:
+
+    * the forest fits: k = 1, unless ``k_range`` starts at 2 or more, and
+      the components of the forest's answers, each component a cluster and
+      each point without a neighbour garbage.  ``k_range`` does not cap
+      their count, and no k-means at k >= 2 runs.
+    * otherwise: regularized k-means at each k in ``k_range``, clamped to
+      what the block supports after its garbage points are removed.
+
+    A block left with one k-means candidate and no forest candidate (for
+    example k = 1 at ``k_range`` (1, 1), or an all-garbage block) asks
+    nothing.  Any other block makes one ``ssc_select`` call, which asks the
+    forest's edges first when it fits and then scores the block
+    exhaustively when its C(b, 2) pairs fit in its per-side budget and by
+    sampled selection otherwise; the forest's answers alone are not
+    ranked, so nothing is drawn after them.  After the forest the oracle
+    is asked only about pairs that its earlier answers in the block do not
+    settle by transitivity, so an inconsistent oracle is absorbed silently
+    rather than contradicted.  The questions depend on the forest, the
     draws and their answers do not.
 
     A two-record block is settled by one radius test and at most one
@@ -152,9 +174,16 @@ def estimate_probs_lsh(
         child_seeds = _block_seed(seed, block_id).generate_state(2)
         has_neighbour = neighbour_mask(points, mu_radius)
         remaining = int(has_neighbour.sum())
+        # a block that asks anything asks its radius forest first; when the
+        # forest fits the budget, its answers cluster the block
+        forest = (_radius_forest(points, mu_radius, has_neighbour)
+                  if remaining and k_hi > 1 else ())
+        forest_fits = _likely_pairs_fit(len(forest), block_budget)
         # every k is in [1, remaining], or 0 when the prefilter leaves
         # nothing: exactly the k that regularized_kmeans accepts
-        if remaining == 0:
+        if forest_fits:
+            ks = [1] if k_lo <= 1 else []
+        elif remaining == 0:
             ks = [0]
         else:
             ks = sorted({min(max(k, 1), remaining) for k in range(k_lo, k_hi + 1)})
@@ -163,16 +192,15 @@ def estimate_probs_lsh(
                                has_neighbour=has_neighbour)
             for k in ks
         ]
-        if len(candidates) == 1:
+        if len(candidates) == 1 and not forest_fits:
             winner = candidates[0]
         else:
             ids = block.tolist()
             report = ssc_select(candidates, block.size,
                                 lambda i, j: oracle(ids[i], ids[j]),
                                 m_pairs=block_budget, seed=int(child_seeds[1]),
-                                likely_pairs=_radius_forest(points, mu_radius,
-                                                            has_neighbour))
-            winner = candidates[report.winner]
+                                likely_pairs=forest)
+            winner = (*candidates, report.answered)[report.winner]
             outcomes.append((block_id, report.queries, report.inferred,
                              report.n_pos, report.n_neg))
         # groups in label order: clusters 0..k-1, then garbage -1, -2, ...
@@ -202,7 +230,7 @@ def _pair_geometry(
     labelling as the flat sum of squares less each cluster's squared sum
     over its count, and keeps the merge when the two costs tie.
     """
-    near = _sq_distance(p0, p1) <= mu_radius**2
+    near = _sq_distance(p0, p1) <= _sq_radius(mu_radius)
     centre = (p0 + p1) / 2
     p0, p1 = p0 - centre, p1 - centre
     total = (np.hstack((p0, p1)) ** 2).sum(axis=1)

@@ -26,9 +26,13 @@ the order of the questions, so a caller may name likely duplicate pairs to
 be asked before anything is drawn, for example the nearest neighbours of a
 block: their "same" answers settle many of the draws that follow
 (Vesdapunt, Bellare and Dalvi, "Crowdsourcing Algorithms for Entity
-Resolution", PVLDB 2014).  An inconsistent (noisy) oracle is absorbed
-silently rather than contradicted; such oracles are out of scope here
-(Mazumdar and Saha, "Clustering with Noisy Queries", NeurIPS 2017).
+Resolution", PVLDB 2014).  The components of those answers join the
+candidates as one more clustering.  It is built before the first draw,
+so the candidate set is still fixed before any pair is drawn (Ashtiani,
+Kushagra and Ben-David, "Clustering with Same-Cluster Queries", NeurIPS
+2016).  An inconsistent (noisy) oracle is absorbed silently rather than
+contradicted; such oracles are out of scope here (Mazumdar and Saha,
+"Clustering with Noisy Queries", NeurIPS 2017).
 
 A sampled run draws its pairs in batches that grow from 256 to 8,192
 draws.  A draw that the answers so far settle stays settled, so at the
@@ -43,7 +47,7 @@ of (component, label) cells, without forming the pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -136,6 +140,9 @@ class SscReport:
     ``queries`` counts the pairs the oracle was asked and ``inferred`` the
     distinct pairs drawn, or scored exhaustively, that earlier answers
     settled without asking; ``n_pos`` and ``n_neg`` count the pairs ranked on.
+    ``answered`` is the clustering built from the likely pairs' answers
+    when ``ssc_select`` asked them, and then the last of the candidates
+    that ``winner`` and ``losses`` index.
     """
 
     winner: int
@@ -144,6 +151,7 @@ class SscReport:
     n_pos: int
     n_neg: int
     inferred: int
+    answered: Clustering | None = None
 
 
 def rank_candidates(
@@ -226,6 +234,32 @@ def _answer(
     return same, True
 
 
+def _likely_pairs_fit(n_likely: int, m_pairs: int) -> bool:
+    """Whether ``n_likely`` likely pairs are asked before the draws, and
+    their answers made a candidate: at least one, and at most 2
+    ``m_pairs``, no more than the fewest draws a sampled run makes."""
+    return 0 < n_likely <= 2 * m_pairs
+
+
+def _answered(root: list, likely: np.ndarray) -> Clustering:
+    """The components of the answers so far as a clustering.
+
+    Each component that holds a point of a likely pair is a cluster,
+    numbered in the order of its least point; a point in no likely pair
+    keeps a garbage label of its own, -1, -2, ... in index order.
+    """
+    comp = np.asarray(root)
+    touched = np.zeros(comp.size, dtype=bool)
+    touched[likely.ravel()] = True
+    labels = np.empty(comp.size, dtype=np.int64)
+    labels[~touched] = -np.arange(1, comp.size - np.count_nonzero(touched) + 1)
+    _, first, codes = np.unique(comp[touched], return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    labels[touched] = rank[codes]
+    return Clustering(labels)
+
+
 def _ask_open(oracle: Callable[[int, int], bool], pairs, *answers) -> list:
     """The pairs among ``pairs`` that the answers so far leave open, in
     order, each asked and its answer recorded; ``answers`` are the block's
@@ -273,11 +307,19 @@ def ssc_select(
     answers leave open, when there are at most 2 ``m_pairs`` of them: no
     more than the fewest draws a sampled run makes, and never too many for
     an exhaustive one.  A longer list is ignored.  They change which pairs
-    are asked, never a draw or its answer, so the report differs only in
-    ``queries``, every pair asked, and ``inferred``, the distinct pairs
-    drawn (all C(n, 2) when exhaustive) that were never asked.
+    are asked, never a draw or its answer, so ``queries``, every pair
+    asked, and ``inferred``, the distinct pairs drawn (all C(n, 2) when
+    exhaustive) that were never asked, are the only counts they change.
+    Once they are asked, before the first draw, the components of the
+    answers join the candidates as the last one, ``SscReport.answered``:
+    each component that holds a point of a likely pair is a cluster, and a
+    point in no likely pair is garbage.  ``candidates`` may then be empty.
+    A single candidate is not ranked: after the likely pairs nothing is
+    drawn or asked, and the report counts no pairs.
     """
-    if not candidates:
+    likely = np.asarray(likely_pairs, dtype=np.int64).reshape(-1, 2)
+    fits = _likely_pairs_fit(len(likely), m_pairs)
+    if not candidates and not fits:
         raise ValueError("no candidates to select from")
     if n_points < 2:
         raise ValueError("need at least two points to draw pairs")
@@ -285,7 +327,6 @@ def ssc_select(
         raise ValueError(f"every candidate must label the {n_points} points")
     if m_pairs < 1:
         raise ValueError("pair budget must be positive")
-    likely = np.asarray(likely_pairs, dtype=np.int64).reshape(-1, 2)
     if likely.size and (likely.min() < 0 or likely.max() >= n_points
                         or (likely[:, 0] == likely[:, 1]).any()):
         raise ValueError(f"each likely pair must join two of the {n_points} points")
@@ -297,14 +338,19 @@ def ssc_select(
     members = [[p] for p in range(n_points)]
     apart = [set() for _ in range(n_points)]
     differ = []
-    # no more likely questions than the fewest draws a sampled run makes
-    early = _ask_open(oracle, likely.tolist() if len(likely) <= 2 * m_pairs else (),
+    early = _ask_open(oracle, likely.tolist() if fits else (),
                       root, members, apart, differ)
     asked = len(early)
+    answered = None
+    if fits:
+        answered = _answered(root, likely)
+        candidates = [*candidates, answered]
+    if len(candidates) == 1:
+        return replace(rank_candidates(candidates, (), (), asked), answered=answered)
     if n_pairs <= m_pairs:
         asked += len(_ask_open(oracle, combinations(range(n_points), 2),
                                root, members, apart, differ))
-        return _exact_report(candidates, root, asked)
+        return _exact_report(candidates, root, asked, answered)
     rng = np.random.default_rng(seed)
     # the draws can cover every pair only if the largest cap allows that
     # many; only then is each pair's first draw tracked, in an array no
@@ -395,7 +441,7 @@ def ssc_select(
         answers.append(same[:t])
         size = min(2 * size, _PAIR_BATCH_MAX)
     if distinct == n_pairs:
-        return _exact_report(candidates, root, asked)
+        return _exact_report(candidates, root, asked, answered)
     pairs = np.concatenate(batches)
     keys = np.sort(_pair_index(pairs, n_points))
     n_distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
@@ -404,8 +450,9 @@ def ssc_select(
     at = np.minimum(np.searchsorted(keys, early_keys), keys.size - 1)
     undrawn = int(np.count_nonzero(keys[at] != early_keys))
     same = np.concatenate(answers)
-    return rank_candidates(candidates, pairs[same], pairs[~same], asked,
-                           inferred=n_distinct - asked + undrawn)
+    return replace(rank_candidates(candidates, pairs[same], pairs[~same], asked,
+                                   inferred=n_distinct - asked + undrawn),
+                   answered=answered)
 
 
 def _apart_keys(roots: np.ndarray, differ: list) -> np.ndarray:
@@ -434,7 +481,8 @@ def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
 
 
 def _exact_report(
-    candidates: Sequence[Clustering], root: list, asked: int
+    candidates: Sequence[Clustering], root: list, asked: int,
+    answered: Clustering | None,
 ) -> SscReport:
     """Rank on every pair once the answers settle all of them: a pair is
     positive exactly when its two points share a component root.  A
@@ -454,7 +502,7 @@ def _exact_report(
         joined_neg = _pairs_within(lab) - joined_pos
         losses.append(_losses(n_pos, n_pos - joined_pos, n_neg, joined_neg)[2])
     return _ranked(candidates, losses, queries=asked, n_pos=n_pos, n_neg=n_neg,
-                   inferred=n_pairs - asked)
+                   inferred=n_pairs - asked, answered=answered)
 
 
 def _pairs_within(codes: np.ndarray) -> int:

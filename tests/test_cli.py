@@ -568,9 +568,10 @@ def test_estimate_rejects_a_misspelt_method_keyword():
     ("gmm", "k"), ("gmm", "max_iter"),
 ])
 def test_estimate_refuses_a_count_that_is_not_an_integer(method, keyword):
-    # k_max=1.9 used to be truncated to 1, one group where k_max=2 gives 2
+    # k_max=1.9 used to be truncated to 1, one group where k_max=2 gives
+    # the 3 planted groups (k = 1 against the answers of the radius forest)
     data = planted_clusters(3, 5, 10.0, 2, seed=0)
-    assert estimate(data, "lsh", 1, k_max=2).lsh.group_sizes.size == 2
+    assert estimate(data, "lsh", 1, k_max=2).lsh.group_sizes.size == 3
     with pytest.raises(ValueError, match=keyword):
         estimate(data, method, 1, **{keyword: 1.9})
 

@@ -220,10 +220,15 @@ def test_neighbour_mask_hand_case():
 
 def reference_graph(pts, mu_radius):
     """Every pair i < j whose squared distance, summed one coordinate at a
-    time in order, is at most mu_radius**2, in lexicographic order."""
+    time in order, is at most mu_radius**2 (infinite when the square
+    overflows), in lexicographic order."""
     i, j = np.triu_indices(len(pts), 1)
     d2 = loop_sq_distance(pts[i], pts[j])
-    near = d2 <= mu_radius**2
+    try:
+        r2 = mu_radius**2
+    except OverflowError:
+        r2 = np.inf
+    near = d2 <= r2
     return i[near], j[near], d2[near]
 
 
@@ -259,6 +264,8 @@ def mask_cases():
     yield pytest.param(np.array([[0.0], [1e-170], [3e-170], [5e-170]]), 0.0,
                        id="underflow-radius0")
     yield pytest.param(rng.normal(0, 1e3, (6, 2)), np.inf, id="radius-inf")
+    # mu**2 overflows a float: every pair is within, as at mu = inf
+    yield pytest.param(rng.normal(0, 1e3, (6, 2)), 1e200, id="radius-square-overflows")
     pts = rng.normal(0, 1, (60, 12))
     pts[::9] = pts[1::9]
     yield pytest.param(pts, 3.5, id="d12")

@@ -76,12 +76,16 @@ def test_group_numbering_runs_on_across_blocks():
     entities = [0, 1, 2, 3, 1, 4, 3, 5, 6]
     data = Dataset(ids=tuple(range(9)), features=feats, entity_labels=entities)
     blocking = blocking_of([(0, 1), (1, 8), (8, 9)], 9)
-    est = estimate_probs_lsh(
-        data, blocking, k_range=(2, 2), budget=100,
-        oracle=SameClusterOracle(entities), seed=0,
-    )
-    # block 0: group 0; block 1: clusters 1, 2 in label order, then garbage
-    # 3, 4, 5 in index order; block 2: group 6
+    oracle = PairRecordingOracle(entities)
+    est = estimate_probs_lsh(data, blocking, k_range=(2, 2), budget=100,
+                             oracle=oracle, seed=0)
+    # at k >= 2 the middle block's one candidate is its forest's answers:
+    # the two forest edges are asked, shortest first (10.1 - 10.0 rounds
+    # below 0.1), and nothing is drawn
+    assert oracle.asked == [(3, 6), (1, 4)]
+    assert est.outcomes.tolist() == [(1, 2, 0, 0, 0)]
+    # block 0: group 0; block 1: clusters 1, 2 in the order of their least
+    # point, then garbage 3, 4, 5 in index order; block 2: group 6
     assert est.group_ids.tolist() == [0, 1, 3, 2, 1, 4, 2, 5, 6]
     assert est.group_sizes.tolist() == [1, 2, 2, 1, 1, 1, 1]
 
@@ -289,14 +293,22 @@ def test_fifty_record_single_entity_block_asks_b_minus_one_pairs():
     assert est.group_sizes.tolist() == [50]  # the k = 1 candidate won
 
 
-def test_planted_block_asks_its_radius_forest_first(monkeypatch):
-    # the lsh-vectors benchmark's first input (VECTOR_SEEDS[0] = 4100): 40
-    # planted entities of 50 records and 5 singletons hash into one block
-    data = planted_clusters(40, 50, 10.0, 2, seed=4100, n_singletons=5)
-    blocking = lsh_partition(data, LshConfig.plan(0.2, 0.1, family="hyperplane"),
-                             seed=4101)
-    assert max(block.size for block in blocking.blocks) == 2005
+def lsh_vectors_input(seed=4100, n_per=50, dim=2):
+    """The lsh-vectors benchmark's input at ``seed`` (VECTOR_SEEDS[0] =
+    4100): 40 planted entities of ``n_per`` records and 5 singletons,
+    hyperplane-blocked at seed + 1."""
+    data = planted_clusters(40, n_per, 10.0, dim, seed=seed, n_singletons=5)
+    return data, lsh_partition(data, LshConfig.plan(0.2, 0.1, family="hyperplane"),
+                               seed=seed + 1)
 
+
+def induced_tv(data, est):
+    induced = exact_induced_distribution(data, est.pmap)
+    return tv_distance(induced, uniform_distribution(induced.support))
+
+
+def recorded_selects(monkeypatch):
+    """The reports of every ``ssc_select`` call the pipeline makes."""
     reports = []
 
     def recording_select(*args, **kwargs):
@@ -304,24 +316,127 @@ def test_planted_block_asks_its_radius_forest_first(monkeypatch):
         return reports[-1]
 
     monkeypatch.setattr(lsh_pipeline, "ssc_select", recording_select)
+    return reports
+
+
+def recorded_lloyd_ks(monkeypatch):
+    """The k of every ``lloyd_kmeans`` call."""
+    ks = []
+    lloyd = clustering.lloyd_kmeans
+
+    def recording_lloyd(points, k, *args, **kwargs):
+        ks.append(k)
+        return lloyd(points, k, *args, **kwargs)
+
+    monkeypatch.setattr(clustering, "lloyd_kmeans", recording_lloyd)
+    return ks
+
+
+def test_planted_block_asks_its_radius_forest_first(monkeypatch):
+    # the benchmark's one 2,005-record block asks its forest before it
+    # draws; the forest's answers settle most draws, change none of them,
+    # and cluster the block
+    data, blocking = lsh_vectors_input()
+    assert blocking.q == 1 and blocking.sizes[0] == 2005
+    reports = recorded_selects(monkeypatch)
 
     def estimate():
         oracle = SameClusterOracle(tuple(data.entity_codes))
         est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=4102)
-        # winners and losses, with the counts that the questions change zeroed
-        ranked = [replace(rep, queries=0, inferred=0) for rep in reports]
+        (report,) = reports
         reports.clear()
-        return est, oracle.queries, ranked
+        return est, oracle.queries, report
 
-    est, queries, ranked = estimate()
-    # without the forest the block asks about 52.7k questions
+    est, queries, report = estimate()
+    # without the forest the block asks about 52.7k questions and ranks
+    # the k-means candidates k = 1..4
     monkeypatch.setattr(lsh_pipeline, "_radius_forest", lambda *args: ())
-    bare, bare_queries, bare_ranked = estimate()
+    bare, bare_queries, bare_report = estimate()
     assert queries <= 3000 < bare_queries
-    assert np.array_equal(est.group_ids, bare.group_ids)
-    assert ranked == bare_ranked and len(ranked) == 1
     for name in ("block", "n_pos", "n_neg"):
         assert np.array_equal(est.outcomes[name], bare.outcomes[name])
+    # k = 1 and the forest's answers; the answers win
+    assert len(report.losses) == 2 and report.winner == 1
+    assert report.answered is not None and report.answered.k == 45 - 5
+    assert bare_report.answered is None and len(bare_report.losses) == 4
+    assert est.group_sizes.size == 45 and bare.group_sizes.size == 9
+
+
+@pytest.mark.parametrize("seed", [4100, 4103])
+def test_off_origin_block_with_more_entities_than_k_max_recovers_every_entity(
+        monkeypatch, seed):
+    # 45 entities in one block at k <= 4: the forest's answers recover
+    # each one, with no Lloyd run at k >= 2
+    data, blocking = lsh_vectors_input(seed)
+    ks = recorded_lloyd_ks(monkeypatch)
+    oracle = SameClusterOracle(tuple(data.entity_codes))
+    est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=seed + 2)
+    assert oracle.queries <= 3000
+    assert est.group_sizes.size == 45
+    # the groups are the entities: one-to-one codes
+    pairs = set(zip(est.group_ids.tolist(), data.entity_codes.tolist()))
+    assert len(pairs) == 45
+    assert induced_tv(data, est) <= 1e-12
+    assert all(k == 1 for k in ks)
+
+
+def test_budget_starved_block_keeps_the_kmeans_candidates(monkeypatch):
+    # a per-block budget of 500 asks at most 1,000 forest edges, and the
+    # block's forest has 1,960: the block ranks the k-means candidates
+    # k = 1..4 by Lloyd, without a forest candidate
+    data, blocking = lsh_vectors_input()
+    forest = clustering._radius_forest(
+        data.features, 1.0, clustering.neighbour_mask(data.features, 1.0))
+    assert len(forest) == 1960
+    reports = recorded_selects(monkeypatch)
+    ks = recorded_lloyd_ks(monkeypatch)
+    est = estimate_probs_lsh(data, blocking, (1, 4), 500,
+                             SameClusterOracle(tuple(data.entity_codes)), seed=4102)
+    (report,) = reports
+    assert report.answered is None and len(report.losses) == 4
+    assert sorted(set(ks)) == [1, 2, 3, 4]
+    assert est.group_sizes.size == 9
+
+
+def test_k_range_of_one_asks_nothing():
+    data, blocking = lsh_vectors_input()
+    oracle = SameClusterOracle(tuple(data.entity_codes))
+    est = estimate_probs_lsh(data, blocking, (1, 1), 2000, oracle, seed=4102)
+    assert oracle.queries == 0 and est.outcomes.size == 0
+    # one cluster of the records with a neighbour, the rest garbage
+    assert est.group_sizes.max() >= 2000
+
+
+def test_sparse_entities_over_split_along_their_forest():
+    # 40 entities of 5 records in 4-d: an entity's records are often not
+    # linked within mu_radius, so its forest answers leave it in pieces.
+    # The forest candidate wins with 81 groups for 45 entities, an
+    # over-split that asking across nearby components would close; it
+    # still halves the TV of the k-means candidates (0.45 at k <= 4)
+    data, blocking = lsh_vectors_input(7, n_per=5, dim=4)
+    oracle = SameClusterOracle(tuple(data.entity_codes))
+    est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=9)
+    assert est.group_sizes.size == 81
+    # every group holds one entity: the errors are splits, never merges
+    assert len(set(zip(est.group_ids.tolist(), data.entity_codes.tolist()))) == 81
+    assert induced_tv(data, est) < 0.2
+
+
+def test_radius_past_the_float_square_keeps_every_pair():
+    # mu**2 overflows a float at mu = 1e200, which is then read as an
+    # infinite radius: every record has a neighbour, every pair block
+    # merges on "same", and no record is garbage
+    data = planted_clusters(3, 4, separation=4.0, dim=2, seed=0, n_singletons=1)
+    blocking = blocking_of([(0, 8), (8, 10), (10, 13)], data.n)
+    oracle = SameClusterOracle(tuple(data.entity_codes))
+    want = estimate_probs_lsh(data, blocking, (1, 4), 60, oracle, seed=0,
+                              mu_radius=float("inf"))
+    got = estimate_probs_lsh(data, blocking, (1, 4), 60, oracle, seed=0,
+                             mu_radius=1e200)
+    assert np.array_equal(got.group_ids, want.group_ids)
+    assert got.outcomes.tolist() == want.outcomes.tolist()
+    near, _ = lsh_pipeline._pair_geometry(data.features[:2], data.features[2:4], 1e200)
+    assert near.all()
 
 
 def test_text_corpus_asks_each_distinct_pair_once():
@@ -355,7 +470,7 @@ def test_each_multi_record_block_builds_one_neighbour_mask(monkeypatch):
     est = estimate_probs_lsh(data, blocking, (1, 4), budget=20,
                              oracle=SameClusterOracle(tuple(data.entity_codes)),
                              seed=3, mu_radius=2.0)
-    assert sizes == [12, 12]  # k = 1..4 each, from one mask per block
+    assert sizes == [12, 12]  # every candidate from one mask per block
     assert len(est.outcomes) == 2
 
 
@@ -579,7 +694,8 @@ def test_oracle_questions_follow_block_order():
     ]
     assert est.outcomes["block"].tolist() == [0, 1, 4, 5]
     assert (2, 9) not in oracle.asked
-    assert est.group_ids.tolist() == [1, 5, 2, 7, 0, 4, 7, 1, 8, 3, 8, 0, 6, 1]
+    # block 1 is clustered by its forest's answers: "a" apart from "f", "f"
+    assert est.group_ids.tolist() == [1, 6, 3, 8, 0, 5, 8, 2, 9, 4, 9, 0, 7, 2]
 
 
 def test_result_types_compare_by_identity_and_hash():

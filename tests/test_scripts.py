@@ -46,7 +46,13 @@ def test_ab_lsh_compares_a_tree_with_itself():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0].split()[:3] == ["input", "old", "ms"]
-    assert lines[1].startswith("lsh-vectors 4100") and lines[1].endswith("yes")
-    assert lines[2].startswith("lsh-text 0") and lines[2].endswith("yes")
-    assert lines[-1] == "outputs agree on every input: yes"
+    assert lines[0].split() == ["input", "old", "ms", "new", "ms", "new/old",
+                                "old", "est", "new", "est", "old", "TV", "new",
+                                "TV", "old", "q", "new", "q", "agree"]
+    for line, label in zip(lines[1:3], ("lsh-vectors 4100", "lsh-text 0")):
+        assert line.startswith(label) and line.endswith("yes")
+        # a tree against itself: the same TV and oracle calls
+        old_tv, new_tv, old_q, new_q = line.split()[-5:-1]
+        assert old_tv == new_tv and old_q == new_q and int(old_q) > 0
+    assert lines[-2] == "outputs agree on every input: yes"
+    assert lines[-1] == "TV and oracle calls no worse on every input: yes"

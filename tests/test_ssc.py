@@ -415,7 +415,7 @@ def test_select_rejects_a_likely_pair_off_the_instance(pair):
 
 @settings(deadline=None, max_examples=80)
 @given(st.data())
-def test_likely_pairs_change_only_the_questions(data):
+def test_likely_pairs_change_the_questions_and_add_their_answers(data):
     n = data.draw(st.integers(min_value=3, max_value=30), label="n")
     n_pairs = n * (n - 1) // 2
     labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n),
@@ -436,7 +436,9 @@ def test_likely_pairs_change_only_the_questions(data):
     rep = ssc_select(cands, n, oracle, m_pairs, seed=seed, likely_pairs=likely)
     asked = {(min(i, j), max(i, j)) for i, j in oracle.asked}
     assert len(asked) == len(oracle.asked) == rep.queries
-    assert replace(rep, queries=0, inferred=0) == replace(base, queries=0, inferred=0)
+    # the same draws and answers, so the same pair counts and losses
+    assert (rep.n_pos, rep.n_neg) == (base.n_pos, base.n_neg)
+    assert rep.losses[:3] == base.losses
     # every distinct drawn pair (every pair when exhaustive) is asked or
     # inferred, and ``inferred`` counts the ones never asked
     drawn, _ = scalar_select(cands, labels, m_pairs, seed, infer=False)
@@ -444,13 +446,41 @@ def test_likely_pairs_change_only_the_questions(data):
     assert rep.inferred == len(drawn - asked)
     if n_pairs <= m_pairs:
         assert rep.queries + rep.inferred == n_pairs
-    if len(likely) > 2 * m_pairs:
-        # too many to ask before the draws: the question stream is the bare one
+    if not likely or len(likely) > 2 * m_pairs:
+        # none, or too many to ask before the draws: the question stream is
+        # the bare one, and there are no answers to cluster on
         assert rep == base and oracle.asked == bare.asked
-    else:
-        known, early = Settled(n), []
-        for i, j in likely:
-            if known.answer(i, j) is None:
-                early.append((i, j))
-                known.record(i, j, labels[i] == labels[j])
-        assert oracle.asked[:len(early)] == early
+        return
+    known, early = Settled(n), []
+    for i, j in likely:
+        if known.answer(i, j) is None:
+            early.append((i, j))
+            known.record(i, j, labels[i] == labels[j])
+    assert oracle.asked[:len(early)] == early
+    # the answers' components, numbered by least point; a point in no
+    # likely pair is garbage, -1, -2, ... in index order
+    touched = sorted({p for ij in likely for p in ij})
+    untouched = [p for p in range(n) if p not in touched]
+    want = np.empty(n, dtype=np.int64)
+    want[untouched] = -np.arange(1, len(untouched) + 1)
+    roots = list(dict.fromkeys(known.comp[p] for p in touched))
+    want[touched] = [roots.index(known.comp[p]) for p in touched]
+    assert rep.answered.labels.tolist() == want.tolist()
+    assert len(rep.losses) == 4
+    ks = [c.k for c in (*cands, rep.answered)]
+    assert rep.winner == min(range(4), key=lambda t: (rep.losses[t], ks[t]))
+
+
+def test_answered_candidate_alone_is_not_ranked():
+    # no other candidate: the likely pairs are asked, nothing is drawn
+    labels = [0, 0, 1, 1, 2]
+    oracle = RecordingOracle(labels)
+    rep = ssc_select([], 5, oracle, m_pairs=2, seed=0,
+                     likely_pairs=[(0, 1), (2, 3), (1, 2)])
+    assert oracle.asked == [(0, 1), (2, 3), (1, 2)]
+    assert (rep.winner, rep.queries, rep.inferred, rep.n_pos, rep.n_neg) == (0, 3, 0, 0, 0)
+    assert rep.answered.labels.tolist() == [0, 0, 1, 1, -1]
+    # with too many likely pairs there is no candidate at all
+    with pytest.raises(ValueError, match="no candidates"):
+        ssc_select([], 5, RecordingOracle(labels), m_pairs=1, seed=0,
+                   likely_pairs=[(0, 1), (2, 3), (1, 2)])
