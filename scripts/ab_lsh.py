@@ -22,8 +22,9 @@ between the entity distribution its map induces and the uniform one, its
 oracle call count, and whether the two trees' ``group_ids``,
 ``pmap.dense``, ``outcomes`` and oracle call counts agree.  An output that
 changes by design then shows whether its TV and oracle calls stayed equal
-or improved.  The exit status is 0 when every input agrees or is no worse
-in both.
+or improved.  The exit status is 0 when, on every input, the new tree's
+TV is no higher (up to 1e-12 of rounding) and it asks no more oracle
+calls.
 
 Example::
 
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
         same = agree(last["old"], last["new"])
         calls = {side: last[side][3] for side in trees}
         all_agree &= same
-        no_worse &= tv["new"] <= tv["old"] and calls["new"] <= calls["old"]
+        no_worse &= tv["new"] <= tv["old"] + 1e-12 and calls["new"] <= calls["old"]
         total = {side: 1e3 * statistics.median(t[0]) for side, t in times.items()}
         est = {side: 1e3 * statistics.median(t[1]) for side, t in times.items()}
         print(f"{label:<17} {total['old']:8.1f} {total['new']:8.1f} "

@@ -1,7 +1,6 @@
 """Block-and-cluster probability estimation, end to end."""
 
 import importlib.util
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
