@@ -18,7 +18,12 @@ prints the same hashes.  It hashes, for one seed and size,
   (block, queries, inferred, n_pos, n_neg), the ordered pairs the
   oracle was asked, and the same sequence with each pair's two records
   sorted (``asked_pairs``), which does not depend on which record of a
-  pair is named first;
+  pair is named first, at k in [1, 4] and a pair budget of 2,000;
+* the same LSH lines for the text corpus at k in [2, 4] (``text-k2``),
+  where pair blocks are asked with no ranking, and for the 2-d clusters at
+  a pair budget of a fifth of ``--entities`` (``vectors2d-starved``), too
+  small for a block's radius forest (about one edge per record) to fit,
+  so its k-means candidates are ranked;
 * an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
   parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
   and 12-d samples.
@@ -98,13 +103,14 @@ class RecordingOracle:
         return self._labels[i] == self._labels[j]
 
 
-def lsh_lines(name: str, data, family: str, seed: int) -> None:
+def lsh_lines(name: str, data, family: str, seed: int,
+              k_range: tuple[int, int] = (1, 4), budget: int = 2000) -> None:
     cfg = blocking.LshConfig.plan(0.2, 0.1, family=family)
     blocks = blocking.lsh_partition(data, cfg, seed=seed)
     print(f"lsh[{name}].blocks "
           f"{digest(np.concatenate(blocks.blocks), [b.size for b in blocks.blocks])}")
     oracle = RecordingOracle(data.entity_labels)
-    est = lsh_pipeline.estimate_probs_lsh(data, blocks, (1, 4), 2000, oracle,
+    est = lsh_pipeline.estimate_probs_lsh(data, blocks, k_range, budget, oracle,
                                           seed=seed + 1)
     print(f"lsh[{name}].group_ids {digest(est.group_ids)}")
     print(f"lsh[{name}].dense {digest(est.pmap.dense)}")
@@ -149,10 +155,14 @@ def main() -> None:
 
     text = synth.duplicate_text_corpus(args.entities, 0.3, seed=args.seed)
     lsh_lines("text", text, "minhash", args.seed + 30)
+    lsh_lines("text-k2", text, "minhash", args.seed + 30, k_range=(2, 4))
     for dim in (2, 3):
         planted = synth.planted_clusters(max(args.entities // 50, 2), 50, 10.0, dim,
                                          seed=args.seed + dim, n_singletons=5)
         lsh_lines(f"vectors{dim}d", planted, "hyperplane", args.seed + 30 + dim)
+        if dim == 2:
+            lsh_lines("vectors2d-starved", planted, "hyperplane", args.seed + 32,
+                      budget=max(args.entities // 5, 1))
 
     em = gmm.em_fit(shifted_sample(args.entities, 3, args.seed + 40), 3,
                     seed=args.seed + 41)

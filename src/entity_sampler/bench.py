@@ -56,12 +56,12 @@ _PROFILES = ("tpch", "uniform", "arbitrary")
 # and those that only `_cell_bound` reads
 _METHOD_PARAMS = {
     "balanced": {"eta", "delta"},
-    "lsh": {"lam", "delta", "k_min", "k_max", "budget", "mu_radius"},
+    "lsh": {"lam", "delta", "k_min", "k_max", "mu_radius"},
     "gmm": {"k", "max_iter", "tol", "tau", "eta_min", "dim", "delta"},
 }
 _BOUND_ONLY = {"eta", "tau", "eta_min", "dim"}
 # the method_params that count something, so must be integers
-_COUNTS = {"k", "max_iter", "k_min", "k_max", "budget", "dim"}
+_COUNTS = {"k", "max_iter", "k_min", "k_max", "dim"}
 
 
 def inject_duplicates(
@@ -116,7 +116,8 @@ class ExperimentSpec:
     skew; every other source gets exact-copy injection at that rate.
     ``method_params`` holds only keys the method reads, checked when the
     spec is built: counts are integers, ``eta`` and ``eta_min`` lie in
-    (0, 1], ``tau`` is positive and ``dim`` at least 1.
+    (0, 1], ``tau`` is positive and ``dim`` at least 1.  An lsh cell's
+    pair budget is its sample size m, so ``budget`` is not such a key.
     """
 
     dataset: str
@@ -265,8 +266,7 @@ def _run_cell(spec: ExperimentSpec, dup: float, fraction: float,
             if data.values is None:
                 raise DatasetError("benchmark datasets need a value column")
             m = max(1, math.ceil(fraction * data.n))
-            pmap = estimate(data, spec.method, s_est, m=m,
-                            **{**params, "budget": m}).pmap
+            pmap = estimate(data, spec.method, s_est, m=m, budget=m, **params).pmap
             result = sample_clean(data, pmap, p=m, seed=s_sample)
             clean_mean = float(data.entity_values().mean())
             est_mean = float(data.values[result.record_indices].mean())

@@ -154,12 +154,13 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
     ``oracle``, by default the entity labels.  A block whose radius forest
     fits its budget is clustered by the oracle's answers on the forest's
     edges, against k = 1 unless ``k_min`` is 2 or more, and ``k_max``
-    does not cap its cluster count; ``k_min``..``k_max`` bound the k-means
-    candidates of any other block, and ``k_max`` = 1 asks nothing.  A
-    method ignores the other methods' keywords; a count it reads (``k``,
-    ``max_iter``, ``k_min``, ``k_max``, ``budget``) that is not an integer
-    raises ValueError.  The layers are looked up as this module's globals
-    at call time.
+    does not cap its cluster count; a two-record block within
+    ``mu_radius`` is such a block, so its pair is asked at any ``k_min``.
+    ``k_min``..``k_max`` bound the k-means candidates of any other block,
+    and ``k_max`` = 1 asks nothing.  A method ignores the other methods'
+    keywords; a count it reads (``k``, ``max_iter``, ``k_min``, ``k_max``,
+    ``budget``) that is not an integer raises ValueError.  The layers are
+    looked up as this module's globals at call time.
     """
     if method == "balanced":
         if m is None:
@@ -352,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, default=1,
                    help="lsh: the least k of a block's k-means candidates; at 2 "
                         "or more a block whose radius forest fits the pair "
-                        "budget drops k = 1 and keeps only the forest's answers")
+                        "budget, a near pair included, drops k = 1 and keeps "
+                        "only the forest's answers")
     p.add_argument("--k-max", type=int, default=4,
                    help="lsh: the largest k of the k-means candidates, used "
                         "where a block's radius forest does not fit the pair "

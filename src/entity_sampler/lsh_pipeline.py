@@ -15,12 +15,12 @@ its sparse radius graph, built from grid cells rather than b^2
 distances: once for the garbage prefilter's mask and once for its radius
 forest.  A block whose graph keeps more than
 ``clustering._MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.
-Garbage points become singleton clusters.  A two-record block has only
-"merge" and "split" to choose from, so it is settled by one radius test
-and at most one oracle question, all pair blocks at once in array form.
-The estimate of a record's probability is the size of its duplicate
-cluster over the dataset size, so the induced sampler weights every
-cluster, i.e. every entity, equally.
+Garbage points become singleton clusters.  A two-record block follows
+the same rule, all pair blocks at once in array form: its forest is its
+pair when the pair is within ``mu_radius``, so it is settled by one
+radius test and at most one oracle question.  The estimate of a record's
+probability is the size of its duplicate cluster over the dataset size,
+so the induced sampler weights every cluster, i.e. every entity, equally.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .clustering import (
 )
 from .dataset import Dataset, DatasetError
 from .rejection import ProbabilityMap
-from .ssc import _likely_pairs_fit, ssc_select
+from .ssc import ssc_select
 
 __all__ = ["LshEstimate", "estimate_probs_lsh"]
 
@@ -63,7 +63,8 @@ class LshEstimate:
     (asked pair blocks and ``ssc_select`` blocks), in block order: the
     block id and the ``SscReport`` counts ``queries``, ``inferred``,
     ``n_pos`` and ``n_neg``.  A pair block asks one question, and its
-    answer is its one positive or negative pair.
+    answer is its one positive or negative pair, or no pair when it is the
+    only candidate.
     """
 
     pmap: ProbabilityMap
@@ -87,13 +88,12 @@ def estimate_probs_lsh(
     ``oracle`` answers same-cluster queries on global record indices and
     must answer consistently.
 
-    A block of 3 or more records builds its radius forest when ``k_range``
-    reaches past 1 and one of its points has a neighbour within
-    ``mu_radius``: the minimum spanning forest that joins its points within
-    ``mu_radius``, edges (i, j), i < j, in (squared length, i, j) order.
-    The forest fits when it has at most twice the block's per-side budget
-    of edges, the rule by which ``ssc_select`` asks likely pairs first.
-    The block's candidates are then:
+    A block builds its radius forest when ``k_range`` reaches past 1 and
+    one of its points has a neighbour within ``mu_radius``: the minimum
+    spanning forest that joins its points within ``mu_radius``, edges
+    (i, j), i < j, in (squared length, i, j) order.  The forest fits when
+    it has at most twice the block's per-side budget of edges.  The
+    block's candidates are then:
 
     * the forest fits: k = 1, unless ``k_range`` starts at 2 or more, and
       the components of the forest's answers, each component a cluster and
@@ -114,12 +114,13 @@ def estimate_probs_lsh(
     rather than contradicted.  The questions depend on the forest, the
     draws and their answers do not.
 
-    A two-record block is settled by one radius test and at most one
-    oracle question, with the result and outcome that clustering it at k = 1
-    and k = 2 would give: two points beyond ``mu_radius`` are two garbage
-    groups, a single clamped candidate is taken unasked, and otherwise the
-    pair merges on "same" and splits on "different".  Questions reach the
-    oracle in block order.
+    A two-record block follows this rule in array form, with the results
+    and outcomes that ``ssc_select`` gives it: its forest is its pair when
+    the two points are within ``mu_radius``.  Two points beyond it are two
+    garbage groups.  A near pair merges unasked when ``k_range`` stops at
+    1, and otherwise is asked, and merges on "same" and splits on
+    "different", at any ``k_range`` start.  Questions reach the oracle in
+    block order.
     """
     if data.features is None:
         raise DatasetError("clustering requires vector records")
@@ -142,22 +143,17 @@ def estimate_probs_lsh(
     # record's group within its block
     n_groups = np.ones(q, dtype=np.int64)
     local = np.zeros(data.n, dtype=np.int64)
-    # a pair block is settled by one radius test and at most one question
+    # a pair block's forest is its pair when the pair is within the
+    # radius: a pair beyond it is two garbage groups, and a near pair is
+    # asked when k_range reaches past 1 and merges unasked otherwise
     pairs = np.flatnonzero(block_sizes == 2)
     first = members[starts[pairs]]
     second = members[starts[pairs] + 1]
-    near, can_split = _pair_geometry(data.features[first], data.features[second],
-                                     mu_radius)
-    # the clamped candidates: k = 1 merges, brute-force k = 2 may split
-    pair_ks = {min(max(k, 1), 2) for k in (k_lo, k_hi)}
-    # a pair out of radius is two garbage groups; the asked ones are
-    # settled in the loop below
-    n_groups[pairs] = np.where(near, 1 + (can_split & (pair_ks == {2})), 2)
+    near = (_sq_distance(data.features[first], data.features[second])
+            <= _sq_radius(mu_radius))
+    n_groups[pairs] = 2 - near
     asked = np.zeros(q, dtype=bool)
-    if len(pair_ks) == 2:
-        asked[pairs[near]] = True
-    splits = np.zeros(q, dtype=bool)
-    splits[pairs] = can_split
+    asked[pairs[near]] = k_hi > 1
     outcomes = []
     # asked pairs and larger blocks in block order, so the oracle gets its
     # questions in the order of the blocks
@@ -165,20 +161,25 @@ def estimate_probs_lsh(
         start = starts[block_id]
         block = members[start:start + block_sizes[block_id]]
         if asked[block_id]:
+            # the answer merges or splits the pair, as ranking it against
+            # k = 1 would; at a k_range start of 2 or more it is the only
+            # candidate, and no pair is ranked
             same = bool(oracle(int(block[0]), int(block[1])))
-            split = bool(splits[block_id])
-            n_groups[block_id] = 1 + (split and not same)
-            outcomes.append((block_id, 1, 0, same, not same))
+            ranked = k_lo <= 1
+            n_groups[block_id] = 2 - same
+            outcomes.append((block_id, 1, 0, ranked and same, ranked and not same))
             continue
         points = data.features[block]
         child_seeds = _block_seed(seed, block_id).generate_state(2)
         has_neighbour = neighbour_mask(points, mu_radius)
         remaining = int(has_neighbour.sum())
         # a block that asks anything asks its radius forest first; when the
-        # forest fits the budget, its answers cluster the block
+        # forest fits the budget, its answers cluster the block.  It fits
+        # at no more edges than the fewest draws a sampled selection makes,
+        # block_budget on each side, so an exhaustive block's always fits
         forest = (_radius_forest(points, mu_radius, has_neighbour)
                   if remaining and k_hi > 1 else ())
-        forest_fits = _likely_pairs_fit(len(forest), block_budget)
+        forest_fits = 0 < len(forest) <= 2 * block_budget
         # every k is in [1, remaining], or 0 when the prefilter leaves
         # nothing: exactly the k that regularized_kmeans accepts
         if forest_fits:
@@ -199,7 +200,7 @@ def estimate_probs_lsh(
             report = ssc_select(candidates, block.size,
                                 lambda i, j: oracle(ids[i], ids[j]),
                                 m_pairs=block_budget, seed=int(child_seeds[1]),
-                                likely_pairs=forest)
+                                likely_pairs=forest if forest_fits else ())
             winner = (*candidates, report.answered)[report.winner]
             outcomes.append((block_id, report.queries, report.inferred,
                              report.n_pos, report.n_neg))
@@ -216,24 +217,3 @@ def estimate_probs_lsh(
     pmap = ProbabilityMap(dense=phat)
     return LshEstimate(pmap=pmap, group_ids=group_ids, group_sizes=sizes,
                        outcomes=np.array(outcomes, dtype=_OUTCOME))
-
-
-def _pair_geometry(
-    p0: np.ndarray, p1: np.ndarray, mu_radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of two (P, d) arrays: is the pair within ``mu_radius``, and
-    does brute-force k = 2 split it?
-
-    Both are the floats ``neighbour_mask`` and ``brute_force_kmeans``
-    compute for two points; the radius test shares the mask's
-    ``_sq_distance``.  Brute force centres the points, costs a
-    labelling as the flat sum of squares less each cluster's squared sum
-    over its count, and keeps the merge when the two costs tie.
-    """
-    near = _sq_distance(p0, p1) <= _sq_radius(mu_radius)
-    centre = (p0 + p1) / 2
-    p0, p1 = p0 - centre, p1 - centre
-    total = (np.hstack((p0, p1)) ** 2).sum(axis=1)
-    split_cost = total - ((p0**2).sum(axis=1) + (p1**2).sum(axis=1))
-    merge_cost = total - ((p0 + p1) ** 2).sum(axis=1) / 2
-    return near, split_cost < merge_cost

@@ -8,9 +8,9 @@ sampling pairs, routing each through the oracle until both sides hold
 enough, and returns the empirical minimizer (ties favour fewer clusters).
 An instance whose pairs fit in the budget, or whose every pair has been
 drawn, is ranked on exact losses.  A planner sizes the per-side budget, and
-a query cap stops draws whose count exceeds its expectation by more than
-the slack ``_NU`` = 1, with the negative-pair rate estimated from the first
-``_GAMMA_PROBE`` = 100 draws; the candidates are then ranked on the pairs
+a fixed query cap stops the draws at (1 + nu) (m/gamma + m/(1-gamma)),
+about 202 m, with the slack nu = ``_NU`` = 1 and the negative-pair rate
+gamma = ``_GAMMA`` = 1/100; the candidates are then ranked on the pairs
 drawn so far.
 
 The oracle must answer consistently, so that "same" is an equivalence
@@ -64,12 +64,11 @@ __all__ = [
     "ssc_select",
 ]
 
-# the weight mu of the positive loss, the slack nu of the query cap, and
-# the draws whose negative share estimates gamma for the cap; gamma-hat is
-# clamped to [1/probe, 1 - 1/probe]
+# the weight mu of the positive loss, and the slack nu and negative-pair
+# rate gamma at which the query cap is sized
 _MU = 0.5
 _NU = 1.0
-_GAMMA_PROBE = 100
+_GAMMA = 0.01
 # the constant a of the pair budget
 _PAIR_A = 1.0
 
@@ -234,13 +233,6 @@ def _answer(
     return same, True
 
 
-def _likely_pairs_fit(n_likely: int, m_pairs: int) -> bool:
-    """Whether ``n_likely`` likely pairs are asked before the draws, and
-    their answers made a candidate: at least one, and at most 2
-    ``m_pairs``, no more than the fewest draws a sampled run makes."""
-    return 0 < n_likely <= 2 * m_pairs
-
-
 def _answered(root: list, likely: np.ndarray) -> Clustering:
     """The components of the answers so far as a clustering.
 
@@ -281,11 +273,11 @@ def ssc_select(
     lexicographic order and the losses are exact.  Otherwise pairs (x, y),
     x != y, are drawn uniformly with replacement and routed into the
     positive or negative side until both hold ``m_pairs`` draws.  The draws
-    stop at the cap (1 + nu) (m/gamma + m/(1-gamma)), nu = ``_NU``, with
-    gamma, the negative-pair rate, estimated from the first
-    ``_GAMMA_PROBE`` draws; the candidates are then ranked on the draws so
-    far.  A run that draws every pair first is ranked on the exact pairs.
-    Ties in the loss go to the candidate with fewer clusters.
+    stop at the cap (1 + nu) (m/gamma + m/(1-gamma)), nu = ``_NU`` and
+    gamma = ``_GAMMA``, about 202 m draws; the candidates are then ranked
+    on the draws so far.  A run that draws every pair first is ranked on
+    the exact pairs.  Ties in the loss go to the candidate with fewer
+    clusters.
 
     The oracle must answer consistently.  The selector keeps the components
     of its "same" answers and the "different" answers between components,
@@ -301,25 +293,23 @@ def ssc_select(
     batch decides the draws that the answers so far settle in one array
     step and walks only the open ones, counting the settled draws between
     two open ones in bulk; a run of settled draws is walked draw by draw
-    only when the probe, the cap or both sides filling falls inside it.
+    only when the cap or both sides filling falls inside it.
 
     ``likely_pairs`` are asked first, in order, each one that the earlier
-    answers leave open, when there are at most 2 ``m_pairs`` of them: no
-    more than the fewest draws a sampled run makes, and never too many for
-    an exhaustive one.  A longer list is ignored.  They change which pairs
-    are asked, never a draw or its answer, so ``queries``, every pair
-    asked, and ``inferred``, the distinct pairs drawn (all C(n, 2) when
-    exhaustive) that were never asked, are the only counts they change.
-    Once they are asked, before the first draw, the components of the
-    answers join the candidates as the last one, ``SscReport.answered``:
-    each component that holds a point of a likely pair is a cluster, and a
-    point in no likely pair is garbage.  ``candidates`` may then be empty.
-    A single candidate is not ranked: after the likely pairs nothing is
-    drawn or asked, and the report counts no pairs.
+    answers leave open; the caller decides how many are worth asking.
+    They change which pairs are asked, never a draw or its answer, so
+    ``queries``, every pair asked, and ``inferred``, the distinct pairs
+    drawn (all C(n, 2) when exhaustive) that were never asked, are the
+    only counts they change.  Once they are asked, before the first draw,
+    the components of the answers join the candidates as the last one,
+    ``SscReport.answered``: each component that holds a point of a likely
+    pair is a cluster, and a point in no likely pair is garbage.
+    ``candidates`` may then be empty.  A single candidate is not ranked:
+    after the likely pairs nothing is drawn or asked, and the report
+    counts no pairs.
     """
     likely = np.asarray(likely_pairs, dtype=np.int64).reshape(-1, 2)
-    fits = _likely_pairs_fit(len(likely), m_pairs)
-    if not candidates and not fits:
+    if not candidates and not likely.size:
         raise ValueError("no candidates to select from")
     if n_points < 2:
         raise ValueError("need at least two points to draw pairs")
@@ -338,11 +328,10 @@ def ssc_select(
     members = [[p] for p in range(n_points)]
     apart = [set() for _ in range(n_points)]
     differ = []
-    early = _ask_open(oracle, likely.tolist() if fits else (),
-                      root, members, apart, differ)
+    early = _ask_open(oracle, likely.tolist(), root, members, apart, differ)
     asked = len(early)
     answered = None
-    if fits:
+    if likely.size:
         answered = _answered(root, likely)
         candidates = [*candidates, answered]
     if len(candidates) == 1:
@@ -352,17 +341,14 @@ def ssc_select(
                                root, members, apart, differ))
         return _exact_report(candidates, root, asked, answered)
     rng = np.random.default_rng(seed)
-    # the draws can cover every pair only if the largest cap allows that
-    # many; only then is each pair's first draw tracked, in an array no
-    # larger than the draws
-    cover = n_pairs <= max(_GAMMA_PROBE, _cap(m_pairs, 1.0 / _GAMMA_PROBE),
-                           _cap(m_pairs, 1.0 - 1.0 / _GAMMA_PROBE))
+    cap = _cap(m_pairs)
+    # the draws can cover every pair only if the cap allows that many; only
+    # then is each pair's first draw tracked, in an array no larger than
+    # the draws
+    cover = n_pairs <= cap
     drawn = np.zeros(n_pairs if cover else 0, dtype=bool)
     batches, answers = [], []
     draws = distinct = n_pos = n_neg = 0
-    # the draw count at which to act next: the probe, then the cap
-    cap = None
-    limit = _GAMMA_PROBE
     size = _PAIR_BATCH
     # whether answers changed the components since `roots` and `apart_keys`
     # were taken
@@ -398,12 +384,12 @@ def ssc_select(
         pos_before = np.concatenate(([0], np.cumsum(same))).tolist()
         t = 0
         for p, pair in zip(opens.tolist() + [end], ij[opens].tolist() + [None]):
-            # the settled draws t..p-1 count in bulk unless the probe, the
-            # cap or both sides filling falls among them
+            # the settled draws t..p-1 count in bulk unless the cap or both
+            # sides filling falls among them
             run_pos = pos_before[p] - pos_before[t]
             run_neg = p - t - run_pos
-            if draws + p - t < limit and (n_pos + run_pos < m_pairs
-                                          or n_neg + run_neg < m_pairs):
+            if draws + p - t < cap and (n_pos + run_pos < m_pairs
+                                        or n_neg + run_neg < m_pairs):
                 draws += p - t
                 n_pos += run_pos
                 n_neg += run_neg
@@ -422,15 +408,7 @@ def ssc_select(
                     n_pos += 1
                 else:
                     n_neg += 1
-                if draws == limit:
-                    if cap is None:
-                        gamma_hat = min(max(n_neg / _GAMMA_PROBE, 1.0 / _GAMMA_PROBE),
-                                        1.0 - 1.0 / _GAMMA_PROBE)
-                        cap = limit = _cap(m_pairs, gamma_hat)
-                    if draws >= cap:
-                        done = True
-                        break
-                if n_pos >= m_pairs and n_neg >= m_pairs:
+                if draws == cap or (n_pos >= m_pairs and n_neg >= m_pairs):
                     done = True
                     break
             if done:
@@ -468,10 +446,10 @@ def _apart_keys(roots: np.ndarray, differ: list) -> np.ndarray:
                                    r[:, 1] * n_points + r[:, 0], [n_points**2])))
 
 
-def _cap(m_pairs: int, gamma_hat: float) -> int:
-    """Draws allowed at negative-pair rate ``gamma_hat``:
-    (1 + nu) (m/gamma + m/(1-gamma)), rounded up, with nu = ``_NU``."""
-    return math.ceil((1.0 + _NU) * (m_pairs / gamma_hat + m_pairs / (1.0 - gamma_hat)))
+def _cap(m_pairs: int) -> int:
+    """Draws allowed: (1 + nu) (m/gamma + m/(1-gamma)), rounded up, with
+    nu = ``_NU`` and gamma = ``_GAMMA``."""
+    return math.ceil((1.0 + _NU) * (m_pairs / _GAMMA + m_pairs / (1.0 - _GAMMA)))
 
 
 def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:

@@ -148,6 +148,7 @@ def test_spec_rejects_unknown_keys(tmp_path):
 
 @pytest.mark.parametrize("method,key", [
     ("lsh", "kmax"), ("lsh", "eta"), ("balanced", "k_max"), ("gmm", "mu_radius"),
+    ("lsh", "budget"),
 ])
 def test_spec_rejects_method_params_nothing_reads(method, key):
     # a misspelt "kmax" used to run silently with the default k_max
@@ -158,7 +159,7 @@ def test_spec_rejects_method_params_nothing_reads(method, key):
 def test_spec_accepts_every_method_param_that_is_read():
     tiny_spec(method="balanced", method_params={"eta": 0.1, "delta": 0.1})
     tiny_spec(method="lsh", method_params=dict(
-        lam=0.2, delta=0.1, k_min=1, k_max=3, budget=5, mu_radius=0.5))
+        lam=0.2, delta=0.1, k_min=1, k_max=3, mu_radius=0.5))
     tiny_spec(method="gmm", method_params=dict(
         k=2, max_iter=50, tol=1e-6, tau=0.05, eta_min=0.2, dim=1, delta=0.1))
 
@@ -220,7 +221,7 @@ def test_failed_cells_are_recorded_not_raised():
 
 
 def test_lsh_pair_budget_is_the_cell_sample_size(monkeypatch):
-    # a "budget" key in method_params does not override the cell's m
+    # the pair budget is always the cell's m; a spec cannot set it
     seen = []
 
     def recording_estimate(data, method, seed, *, m, **params):
@@ -228,9 +229,9 @@ def test_lsh_pair_budget_is_the_cell_sample_size(monkeypatch):
         raise RuntimeError("recorded")
 
     monkeypatch.setattr(bench, "estimate", recording_estimate)
-    report = run_experiment(tiny_spec(method="lsh", method_params={"budget": 7}))
+    report = run_experiment(tiny_spec(method="lsh"))
     assert len(report.failed_cells) == 2
-    assert len(seen) == 2 and all(m == budget != 7 for m, budget in seen)
+    assert len(seen) == 2 and all(m == budget for m, budget in seen)
 
 
 def test_error_decreases_with_fraction_on_average():

@@ -13,7 +13,7 @@ from entity_sampler.clustering import Clustering, ClusteringError
 from entity_sampler.dataset import Dataset, DatasetError, tv_distance, uniform_distribution
 from entity_sampler.lsh_pipeline import estimate_probs_lsh
 from entity_sampler.rejection import exact_induced_distribution
-from entity_sampler.ssc import SameClusterOracle, rank_candidates
+from entity_sampler.ssc import SameClusterOracle
 from entity_sampler.synth import duplicate_text_corpus, planted_clusters
 
 
@@ -434,8 +434,9 @@ def test_radius_past_the_float_square_keeps_every_pair():
                              mu_radius=1e200)
     assert np.array_equal(got.group_ids, want.group_ids)
     assert got.outcomes.tolist() == want.outcomes.tolist()
-    near, _ = lsh_pipeline._pair_geometry(data.features[:2], data.features[2:4], 1e200)
-    assert near.all()
+    # and at k_range (1, 1) two points forty apart merge unasked
+    p0, p1 = data.features[:12:3], data.features[1:12:3] + [40.0, 0.0]
+    assert merged_pairs(p0, p1, 1e200) == [True] * 4
 
 
 def test_text_corpus_asks_each_distinct_pair_once():
@@ -591,30 +592,49 @@ def pair_block_data():
     return data, blocking_of([(i, i + 2) for i in range(0, n, 2)], n)
 
 
-def clustered_pairs(data, blocking, k_range, mu_radius):
+def block_rule_pairs(data, blocking, k_range, mu_radius, oracle):
     """Group ids and outcome rows (block, queries, inferred, n_pos, n_neg)
-    from clustering each pair block at every clamped k and ranking the
-    candidates on the pair's one answer."""
+    from the rule of a larger block run on each pair block: its
+    neighbour mask and radius forest, k = 1 unless ``k_range`` starts at
+    2, and ``ssc_select`` asking the forest first."""
+    k_lo, k_hi = k_range
     group_ids = np.empty(data.n, dtype=np.int64)
     next_group, outcomes = 0, []
     for block_id, block in enumerate(blocking.blocks):
         points = data.features[block]
-        remaining = int(clustering.neighbour_mask(points, mu_radius).sum())
-        ks = sorted({min(max(k, 1), remaining) for k in range(k_range[0], k_range[1] + 1)}
-                    if remaining else {0})
-        candidates = [clustering.regularized_kmeans(points, k, mu_radius) for k in ks]
-        winner = candidates[0]
-        if len(candidates) > 1:
-            same = data.entity_codes[block[0]] == data.entity_codes[block[1]]
-            pos, neg = ([(0, 1)], []) if same else ([], [(0, 1)])
-            report = rank_candidates(candidates, pos, neg, queries=1)
-            winner = candidates[report.winner]
+        has_neighbour = clustering.neighbour_mask(points, mu_radius)
+        forest = (clustering._radius_forest(points, mu_radius, has_neighbour)
+                  if has_neighbour.any() and k_hi > 1 else ())
+        if len(forest):
+            candidates = [clustering.regularized_kmeans(
+                points, 1, mu_radius, has_neighbour=has_neighbour)] if k_lo <= 1 else []
+            report = ssc.ssc_select(candidates, 2,
+                                    lambda i, j: oracle(int(block[i]), int(block[j])),
+                                    m_pairs=1, seed=0, likely_pairs=forest)
+            winner = (*candidates, report.answered)[report.winner]
             outcomes.append((block_id, report.queries, report.inferred,
                              report.n_pos, report.n_neg))
+        else:
+            winner = clustering.regularized_kmeans(points, int(has_neighbour.any()),
+                                                   mu_radius, has_neighbour=has_neighbour)
         lab = winner.labels
         group_ids[block] = next_group + np.where(lab >= 0, lab, winner.k - 1 - lab)
         next_group += winner.k + int(np.count_nonzero(lab < 0))
     return group_ids, outcomes
+
+
+def merged_pairs(p0, p1, mu_radius):
+    """Whether ``estimate_probs_lsh`` at ``k_range`` (1, 1) merges the
+    two-record block of each row pair (p0[i], p1[i]); it asks nothing."""
+    n = 2 * len(p0)
+    feats = np.empty((n, p0.shape[1]))
+    feats[0::2], feats[1::2] = p0, p1
+    data = Dataset(ids=tuple(range(n)), features=feats)
+    oracle = SameClusterOracle(range(n))
+    est = estimate_probs_lsh(data, blocking_of([(i, i + 2) for i in range(0, n, 2)], n),
+                             (1, 1), 1, oracle, seed=0, mu_radius=mu_radius)
+    assert oracle.queries == 0 and est.outcomes.size == 0
+    return (est.group_ids[0::2] == est.group_ids[1::2]).tolist()
 
 
 def test_brute_force_splits_every_distinct_pair_of_the_pair_data():
@@ -639,30 +659,36 @@ def test_pair_radius_test_is_the_neighbour_mask_float(d, scale):
     gaps = np.array([1 - 1e-6, 1 - 1e-12, np.nextafter(1.0, 0.0), 1.0,
                      np.nextafter(1.0, 2.0), 1 + 1e-12, 1 + 1e-6])
     p1 = p0 + np.resize(gaps, 300)[:, None] * u
-    near, _ = lsh_pipeline._pair_geometry(p0, p1, 1.0)
     mask = [clustering.neighbour_mask(np.stack(pair), 1.0)[0] for pair in zip(p0, p1)]
-    assert near.tolist() == mask
-    assert near.any() and not near.all()
+    assert merged_pairs(p0, p1, 1.0) == mask
+    assert any(mask) and not all(mask)
 
 
 @pytest.mark.parametrize("mu_radius", [0.0, 1.0])
 @pytest.mark.parametrize("k_range", [(0, 1), (1, 1), (1, 2), (2, 4), (1, 4)])
 def test_pair_blocks_match_clustering_every_candidate(k_range, mu_radius):
     data, blocking = pair_block_data()
-    oracle = SameClusterOracle(tuple(data.entity_codes))
+    oracle = PairRecordingOracle(tuple(data.entity_codes))
     est = estimate_probs_lsh(data, blocking, k_range, budget=blocking.q,
                              oracle=oracle, seed=0, mu_radius=mu_radius)
-    group_ids, outcomes = clustered_pairs(data, blocking, k_range, mu_radius)
+    reference = PairRecordingOracle(tuple(data.entity_codes))
+    group_ids, outcomes = block_rule_pairs(data, blocking, k_range, mu_radius,
+                                           reference)
     assert np.array_equal(est.group_ids, group_ids)
     sizes = np.bincount(group_ids)
     assert np.array_equal(est.group_sizes, sizes)
     assert np.array_equal(est.pmap.dense, sizes[group_ids] / data.n)
     assert est.outcomes.tolist() == outcomes
-    assert oracle.queries == len(outcomes)
-    if k_range in ((1, 2), (1, 4)):  # both answers reach an outcome
-        assert {n_pos for *_, n_pos, _ in outcomes} == {0, 1}
-    else:
+    assert oracle.asked == reference.asked
+    if k_range[1] == 1:
         assert outcomes == []
+        return
+    # every near pair is asked, ranked against k = 1 unless k_range starts
+    # at 2; two identical points that the oracle tells apart split
+    assert oracle.queries == len(outcomes) > 0
+    n_pos = {row[3] for row in outcomes}
+    assert n_pos == ({0} if k_range[0] >= 2 else {0, 1})
+    assert est.group_ids[2] != est.group_ids[3]
 
 
 def test_oracle_questions_follow_block_order():

@@ -19,7 +19,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ("run_planner_curves.py", ["balanced sample size m", "LSH plan", "EM plan"]),
         ("output_hashes.py", ["entity_names ", "sample_clean[0.1] ", "cli gmm.sample.csv ",
                                "lsh[text].asked ", "lsh[text].asked_pairs ",
-                               "lsh[vectors3d].outcomes ",
+                               "lsh[text-k2].asked ", "lsh[vectors3d].outcomes ",
+                               "lsh[vectors2d-starved].outcomes ",
                                "em.loglik ", "lloyd[12d] "]),
     ],
 )

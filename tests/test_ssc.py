@@ -100,8 +100,8 @@ def test_select_fills_both_sides():
     assert rep.n_pos >= 5 and rep.n_neg >= 5
     assert len(rep.losses) == 3
     assert rep.queries == oracle.queries < 15
-    # both sides fill before the probe sets a cap
-    assert rep.n_pos + rep.n_neg < ssc._GAMMA_PROBE
+    # both sides fill long before the cap
+    assert rep.n_pos + rep.n_neg < ssc._cap(5)
 
 
 def test_ties_prefer_fewer_clusters():
@@ -124,8 +124,8 @@ def test_cap_report_ranks_collected_evidence():
     split = clustering(list(range(30)), list(range(30, n)), n=n)
     oracle = SameClusterOracle([7] * n)
     rep = ssc_select([merged, split], n_points=n, oracle=oracle, m_pairs=3, seed=5)
-    # every draw up to the cap, set by gamma-hat clamped to 1/100, is a
-    # positive; the oracle heard each pair once
+    # every draw up to the cap, sized at a negative-pair rate of 1/100, is
+    # a positive; the oracle heard each pair once
     assert (rep.n_pos, rep.n_neg) == (math.ceil(2 * (3 / 0.01 + 3 / 0.99)), 0)
     assert rep.queries == oracle.queries < rep.n_pos
     # the collected positives still rank the candidates correctly
@@ -240,9 +240,9 @@ def exact_report(candidates, labels, queries=None):
                            inferred=n_pairs - queries)
 
 
-def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100,
-                  infer=True):
-    """The selector's contract with two scalar ``integers`` calls a draw.
+def scalar_select(candidates, labels, m_pairs, seed, infer=True):
+    """The selector's contract with two scalar ``integers`` calls a draw,
+    stopping at the cap 2 (m/gamma + m/(1 - gamma)) at gamma = 1/100.
 
     Returns the pairs the oracle should be asked, in order, and the report
     the selector should give.  With ``infer`` a pair that earlier answers
@@ -264,25 +264,16 @@ def scalar_select(candidates, labels, m_pairs, seed, nu=1.0, gamma_probe=100,
         return asked, exact_report(candidates, labels, len(asked))
     rng = np.random.default_rng(seed)
     seen, pos, neg = set(), [], []
-    probe_neg, cap = 0, None
-    while (len(pos) < m_pairs or len(neg) < m_pairs) and len(seen) < n_pairs:
-        if cap is not None and len(pos) + len(neg) >= cap:
-            break
+    cap = math.ceil(2 * (m_pairs / 0.01 + m_pairs / 0.99))
+    while ((len(pos) < m_pairs or len(neg) < m_pairs) and len(seen) < n_pairs
+           and len(pos) + len(neg) < cap):
         i = int(rng.integers(n))
         j = int(rng.integers(n - 1))
         j += j >= i
         if (min(i, j), max(i, j)) not in seen:
             seen.add((min(i, j), max(i, j)))
             ask(i, j)
-        same = labels[i] == labels[j]
-        (pos if same else neg).append((i, j))
-        draws = len(pos) + len(neg)
-        if not same and draws <= gamma_probe:
-            probe_neg += 1
-        if draws == gamma_probe and cap is None:
-            gamma_hat = min(max(probe_neg / gamma_probe, 1 / gamma_probe),
-                            1 - 1 / gamma_probe)
-            cap = math.ceil((1 + nu) * (m_pairs / gamma_hat + m_pairs / (1 - gamma_hat)))
+        (pos if labels[i] == labels[j] else neg).append((i, j))
     if len(seen) == n_pairs:
         return asked, exact_report(candidates, labels, len(asked))
     return asked, rank_candidates(candidates, pos, neg, len(asked),
@@ -315,26 +306,22 @@ def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
 
 
 @pytest.mark.parametrize("batch", [1, 7, 4096])
-@pytest.mark.parametrize("labels,m_pairs,gamma_probe,nu", [
-    ([0, 1, 1, 2, 2, 2, 3, 4, 5, 5] * 5, 60, 100, 1.0),
-    # the probe past the first batch, then both sides fill
-    ([0] * 40 + [1] * 40 + [2] * 40, 500, 300, 1.0),
-    # the probe past the first batch, then the cap
-    ([7] * 60, 3, 300, 1.0),
-    # a rare negative side, far past the first batch: seed 0 stops at the
-    # cap, seeds 1-3 on both sides filling
-    ([0] * 150 + [1] * 2, 50, 700, 0.0),
+@pytest.mark.parametrize("labels,m_pairs", [
+    ([0, 1, 1, 2, 2, 2, 3, 4, 5, 5] * 5, 60),
+    # both sides fill past the first batch
+    ([0] * 40 + [1] * 40 + [2] * 40, 500),
+    # all positive: the cap of 607 draws, past the first batch
+    ([7] * 60, 3),
+    # a rare negative side: both sides fill far past the first batch,
+    # before the cap, with more pairs than the cap allows draws
+    ([0] * 150 + [1] * 2, 50),
 ])
-def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs,
-                                    gamma_probe, nu):
+def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs):
     monkeypatch.setattr(ssc, "_PAIR_BATCH", batch)
-    monkeypatch.setattr(ssc, "_GAMMA_PROBE", gamma_probe)
-    monkeypatch.setattr(ssc, "_NU", nu)
     n = len(labels)
     cands = [clustering(list(range(n)), n=n), Clustering(-np.arange(1, n + 1))]
     for seed in range(4):
-        asked, expected = scalar_select(cands, labels, m_pairs, seed, nu=nu,
-                                        gamma_probe=gamma_probe)
+        asked, expected = scalar_select(cands, labels, m_pairs, seed)
         oracle = RecordingOracle(labels)
         rep = ssc_select(cands, n, oracle, m_pairs, seed=seed)
         assert rep == expected
@@ -406,7 +393,7 @@ def test_all_distinct_block_asks_every_pair_it_draws():
 
 @pytest.mark.parametrize("pair", [(2, 2), (-1, 2), (0, 4)])
 def test_select_rejects_a_likely_pair_off_the_instance(pair):
-    # checked even when the list is too long to be asked
+    # checked before any likely pair is asked
     c = clustering([0, 1, 2, 3], n=4)
     with pytest.raises(ValueError, match="likely pair"):
         ssc_select([c], 4, SameClusterOracle([0, 0, 1, 1]), 1, seed=0,
@@ -446,9 +433,9 @@ def test_likely_pairs_change_the_questions_and_add_their_answers(data):
     assert rep.inferred == len(drawn - asked)
     if n_pairs <= m_pairs:
         assert rep.queries + rep.inferred == n_pairs
-    if not likely or len(likely) > 2 * m_pairs:
-        # none, or too many to ask before the draws: the question stream is
-        # the bare one, and there are no answers to cluster on
+    if not likely:
+        # none: the question stream is the bare one, and there are no
+        # answers to cluster on
         assert rep == base and oracle.asked == bare.asked
         return
     known, early = Settled(n), []
@@ -480,7 +467,11 @@ def test_answered_candidate_alone_is_not_ranked():
     assert oracle.asked == [(0, 1), (2, 3), (1, 2)]
     assert (rep.winner, rep.queries, rep.inferred, rep.n_pos, rep.n_neg) == (0, 3, 0, 0, 0)
     assert rep.answered.labels.tolist() == [0, 0, 1, 1, -1]
-    # with too many likely pairs there is no candidate at all
+    # every likely pair is asked, however many there are
+    oracle = RecordingOracle(labels)
+    rep = ssc_select([], 5, oracle, m_pairs=1, seed=0,
+                     likely_pairs=[(0, 1), (2, 3), (1, 2)])
+    assert oracle.asked == [(0, 1), (2, 3), (1, 2)] and rep.queries == 3
+    # with no likely pairs there is no candidate at all
     with pytest.raises(ValueError, match="no candidates"):
-        ssc_select([], 5, RecordingOracle(labels), m_pairs=1, seed=0,
-                   likely_pairs=[(0, 1), (2, 3), (1, 2)])
+        ssc_select([], 5, RecordingOracle(labels), m_pairs=1, seed=0)
