@@ -19,9 +19,10 @@ open: two points already joined by "same" answers are "same", and two
 components already told apart are "different" (Wang et al., "Leveraging
 Transitive Relations for Crowdsourced Joins", SIGMOD 2013).  Every draw
 still counts with its true answer, so the losses do not change; only the
-questions do.  One helper, ``_answer``, settles a pair from the answers
-so far or asks the oracle and records its answer, for the likely, the
-exhaustive and the drawn pairs alike.  Which pairs get settled depends on
+questions do.  A block's answers have one owner, the store ``_Answers``,
+whose ``answer`` settles a pair from the answers so far or asks the oracle
+and records its answer, for the likely, the exhaustive and the drawn pairs
+alike.  Which pairs get settled depends on
 the order of the questions, so a caller may name likely duplicate pairs to
 be asked before anything is drawn, for example the nearest neighbours of a
 block: their "same" answers settle many of the draws that follow
@@ -36,18 +37,19 @@ contradicted; such oracles are out of scope here (Mazumdar and Saha,
 
 A sampled run draws its pairs in batches that grow from 256 to 8,192
 draws.  A draw that the answers so far settle stays settled, so at the
-start of a batch one array step decides every such draw, from the points'
-component roots and the sorted keys of the root pairs told apart; only the
-draws still open are walked one at a time, and the settled draws between
-them are counted in bulk unless a stop falls among them.  An instance
-ranked on every pair counts each candidate's joined pairs from its table
-of (component, label) cells, without forming the pairs.
+start of a batch the store's ``settle`` decides every such draw in one
+array step, from the points' component roots and the sorted keys of the
+root pairs told apart; only the draws still open are asked, one at a time,
+and one cumulative count over the batch finds the draw that fills both
+sides.  An instance ranked on every pair counts each candidate's joined
+pairs from its table of (component, label) cells, without forming the
+pairs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -190,73 +192,104 @@ _PAIR_BATCH = 256
 _PAIR_BATCH_MAX = 8192
 
 
-def _merge(root: list, members: list, apart: list, a: int, b: int) -> None:
-    """Join the components rooted at ``a`` and ``b``.
+class _Answers:
+    """A block's answers: the components of its "same" answers and the
+    pairs of components its "different" answers tell apart.
 
-    The smaller component's points take the larger one's root, and only
-    its "different" edges are re-keyed to that root.
+    ``root`` gives each point's component root, ``members`` each root's
+    points, ``apart`` the roots each root is told apart from, and
+    ``differ`` the points i0, j0, i1, j1, ... of the "different" answers.
     """
-    if len(members[a]) < len(members[b]):
-        a, b = b, a
-    for p in members[b]:
-        root[p] = a
-    members[a] += members[b]
-    for r in apart[b]:
-        apart[r].remove(b)
-        apart[r].add(a)
-    apart[a] |= apart[b]
-    members[b] = apart[b] = None
 
+    def __init__(self, n_points: int) -> None:
+        self.root = list(range(n_points))
+        self.members = [[p] for p in range(n_points)]
+        self.apart = [set() for _ in range(n_points)]
+        self.differ = []
+        self._snapshot = None
 
-def _answer(
-    oracle: Callable[[int, int], bool], i: int, j: int, root: list,
-    members: list, apart: list, differ: list,
-) -> tuple[bool, bool]:
-    """The answer to the pair (i, j), and whether the oracle was asked.
+    def answer(self, oracle: Callable[[int, int], bool], i: int, j: int
+               ) -> tuple[bool, bool]:
+        """The answer to the pair (i, j), and whether the oracle was asked.
 
-    A pair inside one component is "same" and a pair across two components
-    told apart is "different"; any other pair goes to the oracle, whose
-    answer is recorded.  This is the selector's one oracle call.
-    """
-    ri, rj = root[i], root[j]
-    if ri == rj:
-        return True, False
-    if rj in apart[ri]:
-        return False, False
-    same = bool(oracle(i, j))
-    if same:
-        _merge(root, members, apart, ri, rj)
-    else:
-        apart[ri].add(rj)
-        apart[rj].add(ri)
-        differ += i, j
-    return same, True
+        A pair inside one component is "same" and a pair across two
+        components told apart is "different"; any other pair goes to the
+        oracle, whose answer is recorded.  This is the selector's one
+        oracle call.
+        """
+        root, apart = self.root, self.apart
+        ri, rj = root[i], root[j]
+        if ri == rj:
+            return True, False
+        if rj in apart[ri]:
+            return False, False
+        same = bool(oracle(i, j))
+        if same:
+            # the smaller component's points take the larger one's root,
+            # and only its "different" edges are re-keyed to that root
+            members = self.members
+            if len(members[ri]) < len(members[rj]):
+                ri, rj = rj, ri
+            for p in members[rj]:
+                root[p] = ri
+            members[ri] += members[rj]
+            for r in apart[rj]:
+                apart[r].remove(rj)
+                apart[r].add(ri)
+            apart[ri] |= apart[rj]
+            members[rj] = apart[rj] = None
+        else:
+            apart[ri].add(rj)
+            apart[rj].add(ri)
+            self.differ += i, j
+        self._snapshot = None
+        return same, True
 
+    @property
+    def roots(self) -> np.ndarray:
+        """Each point's component root."""
+        return np.array(self.root)
 
-def _answered(root: list, likely: np.ndarray) -> Clustering:
-    """The components of the answers so far as a clustering.
+    def settle(self, ij: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each pair (row) of ``ij``: whether the answers so far make it
+        "same", and whether they leave it open.  A settled pair stays
+        settled, with the same answer.
 
-    Each component that holds a point of a likely pair is a cluster,
-    numbered in the order of its least point; a point in no likely pair
-    keeps a garbage label of its own, -1, -2, ... in index order.
-    """
-    comp = np.asarray(root)
-    touched = np.zeros(comp.size, dtype=bool)
-    touched[likely.ravel()] = True
-    labels = np.empty(comp.size, dtype=np.int64)
-    labels[~touched] = -np.arange(1, comp.size - np.count_nonzero(touched) + 1)
-    _, first, codes = np.unique(comp[touched], return_index=True, return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    labels[touched] = rank[codes]
-    return Clustering(labels)
+        The pairs are decided from a snapshot, retaken after an answer: the
+        roots, and the sorted keys r * n + s of the roots told apart, both
+        ways round, ending in n * n, which no pair of roots reaches.
+        """
+        if self._snapshot is None:
+            roots = self.roots
+            n_points = roots.size
+            r = roots[np.array(self.differ, dtype=np.int64)].reshape(-1, 2)
+            self._snapshot = roots, np.sort(np.concatenate((
+                r[:, 0] * n_points + r[:, 1], r[:, 1] * n_points + r[:, 0],
+                [n_points**2])))
+        roots, keys = self._snapshot
+        r0, r1 = roots[ij[:, 0]], roots[ij[:, 1]]
+        same = r0 == r1
+        key = r0 * roots.size + r1
+        return same, ~same & (keys[np.searchsorted(keys, key)] != key)
 
+    def clustering(self, likely: np.ndarray) -> Clustering:
+        """The components of the answers so far as a clustering.
 
-def _ask_open(oracle: Callable[[int, int], bool], pairs, *answers) -> list:
-    """The pairs among ``pairs`` that the answers so far leave open, in
-    order, each asked and its answer recorded; ``answers`` are the block's
-    ``root``, ``members``, ``apart`` and ``differ`` lists."""
-    return [(i, j) for i, j in pairs if _answer(oracle, i, j, *answers)[1]]
+        Each component that holds a point of a likely pair is a cluster,
+        numbered in the order of its least point; a point in no likely pair
+        keeps a garbage label of its own, -1, -2, ... in index order.
+        """
+        comp = self.roots
+        touched = np.zeros(comp.size, dtype=bool)
+        touched[likely.ravel()] = True
+        labels = np.empty(comp.size, dtype=np.int64)
+        labels[~touched] = -np.arange(1, comp.size - np.count_nonzero(touched) + 1)
+        _, first, codes = np.unique(comp[touched], return_index=True,
+                                    return_inverse=True)
+        rank = np.empty_like(first)
+        rank[np.argsort(first)] = np.arange(first.size)
+        labels[touched] = rank[codes]
+        return Clustering(labels)
 
 
 def ssc_select(
@@ -289,11 +322,12 @@ def ssc_select(
     asked.
 
     The draws come in batches of 256, then twice as many each time up to
-    8,192, and the pair stream does not depend on the batch sizes.  Each
-    batch decides the draws that the answers so far settle in one array
-    step and walks only the open ones, counting the settled draws between
-    two open ones in bulk; a run of settled draws is walked draw by draw
-    only when the cap or both sides filling falls inside it.
+    8,192, and the pair stream does not depend on the batch sizes.  A
+    batch ends at the cap and at the draw that covers every pair, since
+    neither depends on the answers.  It decides the draws that the answers
+    so far settle in one array step, asks the open ones in order until the
+    draws before the next one fill both sides, and finds the draw that
+    fills them with one cumulative count.
 
     ``likely_pairs`` are asked first, in order, each one that the earlier
     answers leave open; the caller decides how many are worth asking.
@@ -321,25 +355,20 @@ def ssc_select(
                         or (likely[:, 0] == likely[:, 1]).any()):
         raise ValueError(f"each likely pair must join two of the {n_points} points")
     n_pairs = n_points * (n_points - 1) // 2
-    # the block's answers: each point's component root, each root's
-    # members and the roots its component is known to differ from, and the
-    # points of each "different" answer, flat
-    root = list(range(n_points))
-    members = [[p] for p in range(n_points)]
-    apart = [set() for _ in range(n_points)]
-    differ = []
-    early = _ask_open(oracle, likely.tolist(), root, members, apart, differ)
+    store = _Answers(n_points)
+    early = [(i, j) for i, j in likely.tolist() if store.answer(oracle, i, j)[1]]
     asked = len(early)
     answered = None
     if likely.size:
-        answered = _answered(root, likely)
+        answered = store.clustering(likely)
         candidates = [*candidates, answered]
     if len(candidates) == 1:
-        return replace(rank_candidates(candidates, (), (), asked), answered=answered)
+        return _ranked(candidates, [0.0], queries=asked, n_pos=0, n_neg=0,
+                       inferred=0, answered=answered)
     if n_pairs <= m_pairs:
-        asked += len(_ask_open(oracle, combinations(range(n_points), 2),
-                               root, members, apart, differ))
-        return _exact_report(candidates, root, asked, answered)
+        asked += sum(store.answer(oracle, i, j)[1]
+                     for i, j in combinations(range(n_points), 2))
+        return _exact_report(candidates, store.roots, asked, answered)
     rng = np.random.default_rng(seed)
     cap = _cap(m_pairs)
     # the draws can cover every pair only if the cap allows that many; only
@@ -350,76 +379,53 @@ def ssc_select(
     batches, answers = [], []
     draws = distinct = n_pos = n_neg = 0
     size = _PAIR_BATCH
-    # whether answers changed the components since `roots` and `apart_keys`
-    # were taken
-    stale = True
-    done = False
-    while not done and distinct < n_pairs:
+    while draws < cap and distinct < n_pairs and (n_pos < m_pairs or n_neg < m_pairs):
         # one ``integers`` call over bounds alternating n, n - 1 consumes the
         # generator as alternating scalar calls do, so every batch size
         # gives the same pairs
         ij = rng.integers(0, np.tile([n_points, n_points - 1], size)).reshape(-1, 2)
         ij[:, 1] += ij[:, 1] >= ij[:, 0]
-        end = size
+        # the batch ends at the cap, and at the draw that completes the
+        # pairs; neither depends on the answers
+        end = min(size, cap - draws)
         if cover:
             key = _pair_index(ij, n_points)
             first = np.zeros(size, dtype=bool)
             first[np.unique(key, return_index=True)[1]] = True
             first &= ~drawn[key]
             drawn[key] = True
-            # the draws of this batch up to the one that completes the pairs
             seen = np.cumsum(first)
             end = min(int(np.searchsorted(seen, n_pairs - distinct)) + 1, end)
-        if stale:
-            roots = np.array(root)
-            apart_keys = _apart_keys(roots, differ)
-            stale = False
-        # the draws the answers so far settle, with their answers; a settled
-        # draw stays settled, so only the open ones are walked one by one
-        r0, r1 = roots[ij[:end, 0]], roots[ij[:end, 1]]
-        same = r0 == r1
-        root_key = r0 * n_points + r1
-        told_apart = apart_keys[np.searchsorted(apart_keys, root_key)] == root_key
-        opens = np.flatnonzero(~same & ~told_apart)
-        pos_before = np.concatenate(([0], np.cumsum(same))).tolist()
-        t = 0
-        for p, pair in zip(opens.tolist() + [end], ij[opens].tolist() + [None]):
-            # the settled draws t..p-1 count in bulk unless the cap or both
-            # sides filling falls among them
-            run_pos = pos_before[p] - pos_before[t]
-            run_neg = p - t - run_pos
-            if draws + p - t < cap and (n_pos + run_pos < m_pairs
-                                        or n_neg + run_neg < m_pairs):
-                draws += p - t
-                n_pos += run_pos
-                n_neg += run_neg
-                t = p
-            while t <= min(p, end - 1):
-                if t < p:
-                    s = bool(same[t])
-                else:
-                    s, fresh = _answer(oracle, *pair, root, members, apart, differ)
-                    asked += fresh
-                    stale = stale or fresh
-                    same[t] = s
-                t += 1
-                draws += 1
-                if s:
-                    n_pos += 1
-                else:
-                    n_neg += 1
-                if draws == cap or (n_pos >= m_pairs and n_neg >= m_pairs):
-                    done = True
-                    break
-            if done:
+        ij = ij[:end]
+        same, opens = store.settle(ij)
+        opens = np.flatnonzero(opens)
+        # the open draws are asked in order until the draws before the next
+        # one fill both sides; `before` counts the batch's positives before it
+        pos_settled = np.cumsum(same)[opens].tolist()
+        pos_asked = 0
+        for p, settled, (i, j) in zip(opens.tolist(), pos_settled, ij[opens].tolist()):
+            before = settled + pos_asked
+            if n_pos + before >= m_pairs and n_neg + p - before >= m_pairs:
+                end = p
                 break
+            s, fresh = store.answer(oracle, i, j)
+            asked += fresh
+            same[p] = s
+            pos_asked += s
+        # the draw that fills both sides, if one of the first `end` does
+        pos = n_pos + np.cumsum(same[:end])
+        neg = n_neg + np.arange(1, end + 1) - (pos - n_pos)
+        t = min(max(int(np.searchsorted(pos, m_pairs)),
+                    int(np.searchsorted(neg, m_pairs))) + 1, end)
+        draws += t
+        n_pos, n_neg = int(pos[t - 1]), int(neg[t - 1])
         if cover:
             distinct += int(seen[t - 1])
         batches.append(ij[:t])
         answers.append(same[:t])
         size = min(2 * size, _PAIR_BATCH_MAX)
     if distinct == n_pairs:
-        return _exact_report(candidates, root, asked, answered)
+        return _exact_report(candidates, store.roots, asked, answered)
     pairs = np.concatenate(batches)
     keys = np.sort(_pair_index(pairs, n_points))
     n_distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
@@ -428,22 +434,10 @@ def ssc_select(
     at = np.minimum(np.searchsorted(keys, early_keys), keys.size - 1)
     undrawn = int(np.count_nonzero(keys[at] != early_keys))
     same = np.concatenate(answers)
-    return replace(rank_candidates(candidates, pairs[same], pairs[~same], asked,
-                                   inferred=n_distinct - asked + undrawn),
-                   answered=answered)
-
-
-def _apart_keys(roots: np.ndarray, differ: list) -> np.ndarray:
-    """Sorted keys r * n + s of the component roots told apart, both ways
-    round, ending in n * n, which no pair of roots reaches.
-
-    ``differ`` lists the points i0, j0, i1, j1, ... of the "different"
-    answers; each tells apart the components that now hold its points.
-    """
-    n_points = roots.size
-    r = roots[np.array(differ, dtype=np.int64)].reshape(-1, 2)
-    return np.sort(np.concatenate((r[:, 0] * n_points + r[:, 1],
-                                   r[:, 1] * n_points + r[:, 0], [n_points**2])))
+    pos_pairs, neg_pairs = pairs[same], pairs[~same]
+    losses = [pair_losses(c, pos_pairs, neg_pairs)[2] for c in candidates]
+    return _ranked(candidates, losses, queries=asked, n_pos=n_pos, n_neg=n_neg,
+                   inferred=n_distinct - asked + undrawn, answered=answered)
 
 
 def _cap(m_pairs: int) -> int:
@@ -459,17 +453,16 @@ def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
 
 
 def _exact_report(
-    candidates: Sequence[Clustering], root: list, asked: int,
+    candidates: Sequence[Clustering], comp: np.ndarray, asked: int,
     answered: Clustering | None,
 ) -> SscReport:
     """Rank on every pair once the answers settle all of them: a pair is
-    positive exactly when its two points share a component root.  A
-    candidate's joined positive pairs are counted from its table of
+    positive exactly when its two points share a component root ``comp``.
+    A candidate's joined positive pairs are counted from its table of
     (root, label) cells, its joined negative pairs as the rest of the
     pairs it joins."""
-    n_points = len(root)
+    n_points = comp.size
     n_pairs = n_points * (n_points - 1) // 2
-    comp = np.asarray(root)
     n_pos = _pairs_within(comp)
     n_neg = n_pairs - n_pos
     losses = []

@@ -315,6 +315,12 @@ def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
     # a rare negative side: both sides fill far past the first batch,
     # before the cap, with more pairs than the cap allows draws
     ([0] * 150 + [1] * 2, 50),
+    # all distinct: the cap of 607 draws falls inside a batch, with open
+    # draws after it
+    (list(range(60)), 3),
+    # at seed 1 and a batch of 7, both sides fill on draw 49, the last of
+    # the third batch
+    ([0] * 6 + [1] * 6, 20),
 ])
 def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs):
     monkeypatch.setattr(ssc, "_PAIR_BATCH", batch)
@@ -326,6 +332,43 @@ def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs):
         rep = ssc_select(cands, n, oracle, m_pairs, seed=seed)
         assert rep == expected
         assert oracle.asked == asked
+
+
+class Asked(Exception):
+    """Raised by an oracle that must not be asked."""
+
+
+def refuse(i, j):
+    raise Asked((i, j))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_store_settles_each_pair_as_its_answer_does(data):
+    # after each of a random sequence of consistent answers, ``settle``
+    # decides every pair, both ways round, as ``answer`` does, and leaves
+    # open exactly the pairs ``answer`` would ask; an oracle that refuses
+    # leaves the store as it was
+    n = data.draw(st.integers(min_value=2, max_value=10), label="n")
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                       label="labels")
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    steps = data.draw(st.lists(pair, max_size=2 * n), label="answers")
+    store = ssc._Answers(n)
+    oracle = SameClusterOracle(labels)
+    ij = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
+    for step in [None, *steps]:
+        if step is not None:
+            store.answer(oracle, *step)
+        same, opens = store.settle(ij)
+        for (i, j), s, o in zip(ij.tolist(), same.tolist(), opens.tolist()):
+            if o:
+                with pytest.raises(Asked):
+                    store.answer(refuse, i, j)
+            else:
+                assert store.answer(refuse, i, j) == (s, False)
+                assert s == (labels[i] == labels[j])
 
 
 def is_subsequence(short, long):
