@@ -448,7 +448,7 @@ def _cap(m_pairs: int) -> int:
 
 def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
     """Index in 0..C(n, 2)-1 of each unordered pair, row by row of i < j."""
-    lo, hi = ij.min(axis=1), ij.max(axis=1)
+    lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
     return lo * (2 * n_points - 3 - lo) // 2 + hi - 1
 
 

@@ -334,6 +334,16 @@ def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs):
         assert oracle.asked == asked
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 40])
+def test_pair_index_numbers_every_pair_in_row_order(n):
+    # rows (0, 1), (0, 2), ..., (n - 2, n - 1) take 0..C(n, 2) - 1, and
+    # each pair the same index from either orientation
+    rows = np.array(list(combinations(range(n), 2)), dtype=np.int64)
+    want = np.arange(n * (n - 1) // 2)
+    assert np.array_equal(ssc._pair_index(rows, n), want)
+    assert np.array_equal(ssc._pair_index(rows[:, ::-1], n), want)
+
+
 class Asked(Exception):
     """Raised by an oracle that must not be asked."""
 
