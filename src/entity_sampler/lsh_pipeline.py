@@ -39,7 +39,7 @@ from .clustering import (
     neighbour_mask,
     regularized_kmeans,
 )
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, integer, positive_count
 from .rejection import ProbabilityMap
 from .ssc import ssc_select
 
@@ -84,7 +84,9 @@ def estimate_probs_lsh(
 ) -> LshEstimate:
     """Estimate per-record probabilities block by block.
 
-    ``budget`` is the total pair budget, split equally over blocks.
+    ``budget`` is the total pair budget, split equally over blocks.  It
+    and the ends of ``k_range`` are integers; anything else raises
+    ValueError.
     ``oracle`` answers same-cluster queries on global record indices and
     must answer consistently.
 
@@ -126,11 +128,10 @@ def estimate_probs_lsh(
         raise DatasetError("clustering requires vector records")
     if blocking.n != data.n:
         raise DatasetError("blocking does not match the dataset")
-    k_lo, k_hi = k_range
+    k_lo, k_hi = (integer(k, "k_range") for k in k_range)
     if k_lo < 0 or k_hi < k_lo:
         raise ValueError(f"invalid k range [{k_lo}, {k_hi}]")
-    if budget < 1:
-        raise ValueError("pair budget must be positive")
+    budget = positive_count(budget, "budget")
     if not mu_radius >= 0:
         raise ClusteringError(f"mu_radius must be non-negative, got {mu_radius}")
     block_sizes = blocking.sizes

@@ -56,6 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .clustering import Clustering
+from .dataset import positive_count
 
 __all__ = [
     "SscReport",
@@ -302,6 +303,7 @@ def ssc_select(
 ) -> SscReport:
     """Pick the candidate with the smallest pair loss.
 
+    ``m_pairs``, the per-side pair budget, is an integer of at least 1.
     When all C(n, 2) pairs fit in ``m_pairs`` they are taken in
     lexicographic order and the losses are exact.  Otherwise pairs (x, y),
     x != y, are drawn uniformly with replacement and routed into the
@@ -349,8 +351,7 @@ def ssc_select(
         raise ValueError("need at least two points to draw pairs")
     if any(c.n != n_points for c in candidates):
         raise ValueError(f"every candidate must label the {n_points} points")
-    if m_pairs < 1:
-        raise ValueError("pair budget must be positive")
+    m_pairs = positive_count(m_pairs, "m_pairs")
     if likely.size and (likely.min() < 0 or likely.max() >= n_points
                         or (likely[:, 0] == likely[:, 1]).any()):
         raise ValueError(f"each likely pair must join two of the {n_points} points")

@@ -210,6 +210,13 @@ def test_validation_errors():
         estimate_probs_lsh(vec, ok_blocking, (3, 1), 100, lambda i, j: True, seed=0)
     with pytest.raises(ValueError):
         estimate_probs_lsh(vec, ok_blocking, (1, 3), 0, lambda i, j: True, seed=0)
+    # a count that is not an integer is refused, not rounded
+    with pytest.raises(ValueError, match="budget must be an integer"):
+        estimate_probs_lsh(vec, ok_blocking, (1, 3), 40.7, lambda i, j: True, seed=0)
+    for k_range in ((1.5, 3), (1, 2.0)):
+        with pytest.raises(ValueError, match="k_range must be an integer"):
+            estimate_probs_lsh(vec, ok_blocking, k_range, 100, lambda i, j: True,
+                               seed=0)
 
 
 class PairRecordingOracle(SameClusterOracle):

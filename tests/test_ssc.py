@@ -161,6 +161,10 @@ def test_select_validation():
         ssc_select([c], 1, SameClusterOracle([0]), 1, seed=0)
     with pytest.raises(ValueError):
         ssc_select([c], 2, SameClusterOracle([0, 0]), 0, seed=0)
+    # a pair budget that is not an integer is refused, not rounded
+    for m_pairs in (1.5, 2.0):
+        with pytest.raises(ValueError, match="m_pairs must be an integer"):
+            ssc_select([c], 2, SameClusterOracle([0, 0]), m_pairs, seed=0)
 
 
 def test_select_rejects_candidates_of_another_size():
