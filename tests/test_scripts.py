@@ -21,6 +21,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                "lsh[text].asked ", "lsh[text].asked_pairs ",
                                "lsh[text-k2].asked ", "lsh[vectors3d].outcomes ",
                                "lsh[vectors2d-starved].outcomes ",
+                               "ssc[exhaustive].report ", "ssc[cover].report ",
+                               "ssc[cap].report ", "ssc[cap].asked ",
                                "em.loglik ", "lloyd[12d] "]),
     ],
 )
