@@ -12,10 +12,7 @@ and sample fractions.
 from .balanced import (
     BalancedPlan,
     FingerprintStats,
-    estimate_eta,
     estimate_probs_balanced,
-    eta_lower_bound,
-    fingerprint_sample,
     goodman_estimate,
     plan_sample_size,
 )
@@ -112,14 +109,11 @@ __all__ = [
     "em_fit",
     "emit_report",
     "estimate",
-    "estimate_eta",
     "estimate_probs_balanced",
     "estimate_probs_gmm",
     "estimate_probs_lsh",
-    "eta_lower_bound",
     "exact_induced_distribution",
     "expected_trials_per_accept",
-    "fingerprint_sample",
     "goodman_estimate",
     "hyperplane_signatures",
     "ingest_csv",

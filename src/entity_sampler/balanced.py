@@ -4,9 +4,10 @@ When every entity holds at least an eta fraction of the records, counting a
 uniform with-replacement sample is enough: seen values get their sample
 fraction as the estimate, unseen values get the smallest seen fraction.  A
 planner sizes the sample so the induced sampling distribution lands within a
-requested total variation of uniform, and two helpers (an unbiased
-distinct-count estimator over a without-replacement sample plus a dispersion
-penalty) produce a defensible lower bound for eta when nobody knows it.
+requested total variation of uniform.  Its one input is a known eta; with
+eta unknown, the caller gives the sample size m itself.  Goodman's
+distinct-count estimator over a without-replacement fingerprint sits
+alongside; it is unbiased only while no value occurs more than m times.
 """
 
 from __future__ import annotations
@@ -25,10 +26,7 @@ __all__ = [
     "BalancedPlan",
     "FingerprintStats",
     "UnstableSumWarning",
-    "estimate_eta",
     "estimate_probs_balanced",
-    "eta_lower_bound",
-    "fingerprint_sample",
     "goodman_estimate",
     "plan_sample_size",
 ]
@@ -144,27 +142,6 @@ class FingerprintStats:
             raise DatasetError("fingerprint weighted counts do not sum to m")
 
 
-def fingerprint_sample(
-    data: Dataset, m: int, seed: int
-) -> tuple[FingerprintStats, np.ndarray]:
-    """Without-replacement sample summarized as (fingerprint, fractions).
-
-    Returns the fingerprint plus the per-distinct-value sample fractions
-    (count / m for each value that appeared), the inputs for the
-    distinct-count estimate and the balance lower bound.
-    """
-    if not (1 <= m <= data.n):
-        raise ValueError(f"m must lie in [1, {data.n}]")
-    rng = np.random.default_rng(seed)
-    counts = rng.multivariate_hypergeometric(data.dedup_freqs.astype(np.int64), m)
-    pos = counts[counts > 0]
-    values, reps = np.unique(pos, return_counts=True)
-    stats = FingerprintStats(
-        m=m, r=int(pos.size), f={int(v): int(c) for v, c in zip(values, reps)}
-    )
-    return stats, pos / m
-
-
 def goodman_estimate(stats: FingerprintStats, n: int) -> float:
     """Unbiased estimate of the number of distinct values in the full table.
 
@@ -200,31 +177,3 @@ def goodman_estimate(stats: FingerprintStats, n: int) -> float:
     terms.sort(key=abs, reverse=True)
     return stats.r + math.fsum(terms)
 
-
-def eta_lower_bound(
-    stats: FingerprintStats, n: int, c_values: np.ndarray
-) -> float:
-    """Lower bound on the balance level from one observed sample.
-
-    eta >= 1/E_hat - (1 - 1/E_hat) * sigma_c * sqrt(2 r) where sigma_c is
-    the dispersion (population std) of the per-distinct-value sample
-    fractions.  Clamped below by 1/n, the smallest probability any present
-    entity can have.
-    """
-    c = np.asarray(c_values, dtype=np.float64)
-    if stats.r < 2 or c.size != stats.r:
-        raise ValueError("bound requires at least two distinct sampled values")
-    e_hat = goodman_estimate(stats, n)
-    if e_hat <= 1.0:
-        raise ValueError(
-            f"distinct-count estimate {e_hat:.3g} <= 1; bound undefined"
-        )
-    sigma_c = float(c.std(ddof=0))
-    bound = 1.0 / e_hat - (1.0 - 1.0 / e_hat) * sigma_c * math.sqrt(2.0 * stats.r)
-    return max(bound, 1.0 / n)
-
-
-def estimate_eta(data: Dataset, m: int, seed: int) -> float:
-    """One-shot balance lower bound from a fresh without-replacement sample."""
-    stats, c_values = fingerprint_sample(data, m, seed)
-    return eta_lower_bound(stats, data.n, c_values)

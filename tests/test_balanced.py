@@ -1,4 +1,4 @@
-"""Balanced regime: planner, count/m estimates, distinct counts, balance bound.
+"""Balanced regime: planner, count/m estimates, distinct counts.
 
 The distinct-count estimator's headline property is unbiasedness over
 without-replacement samples.  The oracle here is pure enumeration: for every
@@ -13,15 +13,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from entity_sampler.balanced import (
     FingerprintStats,
     UnstableSumWarning,
-    estimate_eta,
     estimate_probs_balanced,
-    eta_lower_bound,
-    fingerprint_sample,
     goodman_estimate,
     plan_sample_size,
 )
@@ -164,65 +160,9 @@ def test_single_value_sample_warns():
         estimate_probs_balanced(d, m=5, seed=0)
 
 
-@settings(deadline=None, max_examples=30)
-@given(
-    st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=6),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_fingerprint_invariants(freqs, seed):
-    d = dataset_from_freqs(freqs, seed=0)
-    m = max(1, d.n // 2)
-    stats, fractions = fingerprint_sample(d, m, seed=seed)
-    assert sum(stats.f.values()) == stats.r
-    assert sum(i * c for i, c in stats.f.items()) == stats.m == m
-    assert fractions.size == stats.r
-    assert math.fsum(fractions) == pytest.approx(1.0)
-
-
 def test_fingerprint_stats_validation():
     with pytest.raises(Exception):
         FingerprintStats(m=3, r=2, f={1: 1})  # weighted sum 1 != 3
     with pytest.raises(Exception):
         FingerprintStats(m=3, r=1, f={1: 1, 2: 1})  # count sum 2 != 1
 
-
-def test_eta_bound_hand_case():
-    # E_hat = 3 + 1.5*2 - 3.5*1 = 2.5; sigma_c = 1/(6 sqrt 2);
-    # bound = 1/2.5 - (1 - 1/2.5) * sigma_c * sqrt(6) = 0.4 - 0.1 sqrt 3
-    stats = FingerprintStats(m=4, r=3, f={1: 2, 2: 1})
-    c = np.array([0.25, 0.25, 0.5])
-    assert eta_lower_bound(stats, 10, c) == pytest.approx(
-        0.4 - 0.1 * math.sqrt(3), rel=1e-12
-    )
-
-
-def test_eta_bound_clamps_at_one_over_n():
-    # raw bound goes negative; 1/n is the smallest possible present mass
-    stats = FingerprintStats(m=4, r=2, f={1: 1, 3: 1})
-    c = np.array([0.25, 0.75])
-    assert eta_lower_bound(stats, 10, c) == pytest.approx(0.1)
-
-
-def test_eta_bound_validation():
-    with pytest.raises(ValueError):
-        eta_lower_bound(FingerprintStats(m=2, r=1, f={2: 1}), 10, np.array([1.0]))
-    # all mass on few heavy classes drives E_hat below one
-    heavy = FingerprintStats(m=4, r=2, f={2: 2})
-    with pytest.raises(ValueError):
-        eta_lower_bound(heavy, 10, np.array([0.5, 0.5]))
-
-
-def test_eta_bound_is_conservative_on_balanced_data():
-    # 50 entities of frequency 2: true eta = 0.02; the one-shot bound must
-    # not overshoot it (failed estimates count against the success rate)
-    d = dataset_from_freqs([2] * 50, seed=0)
-    eta_true = 2 / d.n
-    ok = 0
-    for seed in range(100):
-        try:
-            bound = estimate_eta(d, m=60, seed=seed)
-        except ValueError:
-            continue
-        if bound <= eta_true + 1e-12:
-            ok += 1
-    assert ok >= 90
