@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .blocking import _components
-from .dataset import _factorize_objects
+from .dataset import _factorize_features, _factorize_objects
 
 __all__ = [
     "Clustering",
@@ -556,7 +556,9 @@ def regularized_kmeans(
     Points whose nearest neighbour is farther than ``mu_radius`` go to
     garbage; the remaining points are k-clustered (exactly when at most
     ``_BRUTE_FORCE_CAP`` = 9 remain, by restarted Lloyd otherwise).  ``k`` may be
-    zero only when the prefilter removes everything.  ``has_neighbour`` is
+    zero only when the prefilter removes everything, and a ``k`` above the
+    distinct remaining points raises ``ClusteringError``, so identical
+    points always share a cluster.  ``has_neighbour`` is
     ``neighbour_mask(points, mu_radius)`` when a caller clustering the same
     points at several k has it already; it is computed when omitted.
     """
@@ -580,6 +582,13 @@ def regularized_kmeans(
     if k > keep.size:
         raise ClusteringError(f"k={k} exceeds remaining point count {keep.size}")
     sub = points[keep]
+    # more clusters than distinct points would put a copy in a cluster of
+    # its own; one cluster always fits
+    if k > 1:
+        distinct = int(_factorize_features(sub).max()) + 1
+        if k > distinct:
+            raise ClusteringError(
+                f"k={k} exceeds the {distinct} distinct remaining points")
     if keep.size <= _BRUTE_FORCE_CAP:
         # restricted growth strings: already labelled 0..k'-1
         labels[keep] = brute_force_kmeans(sub, k)

@@ -39,7 +39,8 @@ from .clustering import (
     neighbour_mask,
     regularized_kmeans,
 )
-from .dataset import Dataset, DatasetError, integer, positive_count
+from .dataset import (Dataset, DatasetError, _factorize_features, integer,
+                      positive_count)
 from .rejection import ProbabilityMap
 from .ssc import ssc_select
 
@@ -102,7 +103,8 @@ def estimate_probs_lsh(
       each point without a neighbour garbage.  ``k_range`` does not cap
       their count, and no k-means at k >= 2 runs.
     * otherwise: regularized k-means at each k in ``k_range``, clamped to
-      what the block supports after its garbage points are removed.
+      the distinct points left after its garbage points are removed, so
+      exact copies always share a cluster.
 
     A block left with one k-means candidate and no forest candidate (for
     example k = 1 at ``k_range`` (1, 1), or an all-garbage block) asks
@@ -181,14 +183,16 @@ def estimate_probs_lsh(
         forest = (_radius_forest(points, mu_radius, has_neighbour)
                   if remaining and k_hi > 1 else ())
         forest_fits = 0 < len(forest) <= 2 * block_budget
-        # every k is in [1, remaining], or 0 when the prefilter leaves
-        # nothing: exactly the k that regularized_kmeans accepts
+        # every k is in [1, distinct marked points], or 0 when the
+        # prefilter leaves nothing: exactly the k that regularized_kmeans
+        # accepts
         if forest_fits:
             ks = [1] if k_lo <= 1 else []
         elif remaining == 0:
             ks = [0]
         else:
-            ks = sorted({min(max(k, 1), remaining) for k in range(k_lo, k_hi + 1)})
+            distinct = int(_factorize_features(points[has_neighbour]).max()) + 1
+            ks = sorted({min(max(k, 1), distinct) for k in range(k_lo, k_hi + 1)})
         candidates = [
             regularized_kmeans(points, k, mu_radius, seed=int(child_seeds[0]),
                                has_neighbour=has_neighbour)

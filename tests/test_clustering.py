@@ -594,3 +594,25 @@ def test_solver_never_beats_brute_force(seed):
         patch.setattr(clustering, "_BRUTE_FORCE_CAP", 0)
         cl = regularized_kmeans(pts, k, mu_radius=1e9, seed=seed)
     assert kmeans_cost(pts, cl.labels) >= c_brute - 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=6), st.booleans(),
+       st.integers(min_value=0, max_value=10**6))
+def test_identical_points_always_share_a_cluster(copies, k, lloyd, seed):
+    # distinct points at least 1 apart, each repeated and shuffled; a point
+    # without a copy has no neighbour within 0.5 and goes to garbage
+    content = np.random.default_rng(seed).permutation(
+        np.repeat(np.arange(len(copies)), copies))
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])[content]
+    distinct = sum(c > 1 for c in copies)
+    with pytest.MonkeyPatch.context() as patch:
+        if lloyd:
+            patch.setattr(clustering, "_BRUTE_FORCE_CAP", 0)
+        if k > distinct:
+            with pytest.raises(ClusteringError):
+                regularized_kmeans(pts, k, mu_radius=0.5, seed=seed)
+            return
+        labels = regularized_kmeans(pts, k, mu_radius=0.5, seed=seed).labels
+    assert len(set(zip(content.tolist(), labels.tolist()))) == len(copies)

@@ -404,6 +404,30 @@ def test_budget_starved_block_keeps_the_kmeans_candidates(monkeypatch):
     assert est.group_sizes.size == 9
 
 
+def test_block_of_copies_clamps_k_to_its_distinct_points(monkeypatch):
+    # 3 distinct points, 4 interleaved copies each, farther apart than the
+    # radius: the forest's 9 edges exceed a per-side budget of 1, so the
+    # block ranks k-means candidates, and k stops at the 3 distinct points
+    # instead of splitting a copy off at k = 4
+    content = np.tile(np.arange(3), 4)
+    feats = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])[content]
+    data = Dataset(ids=tuple(range(12)), features=feats, entity_labels=content)
+    candidates = {}
+
+    def recording_kmeans(points, k, *args, **kwargs):
+        candidates[k] = clustering.regularized_kmeans(points, k, *args, **kwargs)
+        return candidates[k]
+
+    monkeypatch.setattr(lsh_pipeline, "regularized_kmeans", recording_kmeans)
+    est = estimate_probs_lsh(data, Blocking(labels=np.zeros(12, dtype=np.int64)),
+                             (1, 4), 1, SameClusterOracle(content), seed=0)
+    assert sorted(candidates) == [1, 2, 3]
+    # each content keeps one label in every candidate and one group
+    for labels in (*(cl.labels for cl in candidates.values()), est.group_ids):
+        assert len(set(zip(content.tolist(), labels.tolist()))) == 3
+    assert est.group_sizes.tolist() == [4, 4, 4]
+
+
 def test_k_range_of_one_asks_nothing():
     data, blocking = lsh_vectors_input()
     oracle = SameClusterOracle(tuple(data.entity_codes))
