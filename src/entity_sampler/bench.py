@@ -28,6 +28,7 @@ from .dataset import (
     DatasetError,
     ingest_csv,
     integer,
+    positive_count,
     relative_error,
     text_column,
     tv_distance,
@@ -118,6 +119,8 @@ class ExperimentSpec:
     spec is built: counts are integers, ``eta`` and ``eta_min`` lie in
     (0, 1], ``tau`` is positive and ``dim`` at least 1.  An lsh cell's
     pair budget is its sample size m, so ``budget`` is not such a key.
+    ``repeats`` is an integer of at least 1 and ``seed`` a non-negative
+    integer, also checked when the spec is built.
     """
 
     dataset: str
@@ -152,8 +155,10 @@ class ExperimentSpec:
             raise ValueError("sample fractions must lie in (0, 1)")
         if not all(0 <= r < 1 for r in self.dup_rates):
             raise ValueError("duplication rates must lie in [0, 1)")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
+        object.__setattr__(self, "repeats", positive_count(self.repeats, "repeats"))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
         object.__setattr__(self, "sweep", tuple(float(f) for f in self.sweep))

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, positive_count
 
 __all__ = [
     "BandWidthError",
@@ -75,7 +75,11 @@ def choose_bands_rows(lam: float, delta: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LshConfig:
-    """Banding configuration: k = rows * bands hash functions total."""
+    """Banding configuration: k = rows * bands hash functions total.
+
+    ``rows`` and ``bands`` are integers of at least 1; anything else raises
+    ValueError when the config is built.
+    """
 
     lam: float
     delta: float
@@ -84,8 +88,8 @@ class LshConfig:
     family: str = "minhash"
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.bands < 1:
-            raise ValueError("rows and bands must be positive")
+        object.__setattr__(self, "rows", positive_count(self.rows, "rows"))
+        object.__setattr__(self, "bands", positive_count(self.bands, "bands"))
         if self.family not in ("minhash", "hyperplane"):
             raise ValueError(f"unknown hash family {self.family!r}")
 

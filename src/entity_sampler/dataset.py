@@ -298,8 +298,9 @@ class CsvSchema:
     """Column roles for CSV ingestion.
 
     ``feature_cols`` are parsed as floats; ``text_cols`` are concatenated and
-    tokenized into character n-grams.  A schema must declare at least one of
-    the two.  All roles can also be loaded from a JSON config file.
+    tokenized into character n-grams, ``ngram`` (an integer of at least 1)
+    characters each.  A schema must declare at least one of the two.  All
+    roles can also be loaded from a JSON config file.
     """
 
     feature_cols: tuple[str, ...] = ()
@@ -313,6 +314,7 @@ class CsvSchema:
     def __post_init__(self) -> None:
         if not self.feature_cols and not self.text_cols:
             raise DatasetError("schema declares neither feature nor text columns")
+        object.__setattr__(self, "ngram", positive_count(self.ngram, "ngram"))
 
     @classmethod
     def from_json(cls, path: str) -> "CsvSchema":

@@ -188,6 +188,10 @@ def test_spec_validation():
         tiny_spec(sweep=(0.0,))
     with pytest.raises(ValueError):
         tiny_spec(dup_rates=(1.0,))
+    # these used to build, and then every cell failed
+    for bad in (dict(repeats=1.5), dict(seed=0.5), dict(seed=-1)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            tiny_spec(**bad)
 
 
 def test_grid_shape_and_success():

@@ -174,6 +174,10 @@ def test_minhash_needs_tokens_and_hyperplane_needs_vectors():
 def test_config_validation():
     with pytest.raises(ValueError):
         LshConfig(lam=0.2, delta=0.1, rows=0, bands=3)
+    # rows 1.5 used to build with k = 3.0 and fail inside numpy
+    for rows, bands in ((1.5, 2), (3, 2.0), (3, -1), ("3", 2)):
+        with pytest.raises(ValueError, match="rows|bands"):
+            LshConfig(lam=0.2, delta=0.1, rows=rows, bands=bands)
     with pytest.raises(ValueError):
         LshConfig(lam=0.2, delta=0.1, rows=3, bands=6, family="simhash")
 

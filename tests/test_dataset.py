@@ -392,6 +392,14 @@ def test_schema_from_json_rejects_unknown_keys(tmp_path):
         CsvSchema.from_json(str(path))
 
 
+@pytest.mark.parametrize("ngram", [0, -1, 1.5, 3.0, "3"])
+def test_schema_refuses_an_ngram_that_is_not_a_positive_integer(ngram):
+    # ngram 0 used to tokenize every text to {''}, one block for all
+    with pytest.raises(ValueError, match="ngram"):
+        CsvSchema(text_cols=("name",), ngram=ngram)
+    assert CsvSchema(text_cols=("name",), ngram=np.int64(2)).ngram == 2
+
+
 def test_text_schema_builds_token_sets(tmp_path):
     path = write_csv(tmp_path, "name\nabcdef\nabcxyz\n")
     schema = CsvSchema(feature_cols=(), text_cols=("name",), ngram=3)
