@@ -20,7 +20,9 @@ prints the same hashes.  It hashes, for one seed and size,
   sorted (``asked_pairs``), which does not depend on which record of a
   pair is named first, at k in [1, 4] and a pair budget of 2,000;
 * the same LSH lines for the text corpus at k in [2, 4] (``text-k2``),
-  where pair blocks are asked with no ranking, and for the 2-d clusters at
+  where pair blocks are asked with no ranking, for the text corpus after
+  ``bench.inject_duplicates`` appends exact copies of 30 % of its records
+  (``tpch`` profile, ``text-copies``), and for the 2-d clusters at
   a pair budget of a fifth of ``--entities`` (``vectors2d-starved``), too
   small for a block's radius forest (about one edge per record) to fit,
   so its k-means candidates are ranked;
@@ -32,7 +34,10 @@ prints the same hashes.  It hashes, for one seed and size,
   entity of 60 records whose draws stop at the cap (``ssc[cap]``);
 * an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
   parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
-  and 12-d samples.
+  and 12-d samples;
+* ``regularized_kmeans`` labels at k = 1..4 on 3 distinct 2-d points with
+  4 copies each (``kmeans[copies]``), or the name of the exception a call
+  raises.
 
 Example::
 
@@ -51,7 +56,7 @@ import tempfile
 
 import numpy as np
 
-from entity_sampler import (balanced, blocking, cli, clustering, gmm,
+from entity_sampler import (balanced, bench, blocking, cli, clustering, gmm,
                             lsh_pipeline, rejection, ssc, synth)
 
 FRACTIONS = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)
@@ -186,6 +191,8 @@ def main() -> None:
     text = synth.duplicate_text_corpus(args.entities, 0.3, seed=args.seed)
     lsh_lines("text", text, "minhash", args.seed + 30)
     lsh_lines("text-k2", text, "minhash", args.seed + 30, k_range=(2, 4))
+    copies = bench.inject_duplicates(text, 0.3, "tpch", args.seed + 31)
+    lsh_lines("text-copies", copies, "minhash", args.seed + 30)
     for dim in (2, 3):
         planted = synth.planted_clusters(max(args.entities // 50, 2), 50, 10.0, dim,
                                          seed=args.seed + dim, n_singletons=5)
@@ -205,6 +212,14 @@ def main() -> None:
         points = shifted_sample(max(args.entities // 4, 20), dim, args.seed + 50 + dim)
         labels = clustering.lloyd_kmeans(points, 3, seed=args.seed + 60 + dim)
         print(f"lloyd[{dim}d] {digest(labels)}")
+    repeated = np.tile([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], (4, 1))
+    for k in range(1, 5):
+        try:
+            result = digest(clustering.regularized_kmeans(
+                repeated, k, 1.0, seed=args.seed + 70).labels)
+        except clustering.ClusteringError as exc:
+            result = type(exc).__name__
+        print(f"kmeans[copies] k={k} {result}")
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import builtins
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -229,6 +231,16 @@ def test_cli_import_leaves_the_bench_harness_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.split() == ["[]", "entity_sampler.bench"]
+
+
+@pytest.mark.parametrize("module", ["entity_sampler", *(
+    f"entity_sampler.{info.name}"
+    for info in pkgutil.iter_modules(entity_sampler.__path__))])
+def test_every_exported_name_resolves(module):
+    # the package's lazy cli and bench names included: a name left in
+    # __all__ after its definition is deleted fails here
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def write_planted_csv(tmp_path):

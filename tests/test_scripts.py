@@ -23,7 +23,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                "lsh[vectors2d-starved].outcomes ",
                                "ssc[exhaustive].report ", "ssc[cover].report ",
                                "ssc[cap].report ", "ssc[cap].asked ",
-                               "em.loglik ", "lloyd[12d] "]),
+                               "em.loglik ", "lloyd[12d] ",
+                               "lsh[text-copies].outcomes ", "kmeans[copies] k=4 "]),
     ],
 )
 def test_script_runs_and_prints_its_headlines(name, headlines):
