@@ -25,13 +25,15 @@ prints the same hashes.  It hashes, for one seed and size,
   (``tpch`` profile, ``text-copies``), and for the 2-d clusters at
   a pair budget of a fifth of ``--entities`` (``vectors2d-starved``), too
   small for a block's radius forest (about one edge per record) to fit,
-  so its k-means candidates are ranked;
-* direct ``ssc_select`` reports (winner, losses, counts and the answered
-  clustering) and the ordered pairs the oracle was asked, on fixed label
-  sets that reach each of its branches: every pair within the budget,
-  after likely pairs (``ssc[exhaustive]``); one entity whose draws cover
-  every pair before the cap, ranked exactly (``ssc[cover]``); and one
-  entity of 60 records whose draws stop at the cap (``ssc[cap]``);
+  so its k-means candidates are ranked, and for sparse 4-d clusters of 5
+  records with singletons (``sparse4d``), whose entities the radius
+  forest leaves in pieces;
+* direct ``ssc_select`` reports (winner, losses and counts) and the
+  ordered pairs the oracle was asked, on fixed label sets that reach each
+  of its branches: every pair within the budget (``ssc[exhaustive]``);
+  one entity whose draws cover every pair before the cap, ranked exactly
+  (``ssc[cover]``); and one entity of 60 records whose draws stop at the
+  cap (``ssc[cap]``);
 * an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
   parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
   and 12-d samples;
@@ -60,14 +62,14 @@ from entity_sampler import (balanced, bench, blocking, cli, clustering, gmm,
                             lsh_pipeline, rejection, ssc, synth)
 
 FRACTIONS = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)
-# name: (labels, per-side pair budget, likely pairs) of the ssc_select lines;
-# 28 pairs fit a budget of 30, the 66 pairs of 12 records fall under the
-# cap of 1,011 draws at a budget of 5, and the 1,770 pairs of 60 records
-# exceed the cap of 607 draws at a budget of 3
+# name: (labels, per-side pair budget) of the ssc_select lines; 28 pairs
+# fit a budget of 30, the 66 pairs of 12 records fall under the cap of
+# 1,011 draws at a budget of 5, and the 1,770 pairs of 60 records exceed
+# the cap of 607 draws at a budget of 3
 SSC_CASES = {
-    "exhaustive": ([0, 0, 1, 1, 1, 2, 2, 3], 30, [(0, 1), (2, 3), (3, 4), (1, 2), (5, 6)]),
-    "cover": ([4] * 12, 5, []),
-    "cap": ([7] * 60, 3, []),
+    "exhaustive": ([0, 0, 1, 1, 1, 2, 2, 3], 30),
+    "cover": ([4] * 12, 5),
+    "cap": ([7] * 60, 3),
 }
 
 
@@ -141,17 +143,15 @@ def lsh_lines(name: str, data, family: str, seed: int,
 
 
 def ssc_lines(seed: int) -> None:
-    for name, (labels, m_pairs, likely) in SSC_CASES.items():
+    for name, (labels, m_pairs) in SSC_CASES.items():
         n = len(labels)
         candidates = [clustering.Clustering(np.zeros(n, dtype=np.int64)),
                       clustering.Clustering(np.unique(labels, return_inverse=True)[1]),
                       clustering.Clustering(-np.arange(1, n + 1))]
         oracle = RecordingOracle(labels)
-        rep = ssc.ssc_select(candidates, n, oracle, m_pairs, seed=seed,
-                             likely_pairs=likely)
-        answered = None if rep.answered is None else rep.answered.labels
+        rep = ssc.ssc_select(candidates, n, oracle, m_pairs, seed=seed)
         counts = (rep.queries, rep.inferred, rep.n_pos, rep.n_neg)
-        print(f"ssc[{name}].report {digest(rep.winner, rep.losses, counts, answered)}")
+        print(f"ssc[{name}].report {digest(rep.winner, rep.losses, counts)}")
         print(f"ssc[{name}].asked {digest(oracle.asked)}")
 
 
@@ -200,6 +200,9 @@ def main() -> None:
         if dim == 2:
             lsh_lines("vectors2d-starved", planted, "hyperplane", args.seed + 32,
                       budget=max(args.entities // 5, 1))
+    sparse = synth.planted_clusters(max(args.entities // 50, 2), 5, 10.0, 4,
+                                    seed=args.seed + 4, n_singletons=5)
+    lsh_lines("sparse4d", sparse, "hyperplane", args.seed + 34)
 
     ssc_lines(args.seed + 35)
 

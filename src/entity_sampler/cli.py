@@ -153,9 +153,8 @@ def estimate(data: Dataset, method: str, seed: int, *, m: int | None = None,
     the vectors (``k_min``, ``k_max``, ``budget``, ``mu_radius``) against
     ``oracle``, by default the entity labels.  A block whose radius forest
     fits its budget is clustered by the oracle's answers on the forest's
-    edges, against k = 1 unless ``k_min`` is 2 or more, and ``k_max``
-    does not cap its cluster count; a two-record block within
-    ``mu_radius`` is such a block, so its pair is asked at any ``k_min``.
+    edges alone, and ``k_max`` does not cap its cluster count; a
+    two-record block within ``mu_radius`` is such a block.
     ``k_min``..``k_max`` bound the k-means candidates of any other block,
     and ``k_max`` = 1 asks nothing.  A method ignores the other methods'
     keywords; a count it reads (``k``, ``max_iter``, ``k_min``, ``k_max``,
@@ -351,10 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.2,
                    help="lsh: distance threshold")
     p.add_argument("--k-min", type=int, default=1,
-                   help="lsh: the least k of a block's k-means candidates; at 2 "
-                        "or more a block whose radius forest fits the pair "
-                        "budget, a near pair included, drops k = 1 and keeps "
-                        "only the forest's answers")
+                   help="lsh: the least k of the k-means candidates, used "
+                        "where a block's radius forest does not fit the pair "
+                        "budget")
     p.add_argument("--k-max", type=int, default=4,
                    help="lsh: the largest k of the k-means candidates, used "
                         "where a block's radius forest does not fit the pair "
@@ -363,9 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-budget", type=int, default=1000)
     p.add_argument("--oracle", choices=("labels", "interactive"),
                    default="labels",
-                   help="lsh: who answers same-entity questions; each block's "
-                        "nearest pairs are asked first, and a pair that earlier "
-                        "answers settle by transitivity is not asked, so "
+                   help="lsh: who answers same-entity questions; a block "
+                        "whose radius forest fits the pair budget is asked its "
+                        "forest's edges, nearest first, and grouped by the "
+                        "\"same\" answers; any other block is not asked a pair "
+                        "that earlier answers settle by transitivity, so "
                         "answers must be consistent")
     p.add_argument("--mu-radius", type=float, default=1.0,
                    help="lsh: garbage prefilter radius")

@@ -441,7 +441,9 @@ def lloyd_kmeans(
     ``max_iter`` iterations pass.  The restart with the least within-cluster
     squared distance wins (the first on a tie), and its clusters are
     numbered 0..k'-1 in order of first occurrence, so restarts that reach
-    the same partition return the same labels.
+    the same partition return the same labels.  A ``k`` above the distinct
+    points raises ``ClusteringError``, so identical points always share a
+    cluster.
     """
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
@@ -452,6 +454,11 @@ def lloyd_kmeans(
         raise ClusteringError(f"k={k} exceeds point count {n}")
     if k == 1:
         return np.zeros(n, dtype=np.int64)
+    # more clusters than distinct points would put a copy in a cluster of
+    # its own
+    distinct = int(_factorize_features(points).max()) + 1
+    if k > distinct:
+        raise ClusteringError(f"k={k} exceeds the {distinct} distinct points")
     rng = np.random.default_rng(seed)
     starts = np.stack([_kmeanspp_init(points, k, rng) for _ in range(restarts)])
     # the scoring gathers a (restarts, n, d) array of centroids

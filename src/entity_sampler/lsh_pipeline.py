@@ -2,18 +2,18 @@
 
 Pipeline: block the records with locality-sensitive hashing, cluster every
 block into duplicate groups, then union the per-block clusterings.  A
-block that asks the oracle anything first asks the edges of its radius
-forest, the minimum spanning forest of its pairs within ``mu_radius``,
-shortest first, ties by (i, j).  When the forest fits the block's budget,
-the block's candidates are k = 1 and the components of the forest's
-"same" answers (Vesdapunt, Bellare and Dalvi, PVLDB 2014), so no k-means
-at k >= 2 runs and the answers set the cluster count.  Otherwise the
-candidates are regularized k-means over ``k_range``.  Either way sampled
-same-cluster selection against the oracle picks the winner, over a
-candidate set fixed before the first draw.  A block's distance work is
-its sparse radius graph, built from grid cells rather than b^2
-distances: once for the garbage prefilter's mask and once for its radius
-forest.  A block whose graph keeps more than
+block that asks the oracle anything first builds its radius forest, the
+minimum spanning forest of its pairs within ``mu_radius``, shortest edge
+first, ties by (i, j).  When the forest fits the block's budget, the
+block asks each forest edge once, in that order, and its groups are the
+components of the "same" answers (Vesdapunt, Bellare and Dalvi, PVLDB
+2014): no k-means runs and nothing is ranked, and the answers set the
+cluster count.  Otherwise the candidates are regularized k-means over
+``k_range``, and sampled same-cluster selection against the oracle picks
+the winner, over a candidate set fixed before the first draw.  A block's
+distance work is its sparse radius graph, built from grid cells rather
+than b^2 distances: once for the garbage prefilter's mask and once for
+its radius forest.  A block whose graph keeps more than
 ``clustering._MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.
 Garbage points become singleton clusters.  A two-record block follows
 the same rule, all pair blocks at once in array form: its forest is its
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .blocking import Blocking
+from .blocking import Blocking, _components
 from .clustering import (
     ClusteringError,
     _radius_forest,
@@ -60,12 +60,12 @@ _OUTCOME = np.dtype([(name, np.int64) for name in
 class LshEstimate:
     """Probability map plus the assembled duplicate-group assignment.
 
-    ``outcomes`` has a row for each block whose outcome the oracle decided
-    (asked pair blocks and ``ssc_select`` blocks), in block order: the
-    block id and the ``SscReport`` counts ``queries``, ``inferred``,
-    ``n_pos`` and ``n_neg``.  A pair block asks one question, and its
-    answer is its one positive or negative pair, or no pair when it is the
-    only candidate.
+    ``outcomes`` has a row for each block whose outcome the oracle decided,
+    in block order: the block id, ``queries``, ``inferred``, ``n_pos`` and
+    ``n_neg``.  A block decided by its forest's answers, an asked pair
+    block included, asks each forest edge once and infers nothing; its
+    ``n_pos`` and ``n_neg`` are its "same" and "different" answers.  A
+    block that ``ssc_select`` decides has that report's counts.
     """
 
     pmap: ProbabilityMap
@@ -95,36 +95,31 @@ def estimate_probs_lsh(
     one of its points has a neighbour within ``mu_radius``: the minimum
     spanning forest that joins its points within ``mu_radius``, edges
     (i, j), i < j, in (squared length, i, j) order.  The forest fits when
-    it has at most twice the block's per-side budget of edges.  The
-    block's candidates are then:
+    it has at most twice the block's per-side budget of edges.  Then:
 
-    * the forest fits: k = 1, unless ``k_range`` starts at 2 or more, and
-      the components of the forest's answers, each component a cluster and
-      each point without a neighbour garbage.  ``k_range`` does not cap
-      their count, and no k-means at k >= 2 runs.
-    * otherwise: regularized k-means at each k in ``k_range``, clamped to
-      the distinct points left after its garbage points are removed, so
-      exact copies always share a cluster.
+    * the forest fits: the block asks each edge once, in that order; a
+      forest has no cycle, so no answer settles a later edge.  Its groups
+      are the components of the "same" answers, numbered in order of
+      their least point, and each point without a neighbour is garbage.
+      ``k_range`` does not cap their count, no k-means runs, and nothing
+      is ranked.
+    * otherwise: the candidates are regularized k-means at each k in
+      ``k_range``, clamped to the distinct points left after its garbage
+      points are removed, so exact copies always share a cluster.  A
+      block left with one candidate (for example k = 1 at ``k_range``
+      (1, 1), or an all-garbage block) asks nothing.  Any other block
+      makes one ``ssc_select`` call, which scores the block exhaustively
+      when its C(b, 2) pairs fit in its per-side budget and by sampled
+      selection otherwise.  The oracle is asked only about pairs that its
+      earlier answers in the block do not settle by transitivity, so an
+      inconsistent oracle is absorbed silently rather than contradicted.
 
-    A block left with one k-means candidate and no forest candidate (for
-    example k = 1 at ``k_range`` (1, 1), or an all-garbage block) asks
-    nothing.  Any other block makes one ``ssc_select`` call, which asks the
-    forest's edges first when it fits and then scores the block
-    exhaustively when its C(b, 2) pairs fit in its per-side budget and by
-    sampled selection otherwise; the forest's answers alone are not
-    ranked, so nothing is drawn after them.  After the forest the oracle
-    is asked only about pairs that its earlier answers in the block do not
-    settle by transitivity, so an inconsistent oracle is absorbed silently
-    rather than contradicted.  The questions depend on the forest, the
-    draws and their answers do not.
-
-    A two-record block follows this rule in array form, with the results
-    and outcomes that ``ssc_select`` gives it: its forest is its pair when
-    the two points are within ``mu_radius``.  Two points beyond it are two
-    garbage groups.  A near pair merges unasked when ``k_range`` stops at
-    1, and otherwise is asked, and merges on "same" and splits on
-    "different", at any ``k_range`` start.  Questions reach the oracle in
-    block order.
+    A two-record block follows this rule in array form: its forest is its
+    pair when the two points are within ``mu_radius``.  Two points beyond
+    it are two garbage groups.  A near pair merges unasked when
+    ``k_range`` stops at 1, and otherwise is asked, and merges on "same"
+    and splits on "different", at any ``k_range`` start.  Questions reach
+    the oracle in block order.
     """
     if data.features is None:
         raise DatasetError("clustering requires vector records")
@@ -163,50 +158,53 @@ def estimate_probs_lsh(
     for block_id in np.flatnonzero(asked | (block_sizes > 2)).tolist():
         start = starts[block_id]
         block = members[start:start + block_sizes[block_id]]
+        ids = block.tolist()
         if asked[block_id]:
-            # the answer merges or splits the pair, as ranking it against
-            # k = 1 would; at a k_range start of 2 or more it is the only
-            # candidate, and no pair is ranked
-            same = bool(oracle(int(block[0]), int(block[1])))
-            ranked = k_lo <= 1
+            same = bool(oracle(ids[0], ids[1]))
             n_groups[block_id] = 2 - same
-            outcomes.append((block_id, 1, 0, ranked and same, ranked and not same))
+            outcomes.append((block_id, 1, 0, same, not same))
             continue
         points = data.features[block]
-        child_seeds = _block_seed(seed, block_id).generate_state(2)
         has_neighbour = neighbour_mask(points, mu_radius)
         remaining = int(has_neighbour.sum())
-        # a block that asks anything asks its radius forest first; when the
-        # forest fits the budget, its answers cluster the block.  It fits
-        # at no more edges than the fewest draws a sampled selection makes,
-        # block_budget on each side, so an exhaustive block's always fits
+        # a block whose radius forest fits the budget is decided by the
+        # forest's answers.  It fits at no more edges than the fewest draws
+        # a sampled selection makes, block_budget on each side, so an
+        # exhaustive block's always fits
         forest = (_radius_forest(points, mu_radius, has_neighbour)
                   if remaining and k_hi > 1 else ())
-        forest_fits = 0 < len(forest) <= 2 * block_budget
+        if 0 < len(forest) <= 2 * block_budget:
+            # a forest has no cycle, so no answer settles a later edge
+            same = np.array([bool(oracle(ids[i], ids[j])) for i, j in forest.tolist()])
+            root = _components(block.size, *forest[same].T)
+            # clusters in order of least point, then garbage in index order
+            keys, local[block] = np.unique(
+                np.where(has_neighbour, root, block.size + root), return_inverse=True)
+            n_groups[block_id] = keys.size
+            n_same = int(np.count_nonzero(same))
+            outcomes.append((block_id, len(forest), 0, n_same, len(forest) - n_same))
+            continue
         # every k is in [1, distinct marked points], or 0 when the
         # prefilter leaves nothing: exactly the k that regularized_kmeans
         # accepts
-        if forest_fits:
-            ks = [1] if k_lo <= 1 else []
-        elif remaining == 0:
+        if remaining == 0:
             ks = [0]
         else:
             distinct = int(_factorize_features(points[has_neighbour]).max()) + 1
             ks = sorted({min(max(k, 1), distinct) for k in range(k_lo, k_hi + 1)})
+        child_seeds = _block_seed(seed, block_id).generate_state(2)
         candidates = [
             regularized_kmeans(points, k, mu_radius, seed=int(child_seeds[0]),
                                has_neighbour=has_neighbour)
             for k in ks
         ]
-        if len(candidates) == 1 and not forest_fits:
+        if len(candidates) == 1:
             winner = candidates[0]
         else:
-            ids = block.tolist()
             report = ssc_select(candidates, block.size,
                                 lambda i, j: oracle(ids[i], ids[j]),
-                                m_pairs=block_budget, seed=int(child_seeds[1]),
-                                likely_pairs=forest if forest_fits else ())
-            winner = (*candidates, report.answered)[report.winner]
+                                m_pairs=block_budget, seed=int(child_seeds[1]))
+            winner = candidates[report.winner]
             outcomes.append((block_id, report.queries, report.inferred,
                              report.n_pos, report.n_neg))
         # groups in label order: clusters 0..k-1, then garbage -1, -2, ...

@@ -185,8 +185,12 @@ def _acceptance_ratios(
     return pmap.floor / table, codes
 
 
-# uniform draws made per step of sample_clean; the draws depend on it
-_TRIAL_CHUNK = 1 << 16
+# uniform draws made per step of sample_clean; the draws depend on it.
+# Each step allocates three temporaries of this many 8-byte entries, so
+# at 2^13 each is 64 KiB: under glibc's default 128 KiB mmap threshold,
+# they are reused from the heap instead of mapped and page-faulted afresh
+# on every call, and a small sample draws no more than it needs
+_TRIAL_CHUNK = 1 << 13
 
 
 def sample_clean(

@@ -21,19 +21,12 @@ Transitive Relations for Crowdsourced Joins", SIGMOD 2013).  Every draw
 still counts with its true answer, so the losses do not change; only the
 questions do.  A block's answers have one owner, the store ``_Answers``,
 whose ``answer`` settles a pair from the answers so far or asks the oracle
-and records its answer, for the likely, the exhaustive and the drawn pairs
-alike.  Which pairs get settled depends on
-the order of the questions, so a caller may name likely duplicate pairs to
-be asked before anything is drawn, for example the nearest neighbours of a
-block: their "same" answers settle many of the draws that follow
-(Vesdapunt, Bellare and Dalvi, "Crowdsourcing Algorithms for Entity
-Resolution", PVLDB 2014).  The components of those answers join the
-candidates as one more clustering.  It is built before the first draw,
-so the candidate set is still fixed before any pair is drawn (Ashtiani,
-Kushagra and Ben-David, "Clustering with Same-Cluster Queries", NeurIPS
-2016).  An inconsistent (noisy) oracle is absorbed silently rather than
-contradicted; such oracles are out of scope here (Mazumdar and Saha,
-"Clustering with Noisy Queries", NeurIPS 2017).
+and records its answer, for the exhaustive and the drawn pairs alike.
+The candidate set is fixed before any pair is drawn (Ashtiani, Kushagra
+and Ben-David, "Clustering with Same-Cluster Queries", NeurIPS 2016).  An
+inconsistent (noisy) oracle is absorbed silently rather than contradicted;
+such oracles are out of scope here (Mazumdar and Saha, "Clustering with
+Noisy Queries", NeurIPS 2017).
 
 A sampled run draws its pairs in batches that grow from 256 to 8,192
 draws.  A draw that the answers so far settle stays settled, so at the
@@ -142,9 +135,6 @@ class SscReport:
     ``queries`` counts the pairs the oracle was asked and ``inferred`` the
     distinct pairs drawn, or scored exhaustively, that earlier answers
     settled without asking; ``n_pos`` and ``n_neg`` count the pairs ranked on.
-    ``answered`` is the clustering built from the likely pairs' answers
-    when ``ssc_select`` asked them, and then the last of the candidates
-    that ``winner`` and ``losses`` index.
     """
 
     winner: int
@@ -153,7 +143,6 @@ class SscReport:
     n_pos: int
     n_neg: int
     inferred: int
-    answered: Clustering | None = None
 
 
 def rank_candidates(
@@ -273,25 +262,6 @@ class _Answers:
         key = r0 * roots.size + r1
         return same, ~same & (keys[np.searchsorted(keys, key)] != key)
 
-    def clustering(self, likely: np.ndarray) -> Clustering:
-        """The components of the answers so far as a clustering.
-
-        Each component that holds a point of a likely pair is a cluster,
-        numbered in the order of its least point; a point in no likely pair
-        keeps a garbage label of its own, -1, -2, ... in index order.
-        """
-        comp = self.roots
-        touched = np.zeros(comp.size, dtype=bool)
-        touched[likely.ravel()] = True
-        labels = np.empty(comp.size, dtype=np.int64)
-        labels[~touched] = -np.arange(1, comp.size - np.count_nonzero(touched) + 1)
-        _, first, codes = np.unique(comp[touched], return_index=True,
-                                    return_inverse=True)
-        rank = np.empty_like(first)
-        rank[np.argsort(first)] = np.arange(first.size)
-        labels[touched] = rank[codes]
-        return Clustering(labels)
-
 
 def ssc_select(
     candidates: Sequence[Clustering],
@@ -299,7 +269,6 @@ def ssc_select(
     oracle: Callable[[int, int], bool],
     m_pairs: int,
     seed: int,
-    likely_pairs: Sequence[tuple[int, int]] = (),
 ) -> SscReport:
     """Pick the candidate with the smallest pair loss.
 
@@ -331,45 +300,24 @@ def ssc_select(
     draws before the next one fill both sides, and finds the draw that
     fills them with one cumulative count.
 
-    ``likely_pairs`` are asked first, in order, each one that the earlier
-    answers leave open; the caller decides how many are worth asking.
-    They change which pairs are asked, never a draw or its answer, so
-    ``queries``, every pair asked, and ``inferred``, the distinct pairs
-    drawn (all C(n, 2) when exhaustive) that were never asked, are the
-    only counts they change.  Once they are asked, before the first draw,
-    the components of the answers join the candidates as the last one,
-    ``SscReport.answered``: each component that holds a point of a likely
-    pair is a cluster, and a point in no likely pair is garbage.
-    ``candidates`` may then be empty.  A single candidate is not ranked:
-    after the likely pairs nothing is drawn or asked, and the report
-    counts no pairs.
+    A single candidate is not ranked: nothing is drawn or asked, and the
+    report counts no pairs.
     """
-    likely = np.asarray(likely_pairs, dtype=np.int64).reshape(-1, 2)
-    if not candidates and not likely.size:
+    if not candidates:
         raise ValueError("no candidates to select from")
     if n_points < 2:
         raise ValueError("need at least two points to draw pairs")
     if any(c.n != n_points for c in candidates):
         raise ValueError(f"every candidate must label the {n_points} points")
     m_pairs = positive_count(m_pairs, "m_pairs")
-    if likely.size and (likely.min() < 0 or likely.max() >= n_points
-                        or (likely[:, 0] == likely[:, 1]).any()):
-        raise ValueError(f"each likely pair must join two of the {n_points} points")
+    if len(candidates) == 1:
+        return _ranked(candidates, [0.0], queries=0, n_pos=0, n_neg=0, inferred=0)
     n_pairs = n_points * (n_points - 1) // 2
     store = _Answers(n_points)
-    early = [(i, j) for i, j in likely.tolist() if store.answer(oracle, i, j)[1]]
-    asked = len(early)
-    answered = None
-    if likely.size:
-        answered = store.clustering(likely)
-        candidates = [*candidates, answered]
-    if len(candidates) == 1:
-        return _ranked(candidates, [0.0], queries=asked, n_pos=0, n_neg=0,
-                       inferred=0, answered=answered)
     if n_pairs <= m_pairs:
-        asked += sum(store.answer(oracle, i, j)[1]
-                     for i, j in combinations(range(n_points), 2))
-        return _exact_report(candidates, store.roots, asked, answered)
+        asked = sum(store.answer(oracle, i, j)[1]
+                    for i, j in combinations(range(n_points), 2))
+        return _exact_report(candidates, store.roots, asked)
     rng = np.random.default_rng(seed)
     cap = _cap(m_pairs)
     # the draws can cover every pair only if the cap allows that many; only
@@ -378,7 +326,7 @@ def ssc_select(
     cover = n_pairs <= cap
     drawn = np.zeros(n_pairs if cover else 0, dtype=bool)
     batches, answers = [], []
-    draws = distinct = n_pos = n_neg = 0
+    draws = distinct = n_pos = n_neg = asked = 0
     size = _PAIR_BATCH
     while draws < cap and distinct < n_pairs and (n_pos < m_pairs or n_neg < m_pairs):
         # one ``integers`` call over bounds alternating n, n - 1 consumes the
@@ -426,19 +374,15 @@ def ssc_select(
         answers.append(same[:t])
         size = min(2 * size, _PAIR_BATCH_MAX)
     if distinct == n_pairs:
-        return _exact_report(candidates, store.roots, asked, answered)
+        return _exact_report(candidates, store.roots, asked)
     pairs = np.concatenate(batches)
     keys = np.sort(_pair_index(pairs, n_points))
     n_distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-    # every asked pair was drawn, except likely ones that never came up
-    early_keys = _pair_index(np.array(early, dtype=np.int64).reshape(-1, 2), n_points)
-    at = np.minimum(np.searchsorted(keys, early_keys), keys.size - 1)
-    undrawn = int(np.count_nonzero(keys[at] != early_keys))
     same = np.concatenate(answers)
     pos_pairs, neg_pairs = pairs[same], pairs[~same]
     losses = [pair_losses(c, pos_pairs, neg_pairs)[2] for c in candidates]
     return _ranked(candidates, losses, queries=asked, n_pos=n_pos, n_neg=n_neg,
-                   inferred=n_distinct - asked + undrawn, answered=answered)
+                   inferred=n_distinct - asked)
 
 
 def _cap(m_pairs: int) -> int:
@@ -454,8 +398,7 @@ def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
 
 
 def _exact_report(
-    candidates: Sequence[Clustering], comp: np.ndarray, asked: int,
-    answered: Clustering | None,
+    candidates: Sequence[Clustering], comp: np.ndarray, asked: int
 ) -> SscReport:
     """Rank on every pair once the answers settle all of them: a pair is
     positive exactly when its two points share a component root ``comp``.
@@ -474,7 +417,7 @@ def _exact_report(
         joined_neg = _pairs_within(lab) - joined_pos
         losses.append(_losses(n_pos, n_pos - joined_pos, n_neg, joined_neg)[2])
     return _ranked(candidates, losses, queries=asked, n_pos=n_pos, n_neg=n_neg,
-                   inferred=n_pairs - asked, answered=answered)
+                   inferred=n_pairs - asked)
 
 
 def _pairs_within(codes: np.ndarray) -> int:

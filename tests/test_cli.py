@@ -288,11 +288,11 @@ def test_estimate_lsh_writes_map_and_blocking_report(tmp_path, capsys):
     assert report["rows"] >= 1 and report["bands"] >= 1
     assert report["n_blocks"] == len(report["block_size_histogram"]) or \
         sum(report["block_size_histogram"].values()) == report["n_blocks"]
-    # the one 12-record block fits its budget and is scored exhaustively:
-    # each of its 66 pairs is either asked or settled by earlier answers
+    # the one 12-record block's radius forest fits its budget: its 6 edges
+    # are asked once each, and nothing is inferred
     assert report["block_size_histogram"] == {"12": 1}
-    assert report["oracle_queries"] + report["oracle_inferred"] == 66
-    assert 0 < report["oracle_queries"] < 66
+    assert report["oracle_queries"] == 6
+    assert report["oracle_inferred"] == 0
 
 
 def test_sample_detects_foreign_map(tmp_path, capsys):

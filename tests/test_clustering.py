@@ -130,11 +130,13 @@ def lloyd_cases():
         for k in range(1, 5):
             yield pytest.param(pts, k, seed, id=f"planted{seed}-k{k}")
             yield pytest.param(pts + 1e6, k, seed, id=f"planted{seed}+1e6-k{k}")
-    # a duplicated k-means++ centre leaves a cluster empty, which is
-    # re-seeded on the farthest point
+    # exact copies at k = their distinct count; a k above it raises
+    # (test_lloyd_keeps_copies_together), and the re-seeding of an empty
+    # cluster is checked on duplicated starting centres
+    # (test_lloyd_ties_go_to_the_first_centre)
     two = np.repeat(np.array([[0.0, 0.0], [3.0, 1.0]]), 10, axis=0)
     for seed in range(3):
-        yield pytest.param(two, 3, seed, id=f"two-points-{seed}")
+        yield pytest.param(two, 2, seed, id=f"two-points-{seed}")
 
 
 @pytest.mark.parametrize("pts,k,seed", list(lloyd_cases()))
@@ -616,3 +618,15 @@ def test_identical_points_always_share_a_cluster(copies, k, lloyd, seed):
             return
         labels = regularized_kmeans(pts, k, mu_radius=0.5, seed=seed).labels
     assert len(set(zip(content.tolist(), labels.tolist()))) == len(copies)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lloyd_keeps_copies_together(seed):
+    # 3 distinct points, 4 copies each: k = 4 would split a point's copies
+    # (at these seeds it labelled point 0's copies 0 and 3), so it raises
+    content = np.tile(np.arange(3), 4)
+    pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])[content]
+    with pytest.raises(ClusteringError, match="3 distinct"):
+        lloyd_kmeans(pts, 4, seed=seed)
+    labels = lloyd_kmeans(pts, 3, seed=seed)
+    assert len(set(zip(content.tolist(), labels.tolist()))) == 3

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entity_sampler import balanced, cli, clustering, dataset, lsh_pipeline, rejection, ssc
 from entity_sampler import blocking as blocking_module
@@ -78,11 +79,11 @@ def test_group_numbering_runs_on_across_blocks():
     oracle = PairRecordingOracle(entities)
     est = estimate_probs_lsh(data, blocking, k_range=(2, 2), budget=100,
                              oracle=oracle, seed=0)
-    # at k >= 2 the middle block's one candidate is its forest's answers:
-    # the two forest edges are asked, shortest first (10.1 - 10.0 rounds
-    # below 0.1), and nothing is drawn
+    # the middle block is decided by its forest's answers: the two forest
+    # edges are asked, shortest first (10.1 - 10.0 rounds below 0.1), and
+    # both are "same"
     assert oracle.asked == [(3, 6), (1, 4)]
-    assert est.outcomes.tolist() == [(1, 2, 0, 0, 0)]
+    assert est.outcomes.tolist() == [(1, 2, 0, 2, 0)]
     # block 0: group 0; block 1: clusters 1, 2 in the order of their least
     # point, then garbage 3, 4, 5 in index order; block 2: group 6
     assert est.group_ids.tolist() == [0, 1, 3, 2, 1, 4, 2, 5, 6]
@@ -252,42 +253,98 @@ def test_two_record_blocks_ask_their_one_pair_once():
 
 
 def test_sampled_block_stops_once_every_pair_is_answered():
-    # C(3, 2) = 3 pairs exceed the per-side budget of 1, so the block goes
-    # through sampled selection; all-negative answers never fill the
-    # positive side, and the draws stop once all three pairs are answered
-    feats = np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0]])
-    labels = [0, 1, 2]
-    data = Dataset(ids=(0, 1, 2), features=feats, entity_labels=labels)
+    # the forest's 3 edges exceed twice the per-side budget of 1, and
+    # C(4, 2) = 6 pairs exceed the budget, so the block ranks its k-means
+    # candidates by sampled selection; all-negative answers never fill the
+    # positive side, and the draws stop once all six pairs are answered
+    feats = np.array([[0.0, 0.0], [0.3, 0.0], [0.6, 0.0], [0.9, 0.0]])
+    labels = [0, 1, 2, 3]
+    data = Dataset(ids=(0, 1, 2, 3), features=feats, entity_labels=labels)
     oracle = PairRecordingOracle(labels)
-    est = estimate_probs_lsh(data, blocking_of([(0, 3)], 3), (1, 3),
+    est = estimate_probs_lsh(data, blocking_of([(0, 4)], 4), (1, 4),
                              budget=1, oracle=oracle, seed=0)
-    assert oracle.pairs == {(0, 1), (0, 2), (1, 2)}
-    assert oracle.queries == 3
-    assert est.outcomes.tolist() == [(0, 3, 0, 0, 3)]
-    assert est.group_sizes.tolist() == [1, 1, 1]
+    assert oracle.pairs == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
+    assert oracle.queries == 6
+    assert est.outcomes.tolist() == [(0, 6, 0, 0, 6)]
+    assert est.group_sizes.tolist() == [1, 1, 1, 1]
 
 
 def test_single_entity_block_merges_on_its_exact_pairs():
-    # C(8, 2) = 28 pairs exceed the per-side budget of 5, so the block goes
-    # through sampled selection; all-positive answers never fill the
-    # negative side, and once all 28 pairs are drawn the candidates are
-    # ranked on them, so the counts are counts of the block's pairs.  The
-    # oracle hears the b - 1 = 7 pairs that join the components; the other
-    # 21 follow from those answers
+    # the forest's 7 edges exceed twice the per-side budget of 3, and
+    # C(8, 2) = 28 pairs exceed the budget, so the block goes through
+    # sampled selection; all-positive answers never fill the negative
+    # side, and once all 28 pairs are drawn the candidates are ranked on
+    # them, so the counts are counts of the block's pairs.  The oracle
+    # hears the b - 1 = 7 pairs that join the components; the other 21
+    # follow from those answers
     feats = np.random.default_rng(2).normal(0, 0.05, (8, 2))
     data = Dataset(ids=tuple(range(8)), features=feats, entity_labels=[0] * 8)
     oracle = SameClusterOracle([0] * 8)
     est = estimate_probs_lsh(data, blocking_of([(0, 8)], 8), (1, 3),
-                             budget=5, oracle=oracle, seed=0)
+                             budget=3, oracle=oracle, seed=0)
     assert oracle.queries == 7
     # (block, queries, inferred, n_pos, n_neg)
     assert est.outcomes.tolist() == [(0, 7, 21, 28, 0)]
     assert est.group_sizes.tolist() == [8]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_fitting_forest_decides_the_block_without_ranking(seed):
+    # "a" at 0 and 0.3, "b" at 3 and 3.3, "c" at 9: the forest's 2 edges
+    # fit twice the per-side budget of 1, and their two "same" answers
+    # are the block's groups, whatever the seed.  Ranked against k = 1 on
+    # sampled pairs, the answers lost to it at some seeds, merging "a"
+    # and "b"
+    feats = np.array([[0.0], [0.3], [3.0], [3.3], [9.0]])
+    labels = ["a", "a", "b", "b", "c"]
+    data = Dataset(ids=tuple(range(5)), features=feats, entity_labels=labels)
+    oracle = PairRecordingOracle(labels)
+    est = estimate_probs_lsh(data, blocking_of([(0, 5)], 5), (1, 4), 1, oracle,
+                             seed=seed)
+    # 3.3 - 3.0 rounds below 0.3, so the "b" edge is the shorter
+    assert oracle.asked == [(2, 3), (0, 1)]
+    assert est.group_ids.tolist() == [0, 0, 1, 1, 2]
+    assert est.outcomes.tolist() == [(0, 2, 0, 2, 0)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                   st.integers(0, 3)), min_size=1, max_size=8),
+                min_size=1, max_size=4))
+def test_fitting_forests_ask_each_edge_once_and_merge_on_same(blocks):
+    # points on a grid of step 0.25, exact copies included, each block
+    # 100 apart; the budget fits every forest
+    feats, labels, slices = [], [], []
+    for b, block in enumerate(blocks):
+        slices.append((len(labels), len(labels) + len(block)))
+        for x, y, label in block:
+            feats.append((100.0 * b + 0.25 * x, 0.25 * y))
+            labels.append(label)
+    n = len(labels)
+    data = Dataset(ids=tuple(range(n)), features=np.array(feats), entity_labels=labels)
+    oracle = PairRecordingOracle(labels)
+    est = estimate_probs_lsh(data, blocking_of(slices, n), (1, 4), 100 * len(blocks),
+                             oracle, seed=0)
+    want_asked, want_rows = [], []
+    for b, (lo, hi) in enumerate(slices):
+        points = data.features[lo:hi]
+        mask = clustering.neighbour_mask(points, 1.0)
+        if not mask.any():
+            continue
+        forest = clustering._radius_forest(points, 1.0, mask).tolist()
+        want_asked += [(lo + i, lo + j) for i, j in forest]
+        same = sum(labels[lo + i] == labels[lo + j] for i, j in forest)
+        want_rows.append((b, len(forest), 0, same, len(forest) - same))
+    assert oracle.asked == want_asked
+    assert est.outcomes.tolist() == want_rows
+    # no group holds two entities
+    groups = set(zip(est.group_ids.tolist(), labels))
+    assert len(groups) == est.group_sizes.size
+
+
 def test_fifty_record_single_entity_block_asks_b_minus_one_pairs():
-    # C(50, 2) = 1225 pairs exceed the per-side budget of 100: every answer
-    # is "same", so only the 49 pairs that join two components are asked
+    # the forest's 49 edges fit twice the per-side budget of 100, so they
+    # are the only questions, and their "same" answers join the block
     feats = np.random.default_rng(3).normal(0, 0.05, (50, 2))
     data = Dataset(ids=tuple(range(50)), features=feats, entity_labels=[0] * 50)
     oracle = SameClusterOracle([0] * 50)
@@ -296,7 +353,7 @@ def test_fifty_record_single_entity_block_asks_b_minus_one_pairs():
     (block, queries, *_), = est.outcomes.tolist()
     assert block == 0
     assert queries == oracle.queries == 49
-    assert est.group_sizes.tolist() == [50]  # the k = 1 candidate won
+    assert est.group_sizes.tolist() == [50]
 
 
 def lsh_vectors_input(seed=4100, n_per=50, dim=2):
@@ -339,51 +396,46 @@ def recorded_lloyd_ks(monkeypatch):
 
 
 def test_planted_block_asks_its_radius_forest_first(monkeypatch):
-    # the benchmark's one 2,005-record block asks its forest before it
-    # draws; the forest's answers settle most draws, change none of them,
-    # and cluster the block
+    # the benchmark's one 2,005-record block asks each of its 1,960 forest
+    # edges once, in forest order, and their answers cluster it: nothing
+    # is drawn or ranked
     data, blocking = lsh_vectors_input()
     assert blocking.q == 1 and blocking.sizes[0] == 2005
     reports = recorded_selects(monkeypatch)
-
-    def estimate():
-        oracle = SameClusterOracle(tuple(data.entity_codes))
-        est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=4102)
-        (report,) = reports
-        reports.clear()
-        return est, oracle.queries, report
-
-    est, queries, report = estimate()
-    # without the forest the block asks about 52.7k questions and ranks
-    # the k-means candidates k = 1..4
+    forest = clustering._radius_forest(
+        data.features, 1.0, clustering.neighbour_mask(data.features, 1.0))
+    oracle = PairRecordingOracle(tuple(data.entity_codes))
+    est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=4102)
+    assert oracle.asked == [tuple(edge) for edge in forest.tolist()]
+    assert reports == []
+    assert est.outcomes.tolist() == [(0, 1960, 0, 1960, 0)]
+    assert est.group_sizes.size == 45
+    # without the forest the block ranks the k-means candidates k = 1..4
+    # by sampled selection, which asks about 52.7k questions
     monkeypatch.setattr(lsh_pipeline, "_radius_forest", lambda *args: ())
-    bare, bare_queries, bare_report = estimate()
-    assert queries <= 3000 < bare_queries
-    for name in ("block", "n_pos", "n_neg"):
-        assert np.array_equal(est.outcomes[name], bare.outcomes[name])
-    # k = 1 and the forest's answers; the answers win
-    assert len(report.losses) == 2 and report.winner == 1
-    assert report.answered is not None and report.answered.k == 45 - 5
-    assert bare_report.answered is None and len(bare_report.losses) == 4
-    assert est.group_sizes.size == 45 and bare.group_sizes.size == 9
+    bare_oracle = SameClusterOracle(tuple(data.entity_codes))
+    bare = estimate_probs_lsh(data, blocking, (1, 4), 2000, bare_oracle, seed=4102)
+    (report,) = reports
+    assert len(report.losses) == 4 and bare_oracle.queries > 3000
+    assert bare.group_sizes.size == 9
 
 
 @pytest.mark.parametrize("seed", [4100, 4103])
 def test_off_origin_block_with_more_entities_than_k_max_recovers_every_entity(
         monkeypatch, seed):
     # 45 entities in one block at k <= 4: the forest's answers recover
-    # each one, with no Lloyd run at k >= 2
+    # each one, with no Lloyd run
     data, blocking = lsh_vectors_input(seed)
     ks = recorded_lloyd_ks(monkeypatch)
     oracle = SameClusterOracle(tuple(data.entity_codes))
     est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=seed + 2)
-    assert oracle.queries <= 3000
+    assert oracle.queries == 1960
     assert est.group_sizes.size == 45
     # the groups are the entities: one-to-one codes
     pairs = set(zip(est.group_ids.tolist(), data.entity_codes.tolist()))
     assert len(pairs) == 45
     assert induced_tv(data, est) <= 1e-12
-    assert all(k == 1 for k in ks)
+    assert ks == []
 
 
 def test_budget_starved_block_keeps_the_kmeans_candidates(monkeypatch):
@@ -399,7 +451,7 @@ def test_budget_starved_block_keeps_the_kmeans_candidates(monkeypatch):
     est = estimate_probs_lsh(data, blocking, (1, 4), 500,
                              SameClusterOracle(tuple(data.entity_codes)), seed=4102)
     (report,) = reports
-    assert report.answered is None and len(report.losses) == 4
+    assert len(report.losses) == 4
     assert sorted(set(ks)) == [1, 2, 3, 4]
     assert est.group_sizes.size == 9
 
@@ -439,10 +491,10 @@ def test_k_range_of_one_asks_nothing():
 
 def test_sparse_entities_over_split_along_their_forest():
     # 40 entities of 5 records in 4-d: an entity's records are often not
-    # linked within mu_radius, so its forest answers leave it in pieces.
-    # The forest candidate wins with 81 groups for 45 entities, an
-    # over-split that asking across nearby components would close; it
-    # still halves the TV of the k-means candidates (0.45 at k <= 4)
+    # linked within mu_radius, so its forest's answers leave it in pieces:
+    # 81 groups for 45 entities, an over-split that asking across nearby
+    # components would close.  It still halves the TV of the k-means
+    # candidates (0.45 at k <= 4)
     data, blocking = lsh_vectors_input(7, n_per=5, dim=4)
     oracle = SameClusterOracle(tuple(data.entity_codes))
     est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=9)
@@ -625,32 +677,35 @@ def pair_block_data():
 
 def block_rule_pairs(data, blocking, k_range, mu_radius, oracle):
     """Group ids and outcome rows (block, queries, inferred, n_pos, n_neg)
-    from the rule of a larger block run on each pair block: its
-    neighbour mask and radius forest, k = 1 unless ``k_range`` starts at
-    2, and ``ssc_select`` asking the forest first."""
-    k_lo, k_hi = k_range
+    from the rule of a larger block run on each pair block: its neighbour
+    mask and, when ``k_range`` reaches past 1, its radius forest, whose
+    edges are asked in order and whose "same" answers join their points."""
     group_ids = np.empty(data.n, dtype=np.int64)
     next_group, outcomes = 0, []
     for block_id, block in enumerate(blocking.blocks):
         points = data.features[block]
         has_neighbour = clustering.neighbour_mask(points, mu_radius)
         forest = (clustering._radius_forest(points, mu_radius, has_neighbour)
-                  if has_neighbour.any() and k_hi > 1 else ())
+                  if has_neighbour.any() and k_range[1] > 1 else ())
         if len(forest):
-            candidates = [clustering.regularized_kmeans(
-                points, 1, mu_radius, has_neighbour=has_neighbour)] if k_lo <= 1 else []
-            report = ssc.ssc_select(candidates, 2,
-                                    lambda i, j: oracle(int(block[i]), int(block[j])),
-                                    m_pairs=1, seed=0, likely_pairs=forest)
-            winner = (*candidates, report.answered)[report.winner]
-            outcomes.append((block_id, report.queries, report.inferred,
-                             report.n_pos, report.n_neg))
+            comp = list(range(block.size))
+            answers = [oracle(int(block[i]), int(block[j])) for i, j in forest.tolist()]
+            for (i, j), same in zip(forest.tolist(), answers):
+                if same:
+                    comp = [comp[i] if c == comp[j] else c for c in comp]
+            outcomes.append((block_id, len(forest), 0, sum(answers),
+                             len(answers) - sum(answers)))
+            # clusters in order of least point, then garbage in index order
+            keys = [c if mark else block.size + p
+                    for p, (c, mark) in enumerate(zip(comp, has_neighbour))]
+            local = np.unique(keys, return_inverse=True)[1]
         else:
             winner = clustering.regularized_kmeans(points, int(has_neighbour.any()),
                                                    mu_radius, has_neighbour=has_neighbour)
-        lab = winner.labels
-        group_ids[block] = next_group + np.where(lab >= 0, lab, winner.k - 1 - lab)
-        next_group += winner.k + int(np.count_nonzero(lab < 0))
+            lab = winner.labels
+            local = np.where(lab >= 0, lab, winner.k - 1 - lab)
+        group_ids[block] = next_group + local
+        next_group += int(local.max()) + 1
     return group_ids, outcomes
 
 
@@ -714,19 +769,19 @@ def test_pair_blocks_match_clustering_every_candidate(k_range, mu_radius):
     if k_range[1] == 1:
         assert outcomes == []
         return
-    # every near pair is asked, ranked against k = 1 unless k_range starts
-    # at 2; two identical points that the oracle tells apart split
+    # every near pair is asked at any k_range start, and its answer is
+    # its one "same" or "different" count; two identical points that the
+    # oracle tells apart split
     assert oracle.queries == len(outcomes) > 0
-    n_pos = {row[3] for row in outcomes}
-    assert n_pos == ({0} if k_range[0] >= 2 else {0, 1})
+    assert {row[3:] for row in outcomes} == {(0, 1), (1, 0)}
     assert est.group_ids[2] != est.group_ids[3]
 
 
 def test_oracle_questions_follow_block_order():
     # blocks, each about its own centre and with interleaved members: a
     # pair, three records, a pair beyond the radius, a singleton, a pair
-    # and four records; the four go through sampled selection.  A larger
-    # block hears its radius forest first, shortest edge first
+    # and four records.  A larger block hears its radius forest's edges,
+    # shortest first, and nothing more
     blocks = ([4, 11], [0, 7, 13], [2, 9], [5], [1, 12], [3, 6, 8, 10])
     offsets = ([0.0, 0.3], [0.0, 0.3, 0.6], [0.0, 5.0], [0.0], [0.0, 0.4],
                [0.0, 0.3, 0.6, 0.9])

@@ -180,8 +180,8 @@ def test_per_code_map_resolves():
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_backing_does_not_change_the_sample(seed):
-    # 70,000 accepts need more than one 65,536-trial chunk; 150 end inside
-    # the first
+    # 70,000 accepts need many 8,192-trial chunks; 150 end inside the
+    # first
     d = dataset_from_freqs([40, 17, 9, 5, 3, 2, 1, 1], seed=seed)
     by_code = estimate_probs_balanced(d, m=30, seed=seed)
     dense = ProbabilityMap(dense=by_code.resolve(d))

@@ -21,6 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                "lsh[text].asked ", "lsh[text].asked_pairs ",
                                "lsh[text-k2].asked ", "lsh[vectors3d].outcomes ",
                                "lsh[vectors2d-starved].outcomes ",
+                               "lsh[sparse4d].group_ids ",
                                "ssc[exhaustive].report ", "ssc[cover].report ",
                                "ssc[cap].report ", "ssc[cap].asked ",
                                "em.loglik ", "lloyd[12d] ",

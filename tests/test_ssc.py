@@ -446,89 +446,3 @@ def test_all_distinct_block_asks_every_pair_it_draws():
         assert oracle.asked == plain_asked
         assert (rep.queries, rep.inferred) == (plain.queries, 0)
         assert rep.n_neg == plain.n_neg >= 40
-
-
-@pytest.mark.parametrize("pair", [(2, 2), (-1, 2), (0, 4)])
-def test_select_rejects_a_likely_pair_off_the_instance(pair):
-    # checked before any likely pair is asked
-    c = clustering([0, 1, 2, 3], n=4)
-    with pytest.raises(ValueError, match="likely pair"):
-        ssc_select([c], 4, SameClusterOracle([0, 0, 1, 1]), 1, seed=0,
-                   likely_pairs=[(0, 1), (1, 2), pair])
-
-
-@settings(deadline=None, max_examples=80)
-@given(st.data())
-def test_likely_pairs_change_the_questions_and_add_their_answers(data):
-    n = data.draw(st.integers(min_value=3, max_value=30), label="n")
-    n_pairs = n * (n - 1) // 2
-    labels = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n),
-                       label="labels")
-    m_pairs = data.draw(st.integers(1, n_pairs + 3), label="m_pairs")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1])
-    likely = data.draw(st.lists(pair, max_size=2 * m_pairs + 4), label="likely")
-    codes = np.unique(labels, return_inverse=True)[1]
-    cands = [clustering(list(range(n)), n=n), Clustering(codes),
-             Clustering(-np.arange(1, n + 1))]
-    bare = RecordingOracle(labels)
-    base = ssc_select(cands, n, bare, m_pairs, seed=seed)
-    # the oracle checks that each pair it hears was still open, so no pair
-    # is asked twice
-    oracle = RecordingOracle(labels)
-    rep = ssc_select(cands, n, oracle, m_pairs, seed=seed, likely_pairs=likely)
-    asked = {(min(i, j), max(i, j)) for i, j in oracle.asked}
-    assert len(asked) == len(oracle.asked) == rep.queries
-    # the same draws and answers, so the same pair counts and losses
-    assert (rep.n_pos, rep.n_neg) == (base.n_pos, base.n_neg)
-    assert rep.losses[:3] == base.losses
-    # every distinct drawn pair (every pair when exhaustive) is asked or
-    # inferred, and ``inferred`` counts the ones never asked
-    drawn, _ = scalar_select(cands, labels, m_pairs, seed, infer=False)
-    drawn = {(min(i, j), max(i, j)) for i, j in drawn}
-    assert rep.inferred == len(drawn - asked)
-    if n_pairs <= m_pairs:
-        assert rep.queries + rep.inferred == n_pairs
-    if not likely:
-        # none: the question stream is the bare one, and there are no
-        # answers to cluster on
-        assert rep == base and oracle.asked == bare.asked
-        return
-    known, early = Settled(n), []
-    for i, j in likely:
-        if known.answer(i, j) is None:
-            early.append((i, j))
-            known.record(i, j, labels[i] == labels[j])
-    assert oracle.asked[:len(early)] == early
-    # the answers' components, numbered by least point; a point in no
-    # likely pair is garbage, -1, -2, ... in index order
-    touched = sorted({p for ij in likely for p in ij})
-    untouched = [p for p in range(n) if p not in touched]
-    want = np.empty(n, dtype=np.int64)
-    want[untouched] = -np.arange(1, len(untouched) + 1)
-    roots = list(dict.fromkeys(known.comp[p] for p in touched))
-    want[touched] = [roots.index(known.comp[p]) for p in touched]
-    assert rep.answered.labels.tolist() == want.tolist()
-    assert len(rep.losses) == 4
-    ks = [c.k for c in (*cands, rep.answered)]
-    assert rep.winner == min(range(4), key=lambda t: (rep.losses[t], ks[t]))
-
-
-def test_answered_candidate_alone_is_not_ranked():
-    # no other candidate: the likely pairs are asked, nothing is drawn
-    labels = [0, 0, 1, 1, 2]
-    oracle = RecordingOracle(labels)
-    rep = ssc_select([], 5, oracle, m_pairs=2, seed=0,
-                     likely_pairs=[(0, 1), (2, 3), (1, 2)])
-    assert oracle.asked == [(0, 1), (2, 3), (1, 2)]
-    assert (rep.winner, rep.queries, rep.inferred, rep.n_pos, rep.n_neg) == (0, 3, 0, 0, 0)
-    assert rep.answered.labels.tolist() == [0, 0, 1, 1, -1]
-    # every likely pair is asked, however many there are
-    oracle = RecordingOracle(labels)
-    rep = ssc_select([], 5, oracle, m_pairs=1, seed=0,
-                     likely_pairs=[(0, 1), (2, 3), (1, 2)])
-    assert oracle.asked == [(0, 1), (2, 3), (1, 2)] and rep.queries == 3
-    # with no likely pairs there is no candidate at all
-    with pytest.raises(ValueError, match="no candidates"):
-        ssc_select([], 5, RecordingOracle(labels), m_pairs=1, seed=0)
