@@ -622,8 +622,8 @@ def test_identical_points_always_share_a_cluster(copies, k, lloyd, seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_lloyd_keeps_copies_together(seed):
-    # 3 distinct points, 4 copies each: k = 4 would split a point's copies
-    # (at these seeds it labelled point 0's copies 0 and 3), so it raises
+    # 3 distinct points, 4 copies each: k = 4 would split a point's
+    # copies, so it raises
     content = np.tile(np.arange(3), 4)
     pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])[content]
     with pytest.raises(ClusteringError, match="3 distinct"):

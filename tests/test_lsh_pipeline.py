@@ -292,9 +292,8 @@ def test_single_entity_block_merges_on_its_exact_pairs():
 def test_fitting_forest_decides_the_block_without_ranking(seed):
     # "a" at 0 and 0.3, "b" at 3 and 3.3, "c" at 9: the forest's 2 edges
     # fit twice the per-side budget of 1, and their two "same" answers
-    # are the block's groups, whatever the seed.  Ranked against k = 1 on
-    # sampled pairs, the answers lost to it at some seeds, merging "a"
-    # and "b"
+    # are the block's groups, whatever the seed.  Ranking them against
+    # k = 1 on sampled pairs would merge "a" and "b" at some seeds
     feats = np.array([[0.0], [0.3], [3.0], [3.3], [9.0]])
     labels = ["a", "a", "b", "b", "c"]
     data = Dataset(ids=tuple(range(5)), features=feats, entity_labels=labels)
