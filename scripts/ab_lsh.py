@@ -16,12 +16,14 @@ and the entity labels as the oracle.  Each tree builds its own input.  The
 input built second partitions a few per cent slower even when the trees
 are the same, so the inputs are built twice, once in each order, each
 serving half of the repeats, and the trees alternate which runs first.
-Per input it prints the median milliseconds of partition + estimate and
-of the estimate alone for each tree, each tree's total-variation distance
-between the entity distribution its map induces and the uniform one, its
-oracle call count, and whether the two trees' ``group_ids``,
-``pmap.dense``, ``outcomes`` and oracle call counts agree.  An output that
-changes by design then shows whether its TV and oracle calls stayed equal
+Per input it prints the median milliseconds of partition + estimate, of
+the partition alone and of the estimate alone for each tree, each tree's
+total-variation distance between the entity distribution its map induces
+and the uniform one, its oracle call count, and, each in its own column,
+whether the two trees agree on the ``group_ids`` (``groups``), on
+``pmap.dense`` (``map``), on the ``outcomes`` rows and on the oracle call
+counts (``calls``).  A change of questions by design then still shows
+whether the groups moved, and whether its TV and oracle calls stayed equal
 or improved.  The exit status is 0 when, on every input, the new tree's
 TV is no higher (up to 1e-12 of rounding) and it asks no more oracle
 calls.
@@ -77,7 +79,7 @@ def inputs(vector_seeds, text_seeds):
 
 
 def run(pkg, data, family: str, s_block: int, s_est: int):
-    """One partition + estimate: (total s, estimate s, result, oracle calls)."""
+    """One partition + estimate: (partition s, estimate s, result, oracle calls)."""
     cfg = pkg["blocking"].LshConfig.plan(0.2, 0.1, family=family)
     oracle = pkg["ssc"].SameClusterOracle(tuple(data.entity_codes))
     gc.collect()
@@ -87,7 +89,7 @@ def run(pkg, data, family: str, s_block: int, s_est: int):
     est = pkg["lsh_pipeline"].estimate_probs_lsh(data, blocks, K_RANGE, BUDGET,
                                                  oracle, seed=s_est)
     t2 = time.perf_counter()
-    return t2 - t0, t2 - t1, est, oracle.queries
+    return t1 - t0, t2 - t1, est, oracle.queries
 
 
 def tv_to_uniform(pkg, data, est) -> float:
@@ -97,11 +99,20 @@ def tv_to_uniform(pkg, data, est) -> float:
         induced, pkg["dataset"].uniform_distribution(induced.support))
 
 
-def agree(a, b) -> bool:
+# per-output columns: whether the two trees' results agree on each
+OUTPUTS = {
+    "groups": lambda est: est.group_ids.tobytes(),
+    "map": lambda est: est.pmap.dense.tobytes(),
+    "outcomes": lambda est: est.outcomes.tolist(),
+}
+
+
+def agree(a, b) -> dict[str, bool]:
+    """Per output (and the oracle call counts), whether runs a and b agree."""
     (_, _, ea, qa), (_, _, eb, qb) = a, b
-    return (np.array_equal(ea.group_ids, eb.group_ids)
-            and ea.pmap.dense.tobytes() == eb.pmap.dense.tobytes()
-            and ea.outcomes.tolist() == eb.outcomes.tolist() and qa == qb)
+    same = {name: key(ea) == key(eb) for name, key in OUTPUTS.items()}
+    same["calls"] = qa == qb
+    return same
 
 
 def main(argv=None) -> int:
@@ -114,13 +125,15 @@ def main(argv=None) -> int:
     ap.add_argument("--text-seeds", type=int, nargs="*", default=TEXT_SEEDS)
     args = ap.parse_args(argv)
     trees = {"old": load(args.old_src, "ab_old"), "new": load(args.new_src, "ab_new")}
+    columns = [*OUTPUTS, "calls"]
     print(f"{'input':<17} {'old ms':>8} {'new ms':>8} {'new/old':>8} "
-          f"{'old est':>8} {'new est':>8} {'old TV':>7} {'new TV':>7} "
-          f"{'old q':>6} {'new q':>6}  agree")
+          f"{'old part':>8} {'new part':>8} {'old est':>8} {'new est':>8} "
+          f"{'old TV':>7} {'new TV':>7} {'old q':>6} {'new q':>6}  "
+          + " ".join(f"{name:>8}" for name in columns))
     all_agree = no_worse = True
     for label, build, family, s_block, s_est in inputs(args.vector_seeds,
                                                        args.text_seeds):
-        times = {side: ([], []) for side in trees}
+        times = {side: ([], [], []) for side in trees}
         last = {}
         # the input built second partitions a few per cent slower, so each
         # order of building serves half of the repeats
@@ -129,22 +142,24 @@ def main(argv=None) -> int:
             for rep in range(half, args.repeats, 2):
                 for side in order if rep % 4 < 2 else order[::-1]:
                     last[side] = run(trees[side], data[side], family, s_block, s_est)
-                    times[side][0].append(last[side][0])
-                    times[side][1].append(last[side][1])
+                    part, est = last[side][:2]
+                    for clock, t in zip(times[side], (part + est, part, est)):
+                        clock.append(t)
             if half == 0:  # the estimates are deterministic: score the first
                 tv = {side: tv_to_uniform(trees[side], data[side], last[side][2])
                       for side in order}
             del data
         same = agree(last["old"], last["new"])
         calls = {side: last[side][3] for side in trees}
-        all_agree &= same
+        all_agree &= all(same.values())
         no_worse &= tv["new"] <= tv["old"] + 1e-12 and calls["new"] <= calls["old"]
-        total = {side: 1e3 * statistics.median(t[0]) for side, t in times.items()}
-        est = {side: 1e3 * statistics.median(t[1]) for side, t in times.items()}
+        total, part, est = ({side: 1e3 * statistics.median(t[c]) for side, t in times.items()}
+                            for c in range(3))
         print(f"{label:<17} {total['old']:8.1f} {total['new']:8.1f} "
-              f"{total['new'] / total['old']:8.3f} {est['old']:8.1f} "
-              f"{est['new']:8.1f} {tv['old']:7.4f} {tv['new']:7.4f} "
-              f"{calls['old']:6d} {calls['new']:6d}  {'yes' if same else 'NO'}",
+              f"{total['new'] / total['old']:8.3f} {part['old']:8.1f} "
+              f"{part['new']:8.1f} {est['old']:8.1f} {est['new']:8.1f} "
+              f"{tv['old']:7.4f} {tv['new']:7.4f} {calls['old']:6d} {calls['new']:6d}  "
+              + " ".join(f"{'yes' if same[name] else 'NO':>8}" for name in columns),
               flush=True)
     print(f"outputs agree on every input: {'yes' if all_agree else 'NO'}")
     print(f"TV and oracle calls no worse on every input: {'yes' if no_worse else 'NO'}")

@@ -28,6 +28,12 @@ prints the same hashes.  It hashes, for one seed and size,
   so its k-means candidates are ranked, and for sparse 4-d clusters of 5
   records with singletons (``sparse4d``), whose entities the radius
   forest leaves in pieces;
+* the token path, each row as ``sorted(data.tokens[i])``: the text
+  corpus's minhash signature matrix (``minhash[text]``); the rows after
+  ``bench.inject_duplicates`` (``tokens[text-copies]``); and a CSV of two
+  text columns only, with empty, shorter-than-n and non-ASCII cells and
+  cells that repeat, ingested at n = 3: its rows, ``dedup_codes`` and
+  signatures (``tokens[text-only]``);
 * direct ``ssc_select`` reports (winner, losses and counts) and the
   ordered pairs the oracle was asked, on fixed label sets that reach each
   of its branches: every pair within the budget (``ssc[exhaustive]``);
@@ -58,8 +64,8 @@ import tempfile
 
 import numpy as np
 
-from entity_sampler import (balanced, bench, blocking, cli, clustering, gmm,
-                            lsh_pipeline, rejection, ssc, synth)
+from entity_sampler import (balanced, bench, blocking, cli, clustering, dataset,
+                            gmm, lsh_pipeline, rejection, ssc, synth)
 
 FRACTIONS = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)
 # name: (labels, per-side pair budget) of the ssc_select lines; 28 pairs
@@ -142,6 +148,31 @@ def lsh_lines(name: str, data, family: str, seed: int,
           f"{digest([(min(pair), max(pair)) for pair in oracle.asked])}")
 
 
+def token_rows(data) -> list[list[str]]:
+    return [sorted(data.tokens[i]) for i in range(data.n)]
+
+
+def signatures(data, seed: int) -> np.ndarray:
+    return blocking.minhash_signatures(data.tokens, blocking.LshConfig.plan(0.2, 0.1).k,
+                                       seed)
+
+
+def text_only_lines(n_rows: int, seed: int, workdir: str) -> None:
+    """Token lines of a CSV whose only content is two text columns."""
+    rng = np.random.default_rng(seed)
+    # a space, a comma, a quote and characters beyond ASCII; short cells
+    # from a small alphabet repeat, so some rows share their tokens
+    alphabet = np.array(list('ab ,"\u00e9\U0001f600'))
+    columns = [["".join(rng.choice(alphabet, size=int(rng.integers(0, 7))))
+                for _ in range(n_rows)] for _ in range(2)]
+    path = os.path.join(workdir, "text-only.csv")
+    dataset.write_csv_columns(path, ["name", "street"], columns)
+    data = dataset.ingest_csv(path, dataset.CsvSchema(text_cols=("name", "street")))
+    print(f"tokens[text-only].rows {digest(token_rows(data))}")
+    print(f"tokens[text-only].dedup_codes {digest(data.dedup_codes)}")
+    print(f"tokens[text-only].minhash {digest(signatures(data, seed + 1))}")
+
+
 def ssc_lines(seed: int) -> None:
     for name, (labels, m_pairs) in SSC_CASES.items():
         n = len(labels)
@@ -193,6 +224,10 @@ def main() -> None:
     lsh_lines("text-k2", text, "minhash", args.seed + 30, k_range=(2, 4))
     copies = bench.inject_duplicates(text, 0.3, "tpch", args.seed + 31)
     lsh_lines("text-copies", copies, "minhash", args.seed + 30)
+    print(f"minhash[text] {digest(signatures(text, args.seed + 30))}")
+    print(f"tokens[text-copies].rows {digest(token_rows(copies))}")
+    with tempfile.TemporaryDirectory() as workdir:
+        text_only_lines(args.entities, args.seed + 36, workdir)
     for dim in (2, 3):
         planted = synth.planted_clusters(max(args.entities // 50, 2), 50, 10.0, dim,
                                          seed=args.seed + dim, n_singletons=5)

@@ -36,6 +36,7 @@ from .dataset import (
     CsvSchema,
     Dataset,
     DiscreteDistribution,
+    TokenTable,
     char_ngrams,
     ingest_csv,
     relative_error,
@@ -103,6 +104,7 @@ __all__ = [
     "SampleReport",
     "SampleResult",
     "SscReport",
+    "TokenTable",
     "brute_force_kmeans",
     "char_ngrams",
     "choose_bands_rows",

@@ -101,7 +101,7 @@ def inject_duplicates(
     return Dataset(
         ids=new_ids,
         features=None if data.features is None else data.features[order],
-        tokens=None if data.tokens is None else tuple(data.tokens[i] for i in order),
+        tokens=None if data.tokens is None else data.tokens.take(order),
         entity_labels=None if data.entity_labels is None else data.entity_labels[order],
         values=None if data.values is None else data.values[order],
     )

@@ -9,9 +9,11 @@ within distance lambda are co-blocked with probability at least 1 - delta.
 
 Two families are provided: min-hashing of token sets (collision probability
 equals Jaccard similarity) and signed random projections for vectors
-(collision probability 1 - angle/pi).  Min-hash values are computed once
-per distinct token, in exact ``uint64`` arithmetic modulo 2^61 - 1, one hash
-column at a time.  Within a band, a stable sort of the band signatures links
+(collision probability 1 - angle/pi).  Min-hashing reads a ``TokenTable``:
+each vocabulary string is hashed once, in exact ``uint64`` arithmetic modulo
+2^61 - 1, one hash column at a time, and a record's value is the minimum
+over its row of token ids, taken for all rows by one ``np.minimum.reduceat``;
+no Python code runs per token.  Within a band, a stable sort of the band signatures links
 every record to the first record sharing its signature, and the bands are
 joined as the connected components of the graph of those links.  A
 blocking is one label array: each record carries its block's number.
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, DatasetError, positive_count
+from .dataset import Dataset, DatasetError, TokenTable, positive_count
 
 __all__ = [
     "BandWidthError",
@@ -186,38 +188,34 @@ def _affine_mod_mersenne(x: np.ndarray, a: np.uint64, b: np.uint64) -> np.ndarra
     return _fold_mersenne(s)
 
 
-def minhash_signatures(
-    tokens: tuple[frozenset[str], ...], k: int, seed: int
-) -> np.ndarray:
+def minhash_signatures(table: TokenTable, k: int, seed: int) -> np.ndarray:
     """(n, k) min-hash matrix; column collision probability approximates
-    the Jaccard similarity of the token sets.
+    the Jaccard similarity of the token rows.
 
     Hash j of a token t is (a_j blake2b64(t) + b_j) mod (2^61 - 1), computed
     in exact ``uint64`` arithmetic modulo 2^61 - 1, one hash column at a time
-    over the distinct tokens.
+    over the vocabulary; each row takes its minimum over its token ids.  Any
+    other sequence of token sets is converted by ``TokenTable.from_sets``.
+    An empty row raises DatasetError.
     """
+    if not isinstance(table, TokenTable):
+        table = TokenTable.from_sets(table)
     rng = np.random.default_rng(seed)
     a = rng.integers(1, _MERSENNE, size=k, dtype=np.uint64)
     b = rng.integers(0, _MERSENNE, size=k, dtype=np.uint64)
-    sizes = np.fromiter(map(len, tokens), dtype=np.int64, count=len(tokens))
-    if np.any(sizes == 0):
+    starts = table.offsets[:-1]
+    if (table.offsets[1:] == starts).any():
         raise DatasetError("record with an empty token set cannot be hashed")
-    vocab: dict[str, int] = {}
-    flat = np.fromiter(
-        (vocab.setdefault(tok, len(vocab)) for toks in tokens for tok in toks),
-        dtype=np.int64,
-        count=int(sizes.sum()),
-    )
-    starts = np.cumsum(sizes) - sizes
-    # stable 64-bit hash of every distinct token (process independent)
+    # stable 64-bit hash of every vocabulary token (process independent)
     digests = b"".join(
-        hashlib.blake2b(t.encode(), digest_size=8).digest() for t in vocab
+        hashlib.blake2b(t.encode(), digest_size=8).digest() for t in table.vocab
     )
     base = _fold_mersenne(np.frombuffer(digests, dtype="<u8"))
-    sig = np.empty((len(tokens), k), dtype=np.uint64)
+    ids = table.ids.astype(np.intp)  # numpy gathers by intp without a cast
+    sig = np.empty((len(table), k), dtype=np.uint64)
     for j in range(k):
         h = _affine_mod_mersenne(base, a[j], b[j])
-        sig[:, j] = np.minimum.reduceat(h[flat], starts)
+        sig[:, j] = np.minimum.reduceat(h[ids], starts)
     return sig
 
 

@@ -22,7 +22,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -34,6 +34,7 @@ __all__ = [
     "Dataset",
     "DatasetError",
     "DiscreteDistribution",
+    "TokenTable",
     "char_ngrams",
     "float_cells",
     "ingest_csv",
@@ -61,6 +62,170 @@ def char_ngrams(text: str, n: int = 3) -> frozenset[str]:
     if len(text) < n:
         return frozenset({text})
     return frozenset(text[i : i + n] for i in range(len(text) - n + 1))
+
+
+# a code point plus 1 fits in 21 bits, so three of them pack into a uint64
+_CODE_BITS = 21
+
+
+@dataclass(frozen=True, eq=False)
+class TokenTable:
+    """Token sets of n records as one integer table.
+
+    Row i holds the vocabulary ids ``ids[offsets[i]:offsets[i + 1]]``,
+    sorted and distinct (``int32``); ``offsets`` (``int64``, n + 1 of them)
+    rise from 0 to ``ids.size``, and ``vocab`` is one sorted object array
+    of distinct ``str`` tokens.  ``table[i]`` is row i as a frozenset of
+    its tokens.  A malformed table raises DatasetError when it is built.
+    """
+
+    ids: np.ndarray
+    offsets: np.ndarray
+    vocab: np.ndarray
+
+    def __post_init__(self) -> None:
+        ids, offsets = np.asarray(self.ids), np.asarray(self.offsets)
+        vocab = np.fromiter(self.vocab, dtype=object, count=len(self.vocab))
+        if ids.ndim != 1 or offsets.ndim != 1 or offsets.size == 0 \
+                or ids.dtype.kind not in "iu" or offsets.dtype.kind not in "iu":
+            raise DatasetError("token ids and offsets must be 1-d integer arrays")
+        if offsets[0] != 0 or offsets[-1] != ids.size or (np.diff(offsets) < 0).any():
+            raise DatasetError("token offsets must rise from 0 to the id count")
+        if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
+            raise DatasetError("token id outside the vocabulary")
+        rising = ids[1:] > ids[:-1]
+        inner = offsets[1:-1]
+        rising[inner[(inner > 0) & (inner < ids.size)] - 1] = True  # row starts
+        if not rising.all():
+            raise DatasetError("a token row is not sorted and distinct")
+        if not all(issubclass(t, str) for t in set(map(type, vocab))):
+            raise DatasetError("token vocabulary holds a non-str token")
+        if not (vocab[1:] > vocab[:-1]).all():
+            raise DatasetError("token vocabulary is not sorted and distinct")
+        for name, arr in (("ids", ids.astype(np.int32, copy=False)),
+                          ("offsets", offsets.astype(np.int64, copy=False)),
+                          ("vocab", vocab)):
+            arr = arr.view()  # read-only without touching the caller's array
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i: int) -> frozenset[str]:
+        i = range(len(self))[operator.index(i)]
+        return frozenset(self.vocab[self.ids[self.offsets[i] : self.offsets[i + 1]]].tolist())
+
+    def __iter__(self) -> Iterator[frozenset[str]]:
+        return map(frozenset, np.split(self.vocab[self.ids], self.offsets[1:-1]))
+
+    def take(self, order) -> "TokenTable":
+        """Rows ``order`` (record indices, repeats allowed), in that order,
+        over the same vocabulary: one gather of the ids."""
+        starts = self.offsets[:-1][order]
+        lens = self.offsets[1:][order] - starts
+        offsets = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        src = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lens)
+        return TokenTable(self.ids[src], offsets, self.vocab)
+
+    @classmethod
+    def from_sets(cls, sets) -> "TokenTable":
+        """Table of a sequence of token rows, each taken as a set.
+
+        A row may be any iterable of ``str`` except a ``str`` itself, which
+        would read as the set of its characters; such a row, or a token that
+        is not a ``str``, raises DatasetError.
+        """
+        rows = []
+        for row in sets:
+            if isinstance(row, str):
+                raise DatasetError(f"token row {len(rows)} is a str, not a set of tokens")
+            try:
+                rows.append(row if isinstance(row, (set, frozenset)) else set(row))
+            except TypeError as exc:
+                raise DatasetError(f"token row {len(rows)}: {exc}") from None
+        vocab = set().union(*rows)
+        bad = next((t for t in vocab if not isinstance(t, str)), None)
+        if bad is not None:
+            raise DatasetError(f"token {bad!r} is not a str")
+        vocab = sorted(vocab)
+        index = {t: i for i, t in enumerate(vocab)}
+        lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        row_of = np.repeat(np.arange(len(rows)), lens)
+        # rows stay in place, so one sort orders the ids within each row
+        keys = row_of * len(vocab)
+        keys += np.fromiter((index[t] for row in rows for t in row),
+                            dtype=np.int64, count=row_of.size)
+        keys.sort()
+        offsets = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        return cls(keys - row_of * len(vocab), offsets, vocab)
+
+    @classmethod
+    def from_texts(cls, texts: Sequence[str], n: int) -> "TokenTable":
+        """Row i is ``char_ngrams(texts[i], n)``, built in array steps.
+
+        The joined texts are encoded to UTF-32 once.  Each n-gram window
+        (a text shorter than n is one window, the whole text) becomes one
+        integer key of its code points, each plus 1, so that 0 pads a short
+        window and a NUL still counts as a character.  Up to three code
+        points pack into a ``uint64``; longer windows sort as n columns.
+        Keys order windows as ``str`` compares them, so one sort of the keys
+        gives the sorted vocabulary and one sort of the (row, id) pairs the
+        sorted, distinct rows.
+        """
+        n = positive_count(n, "n")
+        lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        joined = "".join(texts)
+        points = np.zeros(len(joined) + n, dtype=np.uint64)  # zeros pad the end
+        points[: len(joined)] = np.frombuffer(
+            joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        points[: len(joined)] += 1
+        counts = np.maximum(lens - n + 1, 1)
+        row_of = np.repeat(np.arange(lens.size), counts)
+        firsts = np.cumsum(counts) - counts
+        start = np.arange(row_of.size) + np.repeat(np.cumsum(lens) - lens - firsts, counts)
+        width = np.minimum(lens, n)
+        short = firsts[width < n]  # the one window of each short text
+        cols = []
+        for j in range(n):
+            col = points[start + j]
+            col[short[width[width < n] <= j]] = 0
+            cols.append(col)
+        if _CODE_BITS * n <= 64:
+            keys = cols[0]
+            for col in cols[1:]:
+                keys <<= np.uint64(_CODE_BITS)
+                keys |= col
+            order = np.argsort(keys)
+            keys = keys[order]
+            head = np.empty(order.size, dtype=bool)
+            head[:1] = True
+            np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        else:
+            order = np.lexsort(cols[::-1])  # the first code point is the primary key
+            head = np.zeros(order.size, dtype=bool)
+            head[:1] = True
+            for col in cols:
+                col = col[order]
+                head[1:] |= col[1:] != col[:-1]
+        del cols
+        token = np.empty(order.size, dtype=np.int64)
+        token[order] = np.cumsum(head) - 1
+        heads = order[head]
+        vocab = [joined[a : a + w] for a, w in
+                 zip(start[heads].tolist(), width[row_of[heads]].tolist())]
+        pairs = row_of * len(vocab) + token
+        pairs.sort()
+        head = np.empty(pairs.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(pairs[1:], pairs[:-1], out=head[1:])
+        pairs = pairs[head]
+        rows = pairs // max(len(vocab), 1)
+        offsets = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=lens.size), out=offsets[1:])
+        return cls(pairs - rows * len(vocab), offsets, vocab)
 
 
 def _factorize_features(features: np.ndarray) -> np.ndarray:
@@ -95,6 +260,30 @@ def _factorize_features(features: np.ndarray) -> np.ndarray:
     codes = np.empty(order.size, dtype=np.int64)
     codes[order] = ranks
     return codes
+
+
+def _factorize_token_rows(table: TokenTable) -> np.ndarray:
+    """Codes for equal rows of a token table, in first-appearance order.
+
+    A row's key is the sum, modulo 2^64, of one random 64-bit number per
+    token: rows are sets, so equal rows get equal keys, and two different
+    rows collide with probability 2^-64.  Every row is then compared id by
+    id with the first row of its code, and a collision draws new numbers,
+    so the codes are exact.  Memory stays O(total tokens).
+    """
+    lens = np.diff(table.offsets)
+    row_of = np.repeat(np.arange(lens.size), lens)
+    for salt in count():
+        draws = np.random.default_rng(salt).integers(
+            0, 2**64, size=table.vocab.size, dtype=np.uint64)
+        sums = np.zeros(table.ids.size + 1, dtype=np.uint64)
+        np.cumsum(draws[table.ids], out=sums[1:])
+        codes, labels = _factorize_objects(sums[table.offsets[1:]] - sums[table.offsets[:-1]])
+        first = _first_records(codes, len(labels))[codes]
+        if (lens[first] == lens).all():
+            shift = (table.offsets[:-1][first] - table.offsets[:-1])[row_of]
+            if (table.ids[np.arange(row_of.size) + shift] == table.ids).all():
+                return codes
 
 
 def _column(items: Sequence) -> np.ndarray:
@@ -186,7 +375,8 @@ class Dataset:
     ``features`` or ``tokens`` carries the record content, or both, as a
     text corpus with embeddings does: exact content equality
     (``dedup_codes``) then compares the features, and minhash blocking
-    reads the tokens.  ``entity_labels`` (ground truth) and ``values`` are
+    reads the tokens.  ``tokens`` is stored as a ``TokenTable``; any other
+    sequence of token sets is converted once by ``TokenTable.from_sets``.  ``entity_labels`` (ground truth) and ``values`` are
     optional.  ``ids`` and ``entity_labels`` are stored as 1-d arrays: any
     sequence is taken through ``np.asarray``, or kept item for item in an
     object array when that does not give a 1-d array, so ``(0, 1)``,
@@ -197,7 +387,7 @@ class Dataset:
 
     ids: np.ndarray
     features: np.ndarray | None = None
-    tokens: tuple[frozenset[str], ...] | None = None
+    tokens: TokenTable | None = None
     entity_labels: np.ndarray | None = None
     values: np.ndarray | None = None
 
@@ -213,8 +403,13 @@ class Dataset:
             if not np.all(np.isfinite(feats)):
                 raise DatasetError("non-finite feature value")
             object.__setattr__(self, "features", feats)
-        if self.tokens is not None and len(self.tokens) != n:
-            raise DatasetError("token column length mismatch")
+        if self.tokens is not None:
+            tokens = self.tokens
+            if not isinstance(tokens, TokenTable):
+                tokens = TokenTable.from_sets(tokens)
+            if len(tokens) != n:
+                raise DatasetError("token column length mismatch")
+            object.__setattr__(self, "tokens", tokens)
         if self.entity_labels is not None:
             labels = _column(self.entity_labels)
             if labels.shape[0] != n:
@@ -234,11 +429,10 @@ class Dataset:
 
     @cached_property
     def dedup_codes(self) -> np.ndarray:
-        """Codes under exact content equality (features or token sets)."""
+        """Codes under exact content equality (features or token rows)."""
         if self.features is not None:
             return _factorize_features(self.features)
-        codes, _ = _factorize_objects(self.tokens)
-        return codes
+        return _factorize_token_rows(self.tokens)
 
     @cached_property
     def dedup_freqs(self) -> np.ndarray:
@@ -297,10 +491,12 @@ class Dataset:
 class CsvSchema:
     """Column roles for CSV ingestion.
 
-    ``feature_cols`` are parsed as floats; ``text_cols`` are concatenated and
-    tokenized into character n-grams, ``ngram`` (an integer of at least 1)
-    characters each.  A schema must declare at least one of the two.  All
-    roles can also be loaded from a JSON config file.
+    ``feature_cols`` are parsed as floats; ``text_cols`` are joined with a
+    space and tokenized into character n-grams, ``ngram`` (an integer of at
+    least 1) characters each, by ``TokenTable.from_texts``: the record's
+    tokens are ``char_ngrams(text, ngram)``, so a text shorter than
+    ``ngram`` is one token.  A schema must declare at least one of the two.
+    All roles can also be loaded from a JSON config file.
     """
 
     feature_cols: tuple[str, ...] = ()
@@ -379,8 +575,8 @@ def ingest_csv(path: str, schema: CsvSchema) -> Dataset:
         cols[j] = None  # drop the cells as soon as they are parsed
     toks = None
     if nt:
-        texts = map(" ".join, zip(*cols[nf : nf + nt]))
-        toks = tuple(char_ngrams(text, schema.ngram) for text in texts)
+        texts = cols[nf] if nt == 1 else list(map(" ".join, zip(*cols[nf : nf + nt])))
+        toks = TokenTable.from_texts(texts, schema.ngram)
     rest = iter(cols[nf + nt :])
     ents, vals, ids = (next(rest) if c else None for c in singles)
     del cols, rest

@@ -16,7 +16,7 @@ import string
 import numpy as np
 
 from .blocking import jaccard_distance
-from .dataset import Dataset, char_ngrams
+from .dataset import Dataset, TokenTable, char_ngrams
 from .gmm import MixtureModel
 
 __all__ = [
@@ -244,16 +244,19 @@ def mixture_tracking_dataset(
     )
 
 
+# one UTF-32 code unit per letter, so a drawn array decodes to its word
+_LETTERS = np.array(list(string.ascii_lowercase), dtype="<U1")
+
+
 def _random_word(rng: np.random.Generator, length: int) -> str:
-    letters = np.array(list(string.ascii_lowercase))
-    return "".join(rng.choice(letters, size=length))
+    return rng.choice(_LETTERS, size=length).tobytes().decode("utf-32-le")
 
 
 def _perturb_text(text: str, rng: np.random.Generator, max_edits: int = 2) -> str:
     chars = list(text)
     for _ in range(int(rng.integers(1, max_edits + 1))):
         pos = int(rng.integers(len(chars)))
-        chars[pos] = str(rng.choice(list(string.ascii_lowercase)))
+        chars[pos] = str(rng.choice(_LETTERS))
     return "".join(chars)
 
 
@@ -290,10 +293,11 @@ def duplicate_text_corpus(
     ``with_features`` each record also carries a 2-d embedding stand-in:
     entity centers 7 apart, variants jittered within radius 0.25, so
     blocking can run on the tokens and within-block clustering on the
-    vectors.
+    vectors.  The tokens are the texts' 3-grams, one ``TokenTable`` built
+    from all texts at once.
     """
     rng = np.random.default_rng(seed)
-    tokens: list[frozenset] = []
+    texts: list[str] = []
     labels: list[str] = []
     feats: list[np.ndarray] = []
     base_vals = rng.uniform(_VALUE_LO, _VALUE_HI, size=n_entities)
@@ -305,26 +309,26 @@ def duplicate_text_corpus(
 
     for e in range(n_entities):
         text = _random_word(rng, text_len)
-        toks = char_ngrams(text)
-        tokens.append(toks)
+        texts.append(text)
         labels.append(f"e{e}")
         feats.append(embed(e))
         values.append(base_vals[e])
         if e < n_dup:
+            toks = char_ngrams(text)
             for _ in range(100):
-                variant = char_ngrams(_perturb_text(text, rng))
-                if jaccard_distance(toks, variant) <= max_distance:
+                variant = _perturb_text(text, rng)
+                if jaccard_distance(toks, char_ngrams(variant)) <= max_distance:
                     break
             else:
                 raise RuntimeError("could not build a near-duplicate variant")
-            tokens.append(variant)
+            texts.append(variant)
             labels.append(f"e{e}")
             feats.append(embed(e))
             values.append(base_vals[e])
     return Dataset(
         ids=np.arange(len(labels)),
         features=np.vstack(feats) if with_features else None,
-        tokens=tuple(tokens),
+        tokens=TokenTable.from_texts(texts, 3),
         entity_labels=labels,
         values=np.array(values),
     )

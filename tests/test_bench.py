@@ -23,7 +23,7 @@ from entity_sampler.bench import (
     uniform_baseline_error,
 )
 from entity_sampler.ssc import plan_pair_budget
-from entity_sampler.synth import dataset_from_freqs, dispersed_dataset
+from entity_sampler.synth import dataset_from_freqs, dispersed_dataset, duplicate_text_corpus
 
 
 def base_data(n=500):
@@ -84,6 +84,15 @@ def test_injected_ids_keep_the_clean_ids_and_name_their_source(text_ids):
         row = d.ids.tolist().index(src if text_ids else int(src))
         assert out.features[d.n + j, 0] == d.features[row, 0]
     assert out.ids.dtype == object
+
+
+def test_injected_token_rows_equal_their_source_rows():
+    d = duplicate_text_corpus(60, 0.3, seed=6, with_features=False)
+    out = inject_duplicates(d, 0.3, "arbitrary", seed=7)
+    assert out.n > d.n
+    for j, rid in enumerate(out.ids.tolist()):
+        src = rid if j < d.n else int(rid.split("+dup")[0])
+        assert out.tokens[j] == d.tokens[src]
 
 
 def test_injection_validation():

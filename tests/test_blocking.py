@@ -28,7 +28,7 @@ from entity_sampler.blocking import (
     lsh_partition,
     minhash_signatures,
 )
-from entity_sampler.dataset import Dataset, DatasetError
+from entity_sampler.dataset import Dataset, DatasetError, TokenTable
 from entity_sampler.synth import duplicate_text_corpus, planted_clusters, token_pair
 
 
@@ -223,7 +223,7 @@ def test_minhash_matches_the_per_record_formula():
 def test_minhash_rejects_an_empty_token_set():
     a, _ = token_pair(shared=5, unique_each=2, seed=0)
     with pytest.raises(DatasetError):
-        minhash_signatures((a, frozenset()), k=8, seed=0)
+        minhash_signatures(TokenTable.from_sets((a, frozenset())), k=8, seed=0)
     data = Dataset(ids=(0, 1), tokens=(frozenset(), a))
     with pytest.raises(DatasetError):
         lsh_partition(data, LshConfig.plan(0.2, 0.1), seed=0)

@@ -12,6 +12,7 @@ from entity_sampler.dataset import (
     Dataset,
     DatasetError,
     DiscreteDistribution,
+    TokenTable,
     char_ngrams,
     float_cells,
     ingest_csv,
@@ -452,8 +453,75 @@ def test_ingest_csv_text_columns_match_per_row_ngrams(tmp_path):
     path = write_csv(tmp_path, text)
     schema = CsvSchema(text_cols=("name", "street"), entity_col="who", ngram=3)
     d = ingest_csv(path, schema)
-    assert d.tokens == tuple(char_ngrams(f"{a} {b}", 3) for a, b in rows)
+    assert tuple(d.tokens) == tuple(char_ngrams(f"{a} {b}", 3) for a, b in rows)
     assert np.array_equal(d.ids, np.arange(4))
+
+
+@given(st.lists(st.text(alphabet="ab \x00\u00e9\U0001f600", max_size=8), max_size=6),
+       st.integers(1, 5))
+def test_token_table_from_texts_matches_char_ngrams(texts, n):
+    # n = 1..3 packs each window in one key, n = 4, 5 sorts n columns
+    table = TokenTable.from_texts(texts, n)
+    assert len(table) == len(texts)
+    for i, text in enumerate(texts):
+        assert table[i] == char_ngrams(text, n)
+    # the same sets give the same table, whichever way it is built
+    again = TokenTable.from_sets([char_ngrams(text, n) for text in texts])
+    assert again.vocab.tolist() == table.vocab.tolist()
+    assert np.array_equal(again.ids, table.ids)
+    assert np.array_equal(again.offsets, table.offsets)
+
+
+def test_token_table_from_sets_round_trips_rows_of_any_iterable():
+    rows = [frozenset({"b", "a"}), frozenset(), ["c", "a", "c"], ("b",), {"a"}]
+    table = TokenTable.from_sets(rows)
+    assert list(table) == [frozenset(row) for row in rows]
+    assert [table[i] for i in range(-len(rows), 0)] == list(table)
+    assert table.vocab.tolist() == ["a", "b", "c"]
+    assert table.offsets.tolist() == [0, 2, 2, 4, 5, 6]
+    assert table.ids.dtype == np.int32 and not table.ids.flags.writeable
+    with pytest.raises(IndexError):
+        table[len(rows)]
+
+
+def test_token_table_refuses_a_str_row_and_a_non_str_token():
+    # a str row would be hashed as the set of its characters
+    with pytest.raises(DatasetError, match="row 1 is a str"):
+        Dataset(ids=(0, 1), tokens=({"abc"}, "abcdeg"))
+    with pytest.raises(DatasetError, match="not a str"):
+        Dataset(ids=(0, 1), tokens=({"abc"}, {"abc", 3}))
+    with pytest.raises(DatasetError, match="row 0"):
+        TokenTable.from_sets([5])
+
+
+@pytest.mark.parametrize("ids, offsets, match", [
+    ([0, 1], [0, 2, 1], "offsets must rise"),  # not monotone
+    ([0, 1], [0, 1], "offsets must rise"),  # does not end at ids.size
+    ([0, 1], [1, 2], "offsets must rise"),  # does not start at 0
+    ([0, 3], [0, 1, 2], "outside the vocabulary"),
+    ([0, -1], [0, 1, 2], "outside the vocabulary"),
+    ([1, 0], [0, 2], "not sorted and distinct"),
+    ([1, 1], [0, 2], "not sorted and distinct"),
+])
+def test_dataset_refuses_a_malformed_token_table(ids, offsets, match):
+    with pytest.raises(DatasetError, match=match):
+        Dataset(ids=(0, 1)[: len(offsets) - 1],
+                tokens=TokenTable(np.array(ids), np.array(offsets), ["a", "b", "c"]))
+
+
+def test_token_table_refuses_an_unsorted_vocabulary():
+    with pytest.raises(DatasetError, match="vocabulary is not sorted"):
+        TokenTable(np.array([0]), np.array([0, 1]), ["b", "a"])
+    with pytest.raises(DatasetError, match="non-str"):
+        TokenTable(np.array([0]), np.array([0, 1]), ["a", 1])
+
+
+@given(st.lists(st.frozensets(st.sampled_from("abcd"), max_size=3), min_size=1,
+                max_size=25))
+def test_token_only_dedup_codes_number_rows_in_first_appearance_order(rows):
+    codes = Dataset(ids=np.arange(len(rows)), tokens=rows).dedup_codes
+    first: dict = {}
+    assert codes.tolist() == [first.setdefault(row, len(first)) for row in rows]
 
 
 def test_float_cells_round_trip_across_chunks(tmp_path):

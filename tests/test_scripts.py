@@ -25,7 +25,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                "ssc[exhaustive].report ", "ssc[cover].report ",
                                "ssc[cap].report ", "ssc[cap].asked ",
                                "em.loglik ", "lloyd[12d] ",
-                               "lsh[text-copies].outcomes ", "kmeans[copies] k=4 "]),
+                               "lsh[text-copies].outcomes ", "kmeans[copies] k=4 ",
+                               "tokens[text-only].dedup_codes "]),
     ],
 )
 def test_script_runs_and_prints_its_headlines(name, headlines):
@@ -52,12 +53,15 @@ def test_ab_lsh_compares_a_tree_with_itself():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["input", "old", "ms", "new", "ms", "new/old",
+                                "old", "part", "new", "part",
                                 "old", "est", "new", "est", "old", "TV", "new",
-                                "TV", "old", "q", "new", "q", "agree"]
+                                "TV", "old", "q", "new", "q",
+                                "groups", "map", "outcomes", "calls"]
     for line, label in zip(lines[1:3], ("lsh-vectors 4100", "lsh-text 0")):
-        assert line.startswith(label) and line.endswith("yes")
-        # a tree against itself: the same TV and oracle calls
-        old_tv, new_tv, old_q, new_q = line.split()[-5:-1]
+        assert line.startswith(label)
+        # a tree against itself: every output agrees, the same TV and calls
+        assert line.split()[-4:] == ["yes"] * 4
+        old_tv, new_tv, old_q, new_q = line.split()[-8:-4]
         assert old_tv == new_tv and old_q == new_q and int(old_q) > 0
     assert lines[-2] == "outputs agree on every input: yes"
     assert lines[-1] == "TV and oracle calls no worse on every input: yes"
