@@ -66,6 +66,7 @@ def char_ngrams(text: str, n: int = 3) -> frozenset[str]:
 
 # a code point plus 1 fits in 21 bits, so three of them pack into a uint64
 _CODE_BITS = 21
+_PER_KEY = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +90,7 @@ class TokenTable:
         if ids.ndim != 1 or offsets.ndim != 1 or offsets.size == 0 \
                 or ids.dtype.kind not in "iu" or offsets.dtype.kind not in "iu":
             raise DatasetError("token ids and offsets must be 1-d integer arrays")
-        if offsets[0] != 0 or offsets[-1] != ids.size or (np.diff(offsets) < 0).any():
+        if offsets[0] != 0 or offsets[-1] != ids.size or (offsets[1:] < offsets[:-1]).any():
             raise DatasetError("token offsets must rise from 0 to the id count")
         if ids.size and (ids.min() < 0 or ids.max() >= vocab.size):
             raise DatasetError("token id outside the vocabulary")
@@ -117,7 +118,7 @@ class TokenTable:
         return frozenset(self.vocab[self.ids[self.offsets[i] : self.offsets[i + 1]]].tolist())
 
     def __iter__(self) -> Iterator[frozenset[str]]:
-        return map(frozenset, np.split(self.vocab[self.ids], self.offsets[1:-1]))
+        return map(self.__getitem__, range(len(self)))
 
     def take(self, order) -> "TokenTable":
         """Rows ``order`` (record indices, repeats allowed), in that order,
@@ -169,16 +170,16 @@ class TokenTable:
         The joined texts are encoded to UTF-32 once.  Each n-gram window
         (a text shorter than n is one window, the whole text) becomes one
         integer key of its code points, each plus 1, so that 0 pads a short
-        window and a NUL still counts as a character.  Up to three code
-        points pack into a ``uint64``; longer windows sort as n columns.
-        Keys order windows as ``str`` compares them, so one sort of the keys
-        gives the sorted vocabulary and one sort of the (row, id) pairs the
-        sorted, distinct rows.
+        window and a NUL still counts as a character.  Three code points
+        pack into a ``uint64``, so a window of n > 3 sorts as ceil(n / 3)
+        such keys.  Keys order windows as ``str`` compares them, so one sort
+        of the keys gives the sorted vocabulary and one sort of the
+        (row, id) pairs the sorted, distinct rows.
         """
         n = positive_count(n, "n")
         lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
         joined = "".join(texts)
-        points = np.zeros(len(joined) + n, dtype=np.uint64)  # zeros pad the end
+        points = np.zeros(len(joined) + n, dtype=np.uint32)  # zeros pad the end
         points[: len(joined)] = np.frombuffer(
             joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         points[: len(joined)] += 1
@@ -187,30 +188,25 @@ class TokenTable:
         firsts = np.cumsum(counts) - counts
         start = np.arange(row_of.size) + np.repeat(np.cumsum(lens) - lens - firsts, counts)
         width = np.minimum(lens, n)
-        short = firsts[width < n]  # the one window of each short text
-        cols = []
+        short = width < n
+        short_first, short_width = firsts[short], width[short]
+        keys: list[np.ndarray] = []
         for j in range(n):
             col = points[start + j]
-            col[short[width[width < n] <= j]] = 0
-            cols.append(col)
-        if _CODE_BITS * n <= 64:
-            keys = cols[0]
-            for col in cols[1:]:
-                keys <<= np.uint64(_CODE_BITS)
-                keys |= col
-            order = np.argsort(keys)
-            keys = keys[order]
-            head = np.empty(order.size, dtype=bool)
-            head[:1] = True
-            np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        else:
-            order = np.lexsort(cols[::-1])  # the first code point is the primary key
-            head = np.zeros(order.size, dtype=bool)
-            head[:1] = True
-            for col in cols:
-                col = col[order]
-                head[1:] |= col[1:] != col[:-1]
-        del cols
+            col[short_first[short_width <= j]] = 0  # pad each short window
+            if j % _PER_KEY:
+                keys[-1] <<= np.uint64(_CODE_BITS)
+                keys[-1] |= col
+            else:
+                keys.append(col.astype(np.uint64))
+        # the first key is the primary one
+        order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+        head = np.zeros(order.size, dtype=bool)
+        head[:1] = True
+        for key in keys:
+            key = key[order]
+            head[1:] |= key[1:] != key[:-1]
+        del keys
         token = np.empty(order.size, dtype=np.int64)
         token[order] = np.cumsum(head) - 1
         heads = order[head]

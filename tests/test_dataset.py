@@ -482,6 +482,7 @@ def test_token_table_from_sets_round_trips_rows_of_any_iterable():
     assert table.ids.dtype == np.int32 and not table.ids.flags.writeable
     with pytest.raises(IndexError):
         table[len(rows)]
+    assert list(TokenTable.from_sets([])) == []
 
 
 def test_token_table_refuses_a_str_row_and_a_non_str_token():
@@ -496,6 +497,7 @@ def test_token_table_refuses_a_str_row_and_a_non_str_token():
 
 @pytest.mark.parametrize("ids, offsets, match", [
     ([0, 1], [0, 2, 1], "offsets must rise"),  # not monotone
+    ([0, 1, 2], np.array([0, 3, 1, 3], dtype=np.uint64), "offsets must rise"),
     ([0, 1], [0, 1], "offsets must rise"),  # does not end at ids.size
     ([0, 1], [1, 2], "offsets must rise"),  # does not start at 0
     ([0, 3], [0, 1, 2], "outside the vocabulary"),
