@@ -13,10 +13,11 @@ equals Jaccard similarity) and signed random projections for vectors
 each vocabulary string is hashed once, in exact ``uint64`` arithmetic modulo
 2^61 - 1, one hash column at a time, and a record's value is the minimum
 over its row of token ids, taken for all rows by one ``np.minimum.reduceat``;
-no Python code runs per token.  Within a band, a stable sort of the band signatures links
-every record to the first record sharing its signature, and the bands are
-joined as the connected components of the graph of those links.  A
-blocking is one label array: each record carries its block's number.
+no Python code runs per token.  Within a band, a stable sort of the band
+signatures links every record to the first record sharing its signature,
+and the bands are joined as the connected components of the graph of those
+links.  A blocking is one label array: each record carries its block's
+number.
 """
 
 from __future__ import annotations

@@ -64,11 +64,6 @@ def char_ngrams(text: str, n: int = 3) -> frozenset[str]:
     return frozenset(text[i : i + n] for i in range(len(text) - n + 1))
 
 
-# a code point plus 1 fits in 21 bits, so three of them pack into a uint64
-_CODE_BITS = 21
-_PER_KEY = 3
-
-
 @dataclass(frozen=True, eq=False)
 class TokenTable:
     """Token sets of n records as one integer table.
@@ -194,8 +189,8 @@ class TokenTable:
         for j in range(n):
             col = points[start + j]
             col[short_first[short_width <= j]] = 0  # pad each short window
-            if j % _PER_KEY:
-                keys[-1] <<= np.uint64(_CODE_BITS)
+            if j % 3:  # a code point plus 1 fits in 21 bits, 3 in a uint64
+                keys[-1] <<= np.uint64(21)
                 keys[-1] |= col
             else:
                 keys.append(col.astype(np.uint64))
@@ -372,11 +367,12 @@ class Dataset:
     text corpus with embeddings does: exact content equality
     (``dedup_codes``) then compares the features, and minhash blocking
     reads the tokens.  ``tokens`` is stored as a ``TokenTable``; any other
-    sequence of token sets is converted once by ``TokenTable.from_sets``.  ``entity_labels`` (ground truth) and ``values`` are
-    optional.  ``ids`` and ``entity_labels`` are stored as 1-d arrays: any
-    sequence is taken through ``np.asarray``, or kept item for item in an
-    object array when that does not give a 1-d array, so ``(0, 1)``,
-    ``["a", "b"]`` and ``np.arange(n)`` all work.  Mutating operations return new datasets;
+    sequence of token sets is converted once by ``TokenTable.from_sets``.
+    ``entity_labels`` (ground truth) and ``values`` are optional.  ``ids``
+    and ``entity_labels`` are stored as 1-d arrays: any sequence is taken
+    through ``np.asarray``, or kept item for item in an object array when
+    that does not give a 1-d array, so ``(0, 1)``, ``["a", "b"]`` and
+    ``np.arange(n)`` all work.  Mutating operations return new datasets;
     every randomized consumer takes an explicit seed, so instances can be
     shared freely across workers.
     """
@@ -571,7 +567,7 @@ def ingest_csv(path: str, schema: CsvSchema) -> Dataset:
         cols[j] = None  # drop the cells as soon as they are parsed
     toks = None
     if nt:
-        texts = cols[nf] if nt == 1 else list(map(" ".join, zip(*cols[nf : nf + nt])))
+        texts = list(map(" ".join, zip(*cols[nf : nf + nt])))
         toks = TokenTable.from_texts(texts, schema.ngram)
     rest = iter(cols[nf + nt :])
     ents, vals, ids = (next(rest) if c else None for c in singles)

@@ -526,6 +526,21 @@ def test_token_only_dedup_codes_number_rows_in_first_appearance_order(rows):
     assert codes.tolist() == [first.setdefault(row, len(first)) for row in rows]
 
 
+def test_token_row_codes_stay_exact_when_two_row_keys_collide(monkeypatch):
+    # the first draw gives every token the number 0, so all rows share one
+    # key; the id-by-id check must see the collision and draw again
+    real = np.random.default_rng
+
+    class Zeros:
+        def integers(self, low, high, size, dtype):
+            return np.zeros(size, dtype=dtype)
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: Zeros() if seed == 0 else real(seed))
+    rows = [{"a"}, {"b"}, {"a"}, {"c"}]
+    assert Dataset(ids=np.arange(4), tokens=rows).dedup_codes.tolist() == [0, 1, 0, 2]
+
+
 def test_float_cells_round_trip_across_chunks(tmp_path):
     values = np.random.default_rng(3).normal(1e5, 1e5, size=10_000)
     values[:3] = [-0.0, 1e-300, np.nextafter(1e6, np.inf)]
