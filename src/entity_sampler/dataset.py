@@ -22,7 +22,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -167,14 +167,17 @@ class TokenTable:
         integer key of its code points, each plus 1, so that 0 pads a short
         window and a NUL still counts as a character.  Three code points
         pack into a ``uint64``, so a window of n > 3 sorts as ceil(n / 3)
-        such keys.  Keys order windows as ``str`` compares them, so one sort
+        such keys; positions past the longest text pad every window and are
+        left out, so a large n on short texts costs no more.  Keys order windows as ``str`` compares them, so one sort
         of the keys gives the sorted vocabulary and one sort of the
         (row, id) pairs the sorted, distinct rows.
         """
         n = positive_count(n, "n")
         lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        # window positions past the longest text are padding in every window
+        m = min(n, int(lens.max(initial=1)))
         joined = "".join(texts)
-        points = np.zeros(len(joined) + n, dtype=np.uint32)  # zeros pad the end
+        points = np.zeros(len(joined) + m, dtype=np.uint32)  # zeros pad the end
         points[: len(joined)] = np.frombuffer(
             joined.encode("utf-32-le", "surrogatepass"), dtype="<u4")
         points[: len(joined)] += 1
@@ -186,7 +189,7 @@ class TokenTable:
         short = width < n
         short_first, short_width = firsts[short], width[short]
         keys: list[np.ndarray] = []
-        for j in range(n):
+        for j in range(m):
             col = points[start + j]
             col[short_first[short_width <= j]] = 0  # pad each short window
             if j % 3:  # a code point plus 1 fits in 21 bits, 3 in a uint64
@@ -251,30 +254,6 @@ def _factorize_features(features: np.ndarray) -> np.ndarray:
     codes = np.empty(order.size, dtype=np.int64)
     codes[order] = ranks
     return codes
-
-
-def _factorize_token_rows(table: TokenTable) -> np.ndarray:
-    """Codes for equal rows of a token table, in first-appearance order.
-
-    A row's key is the sum, modulo 2^64, of one random 64-bit number per
-    token: rows are sets, so equal rows get equal keys, and two different
-    rows collide with probability 2^-64.  Every row is then compared id by
-    id with the first row of its code, and a collision draws new numbers,
-    so the codes are exact.  Memory stays O(total tokens).
-    """
-    lens = np.diff(table.offsets)
-    row_of = np.repeat(np.arange(lens.size), lens)
-    for salt in count():
-        draws = np.random.default_rng(salt).integers(
-            0, 2**64, size=table.vocab.size, dtype=np.uint64)
-        sums = np.zeros(table.ids.size + 1, dtype=np.uint64)
-        np.cumsum(draws[table.ids], out=sums[1:])
-        codes, labels = _factorize_objects(sums[table.offsets[1:]] - sums[table.offsets[:-1]])
-        first = _first_records(codes, len(labels))[codes]
-        if (lens[first] == lens).all():
-            shift = (table.offsets[:-1][first] - table.offsets[:-1])[row_of]
-            if (table.ids[np.arange(row_of.size) + shift] == table.ids).all():
-                return codes
 
 
 def _column(items: Sequence) -> np.ndarray:
@@ -424,7 +403,8 @@ class Dataset:
         """Codes under exact content equality (features or token rows)."""
         if self.features is not None:
             return _factorize_features(self.features)
-        return _factorize_token_rows(self.tokens)
+        codes, _ = _factorize_objects(tuple(self.tokens))
+        return codes
 
     @cached_property
     def dedup_freqs(self) -> np.ndarray:

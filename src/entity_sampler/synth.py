@@ -244,19 +244,16 @@ def mixture_tracking_dataset(
     )
 
 
-# one UTF-32 code unit per letter, so a drawn array decodes to its word
-_LETTERS = np.array(list(string.ascii_lowercase), dtype="<U1")
-
-
 def _random_word(rng: np.random.Generator, length: int) -> str:
-    return rng.choice(_LETTERS, size=length).tobytes().decode("utf-32-le")
+    letters = np.array(list(string.ascii_lowercase))
+    return "".join(rng.choice(letters, size=length))
 
 
 def _perturb_text(text: str, rng: np.random.Generator, max_edits: int = 2) -> str:
     chars = list(text)
     for _ in range(int(rng.integers(1, max_edits + 1))):
         pos = int(rng.integers(len(chars)))
-        chars[pos] = str(rng.choice(_LETTERS))
+        chars[pos] = str(rng.choice(list(string.ascii_lowercase)))
     return "".join(chars)
 
 

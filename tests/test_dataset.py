@@ -460,7 +460,7 @@ def test_ingest_csv_text_columns_match_per_row_ngrams(tmp_path):
 @given(st.lists(st.text(alphabet="ab \x00\u00e9\U0001f600", max_size=8), max_size=6),
        st.integers(1, 5))
 def test_token_table_from_texts_matches_char_ngrams(texts, n):
-    # n = 1..3 packs each window in one key, n = 4, 5 sorts n columns
+    # n = 1..3 packs each window in one key, n = 4, 5 sorts two keys
     table = TokenTable.from_texts(texts, n)
     assert len(table) == len(texts)
     for i, text in enumerate(texts):
@@ -470,6 +470,8 @@ def test_token_table_from_texts_matches_char_ngrams(texts, n):
     assert again.vocab.tolist() == table.vocab.tolist()
     assert np.array_equal(again.ids, table.ids)
     assert np.array_equal(again.offsets, table.offsets)
+    # an n past the longest text makes every row its whole text
+    assert list(TokenTable.from_texts(texts, 9)) == [char_ngrams(t, 9) for t in texts]
 
 
 def test_token_table_from_sets_round_trips_rows_of_any_iterable():
@@ -524,21 +526,6 @@ def test_token_only_dedup_codes_number_rows_in_first_appearance_order(rows):
     codes = Dataset(ids=np.arange(len(rows)), tokens=rows).dedup_codes
     first: dict = {}
     assert codes.tolist() == [first.setdefault(row, len(first)) for row in rows]
-
-
-def test_token_row_codes_stay_exact_when_two_row_keys_collide(monkeypatch):
-    # the first draw gives every token the number 0, so all rows share one
-    # key; the id-by-id check must see the collision and draw again
-    real = np.random.default_rng
-
-    class Zeros:
-        def integers(self, low, high, size, dtype):
-            return np.zeros(size, dtype=dtype)
-
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: Zeros() if seed == 0 else real(seed))
-    rows = [{"a"}, {"b"}, {"a"}, {"c"}]
-    assert Dataset(ids=np.arange(4), tokens=rows).dedup_codes.tolist() == [0, 1, 0, 2]
 
 
 def test_float_cells_round_trip_across_chunks(tmp_path):
