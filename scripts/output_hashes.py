@@ -43,6 +43,10 @@ prints the same hashes.  It hashes, for one seed and size,
 * an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
   parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
   and 12-d samples;
+* an ``em_fit`` and its ``estimate_probs_gmm`` map, resolved per record, on
+  a dispersed table after ``bench.inject_duplicates`` appends exact copies
+  of 30 % of its records (``gmm[copies]``), where EM weights each distinct
+  row by its copy count;
 * ``regularized_kmeans`` labels at k = 1..4 on 3 distinct 2-d points with
   4 copies each (``kmeans[copies]``), or the name of the exception a call
   raises.
@@ -246,6 +250,14 @@ def main() -> None:
     print(f"em.loglik {digest(em.loglik)}")
     print(f"em.model {digest(em.model.weights, em.model.means, em.model.variances)}")
     print(f"em.iterations {em.iterations} restarts {em.restarts_used}")
+    copies = bench.inject_duplicates(
+        synth.dispersed_dataset(max(args.entities // 10, 2), 20, 0.3, seed=args.seed + 42),
+        0.3, "tpch", args.seed + 43)
+    fit = gmm.em_fit(copies, 3, seed=args.seed + 44)
+    model = fit.model
+    print(f"gmm[copies].fit {digest(fit.loglik, model.weights, model.means, model.variances)} "
+          f"iterations {fit.iterations} restarts {fit.restarts_used}")
+    print(f"gmm[copies].map {digest(gmm.estimate_probs_gmm(copies, model).resolve(copies))}")
     for dim in (3, 12):
         points = shifted_sample(max(args.entities // 4, 20), dim, args.seed + 50 + dim)
         labels = clustering.lloyd_kmeans(points, 3, seed=args.seed + 60 + dim)

@@ -4,9 +4,12 @@ When record vectors follow a well-separated spherical mixture, the mixture
 density itself serves as the probability estimate: fit it by EM, evaluate
 the density at every record, and let the rejection sampler flatten it.  A
 planner converts accuracy targets into the EM sample size and iteration
-count.  All densities are handled in log space, on (k, n) arrays: one row
-per component, one column per record.  The squared distances behind them
-come from ``clustering._sq_distance``, the package's one distance kernel.
+count.  Exact copies share their density, so both the fit and the map work
+per distinct content: EM weights each distinct row by its copy count, and
+the map holds one estimate per content code.  All densities are handled in
+log space, on (k, u) arrays: one row per component, one column per
+distinct content.  The squared distances behind them come from
+``clustering._sq_distance``, the package's one distance kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _kmeanspp_init, _sq_distance
-from .dataset import Dataset, DatasetError
+from .dataset import Dataset, DatasetError, _factorize_features, _first_records
 from .rejection import ProbabilityMap
 
 __all__ = [
@@ -210,14 +213,21 @@ def em_fit(
 ) -> EmResult:
     """Fit a spherical mixture by EM.
 
-    Stops after ``max_iter`` iterations or once an iteration raises the mean
-    per-record log-likelihood by less than ``tol``.  An affine rescaling of
-    the data shifts that mean by a constant, so the rule stops at the same
-    iteration at any scale.  A collapsing component (vanishing variance or
-    weight) triggers a restart with fresh initialization, up to
-    ``_MAX_RESTARTS`` = 8, after which CollapseError is raised.  The returned
-    trace of log-likelihoods is non-decreasing; its last entry belongs to
-    the returned model.
+    The records are factorized once (a Dataset's cached ``dedup_codes``, or
+    the rows of an array), and each iteration runs on the distinct rows, in
+    first-appearance order, with their copy counts as weights: exact copies
+    share their responsibilities, so this is the likelihood over every
+    record.  Rows that are all distinct are fitted as given, weight one
+    each.  Initialization draws on every record.  Stops after ``max_iter``
+    iterations or once an iteration raises the mean per-record
+    log-likelihood by less than ``tol``; the mean divides by the record
+    count n, not the distinct count.  An affine rescaling of the data
+    shifts that mean by a constant, so the rule stops at the same iteration
+    at any scale.  A collapsing component (vanishing variance or weight)
+    triggers a restart with fresh initialization, up to ``_MAX_RESTARTS`` =
+    8, after which CollapseError is raised.  The returned trace of
+    log-likelihoods is non-decreasing; its last entry belongs to the
+    returned model.
     """
     x = data.features if isinstance(data, Dataset) else np.asarray(data, np.float64)
     if x is None:
@@ -227,11 +237,16 @@ def em_fit(
     if k < 1:
         raise ValueError("k must be positive")
     n, d = x.shape
+    codes = data.dedup_codes if isinstance(data, Dataset) else _factorize_features(x)
+    counts = np.bincount(codes)
+    rows = np.sort(_first_records(codes, counts.size))
+    xu, w = x[rows], counts[codes[rows]].astype(np.float64)
+    del codes, counts, rows
     root = np.random.SeedSequence(seed)
     for attempt, child in enumerate(root.spawn(_MAX_RESTARTS + 1)):
         rng = np.random.default_rng(child)
         weights, means, variances = _init_params(x, k, rng)
-        sq = _sq_distances(x, means)
+        sq = _sq_distances(xu, means)
         history: list[float] = []
         collapsed = False
         converged = False
@@ -239,19 +254,20 @@ def em_fit(
         while True:
             # the E-step of the current parameters also scores them
             log_norm, resp = _normalize(_log_components(sq, weights, variances, d))
-            history.append(float(log_norm.sum()))
+            history.append(float((log_norm * w).sum()))
             if len(history) > 1 and (history[-1] - history[-2]) / n < tol:
                 converged = True
                 break
             if iterations == max_iter:
                 break
+            resp *= w
             mass = resp.sum(axis=1)
             weights = mass / n
             if (weights < _COLLAPSE_EPS).any():
                 collapsed = True
                 break
-            means = (resp @ x) / mass[:, None]
-            sq = _sq_distances(x, means)
+            means = (resp @ xu) / mass[:, None]
+            sq = _sq_distances(xu, means)
             variances = (resp * sq).sum(axis=1) / (mass * d)
             if (variances < _COLLAPSE_EPS).any():
                 collapsed = True
@@ -275,20 +291,24 @@ def em_fit(
 def estimate_probs_gmm(data: Dataset, model: MixtureModel) -> ProbabilityMap:
     """Mixture density at each record as its probability estimate.
 
-    The floor of the resulting map is the smallest density over the data.
-    Records whose log density falls below the exponentiation floor are a
-    hard error: the dataset reaches far outside the fitted model.
+    The density is a function of the features, so it is evaluated once per
+    distinct content, at the content's first record, and the map is held
+    ``by_code`` over ``data.dedup_codes``.  The floor of the resulting map
+    is the smallest density over the data.  Records whose log density
+    falls below the exponentiation floor are a hard error: the dataset
+    reaches far outside the fitted model.
     """
     if data.features is None:
         raise DatasetError("density estimates require vector records")
-    logd = model.logpdf(data.features)
+    first = _first_records(data.dedup_codes, data.dedup_freqs.size)
+    logd = model.logpdf(data.features[first])
     if (logd < _LOG_FLOOR).any():
         worst = float(logd.min())
         raise DensityUnderflowError(
             f"log density {worst:.1f} below {_LOG_FLOOR}; "
             "records lie impossibly far from the fitted mixture"
         )
-    return ProbabilityMap(dense=np.exp(logd))
+    return ProbabilityMap(by_code=np.exp(logd))
 
 
 @dataclass(frozen=True)

@@ -119,11 +119,17 @@ class ProbabilityMap:
         return table if codes is None else table[codes]
 
     def to_csv(self, path: str, data: Dataset) -> None:
-        """Write the two-column (record id, estimate) artifact."""
-        write_csv_columns(
-            path, ["record_id", "phat"],
-            [scalar_cells(data.ids), float_cells(self.resolve(data))],
-        )
+        """Write the two-column (record id, estimate) artifact, one row per
+        record in dataset order.
+
+        A ``by_code`` map formats each content's estimate once and gathers
+        the text through the record codes.
+        """
+        table, codes = self._backing(data)
+        cells = float_cells(table)
+        if codes is not None:
+            cells = scalar_cells(text_column(list(cells))[codes])
+        write_csv_columns(path, ["record_id", "phat"], [scalar_cells(data.ids), cells])
 
     @classmethod
     def from_csv(cls, path: str) -> "ProbabilityMap":

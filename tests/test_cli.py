@@ -208,6 +208,25 @@ def test_estimate_gmm_model_round_trip(tmp_path, capsys):
         (tmp_path / "map_b.csv").read_bytes()
 
 
+def test_estimate_gmm_model_in_writes_the_per_record_density(tmp_path, capsys):
+    data, schema = write_toy_csv(tmp_path)
+    model = MixtureModel(weights=np.array([0.3, 0.7]),
+                         means=np.array([[0.5, 0.0], [6.0, 3.0]]),
+                         variances=np.array([2.0, 9.0]))
+    model_path = str(tmp_path / "model.json")
+    model.to_json(model_path)
+    out = tmp_path / "map.csv"
+    rc = main(["estimate", "--data", data, "--schema", schema, "--method", "gmm",
+               "--model-in", model_path, "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    # the map as written one density per record, row by row
+    records = ingest_csv(data, CsvSchema.from_json(schema))
+    dense = tmp_path / "dense.csv"
+    ProbabilityMap(dense=np.exp(model.logpdf(records.features))).to_csv(str(dense), records)
+    assert out.read_bytes() == dense.read_bytes()
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(entity_sampler.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -616,11 +635,11 @@ def test_gmm_subsample_fit_equals_em_fit_by_hand():
     fit = em_fit(x[rows], 2, seed=12, max_iter=30, tol=1e-7)
     assert est.fit.loglik == fit.loglik
     np.testing.assert_array_equal(est.fit.model.means, fit.model.means)
-    np.testing.assert_array_equal(est.pmap.dense, np.exp(fit.model.logpdf(x)))
+    np.testing.assert_array_equal(est.pmap.resolve(data), np.exp(fit.model.logpdf(x)))
     # without m the fit sees every record, as the CLI's does
     full = estimate(data, "gmm", 12, k=2, max_iter=30, tol=1e-7)
     assert full.fit.loglik == em_fit(x, 2, seed=12, max_iter=30, tol=1e-7).loglik
     # a given model is scored as it is, with no fit
     given = estimate(data, "gmm", 0, m=40, model=fit.model)
     assert given.fit is None
-    np.testing.assert_array_equal(given.pmap.dense, est.pmap.dense)
+    np.testing.assert_array_equal(given.pmap.resolve(data), est.pmap.resolve(data))

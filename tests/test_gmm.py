@@ -11,17 +11,25 @@ import pytest
 from scipy.special import logsumexp
 from scipy.stats import norm
 
+from entity_sampler import bench, synth
 from entity_sampler.dataset import Dataset
 from entity_sampler.gmm import (
     CollapseError,
     DensityUnderflowError,
+    EmResult,
     MixtureModel,
     SeparationWarning,
     em_fit,
     estimate_probs_gmm,
     plan_gmm,
 )
-from entity_sampler.gmm import _sq_distances
+from entity_sampler.gmm import (
+    _MAX_RESTARTS,
+    _init_params,
+    _log_components,
+    _normalize,
+    _sq_distances,
+)
 
 
 def two_component():
@@ -95,6 +103,19 @@ def test_underflow_raises():
     d = Dataset(ids=(0,), features=np.array([[500.0]]))
     with pytest.raises(DensityUnderflowError):
         estimate_probs_gmm(d, two_component())
+    # one far content among copies of near ones
+    d = Dataset(ids=tuple(range(5)), features=np.array([[0.0], [0.0], [500.0], [6.0], [500.0]]))
+    with pytest.raises(DensityUnderflowError):
+        estimate_probs_gmm(d, two_component())
+
+
+def test_map_per_content_resolves_to_the_per_record_density():
+    m = four_in_three_d()
+    clean = Dataset(ids=tuple(range(400)), features=sample_mixture(m, 400, seed=4))
+    d = bench.inject_duplicates(clean, 0.3, "tpch", 5)
+    pmap = estimate_probs_gmm(d, m)
+    assert pmap.dense is None and pmap.by_code.size == d.dedup_freqs.size < d.n
+    assert np.array_equal(pmap.resolve(d), np.exp(m.logpdf(d.features)))
 
 
 def test_separation_check_and_warning():
@@ -168,6 +189,63 @@ def test_em_accepts_dataset():
     d = Dataset(ids=tuple(range(2000)), features=x)
     res = em_fit(d, k=2, seed=3)
     assert res.model.means.shape == (2, 1)
+
+
+def em_per_record(x, k, seed, max_iter=200, tol=1e-6):
+    """EM over every record with no weights: the fit that the copy-weighted
+    one must reproduce, with the same initialization and restarts."""
+    n, d = x.shape
+    for attempt, child in enumerate(np.random.SeedSequence(seed).spawn(_MAX_RESTARTS + 1)):
+        weights, means, variances = _init_params(x, k, np.random.default_rng(child))
+        sq, history, iterations = _sq_distances(x, means), [], 0
+        while True:
+            log_norm, resp = _normalize(_log_components(sq, weights, variances, d))
+            history.append(float(log_norm.sum()))
+            converged = len(history) > 1 and (history[-1] - history[-2]) / n < tol
+            if converged or iterations == max_iter:
+                return EmResult(MixtureModel(weights, means, variances), tuple(history),
+                                iterations, converged, attempt)
+            mass = resp.sum(axis=1)
+            weights = mass / n
+            means = (resp @ x) / mass[:, None]
+            sq = _sq_distances(x, means)
+            variances = (resp * sq).sum(axis=1) / (mass * d)
+            if (weights < 1e-8).any() or (variances < 1e-8).any():
+                break
+            iterations += 1
+    raise CollapseError
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_em_on_copies_equals_the_per_record_fit(seed):
+    clean = synth.dispersed_dataset(80, 20, 0.3, seed=seed)
+    data = bench.inject_duplicates(clean, 0.3, "tpch", seed + 10)
+    assert data.dedup_freqs.size < data.n
+    # at k = 3 these seeds stop on the rule, except 1 and 4, which run
+    # all 200 iterations
+    got = em_fit(data, 3, seed=seed)
+    want = em_per_record(data.features, 3, seed)
+    assert (got.iterations, got.converged, got.restarts_used) == \
+        (want.iterations, want.converged, want.restarts_used)
+    for a, b in [(got.loglik, want.loglik),
+                 (got.model.weights, want.model.weights),
+                 (got.model.means, want.model.means),
+                 (got.model.variances, want.model.variances)]:
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    # an array of the same rows is factorized by em_fit itself
+    assert em_fit(data.features, 3, seed=seed).loglik == got.loglik
+
+
+def test_em_on_distinct_rows_is_the_per_record_fit_bit_for_bit():
+    x = sample_mixture(four_in_three_d(), 3000, seed=11) + 1e6
+    for max_iter in (4, 200):
+        got = em_fit(x, 4, seed=2, max_iter=max_iter)
+        want = em_per_record(x, 4, 2, max_iter=max_iter)
+        assert got.loglik == want.loglik
+        assert (got.iterations, got.converged, got.restarts_used) == \
+            (want.iterations, want.converged, want.restarts_used)
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(got.model, name), getattr(want.model, name))
 
 
 def test_em_collapse_after_restarts():

@@ -267,6 +267,16 @@ def test_map_csv_round_trip(tmp_path):
     assert np.array_equal(back.dense, phat)
 
 
+def test_map_csv_by_code_writes_the_dense_views_bytes(tmp_path):
+    d = dispersed_dataset(50, 8, 0.3, seed=2)
+    assert d.dedup_freqs.size < d.n
+    table = np.random.default_rng(3).random(d.dedup_freqs.size) + 1e-3
+    by_code, dense = tmp_path / "by_code.csv", tmp_path / "dense.csv"
+    ProbabilityMap(by_code=table).to_csv(str(by_code), d)
+    ProbabilityMap(dense=table[d.dedup_codes]).to_csv(str(dense), d)
+    assert by_code.read_bytes() == dense.read_bytes()
+
+
 @pytest.mark.parametrize(
     "body, line",
     [("a,0.5\nb\n", 3), ("a,0.5\n\nb,0.5\n", 3), ("a,0.5\nb,half\n", 3)],
