@@ -251,7 +251,7 @@ def main() -> None:
     print(f"em.model {digest(em.model.weights, em.model.means, em.model.variances)}")
     print(f"em.iterations {em.iterations} restarts {em.restarts_used}")
     copies = bench.inject_duplicates(
-        synth.dispersed_dataset(max(args.entities // 10, 2), 20, 0.3, seed=args.seed + 42),
+        synth.dispersed_dataset(max(args.entities // 10, 200), 20, 0.3, seed=args.seed + 42),
         0.3, "tpch", args.seed + 43)
     fit = gmm.em_fit(copies, 3, seed=args.seed + 44)
     model = fit.model

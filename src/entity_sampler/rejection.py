@@ -66,11 +66,11 @@ class ProbabilityMap:
 
     One of two arrays carries the estimates: ``dense`` holds one per record
     in a dataset's order, ``by_code`` one per content code of the dataset's
-    ``dedup_codes`` (the balanced estimator emits this form, keeping its
-    cost proportional to the distinct contents, not the records).
-    ``resolve`` gives the per-record view of either; ``sample_clean`` and
-    ``expected_trials_per_accept`` read a ``by_code`` map per content and
-    never build that view.
+    ``dedup_codes`` (the balanced and mixture estimators emit this form,
+    keeping their cost proportional to the distinct contents, not the
+    records).  ``resolve`` gives the per-record view of either;
+    ``sample_clean``, ``expected_trials_per_accept`` and ``to_csv`` read a
+    ``by_code`` map per content and never build that view.
     """
 
     dense: np.ndarray | None = None

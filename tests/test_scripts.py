@@ -26,7 +26,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                "ssc[cap].report ", "ssc[cap].asked ",
                                "em.loglik ", "lloyd[12d] ",
                                "lsh[text-copies].outcomes ", "kmeans[copies] k=4 ",
-                               "tokens[text-only].dedup_codes "]),
+                               "tokens[text-only].dedup_codes ", "gmm[copies].map "]),
     ],
 )
 def test_script_runs_and_prints_its_headlines(name, headlines):
