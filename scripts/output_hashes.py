@@ -38,8 +38,10 @@ prints the same hashes.  It hashes, for one seed and size,
   ordered pairs the oracle was asked, on fixed label sets that reach each
   of its branches: every pair within the budget (``ssc[exhaustive]``);
   one entity whose draws cover every pair before the cap, ranked exactly
-  (``ssc[cover]``); and one entity of 60 records whose draws stop at the
-  cap (``ssc[cap]``);
+  (``ssc[cover]``); one entity of 60 records whose draws stop at the cap
+  (``ssc[cap]``); and 3 entities of 40 records at a budget of 500 with two
+  candidates, whose draws fill both sides before they cover every pair or
+  reach the cap (``ssc[filled]``);
 * an ``em_fit`` on a 3-d sample shifted by 1e6 (log-likelihood trace,
   parameters, iteration count) and ``lloyd_kmeans`` labels on shifted 3-d
   and 12-d samples;
@@ -72,14 +74,17 @@ from entity_sampler import (balanced, bench, blocking, cli, clustering, dataset,
                             gmm, lsh_pipeline, rejection, ssc, synth)
 
 FRACTIONS = (0.01, 0.02, 0.04, 0.06, 0.08, 0.1)
-# name: (labels, per-side pair budget) of the ssc_select lines; 28 pairs
-# fit a budget of 30, the 66 pairs of 12 records fall under the cap of
-# 1,011 draws at a budget of 5, and the 1,770 pairs of 60 records exceed
-# the cap of 607 draws at a budget of 3
+# name: (labels, per-side pair budget, candidates) of the ssc_select lines,
+# the candidates taken in the order one cluster, the labels, all garbage;
+# 28 pairs fit a budget of 30, the 66 pairs of 12 records fall under the
+# cap of 1,011 draws at a budget of 5, the 1,770 pairs of 60 records exceed
+# the cap of 607 draws at a budget of 3, and 3 classes of 40 records fill
+# 500 draws a side in about 1,500 draws, far from their 7,140 pairs
 SSC_CASES = {
-    "exhaustive": ([0, 0, 1, 1, 1, 2, 2, 3], 30),
-    "cover": ([4] * 12, 5),
-    "cap": ([7] * 60, 3),
+    "exhaustive": ([0, 0, 1, 1, 1, 2, 2, 3], 30, 3),
+    "cover": ([4] * 12, 5, 3),
+    "cap": ([7] * 60, 3, 3),
+    "filled": ([0] * 40 + [1] * 40 + [2] * 40, 500, 2),
 }
 
 
@@ -178,11 +183,11 @@ def text_only_lines(n_rows: int, seed: int, workdir: str) -> None:
 
 
 def ssc_lines(seed: int) -> None:
-    for name, (labels, m_pairs) in SSC_CASES.items():
+    for name, (labels, m_pairs, n_candidates) in SSC_CASES.items():
         n = len(labels)
         candidates = [clustering.Clustering(np.zeros(n, dtype=np.int64)),
                       clustering.Clustering(np.unique(labels, return_inverse=True)[1]),
-                      clustering.Clustering(-np.arange(1, n + 1))]
+                      clustering.Clustering(-np.arange(1, n + 1))][:n_candidates]
         oracle = RecordingOracle(labels)
         rep = ssc.ssc_select(candidates, n, oracle, m_pairs, seed=seed)
         counts = (rep.queries, rep.inferred, rep.n_pos, rep.n_neg)

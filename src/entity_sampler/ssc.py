@@ -28,15 +28,10 @@ inconsistent (noisy) oracle is absorbed silently rather than contradicted;
 such oracles are out of scope here (Mazumdar and Saha, "Clustering with
 Noisy Queries", NeurIPS 2017).
 
-A sampled run draws its pairs in batches that grow from 256 to 8,192
-draws.  A draw that the answers so far settle stays settled, so at the
-start of a batch the store's ``settle`` decides every such draw in one
-array step, from the points' component roots and the sorted keys of the
-root pairs told apart; only the draws still open are asked, one at a time,
-and one cumulative count over the batch finds the draw that fills both
-sides.  An instance ranked on every pair counts each candidate's joined
-pairs from its table of (component, label) cells, without forming the
-pairs.
+A sampled run draws one pair at a time and passes it to the store, so
+only the draws that the answers so far leave open are asked.  An instance
+ranked on every pair counts each candidate's joined pairs from its table
+of (component, label) cells, without forming the pairs.
 """
 
 from __future__ import annotations
@@ -174,29 +169,18 @@ def _ranked(candidates: Sequence[Clustering], losses: list, **fields) -> SscRepo
     )
 
 
-# pairs drawn by the first ``integers`` call of a sampled run; each later
-# call draws twice as many, up to _PAIR_BATCH_MAX, so a run that stops
-# early draws few spare pairs and a long one makes few calls.  The pair
-# stream depends on neither.
-_PAIR_BATCH = 256
-_PAIR_BATCH_MAX = 8192
-
-
 class _Answers:
     """A block's answers: the components of its "same" answers and the
     pairs of components its "different" answers tell apart.
 
     ``root`` gives each point's component root, ``members`` each root's
-    points, ``apart`` the roots each root is told apart from, and
-    ``differ`` the points i0, j0, i1, j1, ... of the "different" answers.
+    points and ``apart`` the roots each root is told apart from.
     """
 
     def __init__(self, n_points: int) -> None:
         self.root = list(range(n_points))
         self.members = [[p] for p in range(n_points)]
         self.apart = [set() for _ in range(n_points)]
-        self.differ = []
-        self._snapshot = None
 
     def answer(self, oracle: Callable[[int, int], bool], i: int, j: int
                ) -> tuple[bool, bool]:
@@ -231,36 +215,12 @@ class _Answers:
         else:
             apart[ri].add(rj)
             apart[rj].add(ri)
-            self.differ += i, j
-        self._snapshot = None
         return same, True
 
     @property
     def roots(self) -> np.ndarray:
         """Each point's component root."""
         return np.array(self.root)
-
-    def settle(self, ij: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """For each pair (row) of ``ij``: whether the answers so far make it
-        "same", and whether they leave it open.  A settled pair stays
-        settled, with the same answer.
-
-        The pairs are decided from a snapshot, retaken after an answer: the
-        roots, and the sorted keys r * n + s of the roots told apart, both
-        ways round, ending in n * n, which no pair of roots reaches.
-        """
-        if self._snapshot is None:
-            roots = self.roots
-            n_points = roots.size
-            r = roots[np.array(self.differ, dtype=np.int64)].reshape(-1, 2)
-            self._snapshot = roots, np.sort(np.concatenate((
-                r[:, 0] * n_points + r[:, 1], r[:, 1] * n_points + r[:, 0],
-                [n_points**2])))
-        roots, keys = self._snapshot
-        r0, r1 = roots[ij[:, 0]], roots[ij[:, 1]]
-        same = r0 == r1
-        key = r0 * roots.size + r1
-        return same, ~same & (keys[np.searchsorted(keys, key)] != key)
 
 
 def ssc_select(
@@ -292,13 +252,9 @@ def ssc_select(
     silently: a pair whose answer would contradict earlier ones is never
     asked.
 
-    The draws come in batches of 256, then twice as many each time up to
-    8,192, and the pair stream does not depend on the batch sizes.  A
-    batch ends at the cap and at the draw that covers every pair, since
-    neither depends on the answers.  It decides the draws that the answers
-    so far settle in one array step, asks the open ones in order until the
-    draws before the next one fill both sides, and finds the draw that
-    fills them with one cumulative count.
+    The pairs are drawn one at a time, x and then y among the other n - 1
+    points, and each draw is answered before the next: a draw the answers
+    so far settle is not asked, and only the open ones are.
 
     A single candidate is not ranked: nothing is drawn or asked, and the
     report counts no pairs.
@@ -320,81 +276,27 @@ def ssc_select(
         return _exact_report(candidates, store.roots, asked)
     rng = np.random.default_rng(seed)
     cap = _cap(m_pairs)
-    # the draws can cover every pair only if the cap allows that many; only
-    # then is each pair's first draw tracked, in an array no larger than
-    # the draws
-    cover = n_pairs <= cap
-    drawn = np.zeros(n_pairs if cover else 0, dtype=bool)
-    batches, answers = [], []
-    draws = distinct = n_pos = n_neg = asked = 0
-    size = _PAIR_BATCH
-    while draws < cap and distinct < n_pairs and (n_pos < m_pairs or n_neg < m_pairs):
-        # one ``integers`` call over bounds alternating n, n - 1 consumes the
-        # generator as alternating scalar calls do, so every batch size
-        # gives the same pairs
-        ij = rng.integers(0, np.tile([n_points, n_points - 1], size)).reshape(-1, 2)
-        ij[:, 1] += ij[:, 1] >= ij[:, 0]
-        # the batch ends at the cap, and at the draw that completes the
-        # pairs; neither depends on the answers
-        end = min(size, cap - draws)
-        if cover:
-            key = _pair_index(ij, n_points)
-            first = np.zeros(size, dtype=bool)
-            first[np.unique(key, return_index=True)[1]] = True
-            first &= ~drawn[key]
-            drawn[key] = True
-            seen = np.cumsum(first)
-            end = min(int(np.searchsorted(seen, n_pairs - distinct)) + 1, end)
-        ij = ij[:end]
-        same, opens = store.settle(ij)
-        opens = np.flatnonzero(opens)
-        # the open draws are asked in order until the draws before the next
-        # one fill both sides; `before` counts the batch's positives before it
-        pos_settled = np.cumsum(same)[opens].tolist()
-        pos_asked = 0
-        for p, settled, (i, j) in zip(opens.tolist(), pos_settled, ij[opens].tolist()):
-            before = settled + pos_asked
-            if n_pos + before >= m_pairs and n_neg + p - before >= m_pairs:
-                end = p
-                break
-            s, fresh = store.answer(oracle, i, j)
-            asked += fresh
-            same[p] = s
-            pos_asked += s
-        # the draw that fills both sides, if one of the first `end` does
-        pos = n_pos + np.cumsum(same[:end])
-        neg = n_neg + np.arange(1, end + 1) - (pos - n_pos)
-        t = min(max(int(np.searchsorted(pos, m_pairs)),
-                    int(np.searchsorted(neg, m_pairs))) + 1, end)
-        draws += t
-        n_pos, n_neg = int(pos[t - 1]), int(neg[t - 1])
-        if cover:
-            distinct += int(seen[t - 1])
-        batches.append(ij[:t])
-        answers.append(same[:t])
-        size = min(2 * size, _PAIR_BATCH_MAX)
-    if distinct == n_pairs:
+    seen = set()
+    pos, neg = [], []
+    asked = 0
+    while ((len(pos) < m_pairs or len(neg) < m_pairs) and len(seen) < n_pairs
+           and len(pos) + len(neg) < cap):
+        i = int(rng.integers(n_points))
+        j = int(rng.integers(n_points - 1))
+        j += j >= i
+        seen.add((i, j) if i < j else (j, i))
+        same, fresh = store.answer(oracle, i, j)
+        asked += fresh
+        (pos if same else neg).append((i, j))
+    if len(seen) == n_pairs:
         return _exact_report(candidates, store.roots, asked)
-    pairs = np.concatenate(batches)
-    keys = np.sort(_pair_index(pairs, n_points))
-    n_distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-    same = np.concatenate(answers)
-    pos_pairs, neg_pairs = pairs[same], pairs[~same]
-    losses = [pair_losses(c, pos_pairs, neg_pairs)[2] for c in candidates]
-    return _ranked(candidates, losses, queries=asked, n_pos=n_pos, n_neg=n_neg,
-                   inferred=n_distinct - asked)
+    return rank_candidates(candidates, pos, neg, asked, inferred=len(seen) - asked)
 
 
 def _cap(m_pairs: int) -> int:
     """Draws allowed: (1 + nu) (m/gamma + m/(1-gamma)), rounded up, with
     nu = ``_NU`` and gamma = ``_GAMMA``."""
     return math.ceil((1.0 + _NU) * (m_pairs / _GAMMA + m_pairs / (1.0 - _GAMMA)))
-
-
-def _pair_index(ij: np.ndarray, n_points: int) -> np.ndarray:
-    """Index in 0..C(n, 2)-1 of each unordered pair, row by row of i < j."""
-    lo, hi = np.minimum(ij[:, 0], ij[:, 1]), np.maximum(ij[:, 0], ij[:, 1])
-    return lo * (2 * n_points - 3 - lo) // 2 + hi - 1
 
 
 def _exact_report(

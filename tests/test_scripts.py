@@ -24,6 +24,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                                "lsh[sparse4d].group_ids ",
                                "ssc[exhaustive].report ", "ssc[cover].report ",
                                "ssc[cap].report ", "ssc[cap].asked ",
+                               "ssc[filled].report ", "ssc[filled].asked ",
                                "em.loglik ", "lloyd[12d] ",
                                "lsh[text-copies].outcomes ", "kmeans[copies] k=4 ",
                                "tokens[text-only].dedup_codes ", "gmm[copies].map "]),

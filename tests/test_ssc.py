@@ -8,6 +8,7 @@ Loss oracle for the fixed 6-point instance with true clusters {0,1,2} and
 """
 
 import math
+from copy import deepcopy
 from dataclasses import replace
 from itertools import combinations
 
@@ -291,12 +292,21 @@ def scalar_select(candidates, labels, m_pairs, seed, infer=True):
     ([0, 1], 3),         # two points, all negative
     ([0, 0], 3),         # two points, all positive
     ([0, 0, 0, 1, 1, 1], 4),  # 15 pairs, sampled: fills both sides
-    ([7] * 60, 3),       # all positive: past one batch of draws, to the cap
+    ([7] * 60, 3),       # all positive: to the cap
     ([0, 1, 2], 1),      # all negative: every pair answered, no cap
     ([5] * 12, 2),       # all positive: every pair answered, or the cap first
-    # three classes: past several batches, both sides fill among draws
-    # that earlier answers settle
+    # three classes: both sides fill among draws that earlier answers
+    # settle
     ([0] * 40 + [1] * 40 + [2] * 40, 500),
+    # a rare negative side: both sides fill far into the draws, before the
+    # cap, with more pairs than the cap allows draws
+    ([0] * 150 + [1] * 2, 50),
+    # all distinct: the cap of 607 draws comes first, and no answer settles
+    # another pair
+    (list(range(60)), 3),
+    # two classes of 6: both sides fill after 40 to 52 draws, before all 66
+    # pairs are drawn
+    ([0] * 6 + [1] * 6, 20),
 ])
 def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
     n = len(labels)
@@ -307,45 +317,6 @@ def test_select_draws_the_scalar_pair_stream(labels, m_pairs):
         oracle = RecordingOracle(labels)
         assert ssc_select(cands, n, oracle, m_pairs, seed=seed) == expected
         assert oracle.asked == asked
-
-
-@pytest.mark.parametrize("batch", [1, 7, 4096])
-@pytest.mark.parametrize("labels,m_pairs", [
-    ([0, 1, 1, 2, 2, 2, 3, 4, 5, 5] * 5, 60),
-    # both sides fill past the first batch
-    ([0] * 40 + [1] * 40 + [2] * 40, 500),
-    # all positive: the cap of 607 draws, past the first batch
-    ([7] * 60, 3),
-    # a rare negative side: both sides fill far past the first batch,
-    # before the cap, with more pairs than the cap allows draws
-    ([0] * 150 + [1] * 2, 50),
-    # all distinct: the cap of 607 draws falls inside a batch, with open
-    # draws after it
-    (list(range(60)), 3),
-    # at seed 1 and a batch of 7, both sides fill on draw 49, the last of
-    # the third batch
-    ([0] * 6 + [1] * 6, 20),
-])
-def test_batch_size_changes_no_draw(monkeypatch, batch, labels, m_pairs):
-    monkeypatch.setattr(ssc, "_PAIR_BATCH", batch)
-    n = len(labels)
-    cands = [clustering(list(range(n)), n=n), Clustering(-np.arange(1, n + 1))]
-    for seed in range(4):
-        asked, expected = scalar_select(cands, labels, m_pairs, seed)
-        oracle = RecordingOracle(labels)
-        rep = ssc_select(cands, n, oracle, m_pairs, seed=seed)
-        assert rep == expected
-        assert oracle.asked == asked
-
-
-@pytest.mark.parametrize("n", [2, 3, 7, 40])
-def test_pair_index_numbers_every_pair_in_row_order(n):
-    # rows (0, 1), (0, 2), ..., (n - 2, n - 1) take 0..C(n, 2) - 1, and
-    # each pair the same index from either orientation
-    rows = np.array(list(combinations(range(n), 2)), dtype=np.int64)
-    want = np.arange(n * (n - 1) // 2)
-    assert np.array_equal(ssc._pair_index(rows, n), want)
-    assert np.array_equal(ssc._pair_index(rows[:, ::-1], n), want)
 
 
 class Asked(Exception):
@@ -359,10 +330,10 @@ def refuse(i, j):
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_store_settles_each_pair_as_its_answer_does(data):
-    # after each of a random sequence of consistent answers, ``settle``
-    # decides every pair, both ways round, as ``answer`` does, and leaves
-    # open exactly the pairs ``answer`` would ask; an oracle that refuses
-    # leaves the store as it was
+    # after each of a random sequence of consistent answers, a pair that
+    # the plain ``Settled`` leaves open goes to the oracle: one that refuses
+    # raises and leaves the store as it was; every other pair, both ways
+    # round, is settled with its true answer
     n = data.draw(st.integers(min_value=2, max_value=10), label="n")
     labels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n),
                        label="labels")
@@ -371,18 +342,27 @@ def test_store_settles_each_pair_as_its_answer_does(data):
     steps = data.draw(st.lists(pair, max_size=2 * n), label="answers")
     store = ssc._Answers(n)
     oracle = SameClusterOracle(labels)
-    ij = np.array([(i, j) for i in range(n) for j in range(n) if i != j])
+    known = Settled(n)
     for step in [None, *steps]:
         if step is not None:
-            store.answer(oracle, *step)
-        same, opens = store.settle(ij)
-        for (i, j), s, o in zip(ij.tolist(), same.tolist(), opens.tolist()):
-            if o:
-                with pytest.raises(Asked):
-                    store.answer(refuse, i, j)
-            else:
-                assert store.answer(refuse, i, j) == (s, False)
-                assert s == (labels[i] == labels[j])
+            i, j = step
+            same, fresh = store.answer(oracle, i, j)
+            assert fresh == (known.answer(i, j) is None)
+            if fresh:
+                known.record(i, j, same)
+        state = deepcopy((store.root, store.members, store.apart))
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                truth = known.answer(i, j)
+                if truth is None:
+                    with pytest.raises(Asked):
+                        store.answer(refuse, i, j)
+                else:
+                    assert truth == (labels[i] == labels[j])
+                    assert store.answer(refuse, i, j) == (truth, False)
+        assert (store.root, store.members, store.apart) == state
 
 
 def is_subsequence(short, long):
