@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -137,6 +139,8 @@ class ExperimentSpec:
         if self.method not in _METHOD_PARAMS:
             raise ValueError(f"unknown method {self.method!r}")
         params = self.method_params
+        if not isinstance(params, dict):
+            raise ValueError(f"method_params must be a JSON object, got {params!r}")
         unread = sorted(set(params) - _METHOD_PARAMS[self.method])
         if unread:
             raise ValueError(
@@ -150,6 +154,8 @@ class ExperimentSpec:
             raise ValueError(f"tau must be positive, got {params['tau']!r}")
         if "dim" in params and params["dim"] < 1:
             raise ValueError(f"dim must be at least 1, got {params['dim']!r}")
+        object.__setattr__(self, "sweep", _numbers(self.sweep, "sweep"))
+        object.__setattr__(self, "dup_rates", _numbers(self.dup_rates, "dup_rates"))
         # an empty sweep is a legal degenerate grid (header-only report)
         if not all(0 < f < 1 for f in self.sweep):
             raise ValueError("sample fractions must lie in (0, 1)")
@@ -161,13 +167,14 @@ class ExperimentSpec:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.profile not in _PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        object.__setattr__(self, "sweep", tuple(float(f) for f in self.sweep))
-        object.__setattr__(self, "dup_rates", tuple(float(r) for r in self.dup_rates))
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentSpec":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"experiment file {path} must hold a JSON object, "
+                             f"not {type(raw).__name__}")
         known = {
             "dataset", "method", "sweep", "dup_rates", "repeats", "seed",
             "profile", "schema", "method_params",
@@ -211,6 +218,17 @@ class SampleReport:
     @property
     def failed_cells(self) -> tuple[CellResult, ...]:
         return tuple(c for c in self.cells if c.status != "ok")
+
+
+def _numbers(values, key: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; ValueError naming ``key`` for
+    anything that is not a sequence of real numbers."""
+    if not isinstance(values, str):
+        with suppress(TypeError):
+            values = tuple(values)
+            if all(isinstance(v, numbers.Real) for v in values):
+                return tuple(float(v) for v in values)
+    raise ValueError(f"{key} must be a list of numbers, got {values!r}")
 
 
 def _parse_generator(uri: str) -> tuple[str, dict]:

@@ -20,6 +20,7 @@ import csv
 import json
 import operator
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -480,6 +481,8 @@ class CsvSchema:
     ngram: int = 3
 
     def __post_init__(self) -> None:
+        for key in ("feature_cols", "text_cols"):
+            object.__setattr__(self, key, _column_names(getattr(self, key), key))
         if not self.feature_cols and not self.text_cols:
             raise DatasetError("schema declares neither feature nor text columns")
         object.__setattr__(self, "ngram", positive_count(self.ngram, "ngram"))
@@ -488,6 +491,9 @@ class CsvSchema:
     def from_json(cls, path: str) -> "CsvSchema":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise DatasetError(f"schema file {path} must hold a JSON object, "
+                               f"not {type(raw).__name__}")
         known = {
             "feature_cols",
             "text_cols",
@@ -500,10 +506,19 @@ class CsvSchema:
         unknown = set(raw) - known
         if unknown:
             raise DatasetError(f"unknown schema keys: {sorted(unknown)}")
-        for key in ("feature_cols", "text_cols"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
+
+
+def _column_names(names, key: str) -> tuple[str, ...]:
+    """``names`` as a tuple of column names; DatasetError naming ``key``
+    for a lone string, which would be split into one-letter columns, or
+    anything else that is not a sequence of strings."""
+    if not isinstance(names, str):
+        with suppress(TypeError):
+            names = tuple(names)
+            if all(isinstance(name, str) for name in names):
+                return names
+    raise DatasetError(f"{key} must be a list of column names, got {names!r}")
 
 
 def ingest_csv(path: str, schema: CsvSchema) -> Dataset:

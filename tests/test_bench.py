@@ -147,6 +147,28 @@ def test_error_table_config_is_check_3_grid():
     assert (spec.repeats, spec.seed) == (20, 20260823)
     assert (spec.profile, spec.schema, spec.method_params) == ("tpch", None, {})
 
+def test_spec_from_json_refuses_a_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text("[]")
+    with pytest.raises(ValueError, match="JSON object"):
+        ExperimentSpec.from_json(str(path))
+
+
+@pytest.mark.parametrize("key,value,match", [
+    ("sweep", 0.1, "sweep must be a list of numbers"),
+    ("sweep", "0.1", "sweep must be a list of numbers"),
+    ("dup_rates", [0.1, "0.3"], "dup_rates must be a list of numbers"),
+    ("method_params", [], "method_params must be a JSON object"),
+])
+def test_spec_refuses_malformed_fields(tmp_path, key, value, match):
+    raw = {"dataset": "x", "method": "balanced", "sweep": [0.1],
+           "dup_rates": [0.1], "repeats": 1, "seed": 1, key: value}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=match):
+        ExperimentSpec.from_json(str(path))
+
+
 def test_spec_rejects_unknown_keys(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text('{"dataset": "x", "method": "balanced", "sweep": [0.1], '

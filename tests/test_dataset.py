@@ -393,6 +393,29 @@ def test_schema_from_json_rejects_unknown_keys(tmp_path):
         CsvSchema.from_json(str(path))
 
 
+def test_schema_from_json_refuses_a_file_that_is_not_an_object(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text("[]")
+    with pytest.raises(DatasetError, match="JSON object"):
+        CsvSchema.from_json(str(path))
+
+
+def test_schema_from_json_refuses_a_string_of_columns(tmp_path):
+    # "f0" used to be split into the columns 'f' and '0'
+    path = tmp_path / "schema.json"
+    path.write_text('{"feature_cols": "f0"}')
+    with pytest.raises(DatasetError, match="feature_cols must be a list"):
+        CsvSchema.from_json(str(path))
+
+
+@pytest.mark.parametrize("key", ["feature_cols", "text_cols"])
+@pytest.mark.parametrize("names", ["name", 3, ["name", 3]])
+def test_schema_refuses_columns_that_are_not_a_list_of_names(key, names):
+    with pytest.raises(DatasetError, match=f"{key} must be a list"):
+        CsvSchema(**{key: names})
+    assert getattr(CsvSchema(**{key: ["a", "b"]}), key) == ("a", "b")
+
+
 @pytest.mark.parametrize("ngram", [0, -1, 1.5, 3.0, "3"])
 def test_schema_refuses_an_ngram_that_is_not_a_positive_integer(ngram):
     # ngram 0 used to tokenize every text to {''}, one block for all
