@@ -112,7 +112,8 @@ def _cmd_inject(args) -> int:
 
 
 class _InteractiveOracle:
-    """Asks the terminal whether two records are duplicates."""
+    """Asks the terminal whether two records are duplicates; DatasetError
+    naming the pair when the input ends before an answer."""
 
     def __init__(self, data: Dataset) -> None:
         self._ids = data.ids
@@ -120,7 +121,11 @@ class _InteractiveOracle:
     def __call__(self, i: int, j: int) -> bool:
         a, b = self._ids[i], self._ids[j]
         while True:
-            answer = input(f"same entity? [{a}] vs [{b}] (y/n): ").strip().lower()
+            try:
+                answer = input(f"same entity? [{a}] vs [{b}] (y/n): ").strip().lower()
+            except EOFError:
+                raise DatasetError(
+                    f"input ended with the pair [{a}] vs [{b}] unanswered") from None
             if answer in ("y", "yes"):
                 return True
             if answer in ("n", "no"):

@@ -520,6 +520,29 @@ def test_interactive_oracle_asks_until_answered(monkeypatch):
     assert "[r1]" in prompts[2] and "[r2]" in prompts[2]
 
 
+def test_interactive_oracle_with_input_closed_exits_two(tmp_path, capsys,
+                                                        monkeypatch):
+    data = tmp_path / "three.csv"
+    data.write_text("id,x,y,entity\nr0,0,0,A\nr1,0.1,0,A\nr2,0.2,0,B\n",
+                    encoding="utf-8")
+    schema = tmp_path / "three.schema.json"
+    schema.write_text(json.dumps({"feature_cols": ["x", "y"],
+                                  "entity_col": "entity", "id_col": "id"}))
+
+    def closed(prompt):
+        raise EOFError
+
+    monkeypatch.setattr(builtins, "input", closed)
+    map_path = tmp_path / "map.csv"
+    rc = main(["estimate", "--data", str(data), "--schema", str(schema),
+               "--method", "lsh", "--oracle", "interactive", "--out", str(map_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert re.search(r"\[r\d\] vs \[r\d\] unanswered", err)
+    assert not map_path.exists()
+
+
 def test_gmm_collapse_exits_two_without_a_traceback(tmp_path, capsys):
     data = tmp_path / "two.csv"
     data.write_text("id,x\nr0,0\nr1,0\nr2,5\nr3,5\n", encoding="utf-8")
