@@ -136,7 +136,7 @@ class ExperimentSpec:
     method_params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.method not in _METHOD_PARAMS:
+        if not isinstance(self.method, str) or self.method not in _METHOD_PARAMS:
             raise ValueError(f"unknown method {self.method!r}")
         params = self.method_params
         if not isinstance(params, dict):

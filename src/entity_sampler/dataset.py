@@ -485,6 +485,8 @@ class CsvSchema:
             object.__setattr__(self, key, _column_names(getattr(self, key), key))
         if not self.feature_cols and not self.text_cols:
             raise DatasetError("schema declares neither feature nor text columns")
+        if not (isinstance(self.delimiter, str) and len(self.delimiter) == 1):
+            raise DatasetError(f"delimiter must be one character, got {self.delimiter!r}")
         object.__setattr__(self, "ngram", positive_count(self.ngram, "ngram"))
 
     @classmethod

@@ -159,6 +159,7 @@ def test_spec_from_json_refuses_a_file_that_is_not_an_object(tmp_path):
     ("sweep", "0.1", "sweep must be a list of numbers"),
     ("dup_rates", [0.1, "0.3"], "dup_rates must be a list of numbers"),
     ("method_params", [], "method_params must be a JSON object"),
+    ("method", ["balanced"], "unknown method"),
 ])
 def test_spec_refuses_malformed_fields(tmp_path, key, value, match):
     raw = {"dataset": "x", "method": "balanced", "sweep": [0.1],

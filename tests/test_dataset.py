@@ -416,6 +416,12 @@ def test_schema_refuses_columns_that_are_not_a_list_of_names(key, names):
     assert getattr(CsvSchema(**{key: ["a", "b"]}), key) == ("a", "b")
 
 
+@pytest.mark.parametrize("delimiter", [5, "", ";;", None])
+def test_schema_refuses_a_delimiter_that_is_not_one_character(delimiter):
+    with pytest.raises(DatasetError, match="delimiter must be one character"):
+        CsvSchema(feature_cols=("x",), delimiter=delimiter)
+
+
 @pytest.mark.parametrize("ngram", [0, -1, 1.5, 3.0, "3"])
 def test_schema_refuses_an_ngram_that_is_not_a_positive_integer(ngram):
     # ngram 0 used to tokenize every text to {''}, one block for all
