@@ -222,11 +222,13 @@ class SampleReport:
 
 def _numbers(values, key: str) -> tuple[float, ...]:
     """``values`` as a tuple of floats; ValueError naming ``key`` for
-    anything that is not a sequence of real numbers."""
+    anything that is not a sequence of real numbers (a JSON ``false`` is
+    not 0)."""
     if not isinstance(values, str):
         with suppress(TypeError):
             values = tuple(values)
-            if all(isinstance(v, numbers.Real) for v in values):
+            if all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in values):
                 return tuple(float(v) for v in values)
     raise ValueError(f"{key} must be a list of numbers, got {values!r}")
 

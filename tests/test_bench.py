@@ -158,6 +158,7 @@ def test_spec_from_json_refuses_a_file_that_is_not_an_object(tmp_path):
     ("sweep", 0.1, "sweep must be a list of numbers"),
     ("sweep", "0.1", "sweep must be a list of numbers"),
     ("dup_rates", [0.1, "0.3"], "dup_rates must be a list of numbers"),
+    ("dup_rates", [False], "dup_rates must be a list of numbers"),
     ("method_params", [], "method_params must be a JSON object"),
     ("method", ["balanced"], "unknown method"),
 ])
