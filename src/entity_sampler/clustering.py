@@ -18,11 +18,12 @@ cells of side about ``mu_radius`` over at most three coordinates propose
 the candidate pairs, and the kernel keeps those within the radius, so no
 b^2 distance pass runs.  Its pairs are (i, j) with i < j, and a graph of
 more than ``_MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.  The
-neighbour mask is the graph's endpoints, and the radius forest is its
-minimum spanning forest by Borůvka rounds, ties broken by (squared length,
-i, j).  The result of clustering is one label array: clusters are 0..k-1
-and each garbage point has its own negative label, so "same cluster" is
-"same non-negative label".
+radius forest is its minimum spanning forest by Borůvka rounds, ties
+broken by (squared length, i, j).  The neighbour mask is the graph's
+endpoints and also the forest's, so a block that builds its forest needs
+no other graph.  The result of clustering is one label array: clusters
+are 0..k-1 and each garbage point has its own negative label, so "same
+cluster" is "same non-negative label".
 """
 
 from __future__ import annotations
@@ -274,24 +275,21 @@ def neighbour_mask(points: np.ndarray, mu_radius: float) -> np.ndarray:
     return has_neighbour
 
 
-def _radius_forest(
-    points: np.ndarray, mu_radius: float, has_neighbour: np.ndarray
-) -> np.ndarray:
-    """Minimum spanning forest of the points ``has_neighbour`` marks, over
-    their pairs within ``mu_radius``.
+def _radius_forest(points: np.ndarray, mu_radius: float) -> np.ndarray:
+    """Minimum spanning forest of the points' pairs within ``mu_radius``.
 
     Returns (f, 2) int64 point indices, one edge (i, j) with i < j a row,
     in increasing (squared length, i, j): the edges that Kruskal's
     algorithm takes over the pairs sorted that way, in that order.  The
     order is total, so the forest is unique.  Borůvka rounds over the
-    ``_radius_graph`` of the marked points build it: each component takes
-    its least edge, and the hook-and-jump ``_components`` of ``blocking``
-    merges them.  With ``neighbour_mask``'s mask every marked point is in
-    an edge.  It raises ``RadiusGraphError`` where that graph does.
+    points' ``_radius_graph`` build it: each component takes its least
+    edge, and the hook-and-jump ``blocking._components`` merges them.
+    Every point with a neighbour is in an edge, so the endpoints are
+    ``neighbour_mask``'s mask.  It raises ``RadiusGraphError`` where that
+    graph does.
     """
-    idx = np.flatnonzero(has_neighbour)
-    n = idx.size
-    u, v, d2 = _radius_graph(np.asarray(points, dtype=np.float64)[idx], mu_radius)
+    n = len(points)
+    u, v, d2 = _radius_graph(points, mu_radius)
     # the edges in the total order (a quick sort by length, then each run
     # of equal lengths by (i, j)), and the live edges' ranks in it
     order = np.argsort(d2)
@@ -316,7 +314,7 @@ def _radius_forest(
         live = np.flatnonzero(cu != cv)
         rank, cu, cv = rank[live], cu[live], cv[live]
     rank = np.sort(np.concatenate(taken)) if taken else rank
-    return np.column_stack((idx[u[rank]], idx[v[rank]]))
+    return np.column_stack((u[rank], v[rank]))
 
 
 class ClusteringError(ValueError):

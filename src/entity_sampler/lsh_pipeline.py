@@ -11,9 +11,9 @@ components of the "same" answers (Vesdapunt, Bellare and Dalvi, PVLDB
 cluster count.  Otherwise the candidates are regularized k-means over
 ``k_range``, and sampled same-cluster selection against the oracle picks
 the winner, over a candidate set fixed before the first draw.  A block's
-distance work is its sparse radius graph, built from grid cells rather
-than b^2 distances: once for the garbage prefilter's mask and once for
-its radius forest.  A block whose graph keeps more than
+distance work is one sparse radius graph, built from grid cells rather
+than b^2 distances; its radius forest's endpoints are the points with a
+neighbour.  A block whose graph keeps more than
 ``clustering._MAX_GRAPH_PAIRS`` pairs raises ``RadiusGraphError``.
 Garbage points become singleton clusters.  A two-record block follows
 the same rule, all pair blocks at once in array form: its forest is its
@@ -36,7 +36,7 @@ from .clustering import (
     _radius_forest,
     _sq_distance,
     _sq_radius,
-    neighbour_mask,
+    neighbour_mask,  # not called here; perfbench/spans.py wraps this name
     regularized_kmeans,
 )
 from .dataset import (Dataset, DatasetError, _factorize_features, integer,
@@ -91,11 +91,11 @@ def estimate_probs_lsh(
     ``oracle`` answers same-cluster queries on global record indices and
     must answer consistently.
 
-    A block builds its radius forest when ``k_range`` reaches past 1 and
-    one of its points has a neighbour within ``mu_radius``: the minimum
-    spanning forest that joins its points within ``mu_radius``, edges
-    (i, j), i < j, in (squared length, i, j) order.  The forest fits when
-    it has at most twice the block's per-side budget of edges.  Then:
+    A block builds its radius forest, the minimum spanning forest that
+    joins its points within ``mu_radius``, edges (i, j), i < j, in
+    (squared length, i, j) order; a point in no edge is garbage.  The
+    forest fits when ``k_range`` reaches past 1 and it has one to twice
+    the block's per-side budget of edges.  Then:
 
     * the forest fits: the block asks each edge once, in that order; a
       forest has no cycle, so no answer settles a later edge.  Its groups
@@ -165,15 +165,14 @@ def estimate_probs_lsh(
             outcomes.append((block_id, 1, 0, same, not same))
             continue
         points = data.features[block]
-        has_neighbour = neighbour_mask(points, mu_radius)
-        remaining = int(has_neighbour.sum())
+        # the block's one radius graph: garbage is every point in no edge
+        forest = _radius_forest(points, mu_radius)
+        has_neighbour = np.bincount(forest.ravel(), minlength=block.size) > 0
         # a block whose radius forest fits the budget is decided by the
         # forest's answers.  It fits at no more edges than the fewest draws
         # a sampled selection makes, block_budget on each side, so an
         # exhaustive block's always fits
-        forest = (_radius_forest(points, mu_radius, has_neighbour)
-                  if remaining and k_hi > 1 else ())
-        if 0 < len(forest) <= 2 * block_budget:
+        if k_hi > 1 and 0 < len(forest) <= 2 * block_budget:
             # a forest has no cycle, so no answer settles a later edge
             same = np.array([bool(oracle(ids[i], ids[j])) for i, j in forest.tolist()])
             root = _components(block.size, *forest[same].T)
@@ -187,7 +186,7 @@ def estimate_probs_lsh(
         # every k is in [1, distinct marked points], or 0 when the
         # prefilter leaves nothing: exactly the k that regularized_kmeans
         # accepts
-        if remaining == 0:
+        if len(forest) == 0:
             ks = [0]
         else:
             distinct = int(_factorize_features(points[has_neighbour]).max()) + 1

@@ -314,7 +314,7 @@ def test_dense_radius_graph_raises_a_typed_error(monkeypatch):
         monkeypatch.setattr(clustering, "_MAX_GRAPH_PAIRS", 434)
         for build in (lambda: clustering._radius_graph(pts, 1.0),
                       lambda: neighbour_mask(pts, 1.0),
-                      lambda: clustering._radius_forest(pts, 1.0, np.ones(30, bool))):
+                      lambda: clustering._radius_forest(pts, 1.0)):
             with pytest.raises(clustering.RadiusGraphError) as err:
                 build()
             assert isinstance(err.value, ClusteringError)
@@ -342,7 +342,7 @@ def test_radius_graph_scales_to_a_planted_block_of_20005_points():
     mask = neighbour_mask(pts, 1.0)
     assert mask.tolist() == chunked_quadratic_mask(pts, 1.0).tolist()
     u, v, _ = clustering._radius_graph(pts, 1.0)
-    edges = clustering._radius_forest(pts, 1.0, mask)
+    edges = clustering._radius_forest(pts, 1.0)
     assert np.array_equal(np.isin(np.arange(n), edges), mask)
 
     def components(a, b):
@@ -469,7 +469,7 @@ def forest_cases():
 @pytest.mark.parametrize("pts,d", list(forest_cases()))
 def test_radius_forest_is_a_minimum_spanning_forest(pts, d):
     mask = neighbour_mask(pts, 1.0)
-    edges = clustering._radius_forest(pts, 1.0, mask)
+    edges = clustering._radius_forest(pts, 1.0)
     assert edges.dtype == np.int64 and edges.shape[1] == 2
     # its endpoints are exactly the points the mask keeps
     assert np.array_equal(np.isin(np.arange(len(pts)), edges), mask)
@@ -493,26 +493,42 @@ def test_radius_forest_is_kruskals_in_length_then_index_order(d, scale):
     # on a grid most lengths tie, so which edges the forest reports, and
     # in which order, depends on the tie rule: (squared length, i, j)
     pts = np.random.default_rng(d).integers(0, 6, (80, d)) * scale
-    mask = neighbour_mask(pts, scale)
-    got = clustering._radius_forest(pts, scale, mask)
+    got = clustering._radius_forest(pts, scale)
     assert got.tolist() == kruskal_forest(pts, scale)[0]
 
 
 def test_radius_forest_hand_case():
     pts = np.array([[0.0], [0.5], [5.0], [5.2], [9.0]])
-    mask = neighbour_mask(pts, 1.0)
-    edges = clustering._radius_forest(pts, 1.0, mask)
+    edges = clustering._radius_forest(pts, 1.0)
     assert edges.tolist() == [[2, 3], [0, 1]]
-    none = clustering._radius_forest(pts, 0.1, neighbour_mask(pts, 0.1))
+    none = clustering._radius_forest(pts, 0.1)
     assert none.shape == (0, 2)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=16),
+       st.sampled_from([0.0, 0.25, 0.6, 1.0, float("inf")]), st.booleans())
+def test_radius_forest_endpoints_are_the_neighbour_mask(cells, mu_radius, grid):
+    # points on a lattice of step 0.25: exact copies, tied lengths and
+    # isolated points, by all pairs of a small block and by grid cells
+    pts = np.array(cells, dtype=np.float64).reshape(-1, 2) * 0.25
+    with pytest.MonkeyPatch.context() as patch:
+        if grid:
+            patch.setattr(clustering, "_ALL_PAIRS_CAP", 0)
+        edges = clustering._radius_forest(pts, mu_radius)
+        mask = neighbour_mask(pts, mu_radius)
+        # the forest of the marked points alone, re-indexed
+        idx = np.flatnonzero(mask)
+        marked = idx[clustering._radius_forest(pts[idx], mu_radius)]
+    assert np.array_equal(np.isin(np.arange(len(pts)), edges), mask)
+    assert edges.tolist() == marked.tolist()
 
 
 def test_radius_forest_memory_is_bounded():
     pts = np.random.default_rng(35).uniform(0, 50, (5000, 2))
-    mask = neighbour_mask(pts, 0.5)
     tracemalloc.start()
     try:
-        edges = clustering._radius_forest(pts, 0.5, mask)
+        edges = clustering._radius_forest(pts, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

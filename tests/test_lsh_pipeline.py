@@ -330,7 +330,7 @@ def test_fitting_forests_ask_each_edge_once_and_merge_on_same(blocks):
         mask = clustering.neighbour_mask(points, 1.0)
         if not mask.any():
             continue
-        forest = clustering._radius_forest(points, 1.0, mask).tolist()
+        forest = clustering._radius_forest(points, 1.0).tolist()
         want_asked += [(lo + i, lo + j) for i, j in forest]
         same = sum(labels[lo + i] == labels[lo + j] for i, j in forest)
         want_rows.append((b, len(forest), 0, same, len(forest) - same))
@@ -401,22 +401,13 @@ def test_planted_block_asks_its_radius_forest_first(monkeypatch):
     data, blocking = lsh_vectors_input()
     assert blocking.q == 1 and blocking.sizes[0] == 2005
     reports = recorded_selects(monkeypatch)
-    forest = clustering._radius_forest(
-        data.features, 1.0, clustering.neighbour_mask(data.features, 1.0))
+    forest = clustering._radius_forest(data.features, 1.0)
     oracle = PairRecordingOracle(tuple(data.entity_codes))
     est = estimate_probs_lsh(data, blocking, (1, 4), 2000, oracle, seed=4102)
     assert oracle.asked == [tuple(edge) for edge in forest.tolist()]
     assert reports == []
     assert est.outcomes.tolist() == [(0, 1960, 0, 1960, 0)]
     assert est.group_sizes.size == 45
-    # without the forest the block ranks the k-means candidates k = 1..4
-    # by sampled selection, which asks about 52.7k questions
-    monkeypatch.setattr(lsh_pipeline, "_radius_forest", lambda *args: ())
-    bare_oracle = SameClusterOracle(tuple(data.entity_codes))
-    bare = estimate_probs_lsh(data, blocking, (1, 4), 2000, bare_oracle, seed=4102)
-    (report,) = reports
-    assert len(report.losses) == 4 and bare_oracle.queries > 3000
-    assert bare.group_sizes.size == 9
 
 
 @pytest.mark.parametrize("seed", [4100, 4103])
@@ -442,8 +433,7 @@ def test_budget_starved_block_keeps_the_kmeans_candidates(monkeypatch):
     # block's forest has 1,960: the block ranks the k-means candidates
     # k = 1..4 by Lloyd, without a forest candidate
     data, blocking = lsh_vectors_input()
-    forest = clustering._radius_forest(
-        data.features, 1.0, clustering.neighbour_mask(data.features, 1.0))
+    forest = clustering._radius_forest(data.features, 1.0)
     assert len(forest) == 1960
     reports = recorded_selects(monkeypatch)
     ks = recorded_lloyd_ks(monkeypatch)
@@ -537,22 +527,22 @@ def test_text_corpus_asks_each_distinct_pair_once():
     assert est.outcomes["queries"].sum() == oracle.queries
 
 
-def test_each_multi_record_block_builds_one_neighbour_mask(monkeypatch):
+def test_each_multi_record_block_builds_one_radius_graph(monkeypatch):
     data = planted_clusters(3, 8, separation=4.0, dim=2, seed=5, n_singletons=2)
     blocking = blocking_of([(0, 12), (12, 24), (24, 25), (25, 26)], data.n)
     sizes = []
-    build = clustering.neighbour_mask
+    build = clustering._radius_graph
 
     def counted(points, mu_radius):
         sizes.append(len(points))
         return build(points, mu_radius)
 
-    monkeypatch.setattr(lsh_pipeline, "neighbour_mask", counted)
-    monkeypatch.setattr(clustering, "neighbour_mask", counted)
+    monkeypatch.setattr(clustering, "_radius_graph", counted)
     est = estimate_probs_lsh(data, blocking, (1, 4), budget=20,
                              oracle=SameClusterOracle(tuple(data.entity_codes)),
                              seed=3, mu_radius=2.0)
-    assert sizes == [12, 12]  # every candidate from one mask per block
+    # one graph per block: the forest's endpoints are its garbage mask
+    assert sizes == [12, 12]
     assert len(est.outcomes) == 2
 
 
@@ -593,7 +583,9 @@ def test_traced_estimate_records_every_layer_it_calls():
     assert est.outcomes["block"].tolist() == [0, 1]
     assert tracer.calls["ssc.select"] == 1  # the larger block only
     assert tracer.calls["clustering.kmeans"] >= 1
-    assert tracer.calls["clustering.neighbour_mask"] >= 1
+    # the block's one graph is built inside _radius_forest, which the
+    # tracer does not wrap, so its time lands in lsh_pipeline.self_s
+    assert tracer.calls["clustering.neighbour_mask"] == 0
 
 
 def test_cli_estimate_under_the_tracer_records_every_layer(tmp_path, capsys):
@@ -684,7 +676,7 @@ def block_rule_pairs(data, blocking, k_range, mu_radius, oracle):
     for block_id, block in enumerate(blocking.blocks):
         points = data.features[block]
         has_neighbour = clustering.neighbour_mask(points, mu_radius)
-        forest = (clustering._radius_forest(points, mu_radius, has_neighbour)
+        forest = (clustering._radius_forest(points, mu_radius)
                   if has_neighbour.any() and k_range[1] > 1 else ())
         if len(forest):
             comp = list(range(block.size))
