@@ -28,6 +28,8 @@ from .dataset import (
     CsvSchema,
     Dataset,
     DatasetError,
+    _json_fields,
+    _object_fields,
     ingest_csv,
     integer,
     positive_count,
@@ -170,19 +172,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise ValueError(f"experiment file {path} must hold a JSON object, "
-                             f"not {type(raw).__name__}")
-        known = {
-            "dataset", "method", "sweep", "dup_rates", "repeats", "seed",
-            "profile", "schema", "method_params",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown experiment keys: {sorted(unknown)}")
-        return cls(**raw)
+        return cls(**_json_fields(path, cls, "experiment", ValueError))
 
 
 @dataclass(frozen=True)
@@ -459,10 +449,19 @@ def save_report(report: SampleReport, path: str) -> None:
 
 
 def load_report(path: str) -> SampleReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    cells = tuple(CellResult(**c) for c in payload["cells"])
-    return SampleReport(spec=ExperimentSpec(**payload["spec"]), cells=cells)
+    """The run that ``save_report`` wrote to ``path``; ValueError naming
+    the file for a report, spec or cell that is not a JSON object with
+    its dataclass's fields."""
+    payload = _json_fields(path, SampleReport, "report", ValueError)
+    spec = _object_fields(payload["spec"], ExperimentSpec,
+                          f"the spec of report file {path}", ValueError)
+    if not isinstance(payload["cells"], list):
+        raise ValueError(f"the cells of report file {path} must be a JSON list")
+    cells = tuple(
+        CellResult(**_object_fields(c, CellResult,
+                                    f"cell {i} of report file {path}", ValueError))
+        for i, c in enumerate(payload["cells"]))
+    return SampleReport(spec=ExperimentSpec(**spec), cells=cells)
 
 
 def _cell_bound(spec: ExperimentSpec, cell: CellResult) -> float | None:

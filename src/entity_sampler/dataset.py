@@ -21,7 +21,7 @@ import json
 import operator
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
@@ -491,24 +491,7 @@ class CsvSchema:
 
     @classmethod
     def from_json(cls, path: str) -> "CsvSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise DatasetError(f"schema file {path} must hold a JSON object, "
-                               f"not {type(raw).__name__}")
-        known = {
-            "feature_cols",
-            "text_cols",
-            "entity_col",
-            "value_col",
-            "id_col",
-            "delimiter",
-            "ngram",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise DatasetError(f"unknown schema keys: {sorted(unknown)}")
-        return cls(**raw)
+        return cls(**_json_fields(path, cls, "schema"))
 
 
 def _column_names(names, key: str) -> tuple[str, ...]:
@@ -677,6 +660,30 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 def uniform_distribution(labels: Sequence) -> DiscreteDistribution:
     labels = tuple(labels)
     return DiscreteDistribution(labels, np.full(len(labels), 1.0 / len(labels)))
+
+
+def _json_fields(path: str, cls: type, kind: str, error: type = DatasetError) -> dict:
+    """The JSON object in the file ``path``, as the keyword arguments of
+    the dataclass ``cls``; ``error`` naming the ``kind`` of file and the
+    path when it holds anything else (see ``_object_fields``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _object_fields(json.load(fh), cls, f"{kind} file {path}", error)
+
+
+def _object_fields(raw, cls: type, what: str, error: type = DatasetError) -> dict:
+    """``raw`` when it is a dict whose keys are fields of the dataclass
+    ``cls``, every field without a default among them; ``error`` naming
+    ``what`` otherwise."""
+    if not isinstance(raw, dict):
+        raise error(f"{what} must hold a JSON object, not {type(raw).__name__}")
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise error(f"{what} has unknown keys {unknown}")
+    missing = [f.name for f in fields(cls) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise error(f"{what} lacks the keys {missing}")
+    return raw
 
 
 def integer(value, name: str) -> int:

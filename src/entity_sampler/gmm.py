@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _kmeanspp_init, _sq_distance
-from .dataset import Dataset, DatasetError, _factorize_features, _first_records
+from .dataset import (Dataset, DatasetError, _factorize_features, _first_records,
+                      _json_fields)
 from .rejection import ProbabilityMap
 
 __all__ = [
@@ -171,13 +172,7 @@ class MixtureModel:
 
     @classmethod
     def from_json(cls, path: str) -> "MixtureModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        return cls(
-            weights=np.array(payload["weights"]),
-            means=np.array(payload["means"]),
-            variances=np.array(payload["variances"]),
-        )
+        return cls(**_json_fields(path, cls, "model"))
 
 
 @dataclass(frozen=True)

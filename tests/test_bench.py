@@ -11,7 +11,9 @@ from entity_sampler.balanced import plan_sample_size
 from entity_sampler.dataset import Dataset
 from entity_sampler.gmm import plan_gmm
 from entity_sampler.bench import (
+    CellResult,
     ExperimentSpec,
+    SampleReport,
     balanced_error_bound,
     emit_report,
     gmm_error_bound,
@@ -317,6 +319,24 @@ def test_empty_sweep_yields_header_only(tmp_path):
     emit_report(report, tmp_path)
     lines = (tmp_path / "cells.csv").read_text().splitlines()
     assert len(lines) == 1
+
+
+def test_baseline_column_merges_by_dup_rate_and_fraction(tmp_path):
+    spec = tiny_spec(sweep=(0.1, 0.2), dup_rates=(0.0,))
+    cells = tuple(CellResult(dup_rate=0.0, fraction=f, repeats=2, mean_error=0.01,
+                             stderr_error=0.001, mean_trials_per_accept=1.5,
+                             tv_induced=0.02, seconds=0.1) for f in spec.sweep)
+    report = SampleReport(spec=spec, cells=cells)
+    emit_report(report, tmp_path / "bare")
+    bare = (tmp_path / "bare" / "cells.csv").read_text().splitlines()
+    assert "baseline_error" not in bare[0]
+    # "0" and "0.10" are the cell's 0.0 and 0.1 as numbers; 0.3 is no cell
+    baseline = tmp_path / "baseline.csv"
+    baseline.write_text("dup_rate,fraction,error\n0,0.10,0.042\n0,0.3,0.5\n")
+    emit_report(report, tmp_path / "merged", baseline_csv=str(baseline))
+    merged = (tmp_path / "merged" / "cells.csv").read_text().splitlines()
+    assert merged[0] == bare[0] + ",baseline_error"
+    assert merged[1:] == [bare[1] + ",0.042", bare[2] + ","]
 
 
 def test_report_save_load_round_trip(tmp_path):

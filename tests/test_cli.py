@@ -428,6 +428,41 @@ def test_bench_cli_flags_failed_cells(tmp_path, capsys):
     assert "failed" in captured.err
 
 
+_SPEC = {"dataset": "x", "method": "balanced", "sweep": [0.1], "dup_rates": [0.1],
+         "repeats": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("command,content,match", [
+    ("model", [], "must hold a JSON object"),
+    ("model", None, "must hold a JSON object"),
+    ("model", {"weights": [1.0]}, "lacks the keys ['means', 'variances']"),
+    ("model", {"weights": [1.0], "means": [[0.0]], "variances": [1.0], "w": 1},
+     "unknown keys ['w']"),
+    ("report", [], "must hold a JSON object"),
+    ("report", {"cells": []}, "lacks the keys ['spec']"),
+    ("report", {"spec": {}, "cells": []}, "spec of report file"),
+    ("report", {"spec": _SPEC, "cells": {}}, "must be a JSON list"),
+    ("report", {"spec": _SPEC, "cells": [[]]}, "cell 0 of report file"),
+    ("report", {"spec": _SPEC, "cells": [{"dup_rate": 0.1}]}, "lacks the keys"),
+    ("bench", {"dataset": "x"}, "lacks the keys ['method'"),
+])
+def test_malformed_json_artifact_exits_two_naming_the_file(tmp_path, capsys,
+                                                            command, content, match):
+    data, schema = write_toy_csv(tmp_path)
+    path = tmp_path / "artifact.json"
+    path.write_text(json.dumps(content))
+    argv = {
+        "model": ["estimate", "--data", data, "--schema", schema, "--method", "gmm",
+                  "--model-in", str(path), "--out", str(tmp_path / "map.csv")],
+        "report": ["report", "--report", str(path), "--out", str(tmp_path / "out")],
+        "bench": ["bench", "--config", str(path), "--out", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and match in err
+
+
 def test_missing_input_exits_two(tmp_path, capsys):
     _, schema = write_toy_csv(tmp_path)
     rc = main(["ingest", "--data", str(tmp_path / "nope.csv"),
