@@ -538,12 +538,17 @@ def test_each_multi_record_block_builds_one_radius_graph(monkeypatch):
         return build(points, mu_radius)
 
     monkeypatch.setattr(clustering, "_radius_graph", counted)
-    est = estimate_probs_lsh(data, blocking, (1, 4), budget=20,
-                             oracle=SameClusterOracle(tuple(data.entity_codes)),
-                             seed=3, mu_radius=2.0)
-    # one graph per block: the forest's endpoints are its garbage mask
-    assert sizes == [12, 12]
-    assert len(est.outcomes) == 2
+    reports = recorded_selects(monkeypatch)
+    # a budget of 20 fits each block's 10-edge forest; at 4 the blocks
+    # rank k-means candidates, which take the forest's endpoints as their
+    # garbage mask
+    for budget, selects in ((20, 0), (4, 2)):
+        sizes.clear()
+        est = estimate_probs_lsh(data, blocking, (1, 4), budget=budget,
+                                 oracle=SameClusterOracle(tuple(data.entity_codes)),
+                                 seed=3, mu_radius=2.0)
+        assert sizes == [12, 12]
+        assert len(est.outcomes) == 2 and len(reports) == selects
 
 
 def test_nan_radius_is_rejected():
